@@ -257,7 +257,7 @@ def _parallel_speedup_curves(args, schemes, procs):
     serial path: one decomposition pinned at max(procs), speedups over
     BASE on one processor)."""
     from repro import obs
-    from repro.pipeline.batch import BatchPoint, run_batch
+    from repro.pipeline.grid import GridPoint, run_grid
 
     maxp = max(procs)
     coords = [(Scheme.BASE, 1)]
@@ -266,14 +266,14 @@ def _parallel_speedup_curves(args, schemes, procs):
             if (scheme, p) not in coords:
                 coords.append((scheme, p))
     points = [
-        BatchPoint(
+        GridPoint(
             app=args.app, scheme=scheme.value, nprocs=p, n=args.n,
             time_steps=args.time_steps, scale=args.scale,
             decomp_procs=None if scheme is Scheme.BASE else maxp,
         )
         for scheme, p in coords
     ]
-    results = run_batch(
+    results = run_grid(
         points, jobs=args.jobs,
         cache=not args.no_cache,
         disk_dir=args.cache_dir,
@@ -550,13 +550,13 @@ def cmd_batch(args) -> int:
     from repro import faults, obs
     from repro.errors import JournalError
     from repro.pipeline import journal as journal_mod
-    from repro.pipeline.batch import (
+    from repro.pipeline.grid import (
+        GracefulShutdown,
         make_grid,
         merged_trace,
-        run_batch,
+        run_grid,
         summarize,
     )
-    from repro.pipeline.grid import GracefulShutdown
     from repro.pipeline.store import resolve_store_dir
 
     store, incremental = _result_store(args)
@@ -627,19 +627,14 @@ def cmd_batch(args) -> int:
     shutdown = GracefulShutdown(drain_seconds=args.drain)
 
     # Live monitoring rides on the journal: heartbeats interleave with
-    # the run's own records and a TS_<run_id>.jsonl series lands next
-    # to it, so `repro status/watch/report` work from the store dir
-    # alone.  --heartbeat 0 turns the whole layer off.
+    # the run's own records, so `repro status/watch/report` work from
+    # the store dir alone.  --heartbeat 0 turns the whole layer off.
     monitor = None
     if journal is not None and args.heartbeat > 0:
         from repro.obs.runstate import RunMonitor
-        from repro.obs.timeseries import TimeseriesSink, ts_path
 
-        sink = TimeseriesSink(ts_path(jdir, journal.run_id),
-                              journal.run_id)
         monitor = RunMonitor(total=len(points), journal=journal,
-                             sink=sink, interval=args.heartbeat,
-                             jobs=args.jobs)
+                             interval=args.heartbeat, jobs=args.jobs)
         if preset:
             # Journal-served points are finished work: count them so a
             # resumed run's progress bar starts where the last one died.
@@ -672,7 +667,7 @@ def cmd_batch(args) -> int:
         obs.enable(reset=True)
     try:
         with shutdown.install():
-            results = run_batch(
+            results = run_grid(
                 points, jobs=args.jobs,
                 cache=not args.no_cache, disk_dir=disk_dir,
                 timeout=args.timeout, retries=args.retries,
@@ -915,10 +910,10 @@ def cmd_bench(args) -> int:
     from repro.obs.bench import (
         append_bench_series,
         compare_snapshots,
-        load_snapshot,
         run_bench,
         save_snapshot,
     )
+    from repro.obs.compare import read_run
     from repro.report import format_bench_table, format_regression_table
 
     apps, schemes = _grid_args(args)
@@ -929,7 +924,7 @@ def cmd_bench(args) -> int:
     baseline = None
     if args.compare:
         try:
-            baseline = load_snapshot(args.compare)
+            baseline = read_run(args.compare)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot load baseline: {exc}")
 
@@ -1071,7 +1066,7 @@ def cmd_watch(args) -> int:
 
 def cmd_report(args) -> int:
     """``python -m repro report``: one self-contained artifact per run,
-    stitched from the journal and time series alone."""
+    stitched from the journal alone."""
     from repro.errors import JournalError
     from repro.obs.runstate import build_report
     from repro.pipeline.store import resolve_store_dir
@@ -1102,7 +1097,7 @@ def cmd_report(args) -> int:
         series = payload["series"]
         print(f"\nreport sections: {len(payload['points'])} point rows, "
               f"{len(payload['timeline'])} timeline events, "
-              f"{series['samples']} time-series samples, "
+              f"{series['samples']} heartbeats, "
               f"{len(payload['degraded'])} degraded, "
               f"{len(payload['failures'])} failures "
               f"(write the full artifact with --html/--json)")
@@ -1169,18 +1164,27 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _read_runs(args, command: str):
+    """Load the two run files of ``diff``/``perf diff``; ``None``
+    (after a one-line message) when either is unreadable."""
+    from repro.obs.compare import read_run
+
+    try:
+        return read_run(args.run_a), read_run(args.run_b)
+    except (OSError, ValueError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_diff(args) -> int:
     """``python -m repro diff``: root-cause diff of two run files."""
     from repro.obs import provenance
     from repro.report import format_diff_table
 
-    try:
-        run_a = provenance.load_run(args.run_a)
-        run_b = provenance.load_run(args.run_b)
-    except (OSError, ValueError) as exc:
-        print(f"diff: {exc}", file=sys.stderr)
+    runs = _read_runs(args, "diff")
+    if runs is None:
         return 2
-    diff = provenance.diff_runs(run_a, run_b)
+    diff = provenance.diff_runs(*runs)
     if args.json:
         print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
     else:
@@ -1247,17 +1251,13 @@ def _cmd_perf_record(args) -> int:
 
 
 def _cmd_perf_diff(args) -> int:
-    from repro.obs import provenance
     from repro.obs.perf import perf_diff
     from repro.report import format_perf_diff_table
 
-    try:
-        run_a = provenance.load_run(args.run_a)
-        run_b = provenance.load_run(args.run_b)
-    except (OSError, ValueError) as exc:
-        print(f"perf diff: {exc}", file=sys.stderr)
+    runs = _read_runs(args, "perf diff")
+    if runs is None:
         return 2
-    pd = perf_diff(run_a, run_b, wall_tol=args.wall_tol,
+    pd = perf_diff(*runs, wall_tol=args.wall_tol,
                    wall_abs_floor=args.wall_abs_floor)
     if args.json:
         print(json.dumps(pd.as_dict(), indent=2, sort_keys=True))
@@ -1445,10 +1445,9 @@ def main(argv=None) -> int:
                         "result store otherwise writes")
     p.add_argument("--heartbeat", type=_nonneg_float, default=2.0,
                    metavar="SECONDS",
-                   help="interval between journal heartbeats and "
-                        "time-series samples for `repro status/watch` "
-                        "(default 2.0; 0 disables monitoring; needs "
-                        "the journal)")
+                   help="interval between journal heartbeats for "
+                        "`repro status/watch/report` (default 2.0; 0 "
+                        "disables monitoring; needs the journal)")
     p.add_argument("--expect-executed", type=_nonneg_int, default=None,
                    metavar="N",
                    help="exit nonzero unless exactly N points executed "
@@ -1556,7 +1555,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "report",
         help="self-contained run report (HTML/JSON) stitched from the "
-             "journal and time series",
+             "journal",
     )
     _add_run_flags(p)
     p.add_argument("--html", default=None, metavar="PATH",

@@ -9,13 +9,15 @@ sets, and the Section-4.3 addressing-overhead counts — into a
 schema-versioned snapshot.  :func:`save_snapshot` persists snapshots as
 ``results/bench/BENCH_<timestamp>.json`` plus a repo-root
 ``BENCH_latest.json`` pointer, and :func:`compare_snapshots` gates a
-new snapshot against a baseline with noise-aware thresholds:
+new snapshot against a baseline with the rules of
+:mod:`repro.obs.compare`:
 
-* **wall time** — min-of-N against min-of-N with a relative tolerance,
-  and only when both snapshots come from the same host (a committed
-  baseline from another machine can't gate wall time meaningfully);
-* **simulated counters** — exact match (the simulator is
-  deterministic, so *any* drift is a semantic change that must be
+* **wall time** — min-of-N against min-of-N past a relative tolerance
+  and an absolute floor, and only when both snapshots come from the
+  same host (a committed baseline from another machine can't gate
+  wall time meaningfully);
+* **simulated counters** — exact match, lists included (the simulator
+  is deterministic, so *any* drift is a semantic change that must be
   either fixed or explicitly re-baselined);
 * **wall-time ledger** (schema 3, from :mod:`repro.obs.perf`) — the
   row set and per-pass run counts are deterministic and gated exactly;
@@ -41,6 +43,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs import core as _obs_core
+from repro.obs.compare import (
+    WALL_ABS_FLOOR,
+    WALL_TOL,
+    drift,
+    flatten,
+    ledger_moves,
+    point_key,
+    run_points,
+    wall_gate,
+)
 from repro.util.atomicio import write_atomic
 
 __all__ = [
@@ -50,11 +62,8 @@ __all__ = [
     "append_bench_series",
     "append_series",
     "compare_snapshots",
-    "describe_host_mismatch",
     "host_fingerprint",
-    "load_snapshot",
     "load_series_lines",
-    "point_key",
     "run_bench",
     "save_snapshot",
     "series_path",
@@ -64,13 +73,11 @@ __all__ = [
 # Schema history:
 #   1 — wall/sim (misses, addressing, numa, conflict) + provenance.
 #   2 — adds sim.locality (reuse-distance / set-pressure / heatmap
-#       fingerprint, exact-match gated) and the non-gated "profile"
-#       key (top self-time functions; timing, so never compared).
-#   3 — adds the per-point "perf" key (wall-time ledger from
+#       fingerprint, exact-match gated).
+#   3 — adds the per-point "perf.ledger" key (wall-time ledger from
 #       repro.obs.perf — row set and counts exact-match gated,
-#       self-time columns noise-gated like wall.min — plus the
-#       collapsed-stack blob, never gated) and extends the host
-#       fingerprint with cpu/cores so cross-host skips are
+#       self-time columns noise-gated like wall.min) and extends the
+#       host fingerprint with cpu/cores so cross-host skips are
 #       explainable.  Schema-2 baselines are incomparable; regenerate.
 SCHEMA_VERSION = 3
 
@@ -88,12 +95,8 @@ LATEST_POINTER = "BENCH_latest.json"
 # — bound the on-disk history, keep the most recent evidence).
 SERIES_KEEP = 256
 
-DEFAULT_WALL_TOL = 0.30
-# Absolute slack under the relative wall gate: scheduler jitter on a
-# sub-10ms measurement easily exceeds 30% relative, so a regression
-# must also be at least this many seconds to fail.
-DEFAULT_WALL_ABS_FLOOR = 0.010
-FLOAT_REL_TOL = 1e-9
+# compare.drift's sign as a verdict on a lower-is-better number.
+_DRIFT_STATUS = {1: "regressed", -1: "improved", 0: "ok"}
 
 # Statuses that fail the gate: a slower wall time, a drifted simulated
 # counter, a vanished grid point, or an incomparable snapshot.
@@ -120,7 +123,8 @@ def host_fingerprint() -> Dict[str, Any]:
     """Identity of the measuring machine; wall-time comparisons are
     only meaningful between equal fingerprints.  The fields double as
     the explanation when a comparison skips its wall gate —
-    :func:`describe_host_mismatch` names exactly which ones differ."""
+    :func:`repro.obs.compare.wall_gate` names exactly which ones
+    differ."""
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -129,21 +133,6 @@ def host_fingerprint() -> Dict[str, Any]:
         "cpu": _cpu_model(),
         "cores": os.cpu_count() or 0,
     }
-
-
-def describe_host_mismatch(a: Dict[str, Any], b: Dict[str, Any]) -> str:
-    """Compact ``field: x vs y`` listing of differing fingerprint
-    fields — the human-readable reason a wall gate was skipped."""
-    diffs = []
-    for k in sorted(set(a) | set(b)):
-        va, vb = a.get(k), b.get(k)
-        if va != vb:
-            diffs.append(f"{k}: {va!r} vs {vb!r}")
-    return "; ".join(diffs)
-
-
-def point_key(point: Dict[str, Any]) -> str:
-    return f"{point['app']}/{point['scheme']}/P{point['nprocs']}"
 
 
 def _percentile(samples: Sequence[float], q: float) -> float:
@@ -172,10 +161,9 @@ def _bench_point(session, point, prog, repeats: int) -> Dict[str, Any]:
     # One observed window (private collector, "perf.point" root span)
     # measures the compile, captures the addressing-overhead counters
     # the optimized emitter emits, runs the detail simulation for the
-    # deterministic machine metrics, and yields the wall-time ledger
-    # plus — from a separate sampled run — the collapsed stacks.
+    # deterministic machine metrics, and yields the wall-time ledger.
     m = measure_point(session, prog, scheme, nprocs, machine,
-                      locality=True, collect_stacks=True)
+                      locality=True)
     res = m["res"]
     compile_s = m["compile_s"]
     addressing = m["addressing"]
@@ -215,20 +203,6 @@ def _bench_point(session, point, prog, repeats: int) -> Dict[str, Any]:
         simulate(spmd, machine)
         samples.append(time.perf_counter() - t0)
 
-    # The hotspot fingerprint comes from measure_point's sampled run,
-    # kept outside the timed repeats (the sampler's hook would inflate
-    # them) and outside "sim" (wall-clock attribution is
-    # nondeterministic, so the exact-match gate must never read it).
-    hot = m["hot"]
-    profile = {
-        "wall_s": hot.wall_s,
-        "samples": hot.samples,
-        "top_self": [
-            {"key": f.key, "self_s": f.self_s, "cum_s": f.cum_s}
-            for f in hot.top(5, include_external=False)
-        ],
-        "modules": hot.by_module(),
-    }
     return {
         "app": point.app,
         "scheme": point.scheme,
@@ -248,11 +222,9 @@ def _bench_point(session, point, prog, repeats: int) -> Dict[str, Any]:
             "max": max(samples),
         },
         "sim": sim,
-        "profile": profile,
         # Schema 3: the wall-time ledger (row set + counts exact-match
-        # gated, self-time noise-gated) and the collapsed-stack blob
-        # (never gated; `repro perf`/flamegraphs consume it).
-        "perf": {"ledger": m["ledger"], "stacks": m["stacks"]},
+        # gated, self-time noise-gated).
+        "perf": {"ledger": m["ledger"]},
         # Decision provenance rides along for `repro diff` root-cause
         # attribution; compare_snapshots never reads it, so this key
         # never affects the regression gate.
@@ -444,8 +416,8 @@ def load_series_lines(path: Optional[os.PathLike] = None
 
 
 def series_trends(lines: Sequence[Dict[str, Any]],
-                  wall_tol: float = DEFAULT_WALL_TOL,
-                  wall_abs_floor: float = DEFAULT_WALL_ABS_FLOOR
+                  wall_tol: float = WALL_TOL,
+                  wall_abs_floor: float = WALL_ABS_FLOOR
                   ) -> List[Dict[str, Any]]:
     """Per-metric trend rows from the series history.
 
@@ -454,9 +426,10 @@ def series_trends(lines: Sequence[Dict[str, Any]],
     and benchmark figure curves (``series: {scheme: [[procs,
     speedup], ...]}`` from the pytest harness).  Each is rolled up by
     its natural key and the last sample is judged against the previous
-    one: wall time regresses when it grows past ``wall_tol`` relative
-    *and* ``wall_abs_floor`` absolute (the bench gate's rule), speedup
-    regresses when it shrinks past ``wall_tol`` relative, and a
+    one by :func:`repro.obs.compare.drift`: wall time regresses when it
+    grows past ``wall_tol`` relative *and* ``wall_abs_floor`` absolute
+    (the bench gate's rule), speedup regresses when it shrinks past
+    ``wall_tol`` relative, and a
     drifted miss count is flagged — the simulator is deterministic, so
     any miss drift is a semantic change.
     """
@@ -490,73 +463,36 @@ def series_trends(lines: Sequence[Dict[str, Any]],
                 })
 
     rows: List[Dict[str, Any]] = []
-    for key, hist in sorted(bench_hist.items()):
-        last, prev = hist[-1], (hist[-2] if len(hist) > 1 else None)
-        status, note = "new", ""
-        if prev is not None:
-            cur, base = last["wall_p50"], prev["wall_p50"]
-            if (cur > base * (1.0 + wall_tol)
-                    and cur - base > wall_abs_floor):
-                status, note = "regressed", f"wall p50 over +{wall_tol:.0%}"
-            elif (cur < base * (1.0 - wall_tol)
-                    and base - cur > wall_abs_floor):
-                status = "improved"
-            else:
-                status = "ok"
-            if (last.get("misses") is not None
-                    and prev.get("misses") is not None
-                    and last["misses"] != prev["misses"]):
-                status = "changed"
-                note = (f"miss count drifted "
-                        f"{prev['misses']} → {last['misses']}")
-        rows.append({
-            "key": key, "kind": "bench", "unit": "wall p50 s",
-            "runs": len(hist), "value": round(last["wall_p50"], 6),
-            "prev": (round(prev["wall_p50"], 6)
-                     if prev is not None else None),
-            "misses": last.get("misses"),
-            "status": status, "note": note,
-            "created": last.get("created", ""),
-        })
-    for key, hist in sorted(curve_hist.items()):
-        last, prev = hist[-1], (hist[-2] if len(hist) > 1 else None)
-        status, note = "new", ""
-        if prev is not None:
-            cur, base = last["speedup"], prev["speedup"]
-            if cur < base * (1.0 - wall_tol):
-                status, note = "regressed", f"speedup down >{wall_tol:.0%}"
-            elif cur > base * (1.0 + wall_tol):
-                status = "improved"
-            else:
-                status = "ok"
-        rows.append({
-            "key": key, "kind": "figure", "unit": "speedup",
-            "runs": len(hist), "value": round(last["speedup"], 4),
-            "prev": (round(prev["speedup"], 4)
-                     if prev is not None else None),
-            "misses": None,
-            "status": status, "note": note,
-            "created": last.get("created", ""),
-        })
+    # (kind, unit, value field, digits, floor, sign of a regression,
+    # its note): wall time regresses growing, speedup shrinking.
+    for kind, unit, fld, digits, floor, worse, why, hists in (
+            ("bench", "wall p50 s", "wall_p50", 6, wall_abs_floor, 1,
+             f"wall p50 over +{wall_tol:.0%}", bench_hist),
+            ("figure", "speedup", "speedup", 4, 0.0, -1,
+             f"speedup down >{wall_tol:.0%}", curve_hist)):
+        for key, hist in sorted(hists.items()):
+            last, prev = hist[-1], (hist[-2] if len(hist) > 1 else None)
+            status, note = "new", ""
+            if prev is not None:
+                move = worse * drift(prev[fld], last[fld], wall_tol, floor)
+                status = _DRIFT_STATUS[move]
+                note = why if move > 0 else ""
+                if (last.get("misses") is not None
+                        and prev.get("misses") is not None
+                        and last["misses"] != prev["misses"]):
+                    status = "changed"
+                    note = (f"miss count drifted "
+                            f"{prev['misses']} → {last['misses']}")
+            rows.append({
+                "key": key, "kind": kind, "unit": unit,
+                "runs": len(hist), "value": round(last[fld], digits),
+                "prev": (round(prev[fld], digits)
+                         if prev is not None else None),
+                "misses": last.get("misses"),
+                "status": status, "note": note,
+                "created": last.get("created", ""),
+            })
     return rows
-
-
-def load_snapshot(path: os.PathLike) -> Dict[str, Any]:
-    """Load a snapshot, transparently following pointer files (a
-    ``BENCH_latest.json`` whose ``pointer`` names the real snapshot;
-    relative pointers resolve against the pointer file's directory)."""
-    path = Path(path)
-    for _ in range(4):  # pointer chains are short; bound anyway
-        with open(path) as fh:
-            data = json.load(fh)
-        target = data.get("pointer")
-        if target is None:
-            return data
-        candidate = Path(target)
-        if not candidate.is_absolute() and not candidate.exists():
-            candidate = path.parent / target
-        path = candidate
-    raise ValueError(f"pointer chain too deep starting at {path}")
 
 
 # -- comparison --------------------------------------------------------------
@@ -583,8 +519,8 @@ class BenchComparison:
     """Outcome of one baseline-vs-current snapshot comparison."""
 
     rows: List[DeltaRow] = field(default_factory=list)
-    wall_tol: float = DEFAULT_WALL_TOL
-    wall_abs_floor: float = DEFAULT_WALL_ABS_FLOOR
+    wall_tol: float = WALL_TOL
+    wall_abs_floor: float = WALL_ABS_FLOOR
     wall_gated: bool = True
 
     @property
@@ -596,28 +532,11 @@ class BenchComparison:
         return not self.regressions
 
 
-def _flatten_sim(sim: Dict[str, Any], prefix: str = "sim") -> Dict[str, Any]:
-    flat: Dict[str, Any] = {}
-    for key, value in sim.items():
-        name = f"{prefix}.{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten_sim(value, name))
-        else:
-            flat[name] = value
-    return flat
-
-
-def _values_match(a: Any, b: Any) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-12)
-    return a == b
-
-
 def compare_snapshots(
     baseline: Dict[str, Any],
     current: Dict[str, Any],
-    wall_tol: float = DEFAULT_WALL_TOL,
-    wall_abs_floor: float = DEFAULT_WALL_ABS_FLOOR,
+    wall_tol: float = WALL_TOL,
+    wall_abs_floor: float = WALL_ABS_FLOOR,
 ) -> BenchComparison:
     """Gate ``current`` against ``baseline``.
 
@@ -647,19 +566,13 @@ def compare_snapshots(
             note="grids measured at different problem sizes",
         ))
         return cmp
-    cmp.wall_gated = baseline.get("host") == current.get("host")
-    host_note = "different host; wall gate off"
-    if not cmp.wall_gated:
-        mismatch = describe_host_mismatch(
-            baseline.get("host") or {}, current.get("host") or {})
-        if mismatch:
-            host_note = f"different host ({mismatch}); wall gate off"
+    cmp.wall_gated, mismatch = wall_gate(baseline, current)
+    host_note = (f"different host ({mismatch}); wall gate off"
+                 if mismatch else "different host; wall gate off")
 
-    cur_points = {point_key(p): p for p in current["points"]}
-    seen = set()
-    for bp in baseline["points"]:
-        key = point_key(bp)
-        seen.add(key)
+    cur_points = run_points(current)
+    base_points = run_points(baseline)
+    for key, bp in base_points.items():
         cp = cur_points.get(key)
         if cp is None:
             cmp.rows.append(DeltaRow(
@@ -668,84 +581,58 @@ def compare_snapshots(
             ))
             continue
         # Simulated machine counters: exact match.
-        base_sim = _flatten_sim(bp["sim"])
-        cur_sim = _flatten_sim(cp["sim"])
+        base_sim = flatten(bp["sim"], "sim")
+        cur_sim = flatten(cp["sim"], "sim")
         for metric in sorted(set(base_sim) | set(cur_sim)):
-            if metric not in base_sim or metric not in cur_sim:
-                cmp.rows.append(DeltaRow(
-                    point=key, metric=metric,
-                    baseline=base_sim.get(metric),
-                    current=cur_sim.get(metric),
-                    status="changed", note="metric appeared/disappeared",
-                ))
-            elif not _values_match(base_sim[metric], cur_sim[metric]):
-                cmp.rows.append(DeltaRow(
-                    point=key, metric=metric,
-                    baseline=base_sim[metric], current=cur_sim[metric],
-                    status="changed",
-                    note="simulated counter drifted (exact-match gate)",
-                ))
-        # Wall time: min-of-N with relative tolerance, same host only.
+            both = metric in base_sim and metric in cur_sim
+            if both and base_sim[metric] == cur_sim[metric]:
+                continue
+            cmp.rows.append(DeltaRow(
+                point=key, metric=metric, baseline=base_sim.get(metric),
+                current=cur_sim.get(metric), status="changed",
+                note=("simulated counter drifted (exact-match gate)"
+                      if both else "metric appeared/disappeared"),
+            ))
+        # Wall time: min-of-N under the noise rule, same host only.
         base_min = bp["wall"]["min"]
         cur_min = cp["wall"]["min"]
         if not cmp.wall_gated:
             status, note = "skipped", host_note
-        elif (cur_min > base_min * (1.0 + wall_tol)
-              and cur_min - base_min > wall_abs_floor):
-            status = "regressed"
-            note = f"min-of-N wall time over +{wall_tol:.0%} threshold"
-        elif (cur_min < base_min * (1.0 - wall_tol)
-              and base_min - cur_min > wall_abs_floor):
-            status, note = "improved", "consider re-baselining"
         else:
-            status, note = "ok", ""
+            move = drift(base_min, cur_min, wall_tol, wall_abs_floor)
+            status = _DRIFT_STATUS[move]
+            note = (f"min-of-N wall time over +{wall_tol:.0%} threshold"
+                    if move > 0 else
+                    "consider re-baselining" if move < 0 else "")
         cmp.rows.append(DeltaRow(
             point=key, metric="wall.min",
             baseline=base_min, current=cur_min, status=status, note=note,
         ))
-        # Wall-time ledger (schema 3): the row set and anchor counts
-        # are deterministic — any drift is "changed" regardless of
-        # host — while per-row self time is wall-clock, so it uses the
-        # same same-host + relative-AND-absolute rule as wall.min.
-        # Quiet ledger rows are omitted (a point carries a dozen).
+        # Wall-time ledger (schema 3): structure drift and slower rows
+        # fail; quiet and faster rows are omitted (a point carries a
+        # dozen).
         base_led = (bp.get("perf") or {}).get("ledger")
         cur_led = (cp.get("perf") or {}).get("ledger")
-        if base_led and cur_led:
-            rows_a = {(r["kind"], r["name"]): r for r in base_led["rows"]}
-            rows_b = {(r["kind"], r["name"]): r for r in cur_led["rows"]}
-            for rk in sorted(set(rows_a) | set(rows_b)):
-                kind, name = rk
-                label = name if kind == "residual" else f"{kind}/{name}"
-                ra, rb = rows_a.get(rk), rows_b.get(rk)
-                if ra is None or rb is None:
-                    cmp.rows.append(DeltaRow(
-                        point=key, metric=f"perf.{label}",
-                        baseline="present" if ra else "absent",
-                        current="present" if rb else "absent",
-                        status="changed",
-                        note="ledger row appeared/disappeared",
-                    ))
-                    continue
-                if kind != "residual" and ra["count"] != rb["count"]:
-                    cmp.rows.append(DeltaRow(
-                        point=key, metric=f"perf.{label}.count",
-                        baseline=ra["count"], current=rb["count"],
-                        status="changed",
-                        note="ledger count drifted (exact-match gate)",
-                    ))
-                    continue
-                if not cmp.wall_gated:
-                    continue
+        if not (base_led and cur_led):
+            continue
+        for label, _, ra, rb, status, note in ledger_moves(
+                base_led, cur_led, cmp.wall_gated, wall_tol,
+                wall_abs_floor):
+            if status not in _FAILING:
+                continue
+            if ra is None or rb is None:
+                metric = f"perf.{label}"
+                a = "present" if ra else "absent"
+                b = "present" if rb else "absent"
+            elif status == "changed":
+                metric, a, b = f"perf.{label}.count", ra["count"], rb["count"]
+            else:
+                metric = f"perf.{label}.self_s"
                 a, b = float(ra["self_s"]), float(rb["self_s"])
-                if b > a * (1.0 + wall_tol) and b - a > wall_abs_floor:
-                    cmp.rows.append(DeltaRow(
-                        point=key, metric=f"perf.{label}.self_s",
-                        baseline=a, current=b, status="regressed",
-                        note=f"ledger self time over +{wall_tol:.0%} "
-                             "threshold",
-                    ))
+            cmp.rows.append(DeltaRow(point=key, metric=metric, baseline=a,
+                                     current=b, status=status, note=note))
     for key in cur_points:
-        if key not in seen:
+        if key not in base_points:
             cmp.rows.append(DeltaRow(
                 point=key, metric="*", baseline="absent", current="present",
                 status="new", note="not in baseline",

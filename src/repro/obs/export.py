@@ -282,12 +282,12 @@ def summary(collector: Optional[Collector] = None, max_events: int = 20) -> str:
     store_counters = {
         k: v for k, v in snap["counters"].items()
         if k.startswith(("store.", "journal.", "lock.", "fsck.",
-                         "ts.", "monitor."))
+                         "monitor."))
     }
     if store_counters or "store.bytes" in snap["gauges"]:
         # The persistent result store — and its crash-safety companions
         # (run journal, cross-process locks, fsck) plus the live-run
-        # monitor and its time-series sink — get their own section:
+        # monitor — get their own section:
         # hit/miss/invalidation/durability health is the first
         # thing an incremental-run investigation reads.
         lines.append("result store:")

@@ -19,16 +19,16 @@ responsible.  Three pieces:
   the accounting is falsifiable, and
   :func:`ledger_reconciles` is the check tests run on every point.
 * :func:`measure_point` / :func:`record_point` — one observed
-  compile + simulate window producing the ledger, the deterministic
-  machine metrics, and a collapsed-stack sample
-  (:mod:`repro.obs.flame` renders it); ``repro bench`` stores both per
-  grid point since snapshot schema 3.
+  compile + simulate window producing the ledger and the deterministic
+  machine metrics, plus — for ``perf record`` — a collapsed-stack
+  sample (:mod:`repro.obs.flame` renders it); ``repro bench`` stores
+  the ledger per grid point since snapshot schema 3.
 * :func:`perf_diff` — aligns two runs (bench snapshots or ``perf
   record`` payloads) and ranks the ledger rows whose self-time moved,
-  with the same noise discipline as ``bench --compare``: row *sets*
-  and *counts* are deterministic and gated exactly; self-time columns
-  are gated only on the same host and only past a relative tolerance
-  AND an absolute floor.
+  judged by :func:`repro.obs.compare.ledger_moves` exactly as ``bench
+  --compare`` judges them: row *sets* and *counts* are deterministic
+  and gated exactly; self-time columns are gated only on the same host
+  and only past a relative tolerance AND an absolute floor.
 
 Ledger reconciliation rules (the falsifiability contract):
 
@@ -46,11 +46,18 @@ Ledger reconciliation rules (the falsifiability contract):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs import core as _obs_core
+from repro.obs.compare import (
+    WALL_ABS_FLOOR,
+    WALL_TOL,
+    ledger_moves,
+    run_points,
+    wall_gate,
+)
 
 __all__ = [
     "PERF_SCHEMA",
@@ -163,22 +170,22 @@ def ledger_reconciles(ledger: Mapping[str, Any],
 # -- measurement -------------------------------------------------------------
 
 def measure_point(session, prog, scheme, nprocs: int, machine, *,
-                  locality: bool = True, collect_stacks: bool = True,
+                  locality: bool = True, collect_stacks: bool = False,
                   interval: Optional[int] = None) -> Dict[str, Any]:
     """One observed compile + detail-simulate window for one point.
 
     Opens a private collector, records the whole window under a
     ``perf.point`` root span, and returns the ledger, the simulation
-    result (deterministic machine metrics), the addressing counters,
-    the captured decision provenance, and — from a *separate* sampled
-    run kept outside the ledger window, since the profiling hook would
-    inflate it — the hotspot report and collapsed stacks.  The global
-    obs state is saved and restored.
+    result (deterministic machine metrics), the addressing counters
+    and the captured decision provenance.  With ``collect_stacks`` it
+    also returns collapsed ``stacks`` from a *separate* sampled
+    simulation, kept outside the ledger window since the profiling
+    hook would inflate it.  The global obs state is saved and
+    restored.
     """
     from repro.codegen.emit_optimized import emit_optimized_program
     from repro.machine.simulate import simulate
     from repro.obs import provenance
-    from repro.obs.hotspot import HotspotProfiler
 
     saved_enabled = _obs_core._enabled
     saved_collector = _obs_core._collector
@@ -207,25 +214,22 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         _obs_core._collector = saved_collector
         _obs_core._enabled = saved_enabled
 
-    kw: Dict[str, Any] = {"collect_stacks": collect_stacks}
-    if interval is not None:
-        kw["interval"] = interval
-    prof = HotspotProfiler(**kw)
-    prof.start()
-    try:
-        simulate(spmd, machine)
-    finally:
-        hot = prof.stop()
-    return {
+    out = {
         "spmd": spmd,
         "res": res,
         "compile_s": compile_s,
         "addressing": addressing,
         "ledger": ledger,
-        "hot": hot,
-        "stacks": hot.collapsed(),
         "provenance": prov,
     }
+    if collect_stacks:
+        from repro.obs import hotspot
+
+        with hotspot.profile(interval or hotspot.DEFAULT_INTERVAL,
+                             collect_stacks=True) as sampled:
+            simulate(spmd, machine)
+        out["stacks"] = sampled.report.collapsed()
+    return out
 
 
 def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
@@ -233,8 +237,8 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
                  interval: Optional[int] = None) -> Dict[str, Any]:
     """``repro perf record``: measure one (app, scheme, procs) point
     on the shared grid engine's program/machine mapping and return a
-    bench-snapshot-shaped payload (``provenance.load_run`` and
-    :func:`perf_diff` both accept it directly)."""
+    bench-snapshot-shaped payload (``repro diff`` and :func:`perf_diff`
+    both accept it directly)."""
     from datetime import datetime, timezone
 
     from repro.codegen.spmd import scheme_short_name
@@ -295,12 +299,7 @@ class PerfRowDelta:
         return (self.current or 0.0) - (self.baseline or 0.0)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "point": self.point, "row": self.row, "kind": self.kind,
-            "baseline": self.baseline, "current": self.current,
-            "base_count": self.base_count, "cur_count": self.cur_count,
-            "delta": self.delta, "status": self.status, "note": self.note,
-        }
+        return {**asdict(self), "delta": self.delta}
 
 
 @dataclass
@@ -313,13 +312,12 @@ class PerfDiff:
     n_rows: int = 0
     wall_gated: bool = True
     host_note: str = ""
-    wall_tol: float = 0.30
-    wall_abs_floor: float = 0.010
+    wall_tol: float = WALL_TOL
+    wall_abs_floor: float = WALL_ABS_FLOOR
 
     @property
     def significant(self) -> bool:
-        return any(r.status in ("regressed", "improved", "changed")
-                   for r in self.rows)
+        return bool(self.culprits)
 
     @property
     def culprits(self) -> List[PerfRowDelta]:
@@ -327,114 +325,50 @@ class PerfDiff:
                 if r.status in ("regressed", "improved", "changed")]
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rows": [r.as_dict() for r in self.rows],
-            "notes": list(self.notes),
-            "n_points": self.n_points,
-            "n_rows": self.n_rows,
-            "wall_gated": self.wall_gated,
-            "host_note": self.host_note,
-            "wall_tol": self.wall_tol,
-            "wall_abs_floor": self.wall_abs_floor,
-            "significant": self.significant,
-        }
-
-
-def _point_ledgers(run: Mapping[str, Any]
-                   ) -> Dict[str, Optional[Dict[str, Any]]]:
-    """Per-point ledgers of any loadable run shape.
-
-    Bench snapshots (schema ≥ 3) and ``perf record`` payloads carry
-    ``points[*].perf.ledger``; older snapshots and ``batch --json``
-    runs map to ``None`` (alignable, but nothing to compare)."""
-    out: Dict[str, Optional[Dict[str, Any]]] = {}
-    for p in run.get("points") or run.get("results") or []:
-        if not isinstance(p, dict):
-            continue
-        key = (f"{p.get('app', '?')}/{p.get('scheme', '?')}"
-               f"/P{p.get('nprocs', '?')}")
-        out[key] = (p.get("perf") or {}).get("ledger")
-    return out
+        return {**asdict(self), "rows": [r.as_dict() for r in self.rows],
+                "significant": self.significant}
 
 
 def perf_diff(run_a: Mapping[str, Any], run_b: Mapping[str, Any],
-              wall_tol: float = 0.30,
-              wall_abs_floor: float = 0.010) -> PerfDiff:
+              wall_tol: float = WALL_TOL,
+              wall_abs_floor: float = WALL_ABS_FLOOR) -> PerfDiff:
     """Align two runs' ledgers and rank the rows that moved.
 
-    Mirrors the ``bench --compare`` noise discipline: the row *set*
-    and anchor *counts* are deterministic, so any drift is
-    ``changed`` (significant) regardless of host; ``self_s`` columns
-    are wall-clock, so they are compared only when both runs share a
-    host fingerprint, and flagged only past ``wall_tol`` relative AND
-    ``wall_abs_floor`` seconds absolute.  Rows come back ranked by
-    absolute self-time movement, largest first.
+    Rows are judged by :func:`repro.obs.compare.ledger_moves`, the
+    ``bench --compare`` rule: the row *set* and anchor *counts* are
+    deterministic, so any drift is ``changed`` (significant)
+    regardless of host; ``self_s`` columns are wall-clock, so they are
+    compared only when both runs share a host fingerprint, and flagged
+    only past ``wall_tol`` relative AND ``wall_abs_floor`` seconds
+    absolute.  Rows come back ranked by absolute self-time movement,
+    largest first.
     """
     pd = PerfDiff(wall_tol=wall_tol, wall_abs_floor=wall_abs_floor)
-    host_a, host_b = run_a.get("host"), run_b.get("host")
-    pd.wall_gated = host_a == host_b
-    if not pd.wall_gated:
-        from repro.obs.bench import describe_host_mismatch
-        pd.host_note = describe_host_mismatch(host_a or {}, host_b or {})
-    la, lb = _point_ledgers(run_a), _point_ledgers(run_b)
-    for key in sorted(set(la) - set(lb)):
-        pd.notes.append(f"{key}: only in baseline run")
-    for key in sorted(set(lb) - set(la)):
-        pd.notes.append(f"{key}: only in current run")
-    for key in sorted(set(la) & set(lb)):
+    pd.wall_gated, pd.host_note = wall_gate(run_a, run_b)
+    pa, pb = run_points(run_a), run_points(run_b)
+    for key in sorted(pa.keys() ^ pb.keys()):
+        which = "baseline" if key in pa else "current"
+        pd.notes.append(f"{key}: only in {which} run")
+    for key in sorted(pa.keys() & pb.keys()):
         pd.n_points += 1
-        A, B = la[key], lb[key]
-        if A is None and B is None:
-            pd.notes.append(
-                f"{key}: no ledger in either run "
-                "(pre-schema-3 snapshot or batch run); skipped")
-            continue
+        A = (pa[key].get("perf") or {}).get("ledger")
+        B = (pb[key].get("perf") or {}).get("ledger")
         if A is None or B is None:
-            which = "baseline" if A is None else "current"
+            which = ("either" if A is B else
+                     "baseline" if A is None else "current")
             pd.notes.append(f"{key}: no ledger in {which} run; skipped")
             continue
-        rows_a = {(r["kind"], r["name"]): r for r in A["rows"]}
-        rows_b = {(r["kind"], r["name"]): r for r in B["rows"]}
-        for rk in sorted(set(rows_a) | set(rows_b)):
+        for label, kind, ra, rb, status, note in ledger_moves(
+                A, B, pd.wall_gated, wall_tol, wall_abs_floor):
             pd.n_rows += 1
-            kind, name = rk
-            label = name if kind == "residual" else f"{kind}/{name}"
-            ra, rb = rows_a.get(rk), rows_b.get(rk)
-            if ra is None or rb is None:
-                pd.rows.append(PerfRowDelta(
-                    point=key, row=label, kind=kind,
-                    baseline=None if ra is None else ra["self_s"],
-                    current=None if rb is None else rb["self_s"],
-                    base_count=None if ra is None else ra["count"],
-                    cur_count=None if rb is None else rb["count"],
-                    status="changed",
-                    note="ledger row appeared/disappeared "
-                         "(deterministic structure drift)",
-                ))
+            if status == "ok":
                 continue
-            if kind != "residual" and ra["count"] != rb["count"]:
-                pd.rows.append(PerfRowDelta(
-                    point=key, row=label, kind=kind,
-                    baseline=ra["self_s"], current=rb["self_s"],
-                    base_count=ra["count"], cur_count=rb["count"],
-                    status="changed",
-                    note=f"count drifted {ra['count']} → {rb['count']} "
-                         "(exact-match gate)",
-                ))
-                continue
-            a, b = float(ra["self_s"]), float(rb["self_s"])
-            if not pd.wall_gated:
-                continue  # self-time incomparable across hosts
-            if b > a * (1.0 + wall_tol) and b - a > wall_abs_floor:
-                status, note = "regressed", (
-                    f"self time over +{wall_tol:.0%} threshold")
-            elif b < a * (1.0 - wall_tol) and a - b > wall_abs_floor:
-                status, note = "improved", ""
-            else:
-                continue  # quiet row
             pd.rows.append(PerfRowDelta(
-                point=key, row=label, kind=kind, baseline=a, current=b,
-                base_count=ra["count"], cur_count=rb["count"],
+                point=key, row=label, kind=kind,
+                baseline=None if ra is None else ra["self_s"],
+                current=None if rb is None else rb["self_s"],
+                base_count=None if ra is None else ra["count"],
+                cur_count=None if rb is None else rb["count"],
                 status=status, note=note,
             ))
     pd.rows.sort(key=lambda r: (-abs(r.delta), r.point, r.row))

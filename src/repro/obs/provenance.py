@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import core as _core
+from repro.obs.compare import point_metrics, run_points
 
 __all__ = [
     "DecisionRecord",
@@ -50,8 +51,6 @@ __all__ = [
     "record",
     "active",
     "collect_point",
-    "load_run",
-    "normalize_run",
     "diff_runs",
     "RunDiff",
     "PointDiff",
@@ -295,19 +294,26 @@ def collect_point(session, prog, scheme, nprocs: int, *,
 
 @dataclass
 class MetricDelta:
+    """One metric that differs between two runs.  Values are numbers
+    or, for list-valued metrics (locality heatmaps, wall samples),
+    lists — which have no delta."""
+
     metric: str
-    a: float
-    b: float
+    a: Any
+    b: Any
 
     @property
-    def delta(self) -> float:
-        return self.b - self.a
+    def delta(self) -> Optional[float]:
+        try:
+            return self.b - self.a
+        except TypeError:  # a list-valued metric
+            return None
 
     @property
     def rel(self) -> Optional[float]:
-        if self.a == 0:
+        if self.delta is None or self.a == 0:
             return None
-        return (self.b - self.a) / abs(self.a)
+        return self.delta / abs(self.a)
 
 
 @dataclass
@@ -378,69 +384,6 @@ class RunDiff:
         }
 
 
-def load_run(path: str) -> Dict[str, Any]:
-    """Load a run file: a bench snapshot (schema 1, possibly a pointer
-    file) or a ``batch --json`` output.  Raises ValueError for anything
-    else."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "pointer" in data:
-        from repro.obs.bench import load_snapshot
-
-        return load_snapshot(path)
-    if isinstance(data, dict) and ("points" in data or "results" in data):
-        return data
-    raise ValueError(
-        f"{path}: not a bench snapshot or batch --json output "
-        "(expected a 'points' or 'results' key)"
-    )
-
-
-def _flatten(prefix: str, obj: Any, out: Dict[str, float]) -> None:
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], out)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        out[prefix] = float(obj)
-
-
-def normalize_run(data: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Normalize either run format to ``{point key: {"metrics": {...},
-    "provenance": [record dicts], "machine_fp": str | None}}``.
-    Metrics are flat name -> number; wall times get a ``wall.`` prefix
-    so the diff can treat them as noisy."""
-    out: Dict[str, Dict[str, Any]] = {}
-    if "points" in data:  # bench snapshot
-        for p in data.get("points") or []:
-            key = f"{p.get('app')}/{p.get('scheme')}/P{p.get('nprocs')}"
-            metrics: Dict[str, float] = {}
-            _flatten("sim", p.get("sim") or {}, metrics)
-            _flatten("wall", p.get("wall") or {}, metrics)
-            out[key] = {
-                "metrics": metrics,
-                "provenance": list(p.get("provenance") or []),
-                "machine_fp": p.get("machine_fp"),
-            }
-        return out
-    if "results" in data:  # batch --json
-        for r in data.get("results") or []:
-            key = f"{r.get('app')}/{r.get('scheme')}/P{r.get('nprocs')}"
-            metrics = {}
-            if isinstance(r.get("total_time"), (int, float)):
-                metrics["sim.total_time"] = float(r["total_time"])
-            if isinstance(r.get("n_accesses"), (int, float)):
-                metrics["sim.n_accesses"] = float(r["n_accesses"])
-            _flatten("sim.misses", r.get("miss_breakdown") or {}, metrics)
-            if isinstance(r.get("elapsed"), (int, float)):
-                metrics["wall.elapsed"] = float(r["elapsed"])
-            out[key] = {
-                "metrics": metrics,
-                "provenance": list(r.get("provenance") or []),
-            }
-        return out
-    raise ValueError("run data has neither 'points' nor 'results'")
-
-
 def _first_divergence(a_recs: List[Dict[str, Any]],
                       b_recs: List[Dict[str, Any]]):
     """Index + pair of the first records that differ (span id ignored),
@@ -456,17 +399,19 @@ def _first_divergence(a_recs: List[Dict[str, Any]],
 
 
 def diff_runs(run_a: Dict[str, Any], run_b: Dict[str, Any]) -> RunDiff:
-    """Align two runs point-by-point, collect metric deltas, and
+    """Align two runs point-by-point (any run shape, keyed by
+    :func:`repro.obs.compare.point_key`), collect deltas of every
+    :func:`~repro.obs.compare.point_metrics` leaf both sides carry, and
     attribute each differing point to the first diverging decision
-    record.  Points are ranked by largest relative non-wall delta."""
-    a = normalize_run(run_a)
-    b = normalize_run(run_b)
+    record.  Wall metrics (``wall.*``) count as noise.  Points are
+    ranked by largest relative non-wall delta."""
+    a, b = run_points(run_a), run_points(run_b)
     diff = RunDiff()
     diff.missing_in_b = sorted(k for k in a if k not in b)
     diff.missing_in_a = sorted(k for k in b if k not in a)
     for key in sorted(k for k in a if k in b):
         diff.n_compared += 1
-        ma, mb = a[key]["metrics"], b[key]["metrics"]
+        ma, mb = point_metrics(a[key]), point_metrics(b[key])
         deltas = [
             MetricDelta(m, ma[m], mb[m])
             for m in sorted(set(ma) & set(mb))
@@ -487,7 +432,8 @@ def diff_runs(run_a: Dict[str, Any], run_b: Dict[str, Any]) -> RunDiff:
             )
             diff.points.append(pd)
             continue
-        pa, pb = a[key]["provenance"], b[key]["provenance"]
+        pa = a[key].get("provenance") or []
+        pb = b[key].get("provenance") or []
         if not pa and not pb:
             pd.note = "no provenance recorded in either run; cannot attribute"
         elif not pa or not pb:

@@ -8,11 +8,9 @@ different processes:
 * :class:`RunMonitor` rides inside the grid driver.  The executor
   tells it about dispatches/finishes/waves; a rate-limited
   :meth:`~RunMonitor.tick` appends ``heartbeat`` records to the
-  journal (pid, wave, progress counters, in-flight indices, rss) and
-  flushes a metrics sample into the run's
-  :class:`~repro.obs.timeseries.TimeseriesSink`.  Monitoring is
-  best-effort by construction: every emit path swallows and counts its
-  own errors, and heartbeats are never fsync'd.
+  journal (pid, wave, progress counters, in-flight indices, rss).
+  Monitoring is best-effort by construction: every emit path swallows
+  and counts its own errors, and heartbeats are never fsync'd.
 
 * :func:`load_status` runs in *any other process* (``repro status`` /
   ``watch``).  It replays the journal into a :class:`RunStatus`:
@@ -27,8 +25,9 @@ different processes:
                    has not moved for longer than ``stale_after``
       running      anything else — the driver is alive and writing
 
-:func:`build_report` stitches status + journal timeline + time series
-into the payload ``repro report`` renders.
+:func:`build_report` stitches status, the journal timeline and the
+heartbeats' progress curves into the payload ``repro report``
+renders.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.obs import core
-from repro.obs.timeseries import load_series, ts_path
+from repro.obs.compare import point_key
 from repro.pipeline.journal import (
     JournalState,
     journal_dir,
@@ -103,7 +102,7 @@ def pid_alive(pid: Optional[int]) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 class RunMonitor:
-    """Emits heartbeats and time-series samples for a running grid.
+    """Emits journal heartbeats for a running grid.
 
     The grid executor calls the ``point_*``/``wave_started`` hooks;
     emission is rate-limited to ``interval`` seconds on a monotonic
@@ -113,12 +112,10 @@ class RunMonitor:
 
     def __init__(self, total: int,
                  journal: Optional[Any] = None,
-                 sink: Optional[Any] = None,
                  interval: float = 2.0,
                  jobs: int = 1):
         self.total = total
         self.journal = journal
-        self.sink = sink
         self.interval = max(float(interval), 0.05)
         self.jobs = max(int(jobs), 1)
         self.wave = 0
@@ -160,7 +157,7 @@ class RunMonitor:
     # -- emission ----------------------------------------------------------
 
     def progress(self) -> Dict[str, Any]:
-        """The snapshot every heartbeat and time-series sample carries."""
+        """The snapshot every heartbeat carries."""
         return {
             "pid": os.getpid(),
             "wave": self.wave,
@@ -177,7 +174,7 @@ class RunMonitor:
         }
 
     def tick(self, force: bool = False) -> bool:
-        """Emit one heartbeat + sample if ``interval`` has elapsed."""
+        """Emit one heartbeat if ``interval`` has elapsed."""
         now = time.monotonic()
         if (not force and self._last_tick
                 and now - self._last_tick < self.interval):
@@ -188,8 +185,6 @@ class RunMonitor:
         try:
             if self.journal is not None:
                 self.journal.heartbeat(**snap)
-            if self.sink is not None:
-                self.sink.sample(snap)
         except Exception:
             core.inc("monitor.errors")
         core.inc("monitor.ticks")
@@ -197,13 +192,8 @@ class RunMonitor:
 
     def close(self) -> None:
         """Final forced tick so the journal's last heartbeat reflects
-        the terminal counts, then release the sink."""
+        the terminal counts."""
         self.tick(force=True)
-        if self.sink is not None:
-            try:
-                self.sink.close()
-            except Exception:
-                core.inc("monitor.errors")
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +415,13 @@ def load_status(store_root: os.PathLike, token: str = "latest", *,
 
 
 # ---------------------------------------------------------------------------
-# Report payload: status + timeline + time series in one dict.
+# Report payload: status + timeline + progress curves in one dict.
 # ---------------------------------------------------------------------------
 
 def build_report(store_root: os.PathLike, token: str = "latest", *,
                  stale_after: float = DEFAULT_STALE_AFTER
                  ) -> Dict[str, Any]:
-    """Everything ``repro report`` renders, from journal + series alone.
+    """Everything ``repro report`` renders, from the journal alone.
 
     The payload is pure data (JSON-serializable) so ``--json`` and
     ``--html`` are two renderings of the same artifact.
@@ -475,9 +465,7 @@ def build_report(store_root: os.PathLike, token: str = "latest", *,
     for i, d in sorted(state.finished.items()):
         if not isinstance(d, dict):
             continue
-        pd = d.get("point") or {}
-        label = (f"{pd.get('app', '?')}/{pd.get('scheme', '?')}"
-                 f"/P{pd.get('nprocs', '?')}")
+        label = point_key(d)
         rows.append({
             "i": i,
             "label": label,
@@ -499,8 +487,7 @@ def build_report(store_root: os.PathLike, token: str = "latest", *,
                 key = f"{rec.get('site', '?')} → {rec.get('chosen', '?')}"
                 decisions[key] = decisions.get(key, 0) + 1
 
-    series = load_series(ts_path(jdir, run_id))
-    curves = _series_curves(series["samples"])
+    heartbeats = [r for r in records if r.get("type") == "heartbeat"]
 
     return {
         "schema": 1,
@@ -515,34 +502,29 @@ def build_report(store_root: os.PathLike, token: str = "latest", *,
         "decisions": dict(sorted(decisions.items(),
                                  key=lambda kv: (-kv[1], kv[0]))),
         "series": {
-            "samples": len(series["samples"]),
-            "bad_lines": series["bad_lines"],
-            "torn_tail": series["torn_tail"],
-            "curves": curves,
+            "samples": len(heartbeats),
+            "curves": _progress_curves(heartbeats),
         },
     }
 
 
-def _series_curves(samples: List[Dict[str, Any]]
-                   ) -> Dict[str, List[List[float]]]:
-    """Plottable ``name → [[t, value], ...]`` curves from raw samples."""
+def _progress_curves(heartbeats: List[Dict[str, Any]]
+                     ) -> Dict[str, List[List[float]]]:
+    """Plottable ``name → [[t, value], ...]`` curves from heartbeats."""
     curves: Dict[str, List[List[float]]] = {}
-    if not samples:
-        return curves
     t0 = None
-    for s in samples:
-        t = s.get("t")
+    for hb in heartbeats:
+        t = hb.get("t")
         if not isinstance(t, (int, float)):
             continue
         if t0 is None:
             t0 = float(t)
         rel = round(float(t) - t0, 3)
-        prog = s.get("progress") or {}
         for key in ("finished", "dispatched", "errors", "store_hits"):
-            v = prog.get(key)
+            v = hb.get(key)
             if isinstance(v, (int, float)):
                 curves.setdefault(key, []).append([rel, float(v)])
-        rss = prog.get("rss")
+        rss = hb.get("rss")
         if isinstance(rss, (int, float)):
             curves.setdefault("rss_mb", []).append(
                 [rel, round(float(rss) / 1e6, 2)])

@@ -14,8 +14,7 @@ signatures as thin wrappers over the process-wide default session.
 enumeration (:class:`~repro.pipeline.grid.GridSpec`) and one hardened
 wave executor fanning ``(app, scheme, nprocs)`` points across a
 process pool with per-point error isolation — consumed by ``repro
-batch`` (via the :mod:`repro.pipeline.batch` facade), the benchmark
-harness, and the verifier.  :mod:`repro.pipeline.store` persists each
+batch``, the benchmark harness, and the verifier.  :mod:`repro.pipeline.store` persists each
 point's result under a content-addressed key (program x scheme x
 procs x machine x model version) so incremental reruns execute only
 what changed.

@@ -51,9 +51,6 @@ point under its own fresh collector (one ``batch.point`` root span)
 and ships the frozen snapshot back inside the point's
 :class:`GridResult`; the driver merges the snapshots into a single
 skew-corrected multi-lane trace via :mod:`repro.obs.agg`.
-
-:mod:`repro.pipeline.batch` re-exports all of this under its
-historical names (``BatchPoint``/``BatchResult``/``run_batch``).
 """
 
 from __future__ import annotations
@@ -827,8 +824,8 @@ def run_grid(
     ``monitor`` (a :class:`repro.obs.runstate.RunMonitor`, duck-typed
     like the journal) is told about every dispatch, finish (including
     store-served points) and wave in grid-global indices, and is
-    pumped while the executor waits — driving heartbeat records and
-    time-series samples for ``repro status`` / ``watch``.
+    pumped while the executor waits — driving the heartbeat records
+    ``repro status`` / ``watch`` / ``report`` read.
     """
     points = list(points)
     if (store is None and journal is None and shutdown is None

@@ -382,7 +382,7 @@ def format_series_table(rows: Sequence[Mapping], limit: int = 0) -> str:
 def run_report_html(payload: Mapping) -> str:
     """Self-contained HTML run report from a
     :func:`repro.obs.runstate.build_report` payload: status summary,
-    progress/rss curves from the time series, per-point table, and the
+    progress/rss curves from the heartbeats, per-point table, and the
     degradation / failure / decision rollups.  Everything inline — the
     file renders from a CI artifact tab with no other assets."""
     from repro.obs.html import page, svg_line, table
@@ -626,6 +626,8 @@ def _fmt_value(v) -> str:
     """Compact cell rendering for bench/regression tables."""
     if isinstance(v, bool):
         return str(v)
+    if isinstance(v, list):
+        return f"[{len(v)} items]"
     if isinstance(v, float):
         return f"{v:.4g}"
     if isinstance(v, dict):

@@ -16,7 +16,7 @@ from repro.obs import agg
 from repro.obs.agg import MergedTrace, clock_offset, snapshot
 from repro.obs.export import collector_state, lane_trace_events
 from repro.pipeline import reset_session
-from repro.pipeline.batch import BatchPoint, merged_trace, run_batch
+from repro.pipeline.grid import GridPoint, merged_trace, run_grid
 
 
 @pytest.fixture(autouse=True)
@@ -243,12 +243,12 @@ class TestSingleLaneExport:
 class TestBatchIntegration:
     def test_parallel_batch_ships_per_point_snapshots(self):
         points = [
-            BatchPoint(app="simple", scheme=s, nprocs=p, n=8)
+            GridPoint(app="simple", scheme=s, nprocs=p, n=8)
             for s in ("base", "comp") for p in (1, 2)
         ]
         obs.enable(reset=True)
-        results = run_batch(points, jobs=2, cache=False,
-                            collect_telemetry=True)
+        results = run_grid(points, jobs=2, cache=False,
+                           collect_telemetry=True)
         mt = merged_trace(results)
         obs.disable()
         assert all(r.ok for r in results)
@@ -267,10 +267,10 @@ class TestBatchIntegration:
                        for e in lane)
 
     def test_serial_batch_records_into_caller_collector(self):
-        points = [BatchPoint(app="simple", scheme="base", nprocs=1, n=8)]
+        points = [GridPoint(app="simple", scheme="base", nprocs=1, n=8)]
         obs.enable(reset=True)
-        results = run_batch(points, jobs=1, cache=False,
-                            collect_telemetry=True)
+        results = run_grid(points, jobs=1, cache=False,
+                           collect_telemetry=True)
         mt = merged_trace(results)
         obs.disable()
         assert results[0].telemetry is None  # no per-point snapshot

@@ -13,13 +13,9 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
-from repro.obs import bench
-from repro.obs.bench import (
-    compare_snapshots,
-    load_snapshot,
-    run_bench,
-    save_snapshot,
-)
+from repro.obs import bench, compare
+from repro.obs.bench import compare_snapshots, run_bench, save_snapshot
+from repro.obs.compare import read_run
 from repro.pipeline import reset_session
 from repro.report import format_bench_table, format_regression_table
 
@@ -63,14 +59,15 @@ class TestRunBench:
             assert "numa" in p["sim"] and "conflict" in p["sim"]
 
     def test_points_carry_perf_ledger_and_stacks(self, snap):
-        # Schema 3: every point stores the wall-time ledger and a
-        # collapsed-stack blob next to the snapshot.
+        # Schema 3: every point stores the wall-time ledger.  No
+        # comparison reads sampled stacks or the hotspot profile, so a
+        # snapshot carries neither.
         for p in snap["points"]:
             ledger = p["perf"]["ledger"]
             kinds = {r["kind"] for r in ledger["rows"]}
             assert "pass" in kinds and "residual" in kinds
-            assert p["perf"]["stacks"]  # folded "a;b value" lines
-            assert all(" " in line for line in p["perf"]["stacks"])
+            assert "stacks" not in p["perf"]
+            assert "profile" not in p
 
     def test_addressing_counters_recorded(self, snap):
         # The optimized emitter's strength reduction fires somewhere in
@@ -106,8 +103,8 @@ class TestPersistence:
         latest = tmp_path / "BENCH_latest.json"
         path, lpath = save_snapshot(snap, out_dir=out, latest=latest)
         assert json.load(open(lpath))["pointer"] == path
-        assert load_snapshot(path) == snap
-        assert load_snapshot(latest) == snap
+        assert read_run(path) == snap
+        assert read_run(latest) == snap
 
     def test_relative_pointer_resolves_against_pointer_dir(self, snap,
                                                            tmp_path):
@@ -116,7 +113,7 @@ class TestPersistence:
         pointer = out / "latest.json"
         name = path.rsplit("/", 1)[-1]
         pointer.write_text(json.dumps({"schema": 1, "pointer": name}))
-        assert load_snapshot(pointer) == snap
+        assert read_run(pointer) == snap
 
     def test_collision_gets_serial_suffix(self, snap, tmp_path):
         out = tmp_path / "bench"
@@ -130,7 +127,7 @@ class TestPersistence:
         a.write_text(json.dumps({"pointer": str(b)}))
         b.write_text(json.dumps({"pointer": str(a)}))
         with pytest.raises(ValueError, match="pointer chain"):
-            load_snapshot(a)
+            read_run(a)
 
 
 class TestCompare:
@@ -230,7 +227,7 @@ class TestCompare:
             p.pop("perf")
         path = tmp_path / "old.json"
         path.write_text(json.dumps(old))
-        loaded = load_snapshot(path)
+        loaded = read_run(path)
         assert loaded["schema"] == 2
         cmp = compare_snapshots(loaded, snap)
         assert not cmp.ok and cmp.rows[0].status == "incomparable"
@@ -312,11 +309,13 @@ class TestHostFingerprint:
     def test_describe_host_mismatch(self):
         a = {"node": "a", "cpu": "x", "cores": 4}
         b = {"node": "b", "cpu": "x", "cores": 8}
-        msg = bench.describe_host_mismatch(a, b)
+        gated, msg = compare.wall_gate({"host": a}, {"host": b})
+        assert not gated
         assert "node: 'a' vs 'b'" in msg
         assert "cores: 4 vs 8" in msg
         assert "cpu" not in msg
-        assert bench.describe_host_mismatch(a, dict(a)) == ""
+        assert compare.wall_gate({"host": a}, {"host": dict(a)}) == (
+            True, "")
 
 
 class TestBenchTable:
@@ -347,7 +346,7 @@ class TestBenchCLI:
                                                       capsys):
         assert self._run(tmp_path) == 0
         latest = tmp_path / "BENCH_latest.json"
-        baseline = load_snapshot(latest)
+        baseline = read_run(latest)
         baseline["points"][0]["sim"]["total_time"] += 1.0
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(baseline))
@@ -360,7 +359,7 @@ class TestBenchCLI:
         # A tripped wall gate must auto-print the differential
         # attribution (perf culprit table) next to the provenance diff.
         assert self._run(tmp_path) == 0
-        baseline = load_snapshot(tmp_path / "BENCH_latest.json")
+        baseline = read_run(tmp_path / "BENCH_latest.json")
         for p in baseline["points"]:
             p["wall"]["min"] = 1e-9
             for r in p["perf"]["ledger"]["rows"]:
@@ -463,7 +462,7 @@ class TestAppendBenchSeries:
         assert lines[0]["kind"] == "bench"
         digest = {p["point"]: p for p in lines[0]["points"]}
         for p in snap["points"]:
-            key = bench.point_key(p)
+            key = compare.point_key(p)
             assert digest[key]["wall_p50"] == p["wall"]["p50"]
             assert digest[key]["misses"] == sum(p["sim"]["misses"].values())
 

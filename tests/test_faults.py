@@ -14,7 +14,7 @@ from repro import faults, obs
 from repro.__main__ import main
 from repro.errors import CompileError, FaultInjected, ReproError
 from repro.pipeline import ArtifactCache, CompileSession, MISS, reset_session
-from repro.pipeline.batch import BatchPoint, run_batch, summarize
+from repro.pipeline.grid import GridPoint, run_grid, summarize
 from repro.pipeline.passes import DecomposePass
 
 
@@ -171,10 +171,10 @@ class TestCacheQuarantine:
     def test_fully_faulted_disk_cache_batch_completes(self, tmp_path):
         faults.configure("seed=2,cache.read=1.0,cache.write=1.0")
         points = [
-            BatchPoint(app="simple", scheme=s, nprocs=p, n=8)
+            GridPoint(app="simple", scheme=s, nprocs=p, n=8)
             for s in ("base", "data") for p in (1, 2)
         ]
-        results = run_batch(points, jobs=1, disk_dir=str(tmp_path))
+        results = run_grid(points, jobs=1, disk_dir=str(tmp_path))
         assert [r.ok for r in results] == [True] * len(points)
 
 
@@ -212,10 +212,10 @@ class TestDegradation:
 
         monkeypatch.setattr(DecomposePass, "run", boom)
         points = [
-            BatchPoint(app="simple", scheme="data", nprocs=2, n=8),
-            BatchPoint(app="simple", scheme="base", nprocs=2, n=8),
+            GridPoint(app="simple", scheme="data", nprocs=2, n=8),
+            GridPoint(app="simple", scheme="base", nprocs=2, n=8),
         ]
-        results = run_batch(points, jobs=1)
+        results = run_grid(points, jobs=1)
         assert results[0].ok and results[0].degraded
         assert "decomposition exploded" in results[0].degrade_reason
         assert results[1].ok and not results[1].degraded
@@ -226,31 +226,31 @@ class TestDegradation:
             raise RuntimeError("decomposition exploded")
 
         monkeypatch.setattr(DecomposePass, "run", boom)
-        points = [BatchPoint(app="simple", scheme="data", nprocs=2, n=8)]
-        results = run_batch(points, jobs=1, degrade=False)
+        points = [GridPoint(app="simple", scheme="data", nprocs=2, n=8)]
+        results = run_grid(points, jobs=1, degrade=False)
         assert not results[0].ok
         assert "decomposition exploded" in results[0].error
 
 
 class TestBatchWorkerFaults:
     POINTS = [
-        BatchPoint(app="simple", scheme="base", nprocs=1, n=8),
-        BatchPoint(app="simple", scheme="data", nprocs=2, n=8),
+        GridPoint(app="simple", scheme="base", nprocs=1, n=8),
+        GridPoint(app="simple", scheme="data", nprocs=2, n=8),
     ]
 
     def test_worker_raising_is_isolated_in_parallel(self):
         points = [
             self.POINTS[0],
-            BatchPoint(app="nosuchapp", scheme="base", nprocs=1, n=8),
+            GridPoint(app="nosuchapp", scheme="base", nprocs=1, n=8),
             self.POINTS[1],
         ]
-        results = run_batch(points, jobs=2)
+        results = run_grid(points, jobs=2)
         assert [r.ok for r in results] == [True, False, True]
         assert "nosuchapp" in results[1].error
 
     def test_worker_crash_retries_then_fails(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "seed=1,worker.crash=1.0")
-        results = run_batch(self.POINTS, jobs=2, retries=1, backoff=0.01)
+        results = run_grid(self.POINTS, jobs=2, retries=1, backoff=0.01)
         assert len(results) == len(self.POINTS)
         for r in results:
             assert not r.ok
@@ -261,8 +261,8 @@ class TestBatchWorkerFaults:
         monkeypatch.setenv(
             "REPRO_FAULTS", "seed=1,worker.stall=1.0,stall_s=60"
         )
-        results = run_batch(self.POINTS[:1], jobs=2, timeout=1.5,
-                            retries=0, backoff=0.01)
+        results = run_grid(self.POINTS[:1], jobs=2, timeout=1.5,
+                           retries=0, backoff=0.01)
         assert len(results) == 1
         assert not results[0].ok
         assert "timeout" in results[0].error
@@ -278,8 +278,8 @@ class TestBatchWorkerFaults:
             return real(self, prog, scheme, nprocs, **kw)
 
         monkeypatch.setattr(CompileSession, "compile", flaky)
-        results = run_batch(self.POINTS[:1], jobs=1, retries=2,
-                            backoff=0.0, degrade=False)
+        results = run_grid(self.POINTS[:1], jobs=1, retries=2,
+                           backoff=0.0, degrade=False)
         assert results[0].ok
         assert results[0].attempts == 2
 

@@ -211,28 +211,12 @@ class TestRunGridIncremental:
 
 
 class TestBatchFacade:
-    def test_backcompat_aliases(self):
-        from repro.pipeline.batch import (
-            BatchPoint,
-            BatchResult,
-            run_batch,
-        )
-
-        assert BatchPoint is GridPoint
-        assert BatchResult is GridResult
-        results = run_batch(
-            [BatchPoint(app="simple", scheme="base", nprocs=1,
-                        **GRID_KW)])
-        assert results[0].ok
-
     def test_run_batch_accepts_store(self, tmp_path):
-        from repro.pipeline.batch import BatchPoint, run_batch
-
         store = ResultStore(tmp_path)
-        pts = [BatchPoint(app="simple", scheme="base", nprocs=1,
-                          **GRID_KW)]
-        run_batch(pts, store=store, incremental=True)
-        again = run_batch(pts, store=store, incremental=True)
+        pts = [GridPoint(app="simple", scheme="base", nprocs=1,
+                         **GRID_KW)]
+        run_grid(pts, store=store, incremental=True)
+        again = run_grid(pts, store=store, incremental=True)
         assert again[0].store_hit
 
 

@@ -181,17 +181,19 @@ class TestCollectLocality:
 class TestBenchRoundTrip:
     def test_snapshot_carries_locality_and_profile(self, tmp_path):
         from repro.obs import bench
+        from repro.obs.compare import read_run
 
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
                                procs=[1], n=8, repeats=1)
         assert snap["schema"] == bench.SCHEMA_VERSION
         point = snap["points"][0]
         assert point["sim"]["locality"]["reuse"]
-        assert point["profile"]["top_self"]
+        # The never-compared hotspot profile is not stored.
+        assert "profile" not in point
         # Round-trip: save, load, exact-match compare.
         path, _ = bench.save_snapshot(snap, out_dir=tmp_path,
                                       latest=None)
-        loaded = bench.load_snapshot(path)
+        loaded = read_run(path)
         assert loaded["points"][0]["sim"]["locality"] == \
                point["sim"]["locality"]
         cmp = bench.compare_snapshots(loaded, snap)
@@ -213,18 +215,18 @@ class TestBenchRoundTrip:
 
 class TestBatchLocality:
     def test_batch_result_carries_locality(self):
-        from repro.pipeline.batch import BatchPoint, run_batch
+        from repro.pipeline.grid import GridPoint, run_grid
 
-        points = [BatchPoint(app="simple", scheme="base", nprocs=2, n=8)]
-        res = run_batch(points, jobs=1, cache=False, locality=True)
+        points = [GridPoint(app="simple", scheme="base", nprocs=2, n=8)]
+        res = run_grid(points, jobs=1, cache=False, locality=True)
         assert res[0].ok
         assert res[0].locality["reuse"]
         assert "locality" in res[0].as_dict()
 
     def test_batch_locality_off_by_default(self):
-        from repro.pipeline.batch import BatchPoint, run_batch
+        from repro.pipeline.grid import GridPoint, run_grid
 
-        points = [BatchPoint(app="simple", scheme="base", nprocs=2, n=8)]
-        res = run_batch(points, jobs=1, cache=False)
+        points = [GridPoint(app="simple", scheme="base", nprocs=2, n=8)]
+        res = run_grid(points, jobs=1, cache=False)
         assert res[0].ok
         assert res[0].locality == {}

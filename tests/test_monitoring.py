@@ -1,8 +1,8 @@
 """Live monitoring end to end: ``repro status``/``watch``/``report``
 driven as real subprocesses against a driver running (or killed) in
 *another* process — the cross-process contract is the whole point —
-plus the guard that heartbeat + time-series emission stays under 5%
-of unmonitored wall time."""
+plus the guard that heartbeat emission stays under 5% of unmonitored
+wall time."""
 
 import json
 import os
@@ -220,7 +220,7 @@ class TestReportCLI:
         html = html_path.read_text()
         assert html.lstrip().lower().startswith("<!doctype html")
         assert "run report" in html and "time series" in html
-        # Self-contained: rendered from journal + series alone, with no
+        # Self-contained: rendered from the journal alone, with no
         # external scripts, stylesheets, or images.
         body = html.split("</title>", 1)[1].lower()
         for needle in ("http://", "https://", "<script src",
@@ -243,11 +243,10 @@ class TestReportCLI:
 
 class TestOverhead:
     def test_monitoring_overhead_under_5_percent(self, tmp_path):
-        """Heartbeats + time-series sampling add < 5% wall time to a
-        journaled grid run (min-of-N against the unmonitored floor)."""
+        """Heartbeats add < 5% wall time to a journaled grid run
+        (min-of-N against the unmonitored floor)."""
         from repro import pipeline
         from repro.obs.runstate import RunMonitor
-        from repro.obs.timeseries import TimeseriesSink, ts_path
         from repro.pipeline.grid import GridPoint, run_grid
         from repro.pipeline.journal import JournalWriter
 
@@ -265,10 +264,8 @@ class TestOverhead:
             writer = JournalWriter.create(jdir, spec)
             monitor = None
             if monitored:
-                sink = TimeseriesSink(ts_path(jdir, writer.run_id),
-                                      writer.run_id)
                 monitor = RunMonitor(total=len(points), journal=writer,
-                                     sink=sink, interval=0.05)
+                                     interval=0.05)
             run_grid(points, cache=False, journal=writer,
                      monitor=monitor)
             if monitor is not None:

@@ -23,6 +23,7 @@ from repro.__main__ import main
 from repro.codegen.spmd import parse_scheme
 from repro.obs import bench
 from repro.obs import core as _obs_core
+from repro.obs.compare import point_key
 from repro.obs.perf import (
     UNATTRIBUTED,
     build_ledger,
@@ -106,7 +107,7 @@ class TestBuildLedger:
         for p in snap["points"]:
             ledger = p["perf"]["ledger"]
             ok, row_sum = ledger_reconciles(ledger)
-            assert ok, (bench.point_key(p), row_sum, ledger["total_s"])
+            assert ok, (point_key(p), row_sum, ledger["total_s"])
             assert ledger["unattributed_s"] >= -1e-9
             names = {r["name"] for r in ledger["rows"]}
             assert UNATTRIBUTED in names

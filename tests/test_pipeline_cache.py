@@ -20,10 +20,10 @@ from repro.pipeline import (
     fingerprint_program,
     reset_session,
 )
-from repro.pipeline.batch import (
-    BatchPoint,
+from repro.pipeline.grid import (
+    GridPoint,
     make_grid,
-    run_batch,
+    run_grid,
     summarize,
 )
 from repro.pipeline.passes import RestructurePass
@@ -206,8 +206,8 @@ class TestBatch:
     def test_parallel_matches_serial(self):
         points = make_grid(**self.GRID)
         assert len(points) == 6
-        serial = run_batch(points, jobs=1)
-        parallel = run_batch(points, jobs=4)
+        serial = run_grid(points, jobs=1)
+        parallel = run_grid(points, jobs=4)
         assert all(r.ok for r in serial), [r.error for r in serial]
         assert all(r.ok for r in parallel), [r.error for r in parallel]
         for s, p in zip(serial, parallel):
@@ -218,11 +218,11 @@ class TestBatch:
 
     def test_error_isolation(self):
         points = [
-            BatchPoint(app="simple", scheme="base", nprocs=2, n=8),
-            BatchPoint(app="nosuchapp", scheme="base", nprocs=2, n=8),
-            BatchPoint(app="simple", scheme="comp", nprocs=2, n=8),
+            GridPoint(app="simple", scheme="base", nprocs=2, n=8),
+            GridPoint(app="nosuchapp", scheme="base", nprocs=2, n=8),
+            GridPoint(app="simple", scheme="comp", nprocs=2, n=8),
         ]
-        results = run_batch(points, jobs=1)
+        results = run_grid(points, jobs=1)
         assert [r.ok for r in results] == [True, False, True]
         assert "nosuchapp" in results[1].error
         agg = summarize(results)
@@ -230,7 +230,7 @@ class TestBatch:
 
     def test_serial_shared_session_reuses_artifacts(self):
         points = make_grid(**self.GRID)
-        results = run_batch(points, jobs=1)
+        results = run_grid(points, jobs=1)
         agg = summarize(results)
         # restructure runs once for the app, not once per point.
         assert agg["pass_runs"].get("restructure", 0) == 1
@@ -239,8 +239,8 @@ class TestBatch:
     def test_warm_disk_cache_fully_cached(self, tmp_path):
         points = make_grid(apps=["simple"], schemes=["base", "data"],
                            procs=[1, 2], n=8, scale=32)
-        cold = run_batch(points, jobs=2, disk_dir=str(tmp_path))
-        warm = run_batch(points, jobs=2, disk_dir=str(tmp_path))
+        cold = run_grid(points, jobs=2, disk_dir=str(tmp_path))
+        warm = run_grid(points, jobs=2, disk_dir=str(tmp_path))
         assert all(r.ok for r in warm), [r.error for r in warm]
         assert not summarize(cold)["fully_cached"]
         assert summarize(warm)["fully_cached"]
@@ -251,7 +251,7 @@ class TestBatch:
         points = make_grid(apps=["simple"], schemes=["data"],
                            procs=[1, 4], n=8, pin_decomp=True)
         assert all(p.decomp_procs == 4 for p in points)
-        results = run_batch(points, jobs=1)
+        results = run_grid(points, jobs=1)
         assert all(r.ok for r in results)
         agg = summarize(results)
         assert agg["pass_runs"].get("decompose", 0) == 1

@@ -206,8 +206,10 @@ class TestDiff:
         snap = self._snap()
         jittered = json.loads(json.dumps(snap))
         for p in jittered["points"]:
+            # Scalars and the list of samples alike.
             p["wall"] = {
-                k: (v * 1.5 if isinstance(v, (int, float)) else v)
+                k: (v * 1.5 if isinstance(v, (int, float))
+                    else [x * 1.5 for x in v])
                 for k, v in p["wall"].items()
             }
         diff = provenance.diff_runs(snap, jittered)

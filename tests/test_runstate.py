@@ -2,7 +2,7 @@
 limiting, best-effort emission) and the reader-side status snapshot
 (run-state classification, EWMA latency → ETA, per-scheme matrix,
 cache-hit rate) derived from the journal alone, plus the report
-payload that stitches journal + time series together."""
+payload that stitches the journal's records and heartbeats together."""
 
 import subprocess
 import time
@@ -20,7 +20,6 @@ from repro.obs.runstate import (
     rss_bytes,
     status_from_state,
 )
-from repro.obs.timeseries import TimeseriesSink, ts_path
 from repro.pipeline.grid import GridPoint, GridResult
 from repro.pipeline.journal import JournalState, JournalWriter, journal_dir
 
@@ -103,10 +102,9 @@ class TestRunMonitor:
 
     def test_heartbeats_land_in_journal_and_series(self, tmp_path):
         points = _points()
-        writer = JournalWriter.create(tmp_path, _spec(points))
-        sink = TimeseriesSink(ts_path(tmp_path, writer.run_id),
-                              writer.run_id)
-        m = RunMonitor(total=len(points), journal=writer, sink=sink,
+        jdir = journal_dir(tmp_path)
+        writer = JournalWriter.create(jdir, _spec(points))
+        m = RunMonitor(total=len(points), journal=writer,
                        interval=1000, jobs=2)
         m.wave_started(1, pending=4)
         m.point_dispatched(0)
@@ -114,15 +112,15 @@ class TestRunMonitor:
         m.close()  # forced final tick
         writer.close()
 
-        state = JournalState.load(tmp_path / f"{writer.run_id}.jsonl")
+        state = JournalState.load(jdir / f"{writer.run_id}.jsonl")
         assert state.heartbeats == 2  # wave tick + close tick
         hb = state.last_heartbeat
         assert hb["finished"] == 1 and hb["total"] == 4
         assert hb["jobs"] == 2 and hb["in_flight"] == []
-        from repro.obs.timeseries import load_series
-        series = load_series(ts_path(tmp_path, writer.run_id))
-        assert len(series["samples"]) == 2
-        assert series["samples"][-1]["progress"]["finished"] == 1
+        # The report's series is read back from those heartbeats.
+        series = build_report(tmp_path, writer.run_id)["series"]
+        assert series["samples"] == 2
+        assert series["curves"]["finished"][-1][1] == 1.0
 
     def test_emission_failure_is_swallowed_and_counted(self):
         obs.enable()
@@ -243,14 +241,13 @@ class TestStatusFromState:
 
 
 class TestLoadStatusAndReport:
-    def _store_with_run(self, tmp_path, ts=True):
+    def _store_with_run(self, tmp_path, heartbeats=True):
         store = tmp_path / "store"
         jdir = journal_dir(store)
         points = _points()
         writer = JournalWriter.create(jdir, _spec(points))
-        sink = (TimeseriesSink(ts_path(jdir, writer.run_id),
-                               writer.run_id) if ts else None)
-        m = RunMonitor(total=len(points), journal=writer, sink=sink,
+        m = RunMonitor(total=len(points),
+                       journal=writer if heartbeats else None,
                        interval=0.05)
         writer.wave(1, len(points))
         m.wave_started(1, len(points))
@@ -291,7 +288,7 @@ class TestLoadStatusAndReport:
         assert ts and ts[0] == 0.0 and ts == sorted(ts)
         kinds = {e["type"] for e in payload["timeline"]}
         assert {"wave", "start", "done", "heartbeat"} <= kinds
-        # The time series became plottable curves.
+        # The heartbeats became plottable curves.
         assert payload["series"]["samples"] >= 2
         finished_curve = payload["series"]["curves"]["finished"]
         assert finished_curve[-1][1] == 4.0
@@ -299,7 +296,8 @@ class TestLoadStatusAndReport:
         json.dumps(payload)  # --json and --html render the same artifact
 
     def test_report_without_series_file(self, tmp_path):
-        store, run_id = self._store_with_run(tmp_path, ts=False)
+        # A run that never heartbeated (--heartbeat 0) has no curves.
+        store, run_id = self._store_with_run(tmp_path, heartbeats=False)
         payload = build_report(store, "latest")
         assert payload["series"]["samples"] == 0
         assert payload["series"]["curves"] == {}
