@@ -20,7 +20,6 @@ Public API map:
 
 from repro.compiler import Scheme, compile_all, compile_program
 from repro.errors import (
-    CacheError,
     CompileError,
     FaultInjected,
     LegalityError,
@@ -38,7 +37,6 @@ __all__ = [
     "ReproError",
     "CompileError",
     "LegalityError",
-    "CacheError",
     "SimulationError",
     "VerifyError",
     "FaultInjected",

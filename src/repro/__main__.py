@@ -8,13 +8,12 @@ Usage examples::
     python -m repro emit simple --scheme data --n 16 --procs 4
     python -m repro profile simple --scheme comp_decomp_data -o trace.json
     python -m repro batch --apps simple,lu --schemes base,comp,data \\
-        --procs-list 1,4 --jobs 4 --cache-dir /tmp/repro-cache
+        --procs-list 1,4 --jobs 4 --store-dir /tmp/repro-store
 
-Caching: every command accepts ``--no-cache`` (run every compiler pass,
-reuse nothing) and ``--cache`` (persist artifacts to a disk store —
-``--cache-dir``, ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).  The
-default is an in-process memory cache (plus the disk store when
-``$REPRO_CACHE_DIR``/``$REPRO_CACHE`` is set).
+Caching: compiler artifacts live in an in-process memory cache;
+every command accepts ``--no-cache`` (run every compiler pass, reuse
+nothing).  Finished grid points persist across runs in the result
+store (``--store-dir``/``--incremental``).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from repro.apps import ALL_APPS, build_app
 from repro.codegen.spmd import (
@@ -108,24 +106,13 @@ def _procs_csv(text: str):
 
 
 def _apply_session_args(args):
-    """Install a fresh default session configured per the cache flags;
+    """Install a fresh default session configured per ``--no-cache``;
     returns it.  (Each CLI command starts cold — in particular
-    ``profile`` traces real pass work — and warms up from the disk
-    store when one is configured.)"""
+    ``profile`` traces real pass work.)"""
     from repro import pipeline
 
-    no_cache = getattr(args, "no_cache", False)
-    cache_dir = getattr(args, "cache_dir", None)
-    want_disk = bool(getattr(args, "cache", False) or cache_dir)
-    if no_cache:
+    if getattr(args, "no_cache", False):
         session = pipeline.CompileSession(cache=None)
-    elif want_disk:
-        disk = pipeline.resolve_disk_dir(cache_dir)
-        if disk is None:
-            disk = Path("~/.cache/repro").expanduser()
-        session = pipeline.CompileSession(
-            cache=pipeline.ArtifactCache(disk_dir=disk)
-        )
     else:
         session = pipeline.CompileSession()
     pipeline.set_session(session)
@@ -133,13 +120,8 @@ def _apply_session_args(args):
 
 
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--cache", action="store_true",
-                   help="persist compiler artifacts to the disk cache")
-    g.add_argument("--no-cache", action="store_true",
+    p.add_argument("--no-cache", action="store_true",
                    help="disable artifact caching entirely")
-    p.add_argument("--cache-dir", default=None,
-                   help="disk cache directory (implies --cache)")
 
 
 def _add_store_flags(p: argparse.ArgumentParser,
@@ -273,11 +255,7 @@ def _parallel_speedup_curves(args, schemes, procs):
         )
         for scheme, p in coords
     ]
-    results = run_grid(
-        points, jobs=args.jobs,
-        cache=not args.no_cache,
-        disk_dir=args.cache_dir,
-    )
+    results = run_grid(points, jobs=args.jobs, cache=not args.no_cache)
     for r in results:
         if not r.ok:
             raise SystemExit(
@@ -640,15 +618,6 @@ def cmd_batch(args) -> int:
             # resumed run's progress bar starts where the last one died.
             monitor.dispatched = monitor.finished = len(preset)
 
-    disk_dir = None
-    if not args.no_cache:
-        from repro.pipeline import resolve_disk_dir
-
-        disk = resolve_disk_dir(args.cache_dir)
-        if disk is None and args.cache:
-            disk = Path("~/.cache/repro").expanduser()
-        disk_dir = str(disk) if disk is not None else None
-
     saved_faults = os.environ.get(faults.ENV_FLAG)
     if args.inject_faults is not None:
         try:
@@ -669,7 +638,7 @@ def cmd_batch(args) -> int:
         with shutdown.install():
             results = run_grid(
                 points, jobs=args.jobs,
-                cache=not args.no_cache, disk_dir=disk_dir,
+                cache=not args.no_cache,
                 timeout=args.timeout, retries=args.retries,
                 backoff=args.backoff, degrade=degrade,
                 collect_telemetry=collect,
@@ -734,7 +703,6 @@ def cmd_batch(args) -> int:
     print(f"pass executions: {runs or 'none'} "
           f"(total {agg['total_pass_runs']})")
     print(f"cache hits: {hits or 'none'}")
-    print(f"fully cached: {'yes' if agg['fully_cached'] else 'no'}")
     if store is not None:
         st = store.stats_dict()
         print(f"result store: {agg['store_hits']} served, "
@@ -778,10 +746,6 @@ def cmd_batch(args) -> int:
         print(f"wrote JSON results to {args.json}")
 
     rc = 1 if agg["errors"] else 0
-    if args.expect_cached and not agg["fully_cached"]:
-        print("error: --expect-cached but passes executed",
-              file=sys.stderr)
-        rc = 1
     if args.expect_incremental is not None \
             and agg["executed"] != args.expect_incremental:
         print(f"error: --expect-incremental {args.expect_incremental} "
@@ -838,7 +802,6 @@ def _batch_telemetry(merged, agg) -> dict:
         "pass_runs": agg["pass_runs"],
         "pass_hits": agg["pass_hits"],
         "total_pass_runs": agg["total_pass_runs"],
-        "fully_cached": agg["fully_cached"],
         "retries": total("batch.retries"),
         "timeouts": total("batch.timeouts"),
         "respawns": total("batch.respawns"),
@@ -850,7 +813,7 @@ def _batch_telemetry(merged, agg) -> dict:
         "journal": prefixed("journal."),
         "locks": prefixed("lock."),
         "shutdowns": total("batch.shutdowns"),
-        "quarantine_evicted": total("cache.quarantine.evicted"),
+        "quarantine_evicted": total("store.quarantine.evicted"),
         "counters": counters,
     }
 
@@ -1414,7 +1377,7 @@ def main(argv=None) -> int:
                         "whose scheme fails to compile")
     p.add_argument("--inject-faults", default=None, metavar="SPEC",
                    help="deterministic fault-injection spec, e.g. "
-                        "'seed=7,cache.read=0.3,worker.crash=0.2' "
+                        "'seed=7,disk.torn_write=0.3,worker.crash=0.2' "
                         "(chaos testing; also honours $REPRO_FAULTS)")
     p.add_argument("--verify", action="store_true",
                    help="after the batch, run the semantic oracle over "
@@ -1427,9 +1390,6 @@ def main(argv=None) -> int:
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a merged Chrome trace with one lane per "
                         "worker process (clock-skew corrected)")
-    p.add_argument("--expect-cached", action="store_true",
-                   help="exit nonzero unless the whole grid was served "
-                        "from the cache (CI warm-run guard)")
     p.add_argument("--resume", default=None, metavar="RUN",
                    help="resume an interrupted journaled run (a RUN_* "
                         "id, or 'latest'); the grid is rebuilt from the "

@@ -11,9 +11,6 @@ class                     raised by
 :class:`CompileError`     a pipeline pass failing (wraps the original)
 :class:`LegalityError`    a transformation that breaks semantics
                           (e.g. a non-bijective data layout)
-:class:`CacheError`       the artifact cache (injected write faults;
-                          genuine cache corruption is *never* raised —
-                          corrupt entries are quarantined and recomputed)
 :class:`SimulationError`  the machine model failing on a compiled plan
 :class:`VerifyError`      the semantic oracle finding a divergence
 :class:`FaultInjected`    :mod:`repro.faults` firing at an injection site
@@ -37,7 +34,6 @@ __all__ = [
     "ReproError",
     "CompileError",
     "LegalityError",
-    "CacheError",
     "SimulationError",
     "VerifyError",
     "FaultInjected",
@@ -93,11 +89,6 @@ class CompileError(ReproError):
 class LegalityError(CompileError):
     """A transformation violated a semantic invariant (e.g. a layout
     that maps two distinct elements to one address)."""
-
-
-class CacheError(ReproError):
-    """An artifact-cache operation failed (only ever raised *into* the
-    cache's own error handling — cache failures never escape it)."""
 
 
 class SimulationError(ReproError):

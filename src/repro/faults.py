@@ -10,15 +10,11 @@ Activate with the ``REPRO_FAULTS`` environment variable (inherited by
 batch worker processes) or the batch CLI's ``--inject-faults``; the
 spec is a comma-separated ``key=value`` list::
 
-    REPRO_FAULTS="seed=7,cache.read=0.3,cache.write=0.3,worker.crash=0.2,worker.stall=0.1,stall_s=5"
+    REPRO_FAULTS="seed=7,disk.torn_write=0.2,worker.crash=0.2,worker.stall=0.1,stall_s=5"
 
 Recognized sites and what the consumers do when they fire:
 
 =================  ========================================================
-``cache.read``     the disk store's loaded bytes are corrupted → the
-                   cache quarantines the entry and recomputes
-``cache.write``    the disk store raises on write → artifact stays
-                   memory-only (``disk_errors`` counter)
 ``pass``           a :class:`~repro.errors.FaultInjected` is raised
                    mid-pass → degradation / per-point error isolation
 ``pass.stall``     a pass sleeps ``stall_s`` seconds inside its span —
@@ -31,7 +27,7 @@ Recognized sites and what the consumers do when they fire:
 ``worker.stall``   a batch worker sleeps ``stall_s`` seconds → the
                    driver's per-point timeout fires
 ``disk.enospc``    :func:`repro.util.atomicio.write_atomic` raises
-                   ``OSError(ENOSPC)`` → store/cache writes degrade
+                   ``OSError(ENOSPC)`` → store/journal writes degrade
                    (counted, never fatal)
 ``disk.torn_write`` an atomic write (or journal append) lands only a
                    prefix of its payload, unsynced → corrupt-entry
@@ -66,7 +62,6 @@ __all__ = [
     "active",
     "check",
     "configure",
-    "corrupt",
     "current_plan",
     "maybe_driver_kill",
     "maybe_pass_stall",
@@ -77,12 +72,9 @@ __all__ = [
 ENV_FLAG = "REPRO_FAULTS"
 
 SITES = (
-    "cache.read", "cache.write", "pass", "pass.stall",
-    "worker.crash", "worker.stall",
+    "pass", "pass.stall", "worker.crash", "worker.stall",
     "disk.enospc", "disk.torn_write", "driver.kill",
 )
-
-_CORRUPT_PREFIX = b"\x00REPRO-FAULT-CORRUPT\x00"
 
 
 @dataclass
@@ -199,14 +191,6 @@ def check(site: str, **context) -> None:
     """Raise :class:`~repro.errors.FaultInjected` when ``site`` fires."""
     if should_fire(site):
         raise FaultInjected(f"injected fault at {site}", **context)
-
-
-def corrupt(data: bytes, site: str = "cache.read") -> bytes:
-    """Return ``data``, corrupted when ``site`` fires (the result is
-    guaranteed not to unpickle)."""
-    if should_fire(site):
-        return _CORRUPT_PREFIX + data[len(_CORRUPT_PREFIX):]
-    return data
 
 
 def maybe_worker_faults() -> None:

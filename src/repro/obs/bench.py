@@ -91,7 +91,7 @@ DEFAULT_OUT_DIR = os.path.join("results", "bench")
 LATEST_POINTER = "BENCH_latest.json"
 
 # History cap for the append-only series.jsonl: newest N lines are
-# kept on rotation (mirrors the quarantine cap in repro.pipeline.cache
+# kept on rotation (mirrors the quarantine cap in repro.pipeline.store
 # — bound the on-disk history, keep the most recent evidence).
 SERIES_KEEP = 256
 

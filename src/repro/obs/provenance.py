@@ -22,9 +22,9 @@ the same inputs the fingerprint already covers.
 
 ``PassManager.execute`` opens a capture around every pass body and
 stores the captured records alongside the artifact in the cache
-(:class:`ArtifactEnvelope`), so a cache hit — memory or disk — replays
-the exact records of the original run and a warm session reproduces the
-full log bit-identically.
+(:class:`ArtifactEnvelope`), so a cache hit replays the exact records
+of the original run and a warm session reproduces the full log
+bit-identically.
 
 Reason codes
 ------------

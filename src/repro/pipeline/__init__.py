@@ -3,9 +3,8 @@
 The compile-and-simulate path is organized as an explicit pipeline of
 typed passes (restructure → decompose → layout → spmd-codegen) run by a
 :class:`~repro.pipeline.manager.PassManager` against a
-content-addressed :class:`~repro.pipeline.cache.ArtifactCache`
-(in-memory LRU plus an optional on-disk store shared across processes
-and runs).  A :class:`~repro.pipeline.session.CompileSession` fronts the
+content-addressed, in-memory :class:`~repro.pipeline.cache.ArtifactCache`.
+A :class:`~repro.pipeline.session.CompileSession` fronts the
 pipeline; :mod:`repro.compiler` keeps the historical
 ``compile_program`` / ``compile_all`` / ``restructure_program``
 signatures as thin wrappers over the process-wide default session.
@@ -14,13 +13,14 @@ signatures as thin wrappers over the process-wide default session.
 enumeration (:class:`~repro.pipeline.grid.GridSpec`) and one hardened
 wave executor fanning ``(app, scheme, nprocs)`` points across a
 process pool with per-point error isolation — consumed by ``repro
-batch``, the benchmark harness, and the verifier.  :mod:`repro.pipeline.store` persists each
-point's result under a content-addressed key (program x scheme x
-procs x machine x model version) so incremental reruns execute only
-what changed.
+batch``, the benchmark harness, and the verifier.
+:mod:`repro.pipeline.store`, the one disk layer, persists each point's
+result under a content-addressed key (program x scheme x procs x
+machine x model version) so incremental reruns execute only what
+changed.
 """
 
-from repro.pipeline.cache import MISS, ArtifactCache, CacheStats, resolve_disk_dir
+from repro.pipeline.cache import MISS, ArtifactCache, CacheStats
 from repro.pipeline.fingerprint import (
     fingerprint_decomposition,
     fingerprint_program,
@@ -71,7 +71,6 @@ __all__ = [
     "MISS",
     "ArtifactCache",
     "CacheStats",
-    "resolve_disk_dir",
     "fingerprint_program",
     "fingerprint_decomposition",
     "make_key",

@@ -1,74 +1,27 @@
-"""Content-addressed artifact cache: in-memory LRU + optional disk.
+"""Content-addressed artifact cache: an in-memory LRU.
 
 Keys are SHA-256 digests built by the passes
 (:mod:`repro.pipeline.fingerprint`); values are arbitrary pass
-artifacts.  Every cache holds an in-memory LRU; a disk store is layered
-underneath when a directory is configured, so artifacts survive the
-process and are shared across the batch driver's worker processes.
-
-Disk location resolution (:func:`resolve_disk_dir`):
-
-* ``REPRO_CACHE_DIR=<path>`` — use that directory;
-* ``REPRO_CACHE=1`` (or an explicit CLI ``--cache``) — use the default
-  ``~/.cache/repro``;
-* otherwise the cache is memory-only.
-
-Disk entries are namespaced by cache schema and interpreter version
-(the serializer marshals compute bytecode, which is only stable within
-one Python version).  Disk failures are never fatal: an artifact that
-cannot be pickled simply stays memory-only, an unreadable disk entry is
-treated as a miss, and a *corrupt* entry (truncated, garbage, or
-unpicklable bytes) is quarantined — moved aside into the store's
-``quarantine/`` directory, counted in ``CacheStats.corrupt`` and the
-``pipeline.cache.corrupt`` obs counter — and recomputed, never raised.
-
-Fault injection (:mod:`repro.faults`) hooks both disk directions:
-``cache.read`` corrupts loaded bytes (exercising the quarantine path)
-and ``cache.write`` fails the store (exercising the memory-only
-fallback).
+artifacts.  The cache lives and dies with its process: each session
+(and each batch worker process) keeps its own.  Finished point results
+persist across processes in the result store
+(:mod:`repro.pipeline.store`), the repo's one disk layer.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
-from repro import faults, obs
-from repro.errors import CacheError
-from repro.pipeline import serde
-from repro.util.atomicio import write_atomic
+from repro import obs
 
-__all__ = ["MISS", "ArtifactCache", "CacheStats", "resolve_disk_dir"]
+__all__ = ["MISS", "ArtifactCache", "CacheStats"]
 
 MISS = object()
 """Sentinel returned by :meth:`ArtifactCache.get` on a miss."""
 
-SCHEMA_VERSION = 1
 DEFAULT_CAPACITY = 256
-ENV_DIR = "REPRO_CACHE_DIR"
-ENV_FLAG = "REPRO_CACHE"
-# The quarantine directory keeps only the newest K corrupt entries:
-# enough to post-mortem a bad run, bounded under a chaos loop that
-# corrupts entries forever.
-QUARANTINE_KEEP = 32
-
-
-def resolve_disk_dir(explicit: Optional[str] = None) -> Optional[Path]:
-    """The disk-store directory implied by ``explicit``/environment, or
-    ``None`` for a memory-only cache."""
-    if explicit:
-        return Path(explicit).expanduser()
-    env_dir = os.environ.get(ENV_DIR)
-    if env_dir:
-        return Path(env_dir).expanduser()
-    flag = os.environ.get(ENV_FLAG, "").lower()
-    if flag not in ("", "0", "false", "no"):
-        return Path("~/.cache/repro").expanduser()
-    return None
 
 
 @dataclass
@@ -77,51 +30,33 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
     stores: int = 0
-    disk_stores: int = 0
-    disk_errors: int = 0
-    corrupt: int = 0
     evictions: int = 0
-    quarantine_evicted: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "disk_hits": self.disk_hits,
             "stores": self.stores,
-            "disk_stores": self.disk_stores,
-            "disk_errors": self.disk_errors,
-            "corrupt": self.corrupt,
             "evictions": self.evictions,
-            "quarantine_evicted": self.quarantine_evicted,
         }
 
 
 class ArtifactCache:
-    """LRU over ``key -> artifact`` with an optional disk layer."""
+    """LRU over ``key -> artifact``."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 disk_dir: Optional[os.PathLike] = None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.stats = CacheStats()
         self._mem: "OrderedDict[str, Any]" = OrderedDict()
-
-    @classmethod
-    def from_env(cls, capacity: int = DEFAULT_CAPACITY) -> "ArtifactCache":
-        return cls(capacity=capacity, disk_dir=resolve_disk_dir())
 
     def __len__(self) -> int:
         return len(self._mem)
 
     def __contains__(self, key: str) -> bool:
         return key in self._mem
-
-    # -- lookup ------------------------------------------------------------
 
     def get(self, key: str) -> Any:
         """The cached artifact, or :data:`MISS`."""
@@ -130,30 +65,12 @@ class ArtifactCache:
             self.stats.hits += 1
             obs.inc("pipeline.cache.hits")
             return self._mem[key]
-        value = self._disk_get(key)
-        if value is not MISS:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            obs.inc("pipeline.cache.hits")
-            obs.inc("pipeline.cache.disk_hits")
-            self._mem_put(key, value)
-            return value
         self.stats.misses += 1
         obs.inc("pipeline.cache.misses")
         return MISS
 
     def put(self, key: str, value: Any) -> None:
         self.stats.stores += 1
-        self._mem_put(key, value)
-        self._disk_put(key, value)
-
-    def clear(self) -> None:
-        """Drop the in-memory layer (disk entries are left in place)."""
-        self._mem.clear()
-
-    # -- memory layer ------------------------------------------------------
-
-    def _mem_put(self, key: str, value: Any) -> None:
         self._mem[key] = value
         self._mem.move_to_end(key)
         while len(self._mem) > self.capacity:
@@ -161,88 +78,6 @@ class ArtifactCache:
             self.stats.evictions += 1
             obs.inc("pipeline.cache.evictions")
 
-    # -- disk layer --------------------------------------------------------
-
-    def _disk_path(self, key: str) -> Path:
-        tag = f"v{SCHEMA_VERSION}-py{sys.version_info[0]}{sys.version_info[1]}"
-        return self.disk_dir / tag / key[:2] / f"{key}.pkl"
-
-    def _disk_get(self, key: str) -> Any:
-        if self.disk_dir is None:
-            return MISS
-        try:
-            path = self._disk_path(key)
-            data = path.read_bytes()
-        except OSError:
-            return MISS
-        except Exception as exc:  # unexpected; a read must never crash
-            self.stats.disk_errors += 1
-            obs.event("pipeline.cache.disk_error", cat="pipeline",
-                      op="load", key=key, error=type(exc).__name__)
-            return MISS
-        data = faults.corrupt(data, "cache.read")
-        try:
-            return serde.loads(data)
-        except Exception as exc:
-            # Truncated / garbage / unpicklable entry: quarantine it so
-            # it is never retried, count it, and recompute.
-            self.stats.corrupt += 1
-            obs.inc("pipeline.cache.corrupt")
-            obs.event("pipeline.cache.corrupt", cat="pipeline",
-                      key=key, error=type(exc).__name__)
-            self._quarantine(path, key)
-            return MISS
-
-    def _quarantine(self, path: Path, key: str) -> None:
-        """Move a corrupt entry out of the lookup path (best effort —
-        on failure the file is deleted; on *that* failing, ignored).
-        The quarantine directory is capped at :data:`QUARANTINE_KEEP`
-        newest entries so repeated corruption can't grow it forever."""
-        try:
-            qdir = path.parent.parent / "quarantine"
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            self._prune_quarantine(qdir)
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _prune_quarantine(self, qdir: Path) -> None:
-        try:
-            entries = sorted(
-                (p for p in qdir.iterdir() if p.is_file()),
-                key=lambda p: p.stat().st_mtime,
-                reverse=True,
-            )
-        except OSError:
-            return
-        for stale in entries[QUARANTINE_KEEP:]:
-            try:
-                os.unlink(stale)
-            except OSError:
-                continue
-            self.stats.quarantine_evicted += 1
-            obs.inc("cache.quarantine.evicted")
-
-    def _disk_put(self, key: str, value: Any) -> None:
-        if self.disk_dir is None:
-            return
-        path = self._disk_path(key)
-        try:
-            if faults.should_fire("cache.write"):
-                raise CacheError("injected disk-store write fault", key=key)
-            data = serde.dumps(value)
-            # Artifacts are recomputable, so skip the fsync: a crash at
-            # worst loses a cache entry, never corrupts one (the rename
-            # is still atomic and torn entries quarantine on read).
-            write_atomic(path, data, fsync=False)
-            self.stats.disk_stores += 1
-            obs.inc("pipeline.cache.disk_stores")
-        except Exception as exc:
-            # Unpicklable artifact or unwritable directory: stay
-            # memory-only rather than fail the compile.
-            self.stats.disk_errors += 1
-            obs.event("pipeline.cache.disk_error", cat="pipeline",
-                      op="store", key=key, error=type(exc).__name__)
+    def clear(self) -> None:
+        """Drop every cached artifact."""
+        self._mem.clear()

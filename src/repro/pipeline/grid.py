@@ -420,28 +420,24 @@ def run_point(point: GridPoint, session, degrade: bool = False,
 # -- worker-process plumbing -------------------------------------------------
 
 _worker_session = None
-_worker_config: Optional[Tuple[Optional[str], bool]] = None
+_worker_cache: Optional[bool] = None
 
 
-def _make_session(disk_dir: Optional[str], cache: bool):
-    from repro.pipeline.cache import ArtifactCache
+def _make_session(cache: bool):
     from repro.pipeline.session import CompileSession
 
-    if not cache:
-        return CompileSession(cache=None)
-    return CompileSession(cache=ArtifactCache(disk_dir=disk_dir))
+    return CompileSession() if cache else CompileSession(cache=None)
 
 
 def _worker_run(payload) -> GridResult:
-    global _worker_session, _worker_config
-    point_dict, disk_dir, cache, degrade, collect, locality = payload
+    global _worker_session, _worker_cache
+    point_dict, cache, degrade, collect, locality = payload
     # Injected process-level faults (crash/stall) fire only here, in
     # worker processes — never in the driver.
     faults.maybe_worker_faults()
-    config = (disk_dir, cache)
-    if _worker_session is None or _worker_config != config:
-        _worker_session = _make_session(disk_dir, cache)
-        _worker_config = config
+    if _worker_session is None or _worker_cache != cache:
+        _worker_session = _make_session(cache)
+        _worker_cache = cache
     if not collect:
         return run_point(GridPoint(**point_dict), _worker_session,
                          degrade=degrade, locality=locality)
@@ -484,7 +480,6 @@ def execute_grid(
     points: Iterable[GridPoint],
     jobs: int = 1,
     cache: bool = True,
-    disk_dir: Optional[str] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.5,
@@ -512,8 +507,9 @@ def execute_grid(
     list (and ``on_result`` never fires for them).
 
     ``jobs <= 1`` runs serially in-process on one shared session;
-    ``jobs > 1`` fans out over a process pool (``disk_dir`` makes the
-    artifact cache shared across workers and across batch runs).
+    ``jobs > 1`` fans out over a process pool, each worker keeping its
+    own in-memory artifact cache.  ``cache=False`` disables artifact
+    reuse (every pass runs for every point).
 
     ``timeout`` bounds each point's wall-clock seconds (parallel mode
     only; a stalled worker pool is killed and respawned).  ``retries``
@@ -541,19 +537,18 @@ def execute_grid(
     """
     points = list(points)
     if jobs <= 1:
-        return _run_serial(points, cache, disk_dir, retries, backoff,
-                           degrade, locality, on_result, on_start,
-                           shutdown, monitor)
-    return _run_parallel(points, jobs, cache, disk_dir, timeout,
-                         retries, backoff, degrade, collect_telemetry,
-                         locality, on_result, on_start, on_wave,
-                         shutdown, monitor)
+        return _run_serial(points, cache, retries, backoff, degrade,
+                           locality, on_result, on_start, shutdown,
+                           monitor)
+    return _run_parallel(points, jobs, cache, timeout, retries, backoff,
+                         degrade, collect_telemetry, locality, on_result,
+                         on_start, on_wave, shutdown, monitor)
 
 
-def _run_serial(points, cache, disk_dir, retries, backoff,
-                degrade, locality=False, on_result=None, on_start=None,
+def _run_serial(points, cache, retries, backoff, degrade,
+                locality=False, on_result=None, on_start=None,
                 shutdown=None, monitor=None) -> List[GridResult]:
-    session = _make_session(disk_dir, cache)
+    session = _make_session(cache)
     out: List[GridResult] = []
     for i, point in enumerate(points):
         if shutdown is not None and shutdown.triggered:
@@ -587,11 +582,10 @@ def _run_serial(points, cache, disk_dir, retries, backoff,
     return out
 
 
-def _run_parallel(points, jobs, cache, disk_dir, timeout, retries,
-                  backoff, degrade, collect_telemetry=False,
-                  locality=False, on_result=None, on_start=None,
-                  on_wave=None, shutdown=None,
-                  monitor=None) -> List[GridResult]:
+def _run_parallel(points, jobs, cache, timeout, retries, backoff,
+                  degrade, collect_telemetry=False, locality=False,
+                  on_result=None, on_start=None, on_wave=None,
+                  shutdown=None, monitor=None) -> List[GridResult]:
     """Wave-based execution: each wave gets a fresh pool for whatever
     is still pending.
 
@@ -603,8 +597,7 @@ def _run_parallel(points, jobs, cache, disk_dir, timeout, retries,
     wave completes nothing at all (then everyone is charged, which
     bounds the total number of waves even under a 100% crash rate).
     """
-    payloads = [(asdict(p), disk_dir, cache, degrade, collect_telemetry,
-                 locality)
+    payloads = [(asdict(p), cache, degrade, collect_telemetry, locality)
                 for p in points]
     results: List[Optional[GridResult]] = [None] * len(points)
     attempts = [0] * len(points)
@@ -777,7 +770,6 @@ def run_grid(
     points: Iterable[GridPoint],
     jobs: int = 1,
     cache: bool = True,
-    disk_dir: Optional[str] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.5,
@@ -831,7 +823,7 @@ def run_grid(
     if (store is None and journal is None and shutdown is None
             and monitor is None and not preset):
         return execute_grid(
-            points, jobs=jobs, cache=cache, disk_dir=disk_dir,
+            points, jobs=jobs, cache=cache,
             timeout=timeout, retries=retries, backoff=backoff,
             degrade=degrade, collect_telemetry=collect_telemetry,
             locality=locality,
@@ -921,8 +913,8 @@ def run_grid(
 
         execute_grid(
             [points[i] for i in to_run], jobs=jobs, cache=cache,
-            disk_dir=disk_dir, timeout=timeout, retries=retries,
-            backoff=backoff, degrade=degrade,
+            timeout=timeout, retries=retries, backoff=backoff,
+            degrade=degrade,
             collect_telemetry=collect_telemetry, locality=locality,
             on_result=_record, on_start=_started, on_wave=_wave,
             shutdown=shutdown, monitor=monitor,
@@ -965,10 +957,8 @@ def merged_trace(results: Sequence[GridResult], parent=None):
 
 
 def summarize(results: Sequence[GridResult]) -> Dict[str, object]:
-    """Aggregate counters over a batch; ``fully_cached`` is True when
-    no pass executed anywhere (every artifact came from the cache) and
-    ``executed`` counts the points that actually ran (everything not
-    served from the result store)."""
+    """Aggregate counters over a batch; ``executed`` counts the points
+    that actually ran (everything not served from the result store)."""
     runs: Dict[str, int] = {}
     hits: Dict[str, int] = {}
     for r in results:
@@ -976,7 +966,6 @@ def summarize(results: Sequence[GridResult]) -> Dict[str, object]:
             runs[name] = runs.get(name, 0) + c
         for name, c in r.pass_hits.items():
             hits[name] = hits.get(name, 0) + c
-    total_runs = sum(runs.values())
     errors = [r for r in results if not r.ok]
     degraded = [r for r in results if r.degraded]
     retried = [r for r in results if r.attempts > 1]
@@ -991,6 +980,5 @@ def summarize(results: Sequence[GridResult]) -> Dict[str, object]:
         "executed": len(results) - len(served),
         "pass_runs": runs,
         "pass_hits": hits,
-        "total_pass_runs": total_runs,
-        "fully_cached": bool(results) and total_runs == 0,
+        "total_pass_runs": sum(runs.values()),
     }

@@ -34,10 +34,11 @@ point list from the header, refuses to run if the recorded spec
 fingerprint does not match (the journal describes a *different* grid),
 rehydrates every ``done`` point, and executes only the rest —
 appending to the same journal so a twice-interrupted run resumes
-again.  Summaries are bit-identical to an uninterrupted run because
-``done`` records are served verbatim and execution is deterministic
-(share a ``--cache-dir`` across the interrupted and resuming processes
-to also keep the per-point pass counters identical — see DESIGN.md).
+again.  Every simulated outcome matches an uninterrupted run because
+``done`` records are served verbatim and execution is deterministic.
+Pass counters keep their per-pass totals (runs + hits) but may split
+differently, since the resuming process starts with a cold artifact
+cache — see DESIGN.md.
 
 Fault injection: journal appends honour ``disk.enospc`` (the append is
 dropped and counted — losing a record only costs a re-execution on

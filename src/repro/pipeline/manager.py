@@ -87,8 +87,8 @@ class PassManager:
         self.runs[pass_.name] = self.runs.get(pass_.name, 0) + 1
         obs.inc(f"pipeline.pass.{pass_.name}.runs")
         if key is not None:
-            # Records travel with the artifact so cache hits (memory or
-            # disk) replay the exact decision log of the original run.
+            # Records travel with the artifact so cache hits replay the
+            # exact decision log of the original run.
             # Bare values are stored when no decision fired, keeping
             # cache contents for decision-free passes unchanged.
             if records:

@@ -11,7 +11,7 @@ objects.
 
 A process-wide default session backs the compatibility wrappers in
 :mod:`repro.compiler`; callers that want isolation (a cold profile, a
-batch worker with a disk store) construct their own.
+batch worker) construct their own.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ class CompileSession:
     """One pipeline instance: passes + artifact cache.
 
     ``cache`` may be an :class:`ArtifactCache`, ``None`` to disable
-    artifact reuse entirely (every pass always runs), or omitted to
-    build one from the environment (``REPRO_CACHE_DIR`` /
-    ``REPRO_CACHE`` select an optional disk store).
+    artifact reuse entirely (every pass always runs), or omitted for a
+    fresh in-memory cache.
 
     ``verify=True`` appends the :class:`VerifyPass` oracle to every
     compile — each SPMD plan is executed against the sequential
@@ -74,7 +73,7 @@ class CompileSession:
     def __init__(self, cache=_AUTO, max_dims: int = 2,
                  verify: Optional[bool] = None):
         if cache is _AUTO:
-            cache = ArtifactCache.from_env()
+            cache = ArtifactCache()
         if verify is None:
             verify = os.environ.get(ENV_VERIFY, "").lower() not in (
                 "", "0", "false", "no"

@@ -30,16 +30,16 @@ key.  Storing a new key for a known coordinate deletes the stale entry
 and counts an **invalidation** — the observable difference between "new
 point" and "this app changed".
 
-Durability mirrors :mod:`repro.pipeline.cache`, hardened further:
+Durability:
 
 * every write goes through :func:`repro.util.atomicio.write_atomic`
   (temp file + fsync + rename + directory fsync), so a reader only
   ever sees a complete entry or none;
 * every entry carries a SHA-256 **payload checksum**; reads verify it,
   and a corrupt entry (torn write, bit rot, key mismatch) is moved to
-  the store's ``quarantine/`` directory — capped like the disk cache's
-  :data:`~repro.pipeline.cache.QUARANTINE_KEEP` — counted
-  (``store.quarantined``) and reported as a miss, never raised;
+  the store's ``quarantine/`` directory — capped at the newest
+  :data:`QUARANTINE_KEEP` — counted (``store.quarantined``) and
+  reported as a miss, never raised;
 * mutations (``put``, eviction) run under an advisory cross-process
   :class:`~repro.util.locking.FileLock` on ``<root>/.lock`` and reload
   the coordinate index from disk inside the critical section, so two
@@ -89,13 +89,12 @@ SCHEMA_VERSION = 1
 # then unreachable and the next run repopulates the store.
 MODEL_VERSION = "sim-v1"
 
-# Entry-count cap (oldest evicted first), in the spirit of
-# repro.pipeline.cache.QUARANTINE_KEEP: bound the on-disk footprint,
+# Entry-count cap (oldest evicted first): bound the on-disk footprint,
 # keep the most recently useful evidence.
 DEFAULT_KEEP = 4096
 
 # Quarantined (corrupt) entries kept for post-mortem, newest first —
-# same policy and cap as the disk cache's quarantine.
+# bounded so a chaos loop that corrupts entries forever cannot grow it.
 QUARANTINE_KEEP = 32
 
 ENV_DIR = "REPRO_STORE_DIR"
@@ -395,15 +394,22 @@ class ResultStore:
 
     def _evict(self) -> None:
         """Drop oldest entries (by mtime) beyond the ``keep`` cap.
-        Caller holds the store lock (this mutates the index)."""
-        entries = list(self._entries())
-        if len(entries) <= self.keep:
+        Caller holds the store lock (this mutates the index).  An entry
+        that vanishes between listing and stat — another driver's
+        lock-free ``get`` quarantining it — is skipped, not raised."""
+        stamped = []
+        for p in self._entries():
+            try:
+                stamped.append((p.stat().st_mtime, p))
+            except OSError:
+                continue
+        if len(stamped) <= self.keep:
             return
-        entries.sort(key=lambda p: p.stat().st_mtime, reverse=True)
+        stamped.sort(key=lambda e: e[0], reverse=True)
         index = self._load_index()
         by_key = {v: k for k, v in index.items()}
         changed = False
-        for stale in entries[self.keep:]:
+        for _, stale in stamped[self.keep:]:
             try:
                 os.unlink(stale)
             except OSError:

@@ -1,9 +1,9 @@
 """Atomic, durable file writes — the one implementation.
 
-Historically three near-identical temp-file-plus-rename snippets lived
-in :mod:`repro.pipeline.cache`, :mod:`repro.pipeline.store` and
-:mod:`repro.obs.bench`; they are all this function now.  The write
-protocol is the standard crash-safe sequence:
+The result store (:mod:`repro.pipeline.store`), the run journal's
+``latest`` pointer and the bench snapshots (:mod:`repro.obs.bench`) all
+write through this function.  The write protocol is the standard
+crash-safe sequence:
 
 1. create a temp file *in the destination directory* (same filesystem,
    so the final rename is atomic);

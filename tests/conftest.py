@@ -37,3 +37,11 @@ def make_two_nest_program(n=8):
     pb.nest("second", [("J", 1, n - 1), ("I", 0, n - 1)],
             [pb.assign(b(i, j), [a(i, j - 1)], lambda x: x)])
     return pb.build()
+
+
+def pass_invocations(counts):
+    """Runs + hits per pass name: how often each pass was invoked,
+    whether it ran or was served from the artifact cache."""
+    runs, hits = counts["pass_runs"], counts["pass_hits"]
+    return {n: runs.get(n, 0) + hits.get(n, 0)
+            for n in set(runs) | set(hits)}

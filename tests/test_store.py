@@ -165,6 +165,25 @@ class TestResultStore:
         assert store.get(keys[-1]) is not None
         assert store.get(keys[0]) is None
 
+    def test_eviction_skips_entry_that_vanished(self, tmp_path,
+                                                monkeypatch):
+        # Another driver's lock-free get() can quarantine an entry
+        # between this put's listing and its stat: skip it, never raise.
+        store = ResultStore(tmp_path, keep=2)
+        keys = [result_key("p", "comp", n, "m") for n in range(1, 4)]
+        for i, k in enumerate(keys[:2]):
+            store.put(k, {"v": i}, coord=f"c{i}")
+            os.utime(store._path(k), (i + 1, i + 1))
+        listed = store._entries
+        vanished = store._path(result_key("gone", "comp", 1, "m"))
+        monkeypatch.setattr(store, "_entries",
+                            lambda: [*listed(), vanished])
+        store.put(keys[2], {"v": 2}, coord="c2")
+        assert store.stats.evictions == 1
+        assert store.get(keys[0]) is None  # the oldest real entry
+        assert store.get(keys[1]) == {"v": 1}
+        assert store.get(keys[2]) == {"v": 2}
+
     def test_corrupt_entry_is_miss_and_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
         key = result_key("p", "comp", 4, "m")
