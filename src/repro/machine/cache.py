@@ -10,6 +10,13 @@ set, an access hits iff the previous access to that set (by the same
 processor) touched the same line and nothing invalidated it in between
 (invalidation is overlaid by :mod:`repro.machine.coherence`).  A small
 set-associative LRU variant is provided for model-sensitivity tests.
+
+Each per-access question of the cache and coherence models is about
+the earlier accesses of one group (same set and processor, same line,
+...).  :func:`group_index` sorts the stream once per group key, with
+each key narrowed so that NumPy radix-sorts keys below 2^16; two scans
+over that order, :func:`prev_in_group` and :func:`last_flagged_before`,
+answer the rest.
 """
 
 from __future__ import annotations
@@ -50,48 +57,61 @@ class CacheConfig:
         return line % self.nsets
 
 
-def segmented_prev_equal(
-    group: np.ndarray, value: np.ndarray
-) -> np.ndarray:
-    """For each position i (in stream order), True iff the previous
-    position with the same ``group`` id had the same ``value``.
+_NARROW = [np.iinfo(t) for t in (np.uint8, np.int8, np.uint16, np.int16,
+                                  np.uint32, np.int32)]
 
-    Positions with no predecessor in their group return False.  This is
-    the direct-mapped hit test with group=set and value=line.
+
+def _narrow(key: np.ndarray) -> np.ndarray:
+    """``key`` in the smallest integer dtype holding its min and max."""
+    if len(key):
+        lo, hi = int(key.min()), int(key.max())
+        for info in _NARROW:
+            if info.min <= lo and hi <= info.max:
+                return key.astype(info.dtype, copy=False)
+    return key
+
+
+def group_index(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the positions of a stream by equal ``keys``.
+
+    Returns ``(order, start)``.  ``order`` is the stable sort of the
+    stream positions by ``keys[0]``, then ``keys[1]``, ..., so each
+    group is one run of ``order`` with its positions ascending;
+    ``start[k]`` is True where ``order[k]`` opens a new group.
     """
-    n = len(group)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    pos = np.arange(n)
-    order = np.lexsort((pos, group))
-    g = group[order]
-    v = value[order]
-    same_group = np.zeros(n, dtype=bool)
-    same_group[1:] = g[1:] == g[:-1]
-    eq = np.zeros(n, dtype=bool)
-    eq[1:] = (v[1:] == v[:-1]) & same_group[1:]
-    out = np.zeros(n, dtype=bool)
-    out[order] = eq
+    narrow = [_narrow(np.asarray(k)) for k in keys]
+    order = np.lexsort(narrow[::-1])
+    start = np.zeros(len(order), dtype=bool)
+    start[:1] = True
+    for k in narrow:
+        ks = k[order]
+        start[1:] |= ks[1:] != ks[:-1]
+    return order, start
+
+
+def prev_in_group(order: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """For each stream position (in stream order), the previous position
+    of its :func:`group_index` group, or -1 for the group's first."""
+    prev = np.roll(order, 1)
+    prev[start] = -1
+    out = np.empty_like(prev)
+    out[order] = prev
     return out
 
 
-def segmented_prev_position(
-    group: np.ndarray, position: np.ndarray
+def last_flagged_before(
+    order: np.ndarray, start: np.ndarray, flag: np.ndarray
 ) -> np.ndarray:
-    """For each access, the ``position`` of the previous access with the
-    same ``group`` id (or -1)."""
-    n = len(group)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    idx = np.arange(n)
-    order = np.lexsort((position, group))
-    g = group[order]
-    p = position[order]
-    prev = np.full(n, -1, dtype=np.int64)
-    same = np.zeros(n, dtype=bool)
-    same[1:] = g[1:] == g[:-1]
-    prev[1:][same[1:]] = p[:-1][same[1:]]
-    out = np.full(n, -1, dtype=np.int64)
+    """For each stream position i (in stream order), the largest position
+    j < i of i's :func:`group_index` group with ``flag[j]``, or -1."""
+    flagged = flag[order]
+    k = np.arange(len(order))
+    # Running max over the flagged sorted indices and the group starts,
+    # shifted by one: at a non-start k it lies in k's group before k, and
+    # is a flagged index unless it is the group's unflagged first.
+    last = np.roll(np.maximum.accumulate(np.where(flagged | start, k, -1)), 1)
+    prev = np.where(flagged[last] & ~start, order[last], -1)
+    out = np.empty_like(prev)
     out[order] = prev
     return out
 
@@ -102,10 +122,8 @@ def direct_mapped_hits(
     """Tag-match hit flags for every access of a merged multi-processor
     stream (in stream order), ignoring coherence."""
     line = cfg.line_of(addr)
-    set_idx = cfg.set_of(line)
-    # Group by (proc, set): encode into one id.
-    group = proc * cfg.nsets + set_idx
-    return segmented_prev_equal(group, line)
+    prev = prev_in_group(*group_index(cfg.set_of(line), proc))
+    return (prev >= 0) & (line[prev] == line)
 
 
 def assoc_lru_hits(

@@ -7,7 +7,8 @@ private direct-mapped caches, lockstep global interleaving):
   stream; used by every benchmark sweep;
 * :class:`ExactCoherentSim` — a straightforward event-at-a-time Python
   simulator kept as an executable specification; the test suite checks
-  the two agree access-for-access on random traces.
+  the two agree access-for-access on random traces and on the merged
+  streams of every application in :mod:`repro.apps`.
 
 Miss taxonomy (Section 1.1):
 
@@ -32,31 +33,10 @@ from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
     direct_mapped_hits,
-    segmented_prev_position,
+    group_index,
+    last_flagged_before,
+    prev_in_group,
 )
-
-
-def _last_write_before(group: np.ndarray, write: np.ndarray) -> np.ndarray:
-    """For each access i (stream order), the largest stream position
-    j < i with ``group[j] == group[i]`` and ``write[j]`` (or -1)."""
-    n = len(group)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    pos = np.arange(n, dtype=np.int64)
-    order = np.lexsort((pos, group))
-    g = group[order]
-    w = np.where(write[order], pos[order], np.int64(-1))
-    # Segmented running max via per-group bias.
-    gid = np.cumsum(np.concatenate(([0], (g[1:] != g[:-1]).astype(np.int64))))
-    large = np.int64(n + 2)
-    acc = np.maximum.accumulate(w + gid * large)
-    prev = np.full(n, -1, dtype=np.int64)
-    same = np.zeros(n, dtype=bool)
-    same[1:] = g[1:] == g[:-1]
-    prev[1:][same[1:]] = acc[:-1][same[1:]] - gid[1:][same[1:]] * large
-    out = np.full(n, -1, dtype=np.int64)
-    out[order] = np.maximum(prev, -1)
-    return out
 
 
 @dataclass
@@ -104,16 +84,15 @@ def classify_accesses(
     updated on every reference) filters first-level misses: an L1 miss
     whose line survives in L2 — and was not invalidated by another
     processor's write — is an ``l2_hit``.
+
+    Every word must lie inside one cache line (``cfg.line_bytes`` a
+    multiple of ``word_bytes``); other geometries raise ``ValueError``.
     """
+    if cfg.line_bytes % word_bytes:
+        raise ValueError(f"word_bytes={word_bytes} does not divide the "
+                         f"{cfg.line_bytes}-byte cache line")
     n = len(addr)
-    if n == 0:
-        z = np.zeros(0, dtype=bool)
-        return AccessClassification(z, z, z, z, z)
-    line = addr // cfg.line_bytes
-    word = addr // word_bytes
-    nline = int(line.max()) + 1
-    nword = int(word.max()) + 1
-    pos = np.arange(n, dtype=np.int64)
+    line = cfg.line_of(addr)
 
     # Direct-mapped is the DASH default and fully vectorized; the LRU
     # set-associative variant (model-sensitivity studies) is exact but
@@ -122,35 +101,32 @@ def classify_accesses(
         tag_hit = direct_mapped_hits(proc, addr, cfg)
     else:
         tag_hit = assoc_lru_hits(proc, addr, cfg)
-    prev_line_pos = segmented_prev_position(proc * nline + line, pos)
-    lw_any_line = _last_write_before(line, write)
-    lw_same_line = _last_write_before(proc * nline + line, write)
-    lw_any_word = _last_write_before(word, write)
-    lw_same_word = _last_write_before(proc * nword + word, write)
+    prev_line_pos = prev_in_group(*group_index(line, proc))
+    # An own access to the line (or to one of its words, since no word
+    # straddles two lines) is at or before prev_line_pos, so anything
+    # later is another processor's: a write to the line invalidated our
+    # copy, a write to the word makes that sharing true, and any touch
+    # of the line makes our next write an ownership upgrade.
+    by_line = group_index(line)
+    line_written = last_flagged_before(*by_line, write) > prev_line_pos
+    line_touched = prev_in_group(*by_line) > prev_line_pos
+    del by_line
+    word_written = last_flagged_before(
+        *group_index(addr // word_bytes), write) > prev_line_pos
 
     # Invalidated: the line would have survived in the cache (tag match),
     # but another processor wrote it after this processor's last touch.
-    # "Another processor" = the most recent write is not our own.
-    invalidated = (
-        tag_hit
-        & (lw_any_line > lw_same_line)
-        & (lw_any_line > prev_line_pos)
-    )
+    invalidated = tag_hit & line_written
     cold = prev_line_pos < 0
     hit = tag_hit & ~invalidated
     miss = ~hit
-    true_sharing = (
-        invalidated
-        & (lw_any_word > lw_same_word)
-        & (lw_any_word > prev_line_pos)
-    )
+    true_sharing = invalidated & word_written
     false_sharing = invalidated & ~true_sharing
     replacement = miss & ~cold & ~invalidated
     # Writer-side ownership acquisition: a write hit on a line someone
     # else has touched since our previous access must invalidate their
     # copy before proceeding.
-    la_any_line = _last_write_before(line, np.ones(n, dtype=bool))
-    upgrade = write & hit & (la_any_line > prev_line_pos)
+    upgrade = write & hit & line_touched
 
     l2_hit = np.zeros(n, dtype=bool)
     if l2 is not None:
@@ -160,12 +136,7 @@ def classify_accesses(
             l2_tag = assoc_lru_hits(proc, addr, l2)
         # Same invalidation predicate, at the L2 tag state: a remote
         # write invalidates both levels.
-        inv2 = (
-            l2_tag
-            & (lw_any_line > lw_same_line)
-            & (lw_any_line > prev_line_pos)
-        )
-        l2_hit = miss & l2_tag & ~inv2
+        l2_hit = miss & l2_tag & ~line_written
     out = AccessClassification(
         hit=hit,
         cold=cold & miss,

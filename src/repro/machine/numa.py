@@ -37,11 +37,11 @@ def first_touch_homes(
         e = np.zeros(0, dtype=np.int64)
         return e, e
     page = addr // cfg.page_bytes
-    uniq, first_idx, inverse = np.unique(
-        page, return_index=True, return_inverse=True
-    )
-    home = cfg.cluster_of(proc[first_idx])
-    return page, home[inverse]
+    # A page's first toucher is at the minimum stream position scattered
+    # onto it (one table entry per page id up to the highest).
+    first = np.full(int(page.max()) + 1, len(page), dtype=np.int64)
+    np.minimum.at(first, page, np.arange(len(page)))
+    return page, cfg.cluster_of(proc[first[page]])
 
 
 def local_miss_mask(

@@ -144,12 +144,8 @@ def _simulate_impl(
     proc = np.concatenate([t.proc for _, t, _ in seq])
     addr = np.concatenate([t.addr for _, t, _ in seq])
     write = np.concatenate([t.write for _, t, _ in seq])
-    slice_id = np.concatenate(
-        [
-            np.full(t.n_accesses, i, dtype=np.int64)
-            for i, (_, t, _) in enumerate(seq)
-        ]
-    )
+    # Each phase instance is one contiguous range of the merged stream.
+    bounds = np.cumsum([0] + [t.n_accesses for _, t, _ in seq])
 
     # The classification sweep is its own wall-time ledger anchor: it
     # dominates simulate() for large streams and must be attributable
@@ -184,7 +180,7 @@ def _simulate_impl(
         steady = r == rounds - 1
         with obs.span("sim.phase", cat="machine", nest=t.nest_name,
                       round="steady" if steady else "cold") as psp:
-            sl = slice_id == i
+            sl = slice(bounds[i], bounds[i + 1])
             cycles = per_proc_cycles(
                 proc[sl], cls.hit[sl], miss_local[sl], miss_remote[sl],
                 nprocs, params, upgrade=cls.upgrade[sl], l2_hit=cls.l2_hit[sl],
@@ -206,7 +202,7 @@ def _simulate_impl(
                 pc.misses = {
                     name: int(m[sl].sum()) for name, m in masks.items()
                 }
-                pc.misses["accesses"] = int(sl.sum())
+                pc.misses["accesses"] = t.n_accesses
                 phase_costs.append(pc)
                 psp.set(time=pc.time, compute=pc.compute_max, sync=pc.sync)
                 for name, v in pc.misses.items():

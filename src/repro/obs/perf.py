@@ -45,6 +45,7 @@ Ledger reconciliation rules (the falsifiability contract):
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -181,7 +182,8 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
     also returns collapsed ``stacks`` from a *separate* sampled
     simulation, kept outside the ledger window since the profiling
     hook would inflate it.  The global obs state is saved and
-    restored.
+    restored.  As in :mod:`timeit`, the window runs after a full
+    collection with the collector off, so no pause lands in a row.
     """
     from repro.codegen.emit_optimized import emit_optimized_program
     from repro.machine.simulate import simulate
@@ -189,6 +191,9 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
 
     saved_enabled = _obs_core._enabled
     saved_collector = _obs_core._collector
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     try:
         obs.enable(reset=True)
         t_start = time.perf_counter()
@@ -211,6 +216,8 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         }
         ledger = build_ledger(obs.collector(), total_s)
     finally:
+        if gc_was_enabled:
+            gc.enable()
         _obs_core._collector = saved_collector
         _obs_core._enabled = saved_enabled
 

@@ -8,8 +8,9 @@ from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
     direct_mapped_hits,
-    segmented_prev_equal,
-    segmented_prev_position,
+    group_index,
+    last_flagged_before,
+    prev_in_group,
 )
 
 
@@ -35,24 +36,76 @@ class TestConfig:
         assert c.set_of(np.array([0, 1, 4, 5])).tolist() == [0, 1, 0, 1]
 
 
-class TestSegmentedHelpers:
-    def test_prev_equal(self):
-        group = np.array([0, 0, 1, 0, 1])
-        value = np.array([5, 5, 7, 6, 7])
-        out = segmented_prev_equal(group, value)
-        assert out.tolist() == [False, True, False, False, True]
+# Key value ranges that narrow to different dtypes; "negative" spans
+# -1 and 65535, which a narrowing that ignored the sign would merge.
+KEY_RANGES = {
+    "u8": (0, 2**8 - 1),
+    "u16": (0, 2**16 - 1),
+    "wide": (2**16, 2**40),
+    "negative": (-2**17, 2**16 - 1),
+}
+EDGES = (-2**15 - 1, -1, 0, 2**8 - 1, 2**8, 2**16 - 1, 2**16)
 
-    def test_prev_position(self):
-        group = np.array([0, 1, 0, 1, 0])
-        pos = np.arange(5)
-        out = segmented_prev_position(group, pos)
-        assert out.tolist() == [-1, -1, 0, 1, 2]
 
-    def test_empty(self):
-        assert len(segmented_prev_equal(np.array([]), np.array([]))) == 0
-        assert len(
-            segmented_prev_position(np.array([]), np.array([]))
-        ) == 0
+@st.composite
+def keyed_stream(draw):
+    """1-3 group keys plus a flag per position; each key draws its
+    values from a small pool so that groups repeat."""
+    n = draw(st.integers(0, 80))
+    keys = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo, hi = KEY_RANGES[draw(st.sampled_from(sorted(KEY_RANGES)))]
+        edges = [e for e in EDGES if lo <= e <= hi]
+        pool = draw(st.lists(
+            st.one_of(st.integers(lo, hi), st.sampled_from(edges)),
+            min_size=1, max_size=4,
+        ))
+        keys.append(np.array(
+            draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+            dtype=np.int64,
+        ))
+    flag = np.array(
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+    )
+    return keys, flag
+
+
+def naive_group_scans(keys, flag):
+    """Reference: per-group previous position and last flagged position
+    before each access, from a dict walk over the stream."""
+    last_any, last_flagged = {}, {}
+    prev, lfb = [], []
+    for i, key in enumerate(zip(*(k.tolist() for k in keys))):
+        prev.append(last_any.get(key, -1))
+        lfb.append(last_flagged.get(key, -1))
+        last_any[key] = i
+        if flag[i]:
+            last_flagged[key] = i
+    return prev, lfb
+
+
+class TestGroupIndex:
+    @given(keyed_stream())
+    @settings(max_examples=300, deadline=None)
+    def test_order_is_lexsort_of_int64_keys(self, t):
+        keys, _ = t
+        order, start = group_index(*keys)
+        wide = [k.astype(np.int64) for k in keys]
+        assert order.tolist() == np.lexsort(wide[::-1]).tolist()
+        rows = list(zip(*(k.tolist() for k in keys)))
+        assert start.tolist() == [
+            j == 0 or rows[order[j]] != rows[order[j - 1]]
+            for j in range(len(order))
+        ]
+
+    @given(keyed_stream())
+    @settings(max_examples=300, deadline=None)
+    def test_scans_match_dict_walk(self, t):
+        keys, flag = t
+        order, start = group_index(*keys)
+        prev, lfb = naive_group_scans(keys, flag)
+        assert prev_in_group(order, start).tolist() == prev
+        assert last_flagged_before(order, start, flag).tolist() == lfb
 
 
 def naive_direct_mapped(proc, addr, cfg):

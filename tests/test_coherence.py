@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import ALL_APPS, build_app
+from repro.codegen.spmd import Scheme
+from repro.machine import scaled_dash
 from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
@@ -15,6 +18,8 @@ from repro.machine.coherence import (
     ExactCoherentSim,
     classify_accesses,
 )
+from repro.machine.trace import program_traces
+from repro.pipeline import CompileSession
 
 FIELDS = ["hit", "cold", "replacement", "true_sharing", "false_sharing",
           "upgrade"]
@@ -101,6 +106,15 @@ class TestScenarios:
             np.zeros(0, dtype=bool), tiny_cfg(),
         )
         assert len(c.hit) == 0
+
+    def test_word_straddling_lines_rejected(self):
+        """A 12-byte word does not tile a 16-byte line: some words span
+        two lines, where the fast classifier and the spec disagree."""
+        proc = np.array([0, 1, 0])
+        addr = np.array([12, 16, 12])
+        write = np.array([False, True, False])
+        with pytest.raises(ValueError, match="word_bytes=12"):
+            classify_accesses(proc, addr, write, tiny_cfg(), word_bytes=12)
 
 
 @st.composite
@@ -213,3 +227,38 @@ class TestAssocLru:
             key = (int(proc[i]), int(addr[i]) // cfg.line_bytes)
             assert hits[i] == (key in seen)
             seen.add(key)
+
+
+class TestRealTraces:
+    """The fast classifier against the spec on the merged streams that
+    ``simulate`` replays (both rounds when the program has more than one
+    time step).  At n=8 every miss class, upgrades included, occurs."""
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_fast_matches_exact(self, app):
+        prog = build_app(app, n=8)
+        word_bytes = min(d.element_size for d in prog.arrays.values())
+        session = CompileSession()
+        for scheme in (Scheme.BASE, Scheme.COMP_DECOMP,
+                       Scheme.COMP_DECOMP_DATA):
+            for nprocs in (2, 4, 8):
+                machine = scaled_dash(nprocs, scale=64,
+                                      word_bytes=word_bytes).with_l2()
+                spmd = session.compile(prog, scheme, nprocs)
+                _, traces = program_traces(spmd, machine.numa.page_bytes)
+                rounds = 2 if prog.time_steps > 1 else 1
+                seq = [t for _ in range(rounds) for t in traces]
+                proc = np.concatenate([t.proc for t in seq])
+                addr = np.concatenate([t.addr for t in seq])
+                write = np.concatenate([t.write for t in seq])
+                for l2 in (None, machine.l2):
+                    fast = classify_accesses(
+                        proc, addr, write, machine.cache,
+                        word_bytes=word_bytes, l2=l2)
+                    exact = ExactCoherentSim(
+                        nprocs, machine.cache, word_bytes=word_bytes, l2=l2,
+                    ).run(proc, addr, write)
+                    for f in FIELDS + ["l2_hit"]:
+                        assert np.array_equal(
+                            getattr(fast, f), getattr(exact, f)
+                        ), (scheme.value, nprocs, l2, f)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machine.cost import CostParams, per_proc_cycles, phase_time
 from repro.machine.dash import DashConfig, dash_machine, scaled_dash
@@ -34,6 +35,32 @@ class TestNuma:
     def test_cluster_of(self):
         cfg = NumaConfig(cluster_size=4)
         assert cfg.cluster_of(np.array([0, 3, 4, 31])).tolist() == [0, 0, 1, 7]
+
+    @given(
+        st.sampled_from([64, 256, 4096]),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 100_000), min_size=1, max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_first_touch_matches_dict_walk(self, page_bytes, cluster_size,
+                                           pages, data):
+        """Sparse page ids: each page's home is the cluster of the
+        processor whose access to it comes first in the stream."""
+        cfg = NumaConfig(page_bytes=page_bytes, cluster_size=cluster_size)
+        accesses = data.draw(st.lists(
+            st.tuples(st.sampled_from(pages),
+                      st.integers(0, page_bytes - 1), st.integers(0, 31)),
+            min_size=1, max_size=120,
+        ))
+        addr = np.array([pg * page_bytes + off for pg, off, _ in accesses])
+        proc = np.array([p for _, _, p in accesses])
+        first: dict = {}
+        for a, p in zip(addr.tolist(), proc.tolist()):
+            first.setdefault(a // page_bytes, p // cluster_size)
+        page, home = first_touch_homes(addr, proc, cfg)
+        assert page.tolist() == [a // page_bytes for a in addr.tolist()]
+        assert home.tolist() == [first[pg] for pg in page.tolist()]
 
 
 class TestCostParams:

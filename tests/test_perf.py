@@ -13,6 +13,8 @@ The load-bearing contracts:
 """
 
 import copy
+import gc
+import importlib
 import json
 import time
 
@@ -28,10 +30,11 @@ from repro.obs.perf import (
     UNATTRIBUTED,
     build_ledger,
     ledger_reconciles,
+    measure_point,
     perf_diff,
     record_point,
 )
-from repro.pipeline import reset_session
+from repro.pipeline import CompileSession, reset_session
 from repro.report import format_ledger_table, format_perf_diff_table
 
 
@@ -147,6 +150,30 @@ class TestRecordPoint:
         table = format_ledger_table(recorded["points"][0]["perf"]["ledger"])
         assert "reconciliation: OK" in table
         assert UNATTRIBUTED in table
+
+
+class TestMeasureWindow:
+    def test_collector_off_inside_window_and_restored(self, monkeypatch):
+        # A full collection of the rest of the heap inside the window
+        # would be booked as self time of whichever ledger row is open.
+        from repro.apps import build_app
+        from repro.machine import scaled_dash
+
+        sim_module = importlib.import_module("repro.machine.simulate")
+        real = sim_module.simulate
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim_module, "simulate", spy)
+        assert gc.isenabled()
+        measure_point(CompileSession(), build_app("simple", n=8),
+                      parse_scheme("data"), 2, scaled_dash(2, scale=16),
+                      locality=False)
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestPerfDiff:
