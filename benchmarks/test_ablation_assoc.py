@@ -19,7 +19,7 @@ from repro.machine import scaled_dash
 from repro.machine.cache import CacheConfig
 from repro.machine.simulate import simulate
 
-N = 32  # small enough for the event-at-a-time LRU path
+N = 32  # results/ablation_assoc.txt is recorded at this size
 P = 24  # cache/column = 2KB/256B = 8 columns, and 8 | 24: the cliff
 
 

@@ -407,9 +407,10 @@ def cmd_hotspots(args) -> int:
     finally:
         report = profiler.stop()
 
-    # Locality analytics run *outside* the profiling window: they are
-    # O(n log n) Python-side work that would otherwise drown out the
-    # production hot path they are meant to explain.
+    # Locality analytics run *outside* the profiling window: their
+    # reuse-distance merge count costs about as much again as the
+    # simulation, so inside it they would double the production hot
+    # path they are meant to explain.
     out_points = []
     for point, spmd, machine, res in points:
         loc = simulate(spmd, machine, locality=True).locality

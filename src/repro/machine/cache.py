@@ -8,15 +8,18 @@ exactly this geometry, so the simulator models it faithfully.
 The direct-mapped simulation is exact and fully vectorized: within each
 set, an access hits iff the previous access to that set (by the same
 processor) touched the same line and nothing invalidated it in between
-(invalidation is overlaid by :mod:`repro.machine.coherence`).  A small
-set-associative LRU variant is provided for model-sensitivity tests.
+(invalidation is overlaid by :mod:`repro.machine.coherence`).  The
+set-associative LRU variant is exact and vectorized too: it is one
+threshold on :func:`stack_distances`.
 
 Each per-access question of the cache and coherence models is about
 the earlier accesses of one group (same set and processor, same line,
 ...).  :func:`group_index` sorts the stream once per group key, with
 each key narrowed so that NumPy radix-sorts keys below 2^16; two scans
 over that order, :func:`prev_in_group` and :func:`last_flagged_before`,
-answer the rest.
+answer the rest.  :func:`stack_distances` adds one merge count over
+that order, the LRU stack distance that both the set-associative hits
+and :mod:`repro.machine.locality`'s reuse distances read.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ class CacheConfig:
     assoc: int = 1
 
     def __post_init__(self):
+        if min(self.size_bytes, self.line_bytes, self.assoc) <= 0:
+            raise ValueError("cache parameters must be positive")
         if self.size_bytes % (self.line_bytes * self.assoc):
             raise ValueError("cache size must be a multiple of line*assoc")
-        for v in (self.size_bytes, self.line_bytes, self.assoc):
-            if v <= 0:
-                raise ValueError("cache parameters must be positive")
 
     @property
     def nlines(self) -> int:
@@ -126,26 +128,65 @@ def direct_mapped_hits(
     return (prev >= 0) & (line[prev] == line)
 
 
+def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
+    """LRU stack distance of every access (in stream order) within its
+    ``group``: how many distinct other lines the group touched since its
+    previous access to ``line``, or -1 on its first touch of the line.
+
+    In group order (the stream sorted by ``group``, positions ascending),
+    let p_s be the index of access s's previous same-line access, or -1.
+    Each line touched between p_s and s is counted once, at its first
+    access t after p_s, which is the one with p_t < p_s; every t <= p_s
+    also has p_t < p_s, so the distance is #{t < s : p_t < p_s} - p_s - 1.
+    A bottom-up merge sort of p counts that exactly, because non-cold p
+    values are distinct: when two sorted blocks merge, an element of the
+    right block moves past the left-block elements smaller than it.
+    """
+    n = len(line)
+    by_group = group_index(*group)[0] if group else np.arange(n)
+    prev = prev_in_group(*group_index(*group, line))
+    # Positions and counts stay below n: narrow them to halve the
+    # memory traffic of the merge levels.
+    pos = np.int32 if n < 2**31 else np.int64
+    rank = np.empty(n, dtype=pos)
+    rank[by_group] = np.arange(n, dtype=pos)
+    p = np.where(prev >= 0, rank[prev], -1)[by_group]
+    del prev, rank
+    v = p + 1  # 0 on cold accesses, whose own counts are never read
+    less = np.zeros(n, dtype=pos)  # #{t < s : p_t < p_s}, moved with v
+    k = np.arange(n)
+    for level in range(max(n - 1, 0).bit_length()):
+        # Sorted blocks of b merge into blocks of 2b (sorting by block
+        # start k & -2b, then v).  perm[k] is where the element now at k
+        # was: in the right block when bit `level` of perm[k] is set, and
+        # then it passed k - perm[k] + b elements of the left block.
+        b = 1 << level
+        perm = np.argsort((k & -2 * b) * n + v, kind="stable")
+        v = v[perm]
+        less = less[perm]
+        moved = k - perm + b
+        perm >>= level
+        perm &= 1
+        moved *= perm
+        del perm
+        less += moved
+        del moved
+    by_value = np.empty(n + 1, dtype=pos)
+    by_value[v] = less
+    del v, less
+    out = np.empty(n, dtype=np.int64)
+    out[by_group] = np.where(p >= 0, by_value[p + 1] - p - 1, -1)
+    return out
+
+
 def assoc_lru_hits(
     proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig
 ) -> np.ndarray:
-    """Exact LRU set-associative hit flags (Python per (proc,set) group;
-    use only on small traces / sensitivity tests)."""
-    n = len(addr)
+    """LRU set-associative tag-match hit flags for every access of a
+    merged multi-processor stream (in stream order), ignoring coherence.
+    By LRU's stack property an A-way set hits exactly when the processor
+    touched fewer than A other lines of the set since its previous
+    access to the line."""
     line = cfg.line_of(addr)
-    set_idx = cfg.set_of(line)
-    hits = np.zeros(n, dtype=bool)
-    state: dict = {}
-    for i in range(n):
-        key = (int(proc[i]), int(set_idx[i]))
-        ways = state.setdefault(key, [])
-        ln = int(line[i])
-        if ln in ways:
-            ways.remove(ln)
-            ways.append(ln)
-            hits[i] = True
-        else:
-            ways.append(ln)
-            if len(ways) > cfg.assoc:
-                ways.pop(0)
-    return hits
+    dist = stack_distances(line, cfg.set_of(line), proc)
+    return (dist >= 0) & (dist < cfg.assoc)

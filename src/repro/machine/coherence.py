@@ -94,9 +94,9 @@ def classify_accesses(
     n = len(addr)
     line = cfg.line_of(addr)
 
-    # Direct-mapped is the DASH default and fully vectorized; the LRU
-    # set-associative variant (model-sensitivity studies) is exact but
-    # event-at-a-time.
+    # Direct-mapped is the DASH default; the LRU set-associative variant
+    # (model-sensitivity studies) thresholds the same stack distances as
+    # the locality report.  Both are exact and vectorized.
     if cfg.assoc == 1:
         tag_hit = direct_mapped_hits(proc, addr, cfg)
     else:

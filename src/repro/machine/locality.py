@@ -10,8 +10,9 @@ those signals directly from the vectorized address traces
 (:mod:`repro.machine.trace`), independent of the cache model:
 
 * :func:`reuse_distances` — per-processor LRU stack distance over
-  cache lines (``-1`` marks a cold first touch), computed in
-  O(n log n) with a Fenwick tree over last-occurrence marks;
+  cache lines (``-1`` marks a cold first touch): the vectorized merge
+  count :func:`repro.machine.cache.stack_distances`, which also decides
+  the set-associative cache's LRU hits;
 * :func:`set_pressure` — per ``(processor, cache set)`` count of
   *distinct* lines mapping to that set (the power-of-two aliasing
   signature the paper's data transforms remove shows up as a few sets
@@ -24,8 +25,9 @@ those signals directly from the vectorized address traces
 
 Every analytic has a brute-force oracle
 (:func:`reuse_distances_oracle`, :func:`set_pressure_oracle`) that the
-test suite compares bit-exactly on small traces; the oracles are the
-executable definitions, the main implementations the fast paths.
+test suite compares bit-exactly on random traces and on every
+application's real stream; the oracles are the executable definitions,
+the main implementations the fast paths.
 
 All results are deterministic functions of the trace, so they are safe
 to exact-match in bench snapshots: they are the locality fingerprint a
@@ -40,7 +42,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.machine.cache import CacheConfig
+from repro.machine.cache import CacheConfig, stack_distances
 
 __all__ = [
     "COLD",
@@ -60,51 +62,6 @@ COLD = -1  # reuse-distance marker for a first touch
 
 # -- reuse distance ----------------------------------------------------------
 
-def _stream_reuse(lines: np.ndarray) -> np.ndarray:
-    """LRU stack distances of one processor's line stream.
-
-    ``out[i]`` is the number of *distinct* lines touched strictly
-    between access ``i`` and the previous access to the same line
-    (0 = immediate reuse), or :data:`COLD` for a first touch.
-
-    A Fenwick tree holds one mark per line at its *latest* occurrence
-    position; the distinct count over a window is then the number of
-    marks inside it.  O(n log n) time, O(n) space.
-    """
-    n = len(lines)
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return out
-    tree = [0] * (n + 1)
-
-    def add(i: int, v: int) -> None:
-        i += 1
-        while i <= n:
-            tree[i] += v
-            i += i & -i
-
-    def prefix(i: int) -> int:  # inclusive sum of positions [0, i]
-        i += 1
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & -i
-        return s
-
-    last: Dict[int, int] = {}
-    lines_list = lines.tolist()  # python ints: faster dict keys
-    for i, ln in enumerate(lines_list):
-        p = last.get(ln)
-        if p is not None:
-            # Marks in (p, i): each is the latest occurrence of a
-            # distinct line touched since position p.
-            out[i] = prefix(i - 1) - prefix(p)
-            add(p, -1)
-        add(i, 1)
-        last[ln] = i
-    return out
-
-
 def reuse_distances(
     proc: np.ndarray, addr: np.ndarray, line_bytes: int = 16
 ) -> np.ndarray:
@@ -112,12 +69,7 @@ def reuse_distances(
     each processor's own (program-ordered) access stream; ``-1`` marks
     cold first touches.  Input arrays are the merged stream in global
     program order."""
-    line = addr // line_bytes
-    out = np.full(len(addr), COLD, dtype=np.int64)
-    for p in np.unique(proc):
-        sel = np.flatnonzero(proc == p)
-        out[sel] = _stream_reuse(line[sel])
-    return out
+    return stack_distances(addr // line_bytes, proc)
 
 
 def reuse_distances_oracle(

@@ -94,8 +94,10 @@ def simulate(
     ``locality=True`` additionally runs the reuse-distance / set-pressure
     / heatmap analytics (:mod:`repro.machine.locality`) over one round
     of the address stream and stores them in ``SimResult.locality``;
-    they are opt-in only — never implied by observability — because the
-    reuse sweep costs O(n log n) Python-side work.
+    they are opt-in only — never implied by observability — because no
+    simulated time depends on them and their reuse-distance merge count
+    (one sort pass per doubling of the stream) costs about as much again
+    as the simulation.
     """
     with obs.span("sim.simulate", cat="machine", scheme=spmd.scheme.value,
                   nprocs=spmd.nprocs) as sp:

@@ -11,6 +11,7 @@ from repro.machine.cache import (
     group_index,
     last_flagged_before,
     prev_in_group,
+    stack_distances,
 )
 
 
@@ -30,6 +31,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=0, line_bytes=16)
 
+    @pytest.mark.parametrize("geometry", [
+        dict(size_bytes=256, line_bytes=0),
+        dict(size_bytes=256, assoc=0),
+        dict(size_bytes=0),
+        dict(size_bytes=256, line_bytes=-16),
+    ])
+    def test_nonpositive_parameters_raise_value_error(self, geometry):
+        with pytest.raises(ValueError, match="positive"):
+            CacheConfig(**geometry)
+
     def test_mapping(self):
         c = CacheConfig(size_bytes=64, line_bytes=16)  # 4 sets
         assert c.line_of(np.array([0, 16, 64])).tolist() == [0, 1, 4]
@@ -47,27 +58,43 @@ KEY_RANGES = {
 EDGES = (-2**15 - 1, -1, 0, 2**8 - 1, 2**8, 2**16 - 1, 2**16)
 
 
+def pooled_key(draw, n):
+    """``n`` values of one group key, drawn from a small pool in one of
+    KEY_RANGES so that groups repeat."""
+    lo, hi = KEY_RANGES[draw(st.sampled_from(sorted(KEY_RANGES)))]
+    edges = [e for e in EDGES if lo <= e <= hi]
+    pool = draw(st.lists(
+        st.one_of(st.integers(lo, hi), st.sampled_from(edges)),
+        min_size=1, max_size=4,
+    ))
+    return np.array(
+        draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+
+
 @st.composite
 def keyed_stream(draw):
-    """1-3 group keys plus a flag per position; each key draws its
-    values from a small pool so that groups repeat."""
+    """1-3 group keys plus a flag per position."""
     n = draw(st.integers(0, 80))
-    keys = []
-    for _ in range(draw(st.integers(1, 3))):
-        lo, hi = KEY_RANGES[draw(st.sampled_from(sorted(KEY_RANGES)))]
-        edges = [e for e in EDGES if lo <= e <= hi]
-        pool = draw(st.lists(
-            st.one_of(st.integers(lo, hi), st.sampled_from(edges)),
-            min_size=1, max_size=4,
-        ))
-        keys.append(np.array(
-            draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
-            dtype=np.int64,
-        ))
+    keys = [pooled_key(draw, n) for _ in range(draw(st.integers(1, 3)))]
     flag = np.array(
         draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
     )
     return keys, flag
+
+
+@st.composite
+def line_stream(draw):
+    """Up to 8 distinct lines (offset so that the line key narrows to
+    different dtypes) plus 0-2 group keys."""
+    n = draw(st.integers(0, 80))
+    offset = draw(st.sampled_from((0, -2**15, 2**16 - 4, 2**40)))
+    line = offset + np.array(
+        draw(st.lists(st.integers(0, 7), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    return line, [pooled_key(draw, n) for _ in range(draw(st.integers(0, 2)))]
 
 
 def naive_group_scans(keys, flag):
@@ -82,6 +109,23 @@ def naive_group_scans(keys, flag):
         if flag[i]:
             last_flagged[key] = i
     return prev, lfb
+
+
+def naive_stack_distances(line, group):
+    """Reference: an LRU recency list per group; an access's distance is
+    the number of lines above its own, -1 if it is not in the list."""
+    keys = zip(*(g.tolist() for g in group)) if group else [()] * len(line)
+    stacks = {}
+    out = []
+    for ln, key in zip(line.tolist(), keys):
+        stack = stacks.setdefault(key, [])
+        if ln in stack:
+            out.append(len(stack) - 1 - stack.index(ln))
+            stack.remove(ln)
+        else:
+            out.append(-1)
+        stack.append(ln)
+    return out
 
 
 class TestGroupIndex:
@@ -108,6 +152,20 @@ class TestGroupIndex:
         assert last_flagged_before(order, start, flag).tolist() == lfb
 
 
+class TestStackDistances:
+    @given(line_stream())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recency_walk(self, t):
+        line, group = t
+        assert (stack_distances(line, *group).tolist()
+                == naive_stack_distances(line, group))
+
+    @pytest.mark.parametrize("ngroup", [0, 1, 2])
+    def test_empty_stream(self, ngroup):
+        empty = np.zeros(0, dtype=np.int64)
+        assert stack_distances(empty, *[empty] * ngroup).tolist() == []
+
+
 def naive_direct_mapped(proc, addr, cfg):
     """Reference implementation: dict-based direct-mapped caches."""
     cache = {}
@@ -117,6 +175,28 @@ def naive_direct_mapped(proc, addr, cfg):
         s = ln % cfg.nsets
         hits[i] = cache.get((p, s)) == ln
         cache[(p, s)] = ln
+    return hits
+
+
+def naive_lru(proc, addr, cfg):
+    """Reference implementation: an LRU recency list per (proc, set)."""
+    n = len(addr)
+    line = cfg.line_of(addr)
+    set_idx = cfg.set_of(line)
+    hits = np.zeros(n, dtype=bool)
+    state: dict = {}
+    for i in range(n):
+        key = (int(proc[i]), int(set_idx[i]))
+        ways = state.setdefault(key, [])
+        ln = int(line[i])
+        if ln in ways:
+            ways.remove(ln)
+            ways.append(ln)
+            hits[i] = True
+        else:
+            ways.append(ln)
+            if len(ways) > cfg.assoc:
+                ways.pop(0)
     return hits
 
 
@@ -185,3 +265,21 @@ class TestAssocLRU:
             assoc_lru_hits(proc, addr, cfg),
             direct_mapped_hits(proc, addr, cfg),
         )
+
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8])
+    @given(
+        nsets=st.sampled_from([1, 2, 4]),
+        accesses=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 24 * 16 - 1)),
+            max_size=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive(self, assoc, nsets, accesses):
+        # 24 lines on 1-4 sets: every geometry but 8 ways on 4 sets
+        # must evict, on interleaved streams of up to 4 processors.
+        cfg = CacheConfig(size_bytes=16 * assoc * nsets, line_bytes=16,
+                          assoc=assoc)
+        proc = np.array([p for p, _ in accesses], dtype=np.int64)
+        addr = np.array([a for _, a in accesses], dtype=np.int64)
+        assert np.array_equal(assoc_lru_hits(proc, addr, cfg),
+                              naive_lru(proc, addr, cfg))

@@ -8,15 +8,16 @@ not noise.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.apps import build_app
+from repro.apps import ALL_APPS, build_app
 from repro.codegen.spmd import Scheme
 from repro.machine import scaled_dash
-from repro.machine.cache import CacheConfig
+from repro.machine.cache import CacheConfig, assoc_lru_hits
 from repro.machine.locality import (
     COLD,
     collect_locality,
@@ -30,6 +31,7 @@ from repro.machine.locality import (
 from repro.machine.simulate import simulate
 from repro.machine.trace import program_traces
 from repro.pipeline.session import CompileSession
+from tests.test_cache import naive_lru
 
 
 @pytest.fixture(autouse=True)
@@ -86,16 +88,40 @@ class TestReuseDistance:
         slow = reuse_distances_oracle(proc, addr, 16)
         assert (fast == slow).all()
 
-    def test_matches_oracle_real_trace(self):
-        spmd, machine = _compiled(n=8)
-        _, traces = program_traces(spmd, machine.numa.page_bytes)
-        live = [t for t in traces if t.n_accesses]
-        addr = np.concatenate([t.addr for t in live])
-        proc = np.concatenate([t.proc for t in live])
-        fast = reuse_distances(proc, addr, machine.cache.line_bytes)
-        slow = reuse_distances_oracle(proc, addr,
-                                      machine.cache.line_bytes)
-        assert (fast == slow).all()
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_matches_oracle_real_trace(self, app):
+        """Reuse distance, set pressure and the 2- and 4-way LRU hits
+        against their definitions on one round of the stream, as
+        collect_locality sees it, for every scheme and P in {2, 4, 8}."""
+        prog = build_app(app, n=8)
+        word_bytes = min(d.element_size for d in prog.arrays.values())
+        session = CompileSession()
+        for scheme in (Scheme.BASE, Scheme.COMP_DECOMP,
+                       Scheme.COMP_DECOMP_DATA):
+            for nprocs in (2, 4, 8):
+                machine = scaled_dash(nprocs, scale=64,
+                                      word_bytes=word_bytes)
+                cfg = machine.cache
+                spmd = session.compile(prog, scheme, nprocs)
+                _, traces = program_traces(spmd, machine.numa.page_bytes)
+                live = [t for t in traces if t.n_accesses]
+                addr = np.concatenate([t.addr for t in live])
+                proc = np.concatenate([t.proc for t in live])
+                point = (scheme.value, nprocs)
+                assert np.array_equal(
+                    reuse_distances(proc, addr, cfg.line_bytes),
+                    reuse_distances_oracle(proc, addr, cfg.line_bytes),
+                ), point
+                assert np.array_equal(
+                    set_pressure(proc, addr, cfg),
+                    set_pressure_oracle(proc, addr, cfg),
+                ), point
+                for assoc in (2, 4):
+                    ways = replace(cfg, assoc=assoc)
+                    assert np.array_equal(
+                        assoc_lru_hits(proc, addr, ways),
+                        naive_lru(proc, addr, ways),
+                    ), point + (assoc,)
 
     def test_empty_stream(self):
         empty = np.zeros(0, dtype=np.int64)
