@@ -1,12 +1,16 @@
 """Tests for the exact dependence analysis."""
 
+from itertools import product
+
 import pytest
 
+from repro import apps
 from repro.analysis.dependence import (
     LOOP_INDEPENDENT,
     analyze_nest,
     dependence_distance_table,
 )
+from repro.analysis.unimodular import expose_outer_parallelism
 from repro.ir.builder import ProgramBuilder
 from repro.ir.loops import Statement
 
@@ -165,3 +169,106 @@ class TestDedupAndRepr:
         a = analyze_nest(nest, figure1_program.params)
         b = analyze_nest(nest, figure1_program.params)
         assert a is b
+
+
+# ---------------------------------------------------------------------------
+# brute-force spec on the benchmark programs' own nests
+# ---------------------------------------------------------------------------
+
+def _union(hull, key, lo, hi):
+    """Widen ``hull[key]`` to cover [lo, hi] componentwise (None = unbounded)."""
+    if key in hull:
+        olo, ohi = hull[key]
+        lo = tuple(None if a is None or b is None else min(a, b)
+                   for a, b in zip(olo, lo))
+        hi = tuple(None if a is None or b is None else max(a, b)
+                   for a, b in zip(ohi, hi))
+    hull[key] = (lo, hi)
+
+
+def enumerated_dependences(nest, params):
+    """Every dependence of ``nest``, found by walking its iterations.
+
+    A statement's instances are the distinct prefixes of its depth in
+    ``nest.iterate``.  For each ordered reference pair with at least one
+    write, every pair of instances touching the same element is a
+    dependence at the level of the first nonzero component of
+    d = t - s over the common levels (which must be positive), or
+    loop-independent when d = 0 and the source statement comes first.
+    Returns {(array, src, dst, kind, level): (dmin, dmax)}.
+    """
+    depths = [nest.depth if st.depth is None else st.depth
+              for st in nest.body]
+    instances = [{} for _ in nest.body]
+    for env in nest.iterate(params):
+        for s, d in enumerate(depths):
+            instances[s].setdefault(
+                tuple(env[v] for v in nest.loop_vars[:d]), env)
+    refs = []
+    for s, st in enumerate(nest.body):
+        for ref, write in [(st.write, True)] + [(r, False) for r in st.reads]:
+            touched = {}
+            for prefix, env in instances[s].items():
+                touched.setdefault(ref.index_at(env), []).append(prefix)
+            refs.append((s, ref.array.name, write, touched))
+    hull = {}
+    for (s1, a1, w1, t1), (s2, a2, w2, t2) in product(refs, repeat=2):
+        if a1 != a2 or not (w1 or w2):
+            continue
+        kind = "output" if w1 and w2 else "flow" if w1 else "anti"
+        common = min(depths[s1], depths[s2])
+        for elem, sources in t1.items():
+            for t in t2.get(elem, ()):
+                for s in sources:
+                    d = tuple(t[j] - s[j] for j in range(common))
+                    lead = next((j for j, x in enumerate(d) if x), None)
+                    if lead is None:
+                        if s1 >= s2:
+                            continue
+                        level = LOOP_INDEPENDENT
+                    elif d[lead] < 0:
+                        continue
+                    else:
+                        level = lead
+                    _union(hull, (a1, s1, s2, kind, level), d, d)
+    return hull
+
+
+def analyzed_dependences(nest, params):
+    """``analyze_nest`` in the same shape, ranges unioned per key."""
+    hull = {}
+    for dep in analyze_nest(nest, params):
+        key = (dep.array, dep.src_stmt, dep.dst_stmt, dep.kind, dep.level)
+        _union(hull, key, dep.dmin, dep.dmax)
+    return hull
+
+
+def app_nests(name, n):
+    """Every nest of the built app, plus its restructured form where the
+    unimodular pass permutes it."""
+    prog = apps.build_app(name, n=n)
+    for nest in prog.nests:
+        yield nest, prog.params
+        new = expose_outer_parallelism(nest, prog.params).nest
+        if new is not nest:
+            yield new, prog.params
+
+
+class TestRealNests:
+    """``analyze_nest`` equals the brute-force enumeration on every
+    benchmark nest: same dependence keys, and per key the union of the
+    reported distance ranges is exactly the enumerated hull."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("app", sorted(apps.ALL_APPS))
+    def test_matches_enumeration(self, app, n):
+        for nest, params in app_nests(app, n):
+            want = enumerated_dependences(nest, params)
+            got = analyzed_dependences(nest, params)
+            assert set(got) == set(want), (
+                nest.name,
+                sorted(set(got) - set(want)),
+                sorted(set(want) - set(got)),
+            )
+            for key in want:
+                assert got[key] == want[key], (nest.name, key)
