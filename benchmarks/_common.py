@@ -5,10 +5,11 @@ paper's Section 6 (see DESIGN.md's experiment index and EXPERIMENTS.md
 for the recorded paper-vs-measured comparison).  The speedup series are
 printed AND saved under ``results/`` because pytest captures stdout.
 
-Problem sizes are scaled down from the paper's (the simulator is pure
-Python); each benchmark documents its scaling and preserves the ratios
-that drive the memory-system effects being measured (array/cache size,
-line/element size, page/partition size).
+Problem sizes are scaled down from the paper's to keep the figure suite
+fast (the paper-size runs are tracked in ROADMAP.md); each benchmark
+documents its scaling and preserves the ratios that drive the
+memory-system effects being measured (array/cache size, line/element
+size, page/partition size).
 """
 
 import pytest

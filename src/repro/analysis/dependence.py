@@ -1,17 +1,21 @@
-"""Exact data-dependence analysis for affine loop nests.
+"""Data-dependence analysis for affine loop nests.
 
 For every pair of references to the same array (at least one a write)
-the tester builds the system
+the tester builds one system over the source instance ``s`` and the
+distances ``d``, writing the sink's common indices ``t_j = s_j + d_j``:
+subscript equations ``F1 @ s + f1 = F2 @ t + f2`` (each first put
+through a GCD pretest) and both sides' loop bounds (triangular bounds
+supported).  It projects the system onto ``d`` once and answers every
+level from that projection: loop-independent when ``d = 0`` satisfies
+it, carried at level k when it stays feasible with ``d_j = 0`` for
+j < k and ``d_k >= 1``.  Each component's rational range is rounded
+inward to integers, so consumers get a constant distance vector
+whenever one exists and a conservative direction vector otherwise.
 
-* subscript equations  ``F1 @ i + f1 = F2 @ i' + f2``
-* loop bounds for both iteration vectors (triangular bounds supported)
-* per-level ordering constraints (``i'_j = i_j`` for j < k, ``i'_k > i_k``)
-
-and decides feasibility exactly (GCD pretest on each subscript equation,
-then Fourier–Motzkin over the rationals).  For each feasible carried
-level it reports the per-component range of the dependence distance
-``d = i' - i``, so consumers get a constant distance vector whenever one
-exists and a conservative direction vector otherwise.
+After the GCD pretest the test is exact over the rationals, not the
+integers (see :mod:`repro.analysis.fourier_motzkin`): it never misses a
+dependence, but can report one with no integer instance, whose range
+may even read ``dmin > dmax``.
 
 This is the information both the BASE parallelizer (Section 6.1) and the
 decomposition phase (Section 3) consume.
@@ -20,11 +24,10 @@ decomposition phase (Section 3) consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.fourier_motzkin import LinearSystem
+from repro.analysis.fourier_motzkin import LinearSystem, bounds
 from repro.ir.expr import AffineExpr
 from repro.ir.loops import LoopNest, Statement
 
@@ -83,16 +86,18 @@ class Dependence:
 
 def _expr_linear(
     expr: AffineExpr,
-    rename: Mapping[str, str],
+    rename: Mapping[str, Sequence[str]],
     params: Mapping[str, int],
 ) -> Tuple[Dict[str, int], int]:
-    """Split an affine expression into (renamed loop-var coeffs, constant),
-    substituting concrete parameter values."""
+    """Split an affine expression into (coeffs over the renamed loop
+    variables, constant), substituting concrete parameter values.  Each
+    loop variable stands for the sum of the names it is renamed to."""
     coeffs: Dict[str, int] = {}
     const = expr.const
     for v, c in expr.coeffs:
         if v in rename:
-            coeffs[rename[v]] = coeffs.get(rename[v], 0) + c
+            for name in rename[v]:
+                coeffs[name] = coeffs.get(name, 0) + c
         elif v in params:
             const += c * params[v]
         else:
@@ -106,35 +111,30 @@ def _stmt_depth(stmt: Statement, nest: LoopNest) -> int:
 
 def _gcd_test(coeffs: Dict[str, int], const: int) -> bool:
     """True if ``sum coeffs*v + const == 0`` can have integer solutions."""
-    g = 0
-    for c in coeffs.values():
-        g = gcd(g, abs(c))
-    if g == 0:
-        return const == 0
-    return const % g == 0
+    g = gcd(*coeffs.values())
+    return const % g == 0 if g else const == 0
 
 
 def _add_side_bounds(
     sys: LinearSystem,
     nest: LoopNest,
-    depth: int,
-    prefix: str,
+    rename: Mapping[str, Sequence[str]],
     params: Mapping[str, int],
 ) -> None:
-    """Add loop-bound constraints for one side's iteration vector."""
-    rename = {nest.loops[k].var: f"{prefix}{k}" for k in range(depth)}
-    for k in range(depth):
+    """Add loop-bound constraints for one side's iteration vector (the
+    first ``len(rename)`` loops of the nest)."""
+    for k in range(len(rename)):
         loop = nest.loops[k]
-        var = f"{prefix}{k}"
         lc, lk = _expr_linear(loop.lower, rename, params)
         # var >= lower  ->  lower - var <= 0
-        lo = dict(lc)
-        lo[var] = lo.get(var, 0) - 1
-        sys.add_le(lo, lk)
+        for v in rename[loop.var]:
+            lc[v] = lc.get(v, 0) - 1
+        sys.add_le(lc, lk)
         uc, uk = _expr_linear(loop.upper, rename, params)
         # var <= upper  ->  var - upper <= 0
         hi = {v: -c for v, c in uc.items()}
-        hi[var] = hi.get(var, 0) + 1
+        for v in rename[loop.var]:
+            hi[v] = hi.get(v, 0) + 1
         sys.add_le(hi, -uk)
 
 
@@ -142,89 +142,77 @@ def _add_side_bounds(
 # core test
 # ---------------------------------------------------------------------------
 
-def _test_pair(
-    nest: LoopNest,
-    params: Mapping[str, int],
-    s1: int,
-    s2: int,
-    ref1,
-    ref2,
-    kind: str,
-) -> List[Dependence]:
-    """All dependences from (stmt s1, ref1) to (stmt s2, ref2)."""
-    depth1 = _stmt_depth(nest.body[s1], nest)
-    depth2 = _stmt_depth(nest.body[s2], nest)
+def _pair_space(
+    nest: LoopNest, params: Mapping[str, int], depth1: int, depth2: int,
+) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, Tuple[str, ...]],
+           LinearSystem]:
+    """Renamings and loop bounds shared by every reference pair from a
+    statement of depth ``depth1`` (instance ``s``) to one of depth
+    ``depth2`` (instance ``t``), whose common indices are written
+    ``t_j = s_j + d_j`` so that the distances ``d_j`` are variables."""
     ncommon = min(depth1, depth2)
+    rename1 = {nest.loops[k].var: (f"s{k}",) for k in range(depth1)}
+    rename2 = {
+        nest.loops[k].var: (f"s{k}", f"d{k}") if k < ncommon else (f"t{k}",)
+        for k in range(depth2)
+    }
+    sys = LinearSystem()
+    _add_side_bounds(sys, nest, rename1, params)
+    _add_side_bounds(sys, nest, rename2, params)
+    return rename1, rename2, sys
 
-    rename1 = {nest.loops[k].var: f"s{k}" for k in range(depth1)}
-    rename2 = {nest.loops[k].var: f"t{k}" for k in range(depth2)}
 
-    # Subscript equations + GCD pretest.
-    equations: List[Tuple[Dict[str, int], int]] = []
+def _test_pair(space, params: Mapping[str, int], s1: int, s2: int,
+               ref1, ref2, kind: str) -> List[Dependence]:
+    """All dependences from (stmt s1, ref1) to (stmt s2, ref2).
+
+    The pair's system is projected onto the distances once; every
+    level is answered from that projection.
+    """
+    rename1, rename2, sys = space
+    ncommon = min(len(rename1), len(rename2))
+    # Subscript equations + GCD pretest (writing t = s + d is unimodular,
+    # so it leaves each equation's coefficient gcd unchanged).
+    sys = sys.copy()
     for e1, e2 in zip(ref1.index_exprs, ref2.index_exprs):
-        c1, k1 = _expr_linear(e1, rename1, params)
+        coeffs, k1 = _expr_linear(e1, rename1, params)
         c2, k2 = _expr_linear(e2, rename2, params)
-        coeffs = dict(c1)
         for v, c in c2.items():
             coeffs[v] = coeffs.get(v, 0) - c
-        const = k1 - k2
-        if not _gcd_test(coeffs, const):
+        if not _gcd_test(coeffs, k1 - k2):
             return []
-        equations.append((coeffs, const))
-
-    base = LinearSystem()
-    _add_side_bounds(base, nest, depth1, "s", params)
-    _add_side_bounds(base, nest, depth2, "t", params)
-    for coeffs, const in equations:
-        base.add_eq(coeffs, const)
+        sys.add_eq(coeffs, k1 - k2)
+    dist = sys.project([f"d{j}" for j in range(ncommon)])
+    if dist is None:
+        return []
 
     out: List[Dependence] = []
     levels: List[int] = list(range(ncommon))
     # Loop-independent dependences only flow forward in the body.
     if s1 < s2:
         levels.append(LOOP_INDEPENDENT)
-
     for level in levels:
-        sys = base.copy()
         if level == LOOP_INDEPENDENT:
-            for j in range(ncommon):
-                sys.add_eq({f"t{j}": 1, f"s{j}": -1}, 0)
+            # d = 0 must satisfy every row of the projection.
+            if any(row[-1] > 0 for row in dist):
+                continue
+            ranges = [(0, 0)] * ncommon
         else:
-            for j in range(level):
-                sys.add_eq({f"t{j}": 1, f"s{j}": -1}, 0)
-            # carried: t_level - s_level >= 1
-            sys.add_ge({f"t{level}": 1, f"s{level}": -1}, -1)
-        if not sys.feasible():
-            continue
-        dmin: List[Optional[int]] = []
-        dmax: List[Optional[int]] = []
-        for j in range(ncommon):
-            if level == LOOP_INDEPENDENT or j < level:
-                dmin.append(0)
-                dmax.append(0)
+            # d_0 .. d_{level-1} = 0 drops their columns; d_level >= 1.
+            rows = [row[level:] for row in dist]
+            rows.append((-1,) + (0,) * (ncommon - level - 1) + (1,))
+            first = bounds(rows, 0)
+            if first is None:
                 continue
-            res = sys.objective_bounds({f"t{j}": 1, f"s{j}": -1})
-            if res is None:  # cannot happen (feasible checked) but be safe
-                dmin.append(None)
-                dmax.append(None)
-                continue
-            lo, hi = res
-            # Distances are integers; tighten the rational bounds.
-            import math
-
-            dmin.append(None if lo is None else math.ceil(lo))
-            dmax.append(None if hi is None else math.floor(hi))
-        out.append(
-            Dependence(
-                array=ref1.array.name,
-                src_stmt=s1,
-                dst_stmt=s2,
-                kind=kind,
-                level=level,
-                dmin=tuple(dmin),
-                dmax=tuple(dmax),
-            )
-        )
+            ranges = [(0, 0)] * level + [first] + [
+                bounds(rows, j) for j in range(1, ncommon - level)]
+        # Distances are integers; tighten the rational bounds.
+        out.append(Dependence(
+            array=ref1.array.name, src_stmt=s1, dst_stmt=s2, kind=kind,
+            level=level,
+            dmin=tuple(None if lo is None else ceil(lo) for lo, _ in ranges),
+            dmax=tuple(None if hi is None else floor(hi) for _, hi in ranges),
+        ))
     return out
 
 
@@ -246,6 +234,7 @@ def analyze_nest(
     if cache is not None and key in cache:
         return cache[key]
     deps: List[Dependence] = []
+    spaces: Dict[Tuple[int, int], tuple] = {}
     nstmt = len(nest.body)
     for s1 in range(nstmt):
         st1 = nest.body[s1]
@@ -253,25 +242,16 @@ def analyze_nest(
         for s2 in range(nstmt):
             st2 = nest.body[s2]
             refs2 = [(st2.write, True)] + [(r, False) for r in st2.reads]
+            depths = (_stmt_depth(st1, nest), _stmt_depth(st2, nest))
             for ref1, w1 in refs1:
                 for ref2, w2 in refs2:
-                    if not (w1 or w2):
+                    if not (w1 or w2) or ref1.array.name != ref2.array.name:
                         continue
-                    if ref1.array.name != ref2.array.name:
-                        continue
-                    if s1 == s2 and ref1 is ref2 and w1 and w2:
-                        # A write depends on itself only across iterations;
-                        # the carried-level tests below cover that, but the
-                        # "same instance" case is vacuous.
-                        pass
-                    kind = (
-                        "flow" if (w1 and not w2)
-                        else "anti" if (not w1 and w2)
-                        else "output"
-                    )
-                    deps.extend(
-                        _test_pair(nest, params, s1, s2, ref1, ref2, kind)
-                    )
+                    kind = "output" if w1 and w2 else "flow" if w1 else "anti"
+                    if depths not in spaces:
+                        spaces[depths] = _pair_space(nest, params, *depths)
+                    deps.extend(_test_pair(
+                        spaces[depths], params, s1, s2, ref1, ref2, kind))
     result = _dedup(deps)
     if cache is None:
         cache = {}

@@ -1,65 +1,168 @@
-"""Fourier–Motzkin elimination over the rationals.
+"""Fourier–Motzkin elimination on integer rows, exact over the rationals.
 
-The exact dependence test reduces to questions about small systems of
-linear equalities (subscript equations) and inequalities (loop bounds,
-ordering constraints):
+The dependence test projects each reference pair's system (subscript
+equations, loop bounds) once onto the pair's distance variables with
+:meth:`LinearSystem.project` and answers every level from that
+projection with :func:`bounds`.  Feasibility and objective bounds are
+the same elimination with nothing, or one objective column, kept.
 
-* is the system feasible?
-* what are the extreme values of an affine objective over it?
+A row is a tuple of ints ``(c_0, ..., c_{n-1}, k)`` over a fixed column
+order, meaning ``sum c_i*x_i + k <= 0`` (or ``== 0``).  Each combined
+row is divided by the gcd of *all* its entries, ``k`` included, which
+changes no solution.  Rounding ``k`` after dividing only the
+coefficients (integer tightening) is never done, so every answer is
+exact over the rationals, not the integers: after the dependence
+test's per-equation GCD pretest, a pair with rational but no integer
+solutions still reads as a dependence.
 
-Both are answered exactly here by Gaussian substitution of the
-equalities followed by Fourier–Motzkin elimination of the inequalities.
-Systems are tiny (at most ~10 variables for a pair of 4-deep nests), so
-the doubly-exponential worst case is irrelevant.
+Equalities are removed by integer pivoting.  Each Fourier–Motzkin step,
+in the given column order, combines every upper/lower pair of rows with
+positive multipliers, drops rows left with no variables (or reports the
+contradiction) and keeps only the tightest ``k`` per coefficient vector.
+Systems are tiny (at most ~10 variables for a pair of 4-deep nests).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from math import gcd
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-Coeffs = Dict[str, Fraction]
+Row = Tuple[int, ...]
+Bounds = Tuple[Optional[Fraction], Optional[Fraction]]
 
 
-class Infeasible(Exception):
-    """Raised internally when constraint normalization finds 0 <= -c < 0."""
+def _combine(a: int, u: Row, b: int, v: Row) -> Row:
+    """``a*u + b*v``, divided by the gcd of all its entries."""
+    if a == b == 1:
+        row = tuple(map(add, u, v))
+    else:
+        row = tuple([a * x + b * y for x, y in zip(u, v)])
+    g = gcd(*row)
+    return row if g <= 1 else tuple([x // g for x in row])
+
+
+def _tighten(rows: Iterable[Row]) -> Optional[List[Row]]:
+    """Drop constant rows and keep the tightest ``k`` per coefficient
+    vector; None when a constant row reads ``k <= 0`` with ``k > 0``."""
+    best: Dict[Row, Row] = {}
+    for row in rows:
+        c = row[:-1]
+        if any(c):
+            old = best.get(c)
+            if old is None or old[-1] < row[-1]:
+                best[c] = row
+        elif row[-1] > 0:
+            return None
+    return list(best.values())
+
+
+def _eliminate(
+    equalities: Sequence[Row], inequalities: Sequence[Row],
+    drop: Iterable[int],
+) -> Optional[List[Row]]:
+    """Project ``{equalities == 0, inequalities <= 0}`` onto the columns
+    not in ``drop``.
+
+    Returns the projection as inequality rows over the same columns
+    (zero in every dropped one), or None when the system is empty.
+    """
+    drop = list(drop)
+    eqs = list(equalities)
+    ineqs = list(inequalities)
+    while eqs:
+        e = eqs.pop()
+        p = next((i for i in drop if e[i]), None)
+        if p is None:
+            if any(e[:-1]):  # over kept columns only: two inequalities
+                ineqs.append(e)
+                ineqs.append(tuple([-x for x in e]))
+            elif e[-1]:
+                return None
+            continue
+        drop.remove(p)
+        a = e[p]
+        if a < 0:
+            a, e = -a, tuple([-x for x in e])
+        eqs = [_combine(a, r, -r[p], e) if r[p] else r for r in eqs]
+        ineqs = [_combine(a, r, -r[p], e) if r[p] else r for r in ineqs]
+    if not drop:
+        return _tighten(ineqs)
+    rows = ineqs
+    for i in drop:
+        upper, lower, rest = [], [], []
+        for r in rows:
+            x = r[i]
+            (upper if x > 0 else lower if x < 0 else rest).append(r)
+        rows = _tighten(rest + [_combine(-lo[i], u, u[i], lo)
+                                for u in upper for lo in lower])
+        if rows is None:
+            return None
+    return rows
+
+
+def bounds(inequalities: Sequence[Row], col: int) -> Optional[Bounds]:
+    """Exact (min, max) of column ``col`` over ``{inequalities <= 0}``.
+
+    None when the system is empty; otherwise a pair of Fractions, with
+    None for an unbounded direction.
+    """
+    n = len(inequalities[0]) - 1 if inequalities else 0
+    rows = inequalities
+    if n > 1:
+        rows = _eliminate((), rows, [j for j in range(n) if j != col])
+        if rows is None:
+            return None
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    for row in rows:  # a*x + k <= 0
+        a, k = row[col], row[-1]
+        if a:
+            bound = Fraction(-k, a)
+            if a > 0:
+                hi = bound if hi is None else min(hi, bound)
+            else:
+                lo = bound if lo is None else max(lo, bound)
+        elif k > 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
 
 
 class LinearSystem:
-    """A conjunction of affine equalities and <=-inequalities.
+    """A conjunction of affine equalities and <=-inequalities over named
+    variables, with integer coefficients.
 
     Constraints are stored as (coeffs, const) meaning
     ``sum(coeffs[v] * v) + const <= 0`` (or ``== 0`` for equalities).
     """
 
     def __init__(self) -> None:
-        self.inequalities: List[Tuple[Coeffs, Fraction]] = []
-        self.equalities: List[Tuple[Coeffs, Fraction]] = []
+        self.inequalities: List[Tuple[Dict[str, int], int]] = []
+        self.equalities: List[Tuple[Dict[str, int], int]] = []
 
     # -- construction -------------------------------------------------------
 
-    @staticmethod
-    def _norm(coeffs: Dict[str, object], const) -> Tuple[Coeffs, Fraction]:
-        c = {v: Fraction(x) for v, x in coeffs.items() if Fraction(x) != 0}
-        return c, Fraction(const)
-
-    def add_le(self, coeffs: Dict[str, object], const) -> None:
+    def add_le(self, coeffs: Dict[str, int], const: int) -> None:
         """Add ``sum coeffs*v + const <= 0``."""
-        self.inequalities.append(self._norm(coeffs, const))
+        self.inequalities.append(({v: x for v, x in coeffs.items() if x},
+                                  const))
 
-    def add_ge(self, coeffs: Dict[str, object], const) -> None:
+    def add_ge(self, coeffs: Dict[str, int], const: int) -> None:
         """Add ``sum coeffs*v + const >= 0``."""
-        c, k = self._norm(coeffs, const)
-        self.inequalities.append(({v: -x for v, x in c.items()}, -k))
+        self.add_le({v: -x for v, x in coeffs.items()}, -const)
 
-    def add_eq(self, coeffs: Dict[str, object], const) -> None:
+    def add_eq(self, coeffs: Dict[str, int], const: int) -> None:
         """Add ``sum coeffs*v + const == 0``."""
-        self.equalities.append(self._norm(coeffs, const))
+        self.equalities.append(({v: x for v, x in coeffs.items() if x},
+                                const))
 
     def copy(self) -> "LinearSystem":
         out = LinearSystem()
-        out.inequalities = [(dict(c), k) for c, k in self.inequalities]
-        out.equalities = [(dict(c), k) for c, k in self.equalities]
+        out.inequalities = list(self.inequalities)
+        out.equalities = list(self.equalities)
         return out
 
     def variables(self) -> List[str]:
@@ -70,143 +173,46 @@ class LinearSystem:
 
     # -- solving ---------------------------------------------------------------
 
-    def _substituted_inequalities(self) -> Optional[List[Tuple[Coeffs, Fraction]]]:
-        """Gauss-eliminate the equalities into the inequalities.
+    def project(self, keep: Sequence[str]) -> Optional[List[Row]]:
+        """Exact projection onto the variables ``keep``.
 
-        Returns the reduced inequality list, or None when the equalities
-        alone are inconsistent (over Q).
+        Returns inequality rows over ``keep`` in that order (constant
+        last), or None when the system is empty.
         """
-        eqs = [(dict(c), k) for c, k in self.equalities]
-        ineqs = [(dict(c), k) for c, k in self.inequalities]
-        # Triangularize equalities, substituting into everything else.
-        for idx in range(len(eqs)):
-            c, k = eqs[idx]
-            # Never pick the objective marker as a pivot: substituting it
-            # away would erase the variable whose bounds we are computing.
-            candidates = sorted(v for v in c if v != "__objective__")
-            pivot = candidates[0] if candidates else None
-            if pivot is None:
-                if not c:
-                    if k != 0:
-                        return None
-                    continue
-                # Equality over the objective alone: keep it as a pair of
-                # inequalities so the bounds survive elimination.
-                ineqs.append((dict(c), k))
-                ineqs.append(({v: -x for v, x in c.items()}, -k))
-                continue
-            pc = c[pivot]
-            # pivot = -(k + sum others)/pc ; substitute everywhere.
-            def subst(target: Tuple[Coeffs, Fraction]) -> Tuple[Coeffs, Fraction]:
-                tc, tk = target
-                if pivot not in tc:
-                    return target
-                factor = tc[pivot] / pc
-                nc = dict(tc)
-                del nc[pivot]
-                for v, x in c.items():
-                    if v == pivot:
-                        continue
-                    nc[v] = nc.get(v, Fraction(0)) - factor * x
-                    if nc[v] == 0:
-                        del nc[v]
-                return nc, tk - factor * k
-            for j in range(idx + 1, len(eqs)):
-                eqs[j] = subst(eqs[j])
-            ineqs = [subst(t) for t in ineqs]
-        return ineqs
+        names: Dict[str, None] = {}
+        for c, _ in self.equalities + self.inequalities:
+            names.update(dict.fromkeys(c))
+        others = [v for v in names if v not in keep]
+        index = {v: i for i, v in enumerate(others + list(keep))}
+        zero = [0] * len(index)
 
-    @staticmethod
-    def _eliminate(
-        ineqs: List[Tuple[Coeffs, Fraction]], var: str
-    ) -> Optional[List[Tuple[Coeffs, Fraction]]]:
-        """One Fourier–Motzkin step; None if an immediate contradiction
-        (constant constraint c <= 0 with c > 0) appears."""
-        lower = []  # coeff < 0: gives var >= bound
-        upper = []  # coeff > 0: gives var <= bound
-        rest = []
-        for c, k in ineqs:
-            a = c.get(var, Fraction(0))
-            if a > 0:
-                upper.append((c, k, a))
-            elif a < 0:
-                lower.append((c, k, a))
-            else:
-                rest.append((c, k))
-        out = list(rest)
-        for cu, ku, au in upper:
-            for cl, kl, al in lower:
-                # combine: au*(lower) - al*(upper) eliminates var
-                nc: Coeffs = {}
-                for v in set(cu) | set(cl):
-                    if v == var:
-                        continue
-                    x = cu.get(v, Fraction(0)) / au - cl.get(v, Fraction(0)) / al
-                    if x != 0:
-                        nc[v] = x
-                nk = ku / au - kl / al
-                if not nc:
-                    if nk > 0:
-                        return None
-                    continue
-                out.append((nc, nk))
-        # Constant contradictions in `rest`.
-        for c, k in rest:
-            if not c and k > 0:
-                return None
-        return out
+        def row(coeffs: Dict[str, int], const: int) -> Row:
+            r = zero + [const]
+            for v, x in coeffs.items():
+                r[index[v]] = x
+            return tuple(r)
+
+        m = len(others)
+        rows = _eliminate([row(*c) for c in self.equalities],
+                         [row(*c) for c in self.inequalities], range(m))
+        return None if rows is None else [r[m:] for r in rows]
 
     def feasible(self) -> bool:
         """Rational feasibility of the full system."""
-        ineqs = self._substituted_inequalities()
-        if ineqs is None:
-            return False
-        for c, k in ineqs:
-            if not c and k > 0:
-                return False
-        vs = sorted({v for c, _ in ineqs for v in c})
-        for v in vs:
-            result = self._eliminate(ineqs, v)
-            if result is None:
-                return False
-            ineqs = result
-        return all(k <= 0 for c, k in ineqs if not c)
+        return self.project(()) is not None
 
     def objective_bounds(
-        self, coeffs: Dict[str, object], const=0
-    ) -> Optional[Tuple[Optional[Fraction], Optional[Fraction]]]:
+        self, coeffs: Dict[str, int], const: int = 0
+    ) -> Optional[Bounds]:
         """Exact (min, max) of an affine objective over the solution set.
 
         Returns None when the system is infeasible; otherwise a pair
         whose entries are Fractions or None for unbounded directions.
         """
-        sys2 = self.copy()
-        obj = "__objective__"
-        c = {v: -Fraction(x) for v, x in coeffs.items()}
-        c[obj] = Fraction(1)
-        sys2.add_eq(c, -Fraction(const))
-        ineqs = sys2._substituted_inequalities()
-        if ineqs is None:
-            return None
-        vs = sorted({v for cc, _ in ineqs for v in cc if v != obj})
-        for v in vs:
-            result = self._eliminate(ineqs, v)
-            if result is None:
-                return None
-            ineqs = result
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for cc, k in ineqs:
-            a = cc.get(obj, Fraction(0))
-            if a == 0:
-                if not cc and k > 0:
-                    return None
-                continue
-            bound = -k / a
-            if a > 0:  # obj <= bound
-                hi = bound if hi is None else min(hi, bound)
-            else:  # obj >= bound
-                lo = bound if lo is None else max(lo, bound)
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        return lo, hi
+        objective = self.copy()
+        z = object()  # a column no caller can name
+        objective.equalities.append(
+            ({z: 1, **{v: -x for v, x in coeffs.items() if x}}, -const)
+        )
+        rows = objective.project([z])
+        return None if rows is None else bounds(rows, 0)

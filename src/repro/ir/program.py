@@ -34,11 +34,18 @@ class Program:
             if nest.name in names:
                 raise ValueError(f"duplicate nest name {nest.name}")
             names.add(nest.name)
-            loop_vars = set(nest.loop_vars)
-            if len(loop_vars) != nest.depth:
+            if len(set(nest.loop_vars)) != nest.depth:
                 raise ValueError(f"{nest.name}: duplicate loop variable")
-            visible = set(self.params) | loop_vars
-            for st in nest.body:
+            for k, st in enumerate(nest.body):
+                where = f"{nest.name}: statement {k}" + (
+                    f" ({st.label})" if st.label else "")
+                depth = nest.depth if st.depth is None else st.depth
+                if not 0 <= depth <= nest.depth:
+                    raise ValueError(
+                        f"{where} has depth {depth}, outside 0..{nest.depth}"
+                    )
+                # A statement of depth d sits inside the first d loops only.
+                visible = set(self.params) | set(nest.loop_vars[:depth])
                 for ref in st.all_refs():
                     decl = self.arrays.get(ref.array.name)
                     if decl is None:
@@ -55,8 +62,8 @@ class Program:
                         for v in e.variables:
                             if v not in visible:
                                 raise ValueError(
-                                    f"{nest.name}: unbound variable {v} "
-                                    f"in {ref!r}"
+                                    f"{where}: unbound variable {v} "
+                                    f"in {ref!r} at depth {depth}"
                                 )
             # Bounds must be evaluable from params + outer loop vars.
             outer: set = set(self.params)

@@ -1,10 +1,11 @@
 """DASH machine configurations.
 
-The experiments run on scaled-down problem sizes (the simulator is pure
-Python), so the machine is scaled with them: what matters for the
-paper's effects is the *ratio* of array size to cache size (conflict
-misses), of line size to element size (false sharing/spatial locality),
-and of block size to page size (NUMA homing).  :func:`scaled_dash`
+The experiments run on scaled-down problem sizes, which keeps the
+figure suite fast (the paper-size runs are tracked in ROADMAP.md), so
+the machine is scaled with them: what matters for the paper's effects
+is the *ratio* of array size to cache size (conflict misses), of line
+size to element size (false sharing/spatial locality), and of block
+size to page size (NUMA homing).  :func:`scaled_dash`
 keeps those ratios while shrinking absolute sizes; latency ratios stay
 at DASH's 1:30:100.
 """

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.dependence import analyze_nest
 from repro.ir.arrays import ArrayDecl
 from repro.ir.builder import ProgramBuilder
 from repro.ir.expr import Var
@@ -110,6 +111,40 @@ class TestProgramValidate:
                 [pb.assign(a(i, j), [a(i, j)], None)])
         with pytest.raises(ValueError, match="not an outer index"):
             pb.build()
+
+
+class TestStatementDepth:
+    """``validate`` rejects the statement depths ``analyze_nest`` cannot
+    handle, naming the nest and the statement."""
+
+    @staticmethod
+    def _build(depth, subscript):
+        pb = ProgramBuilder("t", params={"N": 4})
+        a = pb.array("A", (4, 4))
+        i, j = pb.vars("I", "J")
+        nest = pb.nest("n2", [("I", 0, 3), ("J", 0, 3)],
+                       [pb.assign(a(i, j), [a(i, j)], None)])
+        ref = a(*subscript(i, j))
+        nest.body.append(Statement(write=ref, reads=(ref,), depth=depth,
+                                   label="odd"))
+        return pb
+
+    @pytest.mark.parametrize("depth, subscript", [
+        (3, lambda i, j: (i, j)),
+        (-1, lambda i, j: (i, j)),
+        (1, lambda i, j: (i, j)),
+    ], ids=["deeper-than-nest", "negative", "uses-inner-loop-var"])
+    def test_rejected(self, depth, subscript):
+        with pytest.raises(ValueError, match=r"^n2: statement 1 \(odd\)"):
+            self._build(depth, subscript).build()
+
+    def test_depth_zero_with_constant_subscripts(self):
+        prog = self._build(0, lambda i, j: (0, 1)).build()
+        deps = analyze_nest(prog.nests[0], prog.params)
+        # It runs once, so it only meets the loop body's instances
+        # loop-independently, with no common loops.
+        assert {(d.src_stmt, d.dst_stmt, d.level, d.dmin) for d in deps
+                if 1 in (d.src_stmt, d.dst_stmt)} == {(0, 1, -1, ())}
 
 
 class TestProgramQueries:
