@@ -169,11 +169,11 @@ def _test_pair(space, params: Mapping[str, int], s1: int, s2: int,
     The pair's system is projected onto the distances once; every
     level is answered from that projection.
     """
-    rename1, rename2, sys = space
+    rename1, rename2, loop_bounds = space
     ncommon = min(len(rename1), len(rename2))
     # Subscript equations + GCD pretest (writing t = s + d is unimodular,
     # so it leaves each equation's coefficient gcd unchanged).
-    sys = sys.copy()
+    sys = loop_bounds.copy()
     for e1, e2 in zip(ref1.index_exprs, ref2.index_exprs):
         coeffs, k1 = _expr_linear(e1, rename1, params)
         c2, k2 = _expr_linear(e2, rename2, params)
