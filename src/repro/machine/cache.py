@@ -17,9 +17,11 @@ the earlier accesses of one group (same set and processor, same line,
 ...).  :func:`group_index` sorts the stream once per group key, with
 each key narrowed so that NumPy radix-sorts keys below 2^16; two scans
 over that order, :func:`prev_in_group` and :func:`last_flagged_before`,
-answer the rest.  :func:`stack_distances` adds one merge count over
-that order, the LRU stack distance that both the set-associative hits
-and :mod:`repro.machine.locality`'s reuse distances read.
+answer the rest, and :func:`last_in_group` gives each group's last
+(flagged) position, where a repeated stream wraps round to.
+:func:`stack_distances` adds one merge count over that order, the LRU
+stack distance that both the set-associative hits and
+:mod:`repro.machine.locality`'s reuse distances read.
 """
 
 from __future__ import annotations
@@ -118,14 +120,48 @@ def last_flagged_before(
     return out
 
 
+def last_in_group(
+    order: np.ndarray, start: np.ndarray, flag: "np.ndarray | None" = None
+) -> np.ndarray:
+    """The last position of every :func:`group_index` group, in group
+    order, or with ``flag`` its last position j with ``flag[j]``, -1 if
+    it has none.  ``order[start]`` gives the first positions."""
+    if flag is None:
+        return order[np.roll(start, -1)]
+    return np.maximum.reduceat(np.where(flag[order], order, -1),
+                               np.flatnonzero(start))
+
+
+def repeat_rounds(
+    first: np.ndarray, later: np.ndarray, rounds: int
+) -> np.ndarray:
+    """Per-access flags of ``rounds`` back-to-back rounds of a stream:
+    ``first`` for the first round, then ``later`` for each other."""
+    return np.concatenate([first] + [later] * (rounds - 1))
+
+
 def direct_mapped_hits(
-    proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig
+    proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig, rounds: int = 1
 ) -> np.ndarray:
     """Tag-match hit flags for every access of a merged multi-processor
-    stream (in stream order), ignoring coherence."""
+    stream (in stream order), ignoring coherence.
+
+    With ``rounds`` > 1 the flags are those of the stream repeated
+    ``rounds`` times back-to-back.  Every round after the first differs
+    from it only at each (set, processor) group's first access, whose
+    previous access wraps round to the group's last one."""
     line = cfg.line_of(addr)
-    prev = prev_in_group(*group_index(cfg.set_of(line), proc))
-    return (prev >= 0) & (line[prev] == line)
+    order, start = group_index(cfg.set_of(line), proc)
+    prev = prev_in_group(order, start)
+    if rounds > 1:
+        first, last = order[start], last_in_group(order, start)
+    del order, start
+    hit = (prev >= 0) & (line[prev] == line)
+    if rounds == 1:
+        return hit
+    later = hit.copy()
+    later[first] = line[last] == line[first]
+    return repeat_rounds(hit, later, rounds)
 
 
 def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
@@ -180,13 +216,24 @@ def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
 
 
 def assoc_lru_hits(
-    proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig
+    proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig, rounds: int = 1
 ) -> np.ndarray:
     """LRU set-associative tag-match hit flags for every access of a
     merged multi-processor stream (in stream order), ignoring coherence.
     By LRU's stack property an A-way set hits exactly when the processor
     touched fewer than A other lines of the set since its previous
-    access to the line."""
+    access to the line.
+
+    With ``rounds`` > 1 the flags are those of the stream repeated
+    ``rounds`` times.  The distances are taken over two copies: every
+    later round sees the same lines since its previous access as the
+    second does."""
+    n = len(addr)
+    if rounds > 1:
+        proc, addr = np.tile(proc, 2), np.tile(addr, 2)
     line = cfg.line_of(addr)
     dist = stack_distances(line, cfg.set_of(line), proc)
-    return (dist >= 0) & (dist < cfg.assoc)
+    hit = (dist >= 0) & (dist < cfg.assoc)
+    if rounds == 1:
+        return hit
+    return repeat_rounds(hit[:n], hit[n:], rounds)

@@ -10,6 +10,15 @@ private direct-mapped caches, lockstep global interleaving):
   the two agree access-for-access on random traces and on the merged
   streams of every application in :mod:`repro.apps`.
 
+A time-stepped program replays the same round of accesses again and
+again.  :func:`classify_accesses` takes one round and ``rounds``, and
+derives every later round from the first round's group orders instead
+of sorting the repeated stream.  A later round differs from the first
+only at each processor's first touch of each line in the round, whose
+previous own touch wraps round to its last touch of the line in the
+previous round.  That wrapped history is the same in every later
+round, so in the spec rounds 2, 3, ... equal round 1 flag for flag.
+
 Miss taxonomy (Section 1.1):
 
 * **cold** — processor touches a line for the first time;
@@ -23,7 +32,7 @@ Miss taxonomy (Section 1.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, Tuple
 
 import numpy as np
@@ -35,7 +44,9 @@ from repro.machine.cache import (
     direct_mapped_hits,
     group_index,
     last_flagged_before,
+    last_in_group,
     prev_in_group,
+    repeat_rounds,
 )
 
 
@@ -77,6 +88,7 @@ def classify_accesses(
     cfg: CacheConfig,
     word_bytes: int = 8,
     l2: "CacheConfig | None" = None,
+    rounds: int = 1,
 ) -> AccessClassification:
     """Classify every access of a merged, globally-ordered stream.
 
@@ -84,6 +96,17 @@ def classify_accesses(
     updated on every reference) filters first-level misses: an L1 miss
     whose line survives in L2 — and was not invalidated by another
     processor's write — is an ``l2_hit``.
+
+    ``rounds`` > 1 classifies the stream repeated ``rounds`` times
+    back-to-back, so every flag is ``rounds * len(addr)`` long, but only
+    the one round given is sorted and scanned.  A later round differs
+    from the first only at each processor's first touch of each line in
+    the round.  There its previous own touch wraps round to its last
+    touch of the line, L, in the previous round: the tag comes from the
+    same wrap, the access is not cold, and the line (or word) counts as
+    written or touched since L when it was so earlier in this round or
+    after L in the previous one.  Every later round sees exactly that
+    wrapped history, so rounds 2, 3, ... equal round 1 flag for flag.
 
     Every word must lie inside one cache line (``cfg.line_bytes`` a
     multiple of ``word_bytes``); other geometries raise ``ValueError``.
@@ -93,15 +116,29 @@ def classify_accesses(
                          f"{cfg.line_bytes}-byte cache line")
     n = len(addr)
     line = cfg.line_of(addr)
+    # Round 1 stands for every later round.
+    tag_rounds = min(rounds, 2)
 
     # Direct-mapped is the DASH default; the LRU set-associative variant
     # (model-sensitivity studies) thresholds the same stack distances as
     # the locality report.  Both are exact and vectorized.
     if cfg.assoc == 1:
-        tag_hit = direct_mapped_hits(proc, addr, cfg)
+        tag_hit = direct_mapped_hits(proc, addr, cfg, tag_rounds)
     else:
-        tag_hit = assoc_lru_hits(proc, addr, cfg)
-    prev_line_pos = prev_in_group(*group_index(line, proc))
+        tag_hit = assoc_lru_hits(proc, addr, cfg, tag_rounds)
+    l2_tag = None
+    if l2 is not None:
+        if l2.assoc == 1:
+            l2_tag = direct_mapped_hits(proc, addr, l2, tag_rounds)
+        else:
+            l2_tag = assoc_lru_hits(proc, addr, l2, tag_rounds)
+    by_line_proc = group_index(line, proc)
+    prev_line_pos = prev_in_group(*by_line_proc)
+    if rounds > 1:
+        # Each processor's first and last touch of each line.
+        first = by_line_proc[0][by_line_proc[1]]
+        last = last_in_group(*by_line_proc)
+    del by_line_proc
     # An own access to the line (or to one of its words, since no word
     # straddles two lines) is at or before prev_line_pos, so anything
     # later is another processor's: a write to the line invalidated our
@@ -110,45 +147,37 @@ def classify_accesses(
     by_line = group_index(line)
     line_written = last_flagged_before(*by_line, write) > prev_line_pos
     line_touched = prev_in_group(*by_line) > prev_line_pos
+    if rounds > 1:
+        line_written_wrap = line_written[first] | _after(
+            by_line, addr, cfg.line_bytes, first, last, write)
+        line_touched_wrap = line_touched[first] | _after(
+            by_line, addr, cfg.line_bytes, first, last)
     del by_line
-    word_written = last_flagged_before(
-        *group_index(addr // word_bytes), write) > prev_line_pos
+    by_word = group_index(addr // word_bytes)
+    word_written = last_flagged_before(*by_word, write) > prev_line_pos
+    if rounds > 1:
+        word_written_wrap = word_written[first] | _after(
+            by_word, addr, word_bytes, first, last, write)
+    del by_word
 
-    # Invalidated: the line would have survived in the cache (tag match),
-    # but another processor wrote it after this processor's last touch.
-    invalidated = tag_hit & line_written
-    cold = prev_line_pos < 0
-    hit = tag_hit & ~invalidated
-    miss = ~hit
-    true_sharing = invalidated & word_written
-    false_sharing = invalidated & ~true_sharing
-    replacement = miss & ~cold & ~invalidated
-    # Writer-side ownership acquisition: a write hit on a line someone
-    # else has touched since our previous access must invalidate their
-    # copy before proceeding.
-    upgrade = write & hit & line_touched
-
-    l2_hit = np.zeros(n, dtype=bool)
-    if l2 is not None:
-        if l2.assoc == 1:
-            l2_tag = direct_mapped_hits(proc, addr, l2)
-        else:
-            l2_tag = assoc_lru_hits(proc, addr, l2)
-        # Same invalidation predicate, at the L2 tag state: a remote
-        # write invalidates both levels.
-        l2_hit = miss & l2_tag & ~line_written
-    out = AccessClassification(
-        hit=hit,
-        cold=cold & miss,
-        replacement=replacement,
-        true_sharing=true_sharing,
-        false_sharing=false_sharing,
-        upgrade=upgrade,
-        l2_hit=l2_hit,
-    )
+    out = _outcome(tag_hit[:n], line_written, line_touched, word_written,
+                   prev_line_pos < 0, write,
+                   None if l2_tag is None else l2_tag[:n])
+    if rounds > 1:
+        wrapped = _outcome(
+            tag_hit[n:][first], line_written_wrap, line_touched_wrap,
+            word_written_wrap, np.zeros(len(first), dtype=bool),
+            write[first], None if l2_tag is None else l2_tag[n:][first])
+        flags = {}
+        for f in fields(AccessClassification):
+            once = getattr(out, f.name)
+            later = once.copy()
+            later[first] = getattr(wrapped, f.name)
+            flags[f.name] = repeat_rounds(once, later, rounds)
+        out = AccessClassification(**flags)
     if obs.enabled():
         obs.event(
-            "sim.classify", cat="machine", accesses=int(n),
+            "sim.classify", cat="machine", accesses=len(out.hit),
             hits=int(out.hit.sum()), cold=int(out.cold.sum()),
             replacement=int(out.replacement.sum()),
             true_sharing=int(out.true_sharing.sum()),
@@ -156,6 +185,41 @@ def classify_accesses(
             upgrade=int(out.upgrade.sum()), l2_hits=int(out.l2_hit.sum()),
         )
     return out
+
+
+def _after(by, addr, unit, first, last, flag=None):
+    """Whether the group under ``by`` (the :func:`group_index` of
+    ``addr // unit``) of each position in ``first`` has a position (with
+    ``flag``, a flagged one) after the matching one in ``last``."""
+    order, start = by
+    group = np.searchsorted(addr[order[start]] // unit, addr[first] // unit)
+    return last_in_group(order, start, flag)[group] > last
+
+
+def _outcome(tag, line_written, line_touched, word_written, cold, write,
+             l2_tag) -> AccessClassification:
+    """The miss classes from the tag match and the coherence terms."""
+    # Invalidated: the line would have survived in the cache (tag match),
+    # but another processor wrote it after this processor's last touch.
+    invalidated = tag & line_written
+    hit = tag & ~invalidated
+    miss = ~hit
+    true_sharing = invalidated & word_written
+    # Same invalidation predicate at the L2 tag state: a remote write
+    # invalidates both levels.
+    l2_hit = None if l2_tag is None else miss & l2_tag & ~line_written
+    return AccessClassification(
+        hit=hit,
+        cold=cold & miss,
+        replacement=miss & ~cold & ~invalidated,
+        true_sharing=true_sharing,
+        false_sharing=invalidated & ~true_sharing,
+        # Writer-side ownership acquisition: a write hit on a line
+        # someone else has touched since our previous access must
+        # invalidate their copy before proceeding.
+        upgrade=write & hit & line_touched,
+        l2_hit=l2_hit,
+    )
 
 
 class ExactCoherentSim:

@@ -2,9 +2,15 @@
 
 Replays an SPMD program's address traces through the private-cache +
 coherence + NUMA models and assembles per-phase and total times.  The
-phase sequence of one time step is simulated twice back-to-back: the
-first round pays the cold misses, the second measures the steady state;
-a program with T time steps costs ``round0 + (T-1) * round1``.
+phase sequence of one time step is one round.  A program with T > 1
+time steps costs ``round0 + (T-1) * round1``: round 0 pays the cold
+misses and round 1 is the steady state.  Both come from classifying the
+one round with ``classify_accesses(..., rounds=2)``, which derives
+round 1 from round 0's group orders.  Round 1 differs from round 0 only
+where a processor first touches a line in the round; there the history
+wraps round to that processor's last touch of the line in the previous
+round.  Every later round sees the same wrapped history, so round 1
+stands exactly for rounds 1 to T-1.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from repro.machine.coherence import classify_accesses
 from repro.machine.cost import CostParams, PhaseCost, per_proc_cycles, phase_time
 from repro.machine.dash import DashConfig
 from repro.machine.numa import local_miss_mask
-from repro.machine.trace import PhaseTrace, program_traces
+from repro.machine.trace import program_traces
 
 
 @dataclass
@@ -125,14 +131,10 @@ def _simulate_impl(
             space, traces, machine.cache
         ).as_dict()
 
-    # Two rounds of the phase sequence: cold then steady state.
+    # One round of the phase sequence (one time step); the steady round
+    # after it is derived by the classifier, not replayed.
     rounds = 2 if prog.time_steps > 1 else 1
-    seq: List[Tuple[int, PhaseTrace, int]] = []  # (round, trace, phase idx)
-    for r in range(rounds):
-        for k, t in enumerate(traces):
-            seq.append((r, t, k))
-
-    if not seq or all(t.n_accesses == 0 for _, t, _ in seq):
+    if not traces or all(t.n_accesses == 0 for t in traces):
         return SimResult(
             scheme=spmd.scheme.value,
             nprocs=spmd.nprocs,
@@ -143,24 +145,28 @@ def _simulate_impl(
             locality=locality_dict,
         )
 
-    proc = np.concatenate([t.proc for _, t, _ in seq])
-    addr = np.concatenate([t.addr for _, t, _ in seq])
-    write = np.concatenate([t.write for _, t, _ in seq])
-    # Each phase instance is one contiguous range of the merged stream.
-    bounds = np.cumsum([0] + [t.n_accesses for _, t, _ in seq])
+    proc = np.concatenate([t.proc for t in traces])
+    addr = np.concatenate([t.addr for t in traces])
+    write = np.concatenate([t.write for t in traces])
+    # Each phase is one contiguous range of the round; round r of the
+    # classified flags starts at r * n.
+    bounds = np.cumsum([0] + [t.n_accesses for t in traces])
+    n = int(bounds[-1])
 
     # The classification sweep is its own wall-time ledger anchor: it
     # dominates simulate() for large streams and must be attributable
     # separately from the per-phase cost loop below.
-    with obs.span("sim.classify", cat="machine", accesses=int(len(addr))):
+    with obs.span("sim.classify", cat="machine", accesses=rounds * n):
         cls = classify_accesses(
             proc, addr, write, machine.cache, word_bytes=machine.word_bytes,
-            l2=machine.l2,
+            l2=machine.l2, rounds=rounds,
         )
+        # Every page's first touch is in round 0, so one round's homes
+        # serve every round.
         local = local_miss_mask(addr, proc, machine.numa)
     miss = cls.miss & ~cls.l2_hit  # L2-served misses never reach memory
-    miss_local = miss & local
-    miss_remote = miss & ~local
+    miss_local = (miss.reshape(rounds, n) & local).ravel()
+    miss_remote = miss & ~miss_local
 
     params = machine.cost
     nprocs = spmd.nprocs
@@ -178,37 +184,41 @@ def _simulate_impl(
     }
     masks = _class_masks(cls, miss_local, miss_remote)
 
-    for i, (r, t, k) in enumerate(seq):
+    for r in range(rounds):
         steady = r == rounds - 1
-        with obs.span("sim.phase", cat="machine", nest=t.nest_name,
-                      round="steady" if steady else "cold") as psp:
-            sl = slice(bounds[i], bounds[i + 1])
-            cycles = per_proc_cycles(
-                proc[sl], cls.hit[sl], miss_local[sl], miss_remote[sl],
-                nprocs, params, upgrade=cls.upgrade[sl], l2_hit=cls.l2_hit[sl],
-            )
-            pc = phase_time(
-                nest_name=t.nest_name,
-                cycles=cycles,
-                sync_kind=t.sync_after,
-                barriers=t.barriers,
-                pipelined=t.pipelined,
-                seq_steps=spmd.phases[k].seq_steps,
-                nprocs=nprocs,
-                params=params,
-            )
-            freq = max(1, spmd.phases[k].nest.frequency)
-            round_time[r] += pc.time * freq
-            if steady:
-                # Steady-round miss classes become the phase profile.
-                pc.misses = {
-                    name: int(m[sl].sum()) for name, m in masks.items()
-                }
-                pc.misses["accesses"] = t.n_accesses
-                phase_costs.append(pc)
-                psp.set(time=pc.time, compute=pc.compute_max, sync=pc.sync)
-                for name, v in pc.misses.items():
-                    psp.add(name, v)
+        for k, t in enumerate(traces):
+            with obs.span("sim.phase", cat="machine", nest=t.nest_name,
+                          round="steady" if steady else "cold") as psp:
+                own = slice(bounds[k], bounds[k + 1])
+                sl = slice(r * n + bounds[k], r * n + bounds[k + 1])
+                cycles = per_proc_cycles(
+                    proc[own], cls.hit[sl], miss_local[sl], miss_remote[sl],
+                    nprocs, params, upgrade=cls.upgrade[sl],
+                    l2_hit=cls.l2_hit[sl],
+                )
+                pc = phase_time(
+                    nest_name=t.nest_name,
+                    cycles=cycles,
+                    sync_kind=t.sync_after,
+                    barriers=t.barriers,
+                    pipelined=t.pipelined,
+                    seq_steps=spmd.phases[k].seq_steps,
+                    nprocs=nprocs,
+                    params=params,
+                )
+                freq = max(1, spmd.phases[k].nest.frequency)
+                round_time[r] += pc.time * freq
+                if steady:
+                    # Steady-round miss classes become the phase profile.
+                    pc.misses = {
+                        name: int(m[sl].sum()) for name, m in masks.items()
+                    }
+                    pc.misses["accesses"] = t.n_accesses
+                    phase_costs.append(pc)
+                    psp.set(time=pc.time, compute=pc.compute_max,
+                            sync=pc.sync)
+                    for name, v in pc.misses.items():
+                        psp.add(name, v)
 
     steps = max(1, prog.time_steps)
     if rounds == 2:
@@ -229,6 +239,8 @@ def _simulate_impl(
         # Per-array classes over the whole simulated stream: arrays are
         # laid out contiguously, so the owning array of an address is a
         # binary search over the sorted base addresses.
+        # Every round replays the same addresses, so a round's flags
+        # line up with ``addr`` row by row.
         names = sorted(space.bases, key=lambda nm: space.bases[nm])
         starts = np.array([space.bases[nm] for nm in names], dtype=np.int64)
         aidx = np.searchsorted(starts, addr, side="right") - 1
@@ -237,14 +249,17 @@ def _simulate_impl(
             cnt = int(am.sum())
             if not cnt:
                 continue
-            ab = {name: int((m & am).sum()) for name, m in masks.items()}
-            ab["accesses"] = cnt
+            ab = {name: int((m.reshape(rounds, n) & am).sum())
+                  for name, m in masks.items()}
+            ab["accesses"] = rounds * cnt
             array_breakdown[nm] = ab
         # Conflict pressure: which cache sets the replacement misses
         # land on (a skewed occupancy is the power-of-two aliasing
         # signature the paper's data transform removes).
         nsets = machine.cache.nsets
-        rsets = (addr[cls.replacement] // machine.cache.line_bytes) % nsets
+        raddr = np.broadcast_to(addr, (rounds, n))[
+            cls.replacement.reshape(rounds, n)]
+        rsets = (raddr // machine.cache.line_bytes) % nsets
         occ = np.bincount(rsets, minlength=nsets)
         # Rank by (-count, set index): plain argsort[::-1] orders
         # equal-count sets by *descending* index, which made stored
@@ -267,7 +282,7 @@ def _simulate_impl(
         time_steps=steps,
         phase_costs=phase_costs,
         miss_breakdown=breakdown,
-        n_accesses=int(len(addr)) // rounds,
+        n_accesses=n,
         array_breakdown=array_breakdown,
         numa=numa,
         conflict_sets=conflict,

@@ -10,6 +10,7 @@ from repro.machine.cache import (
     direct_mapped_hits,
     group_index,
     last_flagged_before,
+    last_in_group,
     prev_in_group,
     stack_distances,
 )
@@ -151,6 +152,26 @@ class TestGroupIndex:
         assert prev_in_group(order, start).tolist() == prev
         assert last_flagged_before(order, start, flag).tolist() == lfb
 
+    @given(keyed_stream())
+    @settings(max_examples=300, deadline=None)
+    def test_group_ends_match_dict_walk(self, t):
+        """First, last and last flagged position of every group, in
+        group order."""
+        keys, flag = t
+        order, start = group_index(*keys)
+        first, last, last_flagged = {}, {}, {}
+        for i, key in enumerate(zip(*(k.tolist() for k in keys))):
+            first.setdefault(key, i)
+            last[key] = i
+            if flag[i]:
+                last_flagged[key] = i
+        groups = sorted(first)
+        assert order[start].tolist() == [first[g] for g in groups]
+        assert last_in_group(order, start).tolist() == [
+            last[g] for g in groups]
+        assert last_in_group(order, start, flag).tolist() == [
+            last_flagged.get(g, -1) for g in groups]
+
 
 class TestStackDistances:
     @given(line_stream())
@@ -236,6 +257,21 @@ class TestDirectMapped:
         ref = naive_direct_mapped(proc, addr, cfg)
         assert np.array_equal(fast, ref)
 
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 255)),
+                 max_size=120)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rounds_match_naive_on_tiled_stream(self, rounds, accesses):
+        cfg = CacheConfig(size_bytes=64, line_bytes=16)
+        proc = np.array([p for p, _ in accesses], dtype=np.int64)
+        addr = np.array([a for _, a in accesses], dtype=np.int64)
+        ref = naive_direct_mapped(np.tile(proc, rounds),
+                                  np.tile(addr, rounds), cfg)
+        assert np.array_equal(direct_mapped_hits(proc, addr, cfg, rounds),
+                              ref)
+
 
 class TestAssocLRU:
     def test_two_way_avoids_conflict(self):
@@ -283,3 +319,20 @@ class TestAssocLRU:
         addr = np.array([a for _, a in accesses], dtype=np.int64)
         assert np.array_equal(assoc_lru_hits(proc, addr, cfg),
                               naive_lru(proc, addr, cfg))
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    @pytest.mark.parametrize("assoc", [2, 4])
+    @given(
+        accesses=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 12 * 16 - 1)),
+            max_size=120),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rounds_match_naive_on_tiled_stream(self, rounds, assoc,
+                                                accesses):
+        cfg = CacheConfig(size_bytes=16 * assoc * 2, line_bytes=16,
+                          assoc=assoc)
+        proc = np.array([p for p, _ in accesses], dtype=np.int64)
+        addr = np.array([a for _, a in accesses], dtype=np.int64)
+        ref = naive_lru(np.tile(proc, rounds), np.tile(addr, rounds), cfg)
+        assert np.array_equal(assoc_lru_hits(proc, addr, cfg, rounds), ref)

@@ -229,10 +229,82 @@ class TestAssocLru:
             seen.add(key)
 
 
+def tiled(rounds, *arrays):
+    return [np.tile(a, rounds) for a in arrays]
+
+
+class TestRounds:
+    """``classify_accesses(..., rounds=r)`` classifies the stream
+    repeated r times back-to-back while scanning only one copy."""
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @given(trace())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_exact_on_tiled_stream(self, rounds, t):
+        nprocs, proc, addr, write = t
+        cfg = tiny_cfg()
+        for l2 in (None, CacheConfig(size_bytes=256, line_bytes=16)):
+            fast = classify_accesses(proc, addr, write, cfg, word_bytes=8,
+                                     l2=l2, rounds=rounds)
+            exact = ExactCoherentSim(nprocs, cfg, word_bytes=8, l2=l2).run(
+                *tiled(rounds, proc, addr, write))
+            for f in FIELDS + ["l2_hit"]:
+                assert np.array_equal(getattr(fast, f), getattr(exact, f)), (
+                    l2, f)
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    @given(trace())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_fast_path_on_tiled_stream(self, rounds, t):
+        """The set-associative geometries the spec does not model, and a
+        2-way L2, against the one-round fast path on the tiled stream."""
+        _, proc, addr, write = t
+        two_way_l2 = CacheConfig(size_bytes=256, line_bytes=16, assoc=2)
+        for cfg, l2 in ((CacheConfig(128, 16, assoc=2), None),
+                        (CacheConfig(128, 16, assoc=4), None),
+                        (tiny_cfg(), two_way_l2),
+                        (CacheConfig(128, 16, assoc=2), two_way_l2)):
+            fast = classify_accesses(proc, addr, write, cfg, word_bytes=8,
+                                     l2=l2, rounds=rounds)
+            ref = classify_accesses(*tiled(rounds, proc, addr, write), cfg,
+                                    word_bytes=8, l2=l2)
+            for f in FIELDS + ["l2_hit"]:
+                assert np.array_equal(getattr(fast, f), getattr(ref, f)), (
+                    cfg, l2, f)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_empty_stream(self, rounds):
+        empty = np.zeros(0, dtype=int)
+        for cfg, l2 in ((tiny_cfg(), None),
+                        (tiny_cfg(), CacheConfig(256, 16)),
+                        (CacheConfig(128, 16, assoc=2),
+                         CacheConfig(256, 16, assoc=2))):
+            c = classify_accesses(empty, empty, empty.astype(bool), cfg,
+                                  l2=l2, rounds=rounds)
+            for f in FIELDS + ["l2_hit"]:
+                assert len(getattr(c, f)) == 0, (cfg, l2, f)
+
+    @given(trace())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_spec_repeats_round_one(self, t):
+        """In the spec itself rounds 2 and 3 equal round 1 flag for
+        flag, which is what makes ``round0 + (T-1) * round1`` exact."""
+        nprocs, proc, addr, write = t
+        for l2 in (None, CacheConfig(size_bytes=256, line_bytes=16)):
+            exact = ExactCoherentSim(nprocs, tiny_cfg(), word_bytes=8,
+                                     l2=l2).run(*tiled(4, proc, addr, write))
+            for f in FIELDS + ["l2_hit"]:
+                by_round = getattr(exact, f).reshape(4, len(addr))
+                assert np.array_equal(by_round[2], by_round[1]), (l2, f)
+                assert np.array_equal(by_round[3], by_round[1]), (l2, f)
+
+
 class TestRealTraces:
     """The fast classifier against the spec on the merged streams that
-    ``simulate`` replays (both rounds when the program has more than one
-    time step).  At n=8 every miss class, upgrades included, occurs."""
+    ``simulate`` classifies (both rounds when the program has more than
+    one time step), both on the concatenated rounds and derived from one
+    round with ``rounds``.  At n=8 every miss class, upgrades included,
+    occurs."""
 
     @pytest.mark.parametrize("app", sorted(ALL_APPS))
     def test_fast_matches_exact(self, app):
@@ -251,10 +323,15 @@ class TestRealTraces:
                 proc = np.concatenate([t.proc for t in seq])
                 addr = np.concatenate([t.addr for t in seq])
                 write = np.concatenate([t.write for t in seq])
+                one_round = [np.concatenate([getattr(t, a) for t in traces])
+                             for a in ("proc", "addr", "write")]
                 for l2 in (None, machine.l2):
                     fast = classify_accesses(
                         proc, addr, write, machine.cache,
                         word_bytes=word_bytes, l2=l2)
+                    derived = classify_accesses(
+                        *one_round, machine.cache, word_bytes=word_bytes,
+                        l2=l2, rounds=rounds)
                     exact = ExactCoherentSim(
                         nprocs, machine.cache, word_bytes=word_bytes, l2=l2,
                     ).run(proc, addr, write)
@@ -262,3 +339,6 @@ class TestRealTraces:
                         assert np.array_equal(
                             getattr(fast, f), getattr(exact, f)
                         ), (scheme.value, nprocs, l2, f)
+                        assert np.array_equal(
+                            getattr(derived, f), getattr(exact, f)
+                        ), (scheme.value, nprocs, l2, f, "rounds")

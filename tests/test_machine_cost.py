@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import ALL_APPS, build_app
+from repro.codegen.spmd import Scheme
 from repro.machine.cost import CostParams, per_proc_cycles, phase_time
 from repro.machine.dash import DashConfig, dash_machine, scaled_dash
 from repro.machine.numa import NumaConfig, first_touch_homes, local_miss_mask
+from repro.machine.trace import program_traces
+from repro.pipeline import CompileSession
 
 
 class TestNuma:
@@ -61,6 +65,31 @@ class TestNuma:
         page, home = first_touch_homes(addr, proc, cfg)
         assert page.tolist() == [a // page_bytes for a in addr.tolist()]
         assert home.tolist() == [first[pg] for pg in page.tolist()]
+
+
+class TestNumaRealTraces:
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_one_round_mask_serves_every_round(self, app):
+        """Every page's first touch falls in the first round, so the
+        local mask of two back-to-back rounds is the one-round mask
+        twice: ``simulate`` computes it once per program."""
+        prog = build_app(app, n=8)
+        session = CompileSession()
+        # Two and four clusters: every app but vpenta then homes some
+        # page away from some processor that touches it.
+        for scheme in (Scheme.BASE, Scheme.COMP_DECOMP,
+                       Scheme.COMP_DECOMP_DATA):
+            for nprocs in (8, 16):
+                machine = scaled_dash(nprocs, scale=64)
+                spmd = session.compile(prog, scheme, nprocs)
+                _, traces = program_traces(spmd, machine.numa.page_bytes)
+                addr = np.concatenate([t.addr for t in traces])
+                proc = np.concatenate([t.proc for t in traces])
+                one = local_miss_mask(addr, proc, machine.numa)
+                two = local_miss_mask(np.tile(addr, 2), np.tile(proc, 2),
+                                      machine.numa)
+                assert np.array_equal(two, np.tile(one, 2)), (
+                    scheme.value, nprocs)
 
 
 class TestCostParams:

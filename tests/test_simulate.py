@@ -8,6 +8,7 @@ from repro.codegen.spmd import Scheme
 from repro.compiler import compile_program
 from repro.machine import scaled_dash
 from repro.machine.simulate import simulate, simulate_scheme, speedup_curve
+from repro.machine.trace import program_traces
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +33,16 @@ class TestSimulate:
         assert times[0] == pytest.approx(times[2])
 
     def test_positive_time_and_counts(self, prog):
-        res = simulate(compile_program(prog, Scheme.BASE, 4), machine(4))
+        spmd = compile_program(prog, Scheme.BASE, 4)
+        res = simulate(spmd, machine(4))
         assert res.total_time > 0
-        assert res.n_accesses == prog.total_iterations() * 0 + res.n_accesses
+        # One round's accesses, though the steady round is classified
+        # too (the program has more than one time step).
+        one_round = sum(t.n_accesses for t in program_traces(spmd)[1])
+        assert one_round > 0
+        assert res.n_accesses == one_round
+        assert res.n_accesses == sum(
+            pc.misses["accesses"] for pc in res.phase_costs)
         assert set(res.miss_breakdown) == {
             "cold", "replacement", "true_sharing", "false_sharing",
             "upgrade", "l2_hits", "remote", "local_miss",
