@@ -118,20 +118,8 @@ def classify_accesses(
     line = cfg.line_of(addr)
     # Round 1 stands for every later round.
     tag_rounds = min(rounds, 2)
-
-    # Direct-mapped is the DASH default; the LRU set-associative variant
-    # (model-sensitivity studies) thresholds the same stack distances as
-    # the locality report.  Both are exact and vectorized.
-    if cfg.assoc == 1:
-        tag_hit = direct_mapped_hits(proc, addr, cfg, tag_rounds)
-    else:
-        tag_hit = assoc_lru_hits(proc, addr, cfg, tag_rounds)
-    l2_tag = None
-    if l2 is not None:
-        if l2.assoc == 1:
-            l2_tag = direct_mapped_hits(proc, addr, l2, tag_rounds)
-        else:
-            l2_tag = assoc_lru_hits(proc, addr, l2, tag_rounds)
+    tag_hit = _tag_hits(proc, addr, cfg, tag_rounds)
+    l2_tag = None if l2 is None else _tag_hits(proc, addr, l2, tag_rounds)
     by_line_proc = group_index(line, proc)
     prev_line_pos = prev_in_group(*by_line_proc)
     if rounds > 1:
@@ -185,6 +173,16 @@ def classify_accesses(
             upgrade=int(out.upgrade.sum()), l2_hits=int(out.l2_hit.sum()),
         )
     return out
+
+
+def _tag_hits(proc, addr, cfg, rounds):
+    """Tag-match flags of one cache level.  Direct-mapped is the DASH
+    default; the LRU set-associative variant (model-sensitivity studies)
+    thresholds the same stack distances as the locality report.  Both
+    are exact and vectorized."""
+    if cfg.assoc == 1:
+        return direct_mapped_hits(proc, addr, cfg, rounds)
+    return assoc_lru_hits(proc, addr, cfg, rounds)
 
 
 def _after(by, addr, unit, first, last, flag=None):
