@@ -17,11 +17,20 @@ the earlier accesses of one group (same set and processor, same line,
 ...).  :func:`group_index` sorts the stream once per group key, with
 each key narrowed so that NumPy radix-sorts keys below 2^16; two scans
 over that order, :func:`prev_in_group` and :func:`last_flagged_before`,
-answer the rest, and :func:`last_in_group` gives each group's last
+answer the rest in int32 positions (int64 only for streams of 2^31
+accesses or more), and :func:`last_in_group` gives each group's last
 (flagged) position, where a repeated stream wraps round to.
-:func:`stack_distances` adds one merge count over that order, the LRU
-stack distance that both the set-associative hits and
-:mod:`repro.machine.locality`'s reuse distances read.
+:func:`direct_mapped_order` returns the (set, processor) order the tag
+match was read along, in which a hit's previous entry is the
+processor's previous touch of the line.  :func:`stack_distances` adds
+one merge count over a group order, the LRU stack distance that both
+the set-associative hits and :mod:`repro.machine.locality`'s reuse
+distances read.
+
+The stream may come in narrow integer dtypes (the trace stores int32
+addresses and int8 processor ids).  Addresses are only divided and
+reduced modulo here, which stays in range; a value that is multiplied
+is widened to int64 first.
 """
 
 from __future__ import annotations
@@ -93,10 +102,16 @@ def group_index(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return order, start
 
 
+def _positions(n: int) -> type:
+    """The dtype of stream positions (and -1) in a stream of ``n``."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def prev_in_group(order: np.ndarray, start: np.ndarray) -> np.ndarray:
     """For each stream position (in stream order), the previous position
     of its :func:`group_index` group, or -1 for the group's first."""
-    prev = np.roll(order, 1)
+    prev = np.empty(len(order), dtype=_positions(len(order)))
+    prev[1:] = order[:-1]
     prev[start] = -1
     out = np.empty_like(prev)
     out[order] = prev
@@ -108,15 +123,22 @@ def last_flagged_before(
 ) -> np.ndarray:
     """For each stream position i (in stream order), the largest position
     j < i of i's :func:`group_index` group with ``flag[j]``, or -1."""
+    n = len(order)
     flagged = flag[order]
-    k = np.arange(len(order))
-    # Running max over the flagged sorted indices and the group starts,
-    # shifted by one: at a non-start k it lies in k's group before k, and
-    # is a flagged index unless it is the group's unflagged first.
-    last = np.roll(np.maximum.accumulate(np.where(flagged | start, k, -1)), 1)
-    prev = np.where(flagged[last] & ~start, order[last], -1)
-    out = np.empty_like(prev)
-    out[order] = prev
+    # Running max over the flagged sorted indices and the group starts:
+    # taken at k - 1 for a non-start k, it lies in k's group before k,
+    # and is a flagged index unless it is the group's unflagged first.
+    last = np.arange(n)
+    last[~(flagged | start)] = -1
+    np.maximum.accumulate(last, out=last)
+    flagged = flagged[last]
+    prev = order[last]
+    del last
+    prev[~flagged] = -1
+    prev[:-1][start[1:]] = -1
+    out = np.empty(n, dtype=_positions(n))
+    out[order[1:]] = prev[:-1]
+    out[order[:1]] = -1
     return out
 
 
@@ -140,6 +162,32 @@ def repeat_rounds(
     return np.concatenate([first] + [later] * (rounds - 1))
 
 
+def direct_mapped_order(
+    proc: np.ndarray, line: np.ndarray, cfg: CacheConfig, rounds: int = 1
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tag match of a direct-mapped cache along its (set, processor)
+    group order.
+
+    Returns ``(hit, order, hit_in_order)``: the :func:`direct_mapped_hits`
+    flags of ``line`` (in stream order, ``rounds`` as there), the group
+    order, and the first round's flags along it.  Along the order a hit's
+    previous entry is the processor's previous touch of the line, and
+    every group opens with a miss."""
+    order, start = group_index(cfg.set_of(line), proc)
+    in_order = np.zeros(len(order), dtype=bool)
+    ls = line[order]
+    in_order[1:] = (ls[1:] == ls[:-1]) & ~start[1:]
+    del ls
+    hit = np.empty_like(in_order)
+    hit[order] = in_order
+    if rounds > 1:
+        first, last = order[start], last_in_group(order, start)
+        later = hit.copy()
+        later[first] = line[last] == line[first]
+        hit = repeat_rounds(hit, later, rounds)
+    return hit, order, in_order
+
+
 def direct_mapped_hits(
     proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig, rounds: int = 1
 ) -> np.ndarray:
@@ -150,18 +198,7 @@ def direct_mapped_hits(
     ``rounds`` times back-to-back.  Every round after the first differs
     from it only at each (set, processor) group's first access, whose
     previous access wraps round to the group's last one."""
-    line = cfg.line_of(addr)
-    order, start = group_index(cfg.set_of(line), proc)
-    prev = prev_in_group(order, start)
-    if rounds > 1:
-        first, last = order[start], last_in_group(order, start)
-    del order, start
-    hit = (prev >= 0) & (line[prev] == line)
-    if rounds == 1:
-        return hit
-    later = hit.copy()
-    later[first] = line[last] == line[first]
-    return repeat_rounds(hit, later, rounds)
+    return direct_mapped_order(proc, cfg.line_of(addr), cfg, rounds)[0]
 
 
 def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:

@@ -10,10 +10,21 @@ private direct-mapped caches, lockstep global interleaving):
   the two agree access-for-access on random traces and on the merged
   streams of every application in :mod:`repro.apps`.
 
+:func:`classify_accesses` sorts the stream in two group orders.  The
+tag match is read along the (set, processor) order, where a hit's
+previous entry is also the processor's previous touch of the line; the
+coherence terms are read along the line order, where an access is
+compared with that previous own touch.  Everything else is asked of a
+subset: a processor's first touch of a line is always a tag miss, so
+the cold accesses come from the tag misses alone, grouped by (line,
+processor); and true versus false sharing is decided only at the
+invalidated accesses, by searching the writes sorted by (word,
+position).
+
 A time-stepped program replays the same round of accesses again and
 again.  :func:`classify_accesses` takes one round and ``rounds``, and
-derives every later round from the first round's group orders instead
-of sorting the repeated stream.  A later round differs from the first
+derives every later round from the first round's orders instead of
+sorting the repeated stream.  A later round differs from the first
 only at each processor's first touch of each line in the round, whose
 previous own touch wraps round to its last touch of the line in the
 previous round.  That wrapped history is the same in every later
@@ -41,7 +52,7 @@ from repro import obs
 from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
-    direct_mapped_hits,
+    direct_mapped_order,
     group_index,
     last_flagged_before,
     last_in_group,
@@ -115,47 +126,75 @@ def classify_accesses(
         raise ValueError(f"word_bytes={word_bytes} does not divide the "
                          f"{cfg.line_bytes}-byte cache line")
     n = len(addr)
-    line = cfg.line_of(addr)
     # Round 1 stands for every later round.
     tag_rounds = min(rounds, 2)
-    tag_hit = _tag_hits(proc, addr, cfg, tag_rounds)
-    l2_tag = None if l2 is None else _tag_hits(proc, addr, l2, tag_rounds)
-    by_line_proc = group_index(line, proc)
-    prev_line_pos = prev_in_group(*by_line_proc)
+    tag, by_tag, tag_in_order = _tag_hits(proc, addr, cfg, tag_rounds)
+    # Along the tag order a hit's previous entry is the processor's
+    # previous touch of the line, its "own" touch; -1 at tag misses.
+    own = prev_in_group(by_tag, ~tag_in_order)
     if rounds > 1:
-        # Each processor's first and last touch of each line.
-        first = by_line_proc[0][by_line_proc[1]]
-        last = last_in_group(*by_line_proc)
-    del by_line_proc
-    # An own access to the line (or to one of its words, since no word
-    # straddles two lines) is at or before prev_line_pos, so anything
-    # later is another processor's: a write to the line invalidated our
-    # copy, a write to the word makes that sharing true, and any touch
-    # of the line makes our next write an ownership upgrade.
-    by_line = group_index(line)
-    line_written = last_flagged_before(*by_line, write) > prev_line_pos
-    line_touched = prev_in_group(*by_line) > prev_line_pos
-    if rounds > 1:
-        line_written_wrap = line_written[first] | _after(
-            by_line, addr, cfg.line_bytes, first, last, write)
-        line_touched_wrap = line_touched[first] | _after(
-            by_line, addr, cfg.line_bytes, first, last)
-    del by_line
-    by_word = group_index(addr // word_bytes)
-    word_written = last_flagged_before(*by_word, write) > prev_line_pos
-    if rounds > 1:
-        word_written_wrap = word_written[first] | _after(
-            by_word, addr, word_bytes, first, last, write)
-    del by_word
+        # Each run of hits after a tag miss ends at the line's last own
+        # touch before the next miss; keyed by the miss's position.
+        run_end = np.empty(n, dtype=by_tag.dtype)
+        run_end[by_tag[~tag_in_order]] = last_in_group(by_tag,
+                                                       ~tag_in_order)
+    del by_tag, tag_in_order
+    l2_tag = None
+    if l2 is not None:
+        l2_tag, by_l2, l2_in_order = _tag_hits(proc, addr, l2, tag_rounds)
+        own = np.where(own >= 0, own, prev_in_group(by_l2, ~l2_in_order))
+        del by_l2, l2_in_order
 
-    out = _outcome(tag_hit[:n], line_written, line_touched, word_written,
-                   prev_line_pos < 0, write,
-                   None if l2_tag is None else l2_tag[:n])
+    # A processor's first touch of a line is always a tag miss, so the
+    # tag misses alone, grouped by (line, processor), give every first
+    # touch (the cold accesses) and, for the wrap, every last one.
+    line = cfg.line_of(addr)
+    missed = np.flatnonzero(~tag[:n])
+    by_miss = group_index(line[missed], proc[missed])
+    first = missed[by_miss[0][by_miss[1]]]
+    if rounds > 1:
+        last = run_end[missed[last_in_group(*by_miss)]]
+        del run_end
+    del missed, by_miss
+    cold = np.zeros(n, dtype=bool)
+    cold[first] = True
+
+    # An own access to the line is at or before ``own``, so anything
+    # later is another processor's: a write to the line invalidated our
+    # copy, and any touch of the line makes our next write an ownership
+    # upgrade.  Both are decided along the line order.
+    by_line, line_start = group_index(line)
+    if rounds > 1:
+        # The line group of each first touch, for the wrap below.
+        group = np.searchsorted(line[by_line[line_start]], line[first])
+    del line
+    written = last_flagged_before(by_line, line_start, write) > own
+    line_touched = np.zeros(n, dtype=bool)
+    ps = proc[by_line]
+    line_touched[by_line[1:]] = (ps[1:] != ps[:-1]) & ~line_start[1:]
+    del ps
+    if rounds > 1:
+        # At a first touch ``own`` is -1, so the terms above say whether
+        # the line was written or touched earlier in the round; the wrap
+        # adds whether it was after L in the previous one.
+        written_wrap = written[first] | (
+            last_in_group(by_line, line_start, write)[group] > last)
+        touched_wrap = line_touched[first] | (
+            last_in_group(by_line, line_start)[group] > last)
+        del group
+    del by_line, line_start
+
+    words = _WordWrites(addr, write, word_bytes)
+    out = _outcome(tag[:n], None if l2_tag is None else l2_tag[:n],
+                   written, line_touched, cold, write,
+                   lambda at: words.between(at, own[at], at))
     if rounds > 1:
         wrapped = _outcome(
-            tag_hit[n:][first], line_written_wrap, line_touched_wrap,
-            word_written_wrap, np.zeros(len(first), dtype=bool),
-            write[first], None if l2_tag is None else l2_tag[n:][first])
+            tag[n:][first], None if l2_tag is None else l2_tag[n:][first],
+            written_wrap, touched_wrap, np.zeros(len(first), dtype=bool),
+            write[first],
+            lambda at: (words.between(first[at], -1, first[at])
+                        | words.between(first[at], last[at], n)))
         flags = {}
         for f in fields(AccessClassification):
             once = getattr(out, f.name)
@@ -176,33 +215,63 @@ def classify_accesses(
 
 
 def _tag_hits(proc, addr, cfg, rounds):
-    """Tag-match flags of one cache level.  Direct-mapped is the DASH
-    default; the LRU set-associative variant (model-sensitivity studies)
-    thresholds the same stack distances as the locality report.  Both
-    are exact and vectorized."""
+    """Tag match of one cache level: ``(hit, order, hit_in_order)``,
+    the flags of ``rounds`` rounds in stream order, and an order of the
+    stream along which each hit's previous entry is the processor's
+    previous touch of the line (every group opening with a miss), with
+    the first round's flags along it.  Direct-mapped is the DASH
+    default, matched along the (set, processor) order; the LRU
+    set-associative variant (model-sensitivity studies) thresholds the
+    same stack distances as the locality report, and is followed along
+    the (line, processor) order.  Both are exact and vectorized."""
+    line = cfg.line_of(addr)
     if cfg.assoc == 1:
-        return direct_mapped_hits(proc, addr, cfg, rounds)
-    return assoc_lru_hits(proc, addr, cfg, rounds)
+        return direct_mapped_order(proc, line, cfg, rounds)
+    hit = assoc_lru_hits(proc, addr, cfg, rounds)
+    order = group_index(line, proc)[0]
+    return hit, order, hit[:len(addr)][order]
 
 
-def _after(by, addr, unit, first, last, flag=None):
-    """Whether the group under ``by`` (the :func:`group_index` of
-    ``addr // unit``) of each position in ``first`` has a position (with
-    ``flag``, a flagged one) after the matching one in ``last``."""
-    order, start = by
-    group = np.searchsorted(addr[order[start]] // unit, addr[first] // unit)
-    return last_in_group(order, start, flag)[group] > last
+class _WordWrites:
+    """The writes of a stream sorted by (word, position), searched for
+    writes to one word between two positions.  Sorted on first use: only
+    invalidated accesses ask."""
+
+    def __init__(self, addr, write, word_bytes):
+        self.addr, self.write, self.word_bytes = addr, write, word_bytes
+        self.n = len(addr)
+        self.keys = None
+
+    def between(self, at, after, before):
+        """Whether the word of each access ``at`` was written at a
+        position strictly between ``after`` and ``before``."""
+        if not len(at):
+            return np.zeros(0, dtype=bool)
+        if self.keys is None:
+            pos = np.flatnonzero(self.write)
+            word = self.addr[pos] // self.word_bytes
+            order = group_index(word)[0]
+            self.keys = word[order].astype(np.int64) * self.n + pos[order]
+            del pos, word, order
+        base = (self.addr[at] // self.word_bytes).astype(np.int64) * self.n
+        # The last write to the word before ``before``, if any.
+        k = np.searchsorted(self.keys, base + before) - 1
+        return (k >= 0) & (self.keys[k] > base + after)
 
 
-def _outcome(tag, line_written, line_touched, word_written, cold, write,
-             l2_tag) -> AccessClassification:
-    """The miss classes from the tag match and the coherence terms."""
+def _outcome(tag, l2_tag, line_written, line_touched, cold, write,
+             word_written) -> AccessClassification:
+    """The miss classes from the tag match and the coherence terms.
+    ``word_written(at)`` says whether the word of each invalidated
+    access ``at`` was written since the processor's previous touch."""
     # Invalidated: the line would have survived in the cache (tag match),
     # but another processor wrote it after this processor's last touch.
     invalidated = tag & line_written
     hit = tag & ~invalidated
     miss = ~hit
-    true_sharing = invalidated & word_written
+    true_sharing = np.zeros(len(tag), dtype=bool)
+    at = np.flatnonzero(invalidated)
+    true_sharing[at] = word_written(at)
     # Same invalidation predicate at the L2 tag state: a remote write
     # invalidates both levels.
     l2_hit = None if l2_tag is None else miss & l2_tag & ~line_written

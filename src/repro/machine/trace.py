@@ -1,38 +1,48 @@
 """Vectorized address-trace generation.
 
-Turns an :class:`SpmdProgram` phase into per-processor streams of
-(program-order key, byte address, is-write) triples without any
-per-iteration Python dispatch: the iteration space is enumerated level
-by level with ``np.repeat`` (triangular bounds supported), owners are
-computed by matrix products + folding arithmetic, and addresses by the
-layouts' vectorized linearization.
+Turns an :class:`SpmdProgram` phase into one merged stream of (owning
+processor, byte address, is-write) triples in sequential program order,
+without any per-iteration Python dispatch: the iteration space is
+enumerated level by level with ``np.repeat`` (triangular bounds
+supported), owners are computed by matrix products + folding arithmetic,
+and addresses by the layouts' vectorized linearization.
 
-The program-order key is a mixed-radix encoding of the iteration vector
-(plus statement and reference positions) that totally orders all
-accesses of a phase in sequential program order; the coherence model
-uses it as the lockstep interleaving of the processors.
+Program order is the order in which the sequential executor runs a
+nest: at each level, the statements of that depth in body order (each
+one's reads, then its write), then the next loop's iterations.  So every
+row of a level owns one contiguous block of the stream, its own
+statements' references followed by its children's blocks.  Block sizes
+are summed bottom-up over the levels and block starts accumulated
+top-down, and every reference is written straight into its slot; the
+coherence model reads the result as the lockstep interleaving of the
+processors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.codegen.spmd import OwnerPlan, SpmdPhase, SpmdProgram
 from repro.datatrans.transform import TransformedArray
+from repro.ir.arrays import ArrayRef
 from repro.ir.expr import AffineExpr
 from repro.ir.loops import LoopNest
 
 
 @dataclass
 class PhaseTrace:
-    """All accesses of one phase, in global program order."""
+    """All accesses of one phase, in global program order.
+
+    ``addr`` is int32 when the address space is below 2 GiB, else
+    int64; ``proc`` is the smallest signed integer type that holds the
+    largest processor id (int8 up to 128 processors).
+    """
 
     nest_name: str
-    key: np.ndarray  # int64 program-order key (sorted ascending)
     addr: np.ndarray  # byte addresses
     write: np.ndarray  # bool
     proc: np.ndarray  # owning processor id
@@ -61,28 +71,40 @@ def _eval_affine_vec(
     return out
 
 
+def _levels(
+    nest: LoopNest, params: Mapping[str, int], depth: int
+) -> Iterator[Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]]:
+    """Walk the first ``depth`` loops level by level, in sequential
+    order.  Yields ``(columns, count, reps)`` for levels 0..``depth``:
+    the coordinate columns of that level's rows (the iteration prefixes
+    of its enclosing loops), their count, and how many iterations of the
+    next loop each row runs (None at ``depth``)."""
+    cols: Dict[str, np.ndarray] = {}
+    n = 1
+    for loop in nest.loops[:depth]:
+        lo = _eval_affine_vec(loop.lower, cols, params, n)
+        hi = _eval_affine_vec(loop.upper, cols, params, n)
+        reps = np.maximum(hi - lo + 1, 0)
+        yield cols, n, reps
+        total = int(reps.sum())
+        # Repeat every existing column per row; the new column runs
+        # lo..hi within each row.
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        nxt = {v: np.repeat(c, reps) for v, c in cols.items()}
+        nxt[loop.var] = (np.repeat(lo, reps)
+                         + (np.arange(total, dtype=np.int64) - starts))
+        cols, n = nxt, total
+    yield cols, n, None
+
+
 def enumerate_iterations(
     nest: LoopNest, params: Mapping[str, int], depth: Optional[int] = None
 ) -> Tuple[Dict[str, np.ndarray], int]:
     """Enumerate the first ``depth`` loops as coordinate columns in
     sequential order.  Returns (columns, count)."""
     depth = nest.depth if depth is None else depth
-    cols: Dict[str, np.ndarray] = {}
-    n = 1
-    for level in range(depth):
-        loop = nest.loops[level]
-        lo = _eval_affine_vec(loop.lower, cols, params, n)
-        hi = _eval_affine_vec(loop.upper, cols, params, n)
-        reps = np.maximum(hi - lo + 1, 0)
-        total = int(reps.sum())
-        # Repeat every existing column per-row.
-        for v in cols:
-            cols[v] = np.repeat(cols[v], reps)
-        # New column: for each row, lo..hi.
-        starts = np.repeat(np.cumsum(reps) - reps, reps)
-        base = np.repeat(lo, reps)
-        cols[loop.var] = base + (np.arange(total, dtype=np.int64) - starts)
-        n = total
+    for cols, n, _ in _levels(nest, params, depth):
+        pass  # the last level's rows are the iterations
     return cols, n
 
 
@@ -170,85 +192,99 @@ class AddressSpace:
                             total_bytes=pos)
 
 
+def _smallest_int(largest: int) -> type:
+    """The narrowest signed integer type that holds 0..``largest``."""
+    for t in (np.int8, np.int16, np.int32):
+        if largest <= np.iinfo(t).max:
+            return t
+    return np.int64
+
+
 def phase_trace(
     spmd: SpmdProgram,
     phase: SpmdPhase,
     space: AddressSpace,
 ) -> PhaseTrace:
     """Build the merged, program-ordered access trace of one phase."""
-    prog = spmd.program
-    params = prog.params
+    params = spmd.program.params
     nest = phase.nest
-    nstmt = len(nest.body)
-
-    # Key radices over the nest's global loop spans.
-    bounds = nest.numeric_bounds(params)
-    spans = [hi - lo + 2 for lo, hi in bounds]  # +1 for the pad digit
-    glos = [lo for lo, _ in bounds]
-    max_refs = max(1 + len(st.reads) for st in nest.body)
-
-    keys: List[np.ndarray] = []
-    addrs: List[np.ndarray] = []
-    writes: List[np.ndarray] = []
-    procs: List[np.ndarray] = []
-
-    # Cache iteration enumerations per distinct depth.
-    enum_cache: Dict[int, Tuple[Dict[str, np.ndarray], int]] = {}
-
+    # Statements per depth, in body order; a level's own block holds
+    # their references (reads, then the write) one statement after
+    # another.
+    by_depth: Dict[int, List[int]] = {}
     for s, st in enumerate(nest.body):
-        depth = st.depth if st.depth is not None else nest.depth
-        if depth not in enum_cache:
-            enum_cache[depth] = enumerate_iterations(nest, params, depth)
-        cols, n = enum_cache[depth]
+        d = st.depth if st.depth is not None else nest.depth
+        by_depth.setdefault(d, []).append(s)
+    deepest = max(by_depth, default=0)
+    own = [sum(1 + len(nest.body[s].reads) for s in by_depth.get(d, ()))
+           for d in range(deepest + 1)]
+
+    # One walk over the levels: each level's child counts, and the
+    # columns of the levels that run statements.
+    level_cols: Dict[int, Dict[str, np.ndarray]] = {}
+    reps: List[np.ndarray] = []
+    for d, (cols, n, r) in enumerate(_levels(nest, params, deepest)):
+        if d in by_depth:
+            level_cols[d] = cols
+        if r is not None:
+            reps.append(r)
+
+    # Block sizes bottom-up: a row's own references plus its children's
+    # blocks (children are contiguous rows of the next level); the n
+    # rows of the deepest level have no children.
+    sizes = [np.full(n, own[deepest], dtype=np.int64)]
+    for d in range(deepest - 1, -1, -1):
+        csum = np.concatenate(([0], np.cumsum(sizes[0])))
+        ends = np.cumsum(reps[d])
+        sizes.insert(0, own[d] + csum[ends] - csum[ends - reps[d]])
+    total = int(sizes[0][0])
+    # Block starts top-down: a child starts after its parent's own
+    # references and its earlier siblings' blocks.
+    starts = [np.zeros(1, dtype=np.int64)]
+    for d in range(deepest):
+        csum = np.concatenate(([0], np.cumsum(sizes[d + 1])))
+        first = np.cumsum(reps[d]) - reps[d]
+        starts.append(np.repeat(starts[d] + own[d] - csum[first], reps[d])
+                      + csum[:-1])
+
+    addr = np.empty(total, dtype=np.int32 if space.total_bytes < 2**31
+                    else np.int64)
+    proc = np.empty(total, dtype=_smallest_int(spmd.nprocs - 1))
+    write = np.zeros(total, dtype=bool)
+    for d, stmts in by_depth.items():
+        cols, slot = level_cols[d], starts[d]
+        n = len(slot)
         if n == 0:
             continue
-        owner = _owner_ids(
-            phase.owners[s], nest, cols, n, params, spmd.nprocs, spmd.grid
-        )
-        # Mixed-radix program-order key of the iteration (+ stmt digit).
-        key = np.zeros(n, dtype=np.int64)
-        for k in range(nest.depth):
-            key *= spans[k]
-            if k < depth:
-                key += cols[nest.loop_vars[k]] - glos[k] + 1
-        key = (key * nstmt + s) * max_refs
-
-        refs = [(r, False) for r in st.reads] + [(st.write, True)]
-        for rpos, (ref, is_write) in enumerate(refs):
-            ta = spmd.transformed[ref.array.name]
-            idx_cols = [
-                _eval_affine_vec(e, cols, params, n)
-                for e in ref.index_exprs
-            ]
-            elem = ta.layout.linearize_vec(idx_cols)
-            byte = space.bases[ref.array.name] + elem * ta.decl.element_size
-            if ref.array.name in space.replicated_stride:
-                byte = byte + owner * space.replicated_stride[ref.array.name]
-            keys.append(key + rpos)
-            addrs.append(byte.astype(np.int64))
-            writes.append(np.full(n, is_write))
-            procs.append(owner)
-
-    if not keys:
-        empty = np.zeros(0, dtype=np.int64)
-        return PhaseTrace(
-            nest_name=nest.name, key=empty, addr=empty,
-            write=np.zeros(0, dtype=bool), proc=empty,
-            sync_after=phase.sync_after.value, pipelined=phase.pipelined,
-            barriers=phase.barriers_per_execution, nprocs=spmd.nprocs,
-        )
-
-    key = np.concatenate(keys)
-    addr = np.concatenate(addrs)
-    write = np.concatenate(writes)
-    proc = np.concatenate(procs)
-    order = np.argsort(key, kind="stable")
+        for s in stmts:
+            st = nest.body[s]
+            # Owners and addresses in int64; narrowed only when stored.
+            owner = _owner_ids(phase.owners[s], nest, cols, n, params,
+                               spmd.nprocs, spmd.grid)
+            # A statement that reads the element it writes (x = f(x))
+            # reuses the read's addresses.
+            byte_of: Dict[ArrayRef, np.ndarray] = {}
+            for ref in (*st.reads, st.write):
+                if ref not in byte_of:
+                    ta = spmd.transformed[ref.array.name]
+                    elem = ta.layout.linearize_vec(
+                        [_eval_affine_vec(e, cols, params, n)
+                         for e in ref.index_exprs])
+                    byte = (space.bases[ref.array.name]
+                            + elem * ta.decl.element_size)
+                    if ref.array.name in space.replicated_stride:
+                        byte += owner * space.replicated_stride[
+                            ref.array.name]
+                    byte_of[ref] = byte
+                addr[slot] = byte_of[ref]
+                proc[slot] = owner
+                slot = slot + 1
+            write[slot - 1] = True
     return PhaseTrace(
         nest_name=nest.name,
-        key=key[order],
-        addr=addr[order],
-        write=write[order],
-        proc=proc[order],
+        addr=addr,
+        write=write,
+        proc=proc,
         sync_after=phase.sync_after.value,
         pipelined=phase.pipelined,
         barriers=phase.barriers_per_execution,

@@ -299,6 +299,87 @@ class TestRounds:
                 assert np.array_equal(by_round[3], by_round[1]), (l2, f)
 
 
+def edge_streams():
+    """Streams where a subset the classifier sorts or searches (the
+    writes, the tag misses, the tag hits, the invalidated accesses) is
+    empty or is the whole stream (after the first touches)."""
+    n = 48
+    k = np.arange(n)
+    return {
+        # No writes: nothing to search for an invalidation.
+        "no_writes": (3, k % 3, (k * 40) % 256, np.zeros(n, dtype=bool)),
+        # One processor: no remote writes, no upgrades.
+        "one_processor": (1, np.zeros(n, dtype=int), (k * 24) % 256,
+                          k % 4 == 0),
+        # Every access is some processor's first touch of its line.
+        "first_touches": (3, k % 3, (k // 3) * 16, k % 5 == 0),
+        # After the first touches every access is a tag hit: each
+        # processor keeps to its own lines, in distinct sets.
+        "tag_hits": (4, k % 4, (k % 4) * 16 + (k // 4) % 2 * 8, k % 7 == 0),
+        # Two processors write one word in turn: after the first touches
+        # every access is invalidated, and by a write to its own word.
+        "ping_pong": (2, k % 2, np.zeros(n, dtype=int),
+                      np.ones(n, dtype=bool)),
+    }
+
+
+class TestSubsetEdges:
+    """The spec and the rounds spec on streams whose sorted or searched
+    subsets are empty or total; random streams rarely draw these."""
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(edge_streams()))
+    def test_matches_exact_on_tiled_stream(self, name, rounds):
+        nprocs, proc, addr, write = edge_streams()[name]
+        for l2 in (None, CacheConfig(size_bytes=256, line_bytes=16)):
+            fast = classify_accesses(proc, addr, write, tiny_cfg(),
+                                     word_bytes=8, l2=l2, rounds=rounds)
+            exact = ExactCoherentSim(nprocs, tiny_cfg(), word_bytes=8,
+                                     l2=l2).run(
+                *tiled(rounds, proc, addr, write))
+            for f in FIELDS + ["l2_hit"]:
+                assert np.array_equal(getattr(fast, f), getattr(exact, f)), (
+                    l2, f)
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    @pytest.mark.parametrize("name", sorted(edge_streams()))
+    def test_matches_fast_path_on_tiled_stream(self, name, rounds):
+        _, proc, addr, write = edge_streams()[name]
+        two_way_l2 = CacheConfig(size_bytes=256, line_bytes=16, assoc=2)
+        for cfg, l2 in ((CacheConfig(128, 16, assoc=2), None),
+                        (CacheConfig(128, 16, assoc=4), two_way_l2),
+                        (tiny_cfg(), two_way_l2)):
+            fast = classify_accesses(proc, addr, write, cfg, word_bytes=8,
+                                     l2=l2, rounds=rounds)
+            ref = classify_accesses(*tiled(rounds, proc, addr, write), cfg,
+                                    word_bytes=8, l2=l2)
+            for f in FIELDS + ["l2_hit"]:
+                assert np.array_equal(getattr(fast, f), getattr(ref, f)), (
+                    cfg, l2, f)
+
+    @pytest.mark.parametrize("name", sorted(edge_streams()))
+    def test_stream_is_the_edge_it_names(self, name):
+        nprocs, proc, addr, write = edge_streams()[name]
+        c = classify_accesses(proc, addr, write, tiny_cfg(), rounds=2)
+        n = len(addr)
+        once, later = c.hit[:n], c.hit[n:]
+        first = np.zeros(n, dtype=bool)
+        first[np.unique(np.stack([addr // 16, proc]), axis=1,
+                        return_index=True)[1]] = True
+        sharing = c.true_sharing | c.false_sharing
+        if name == "no_writes":
+            assert not write.any() and not sharing.any()
+        elif name == "one_processor":
+            assert not (sharing.any() or c.upgrade.any())
+        elif name == "first_touches":
+            assert first.all() and c.cold[:n].all()
+        elif name == "tag_hits":
+            assert np.array_equal(once, ~first) and later.all()
+        else:
+            assert np.array_equal(c.true_sharing[:n], ~first)
+            assert c.true_sharing[n:].all()
+
+
 class TestRealTraces:
     """The fast classifier against the spec on the merged streams that
     ``simulate`` classifies (both rounds when the program has more than

@@ -1,17 +1,145 @@
 """Tests for vectorized iteration enumeration and trace generation."""
 
+from typing import Dict, List, Tuple
+
 import numpy as np
 import pytest
 
-from repro.apps import lu, simple, stencil5
+from repro.apps import ALL_APPS, build_app, lu, simple, stencil5
 from repro.codegen.spmd import Scheme
 from repro.compiler import compile_program
+from repro.ir.builder import ProgramBuilder
+from repro.ir.loops import Statement
 from repro.machine.trace import (
     AddressSpace,
+    _eval_affine_vec,
+    _owner_ids,
     enumerate_iterations,
     phase_trace,
     program_traces,
 )
+from repro.pipeline import CompileSession
+
+
+def key_sorted_trace(spmd, phase, space):
+    """Reference trace of one phase: the mixed-radix program-order key
+    and stable argsort the trace builder used before it wrote each
+    access straight into its program-order slot.  Returns (addr, proc,
+    write) in int64 / int64 / bool."""
+    prog = spmd.program
+    params = prog.params
+    nest = phase.nest
+    nstmt = len(nest.body)
+
+    # Key radices over the nest's global loop spans.
+    bounds = nest.numeric_bounds(params)
+    spans = [hi - lo + 2 for lo, hi in bounds]  # +1 for the pad digit
+    glos = [lo for lo, _ in bounds]
+    max_refs = max(1 + len(st.reads) for st in nest.body)
+
+    keys: List[np.ndarray] = []
+    addrs: List[np.ndarray] = []
+    writes: List[np.ndarray] = []
+    procs: List[np.ndarray] = []
+
+    # Cache iteration enumerations per distinct depth.
+    enum_cache: Dict[int, Tuple[Dict[str, np.ndarray], int]] = {}
+
+    for s, st in enumerate(nest.body):
+        depth = st.depth if st.depth is not None else nest.depth
+        if depth not in enum_cache:
+            enum_cache[depth] = enumerate_iterations(nest, params, depth)
+        cols, n = enum_cache[depth]
+        if n == 0:
+            continue
+        owner = _owner_ids(
+            phase.owners[s], nest, cols, n, params, spmd.nprocs, spmd.grid
+        )
+        # Mixed-radix program-order key of the iteration (+ stmt digit).
+        key = np.zeros(n, dtype=np.int64)
+        for k in range(nest.depth):
+            key *= spans[k]
+            if k < depth:
+                key += cols[nest.loop_vars[k]] - glos[k] + 1
+        key = (key * nstmt + s) * max_refs
+
+        refs = [(r, False) for r in st.reads] + [(st.write, True)]
+        for rpos, (ref, is_write) in enumerate(refs):
+            ta = spmd.transformed[ref.array.name]
+            idx_cols = [
+                _eval_affine_vec(e, cols, params, n)
+                for e in ref.index_exprs
+            ]
+            elem = ta.layout.linearize_vec(idx_cols)
+            byte = space.bases[ref.array.name] + elem * ta.decl.element_size
+            if ref.array.name in space.replicated_stride:
+                byte = byte + owner * space.replicated_stride[ref.array.name]
+            keys.append(key + rpos)
+            addrs.append(byte.astype(np.int64))
+            writes.append(np.full(n, is_write))
+            procs.append(owner)
+
+    if not keys:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=bool)
+
+    key = np.concatenate(keys)
+    addr = np.concatenate(addrs)
+    write = np.concatenate(writes)
+    proc = np.concatenate(procs)
+    order = np.argsort(key, kind="stable")
+    return addr[order], proc[order], write[order]
+
+
+def run_nest_order_trace(spmd, phase, space):
+    """Reference trace of one phase by an access-at-a-time walk in the
+    sequential executor's order (``codegen.executor._run_nest``): at each
+    level the statements of that depth in body order, reads before the
+    write, then the next loop."""
+    params = spmd.program.params
+    nest = phase.nest
+    by_level: Dict[int, List[int]] = {}
+    for s, st in enumerate(nest.body):
+        d = st.depth if st.depth is not None else nest.depth
+        by_level.setdefault(d, []).append(s)
+    out: List[Tuple[int, int, bool]] = []
+    env = dict(params)
+
+    def level(lv: int) -> None:
+        for s in by_level.get(lv, ()):
+            st = nest.body[s]
+            cols = {v: np.array([env[v]]) for v in nest.loop_vars[:lv]}
+            owner = int(_owner_ids(phase.owners[s], nest, cols, 1, params,
+                                   spmd.nprocs, spmd.grid)[0])
+            for ref, is_write in ([(r, False) for r in st.reads]
+                                  + [(st.write, True)]):
+                name = ref.array.name
+                ta = spmd.transformed[name]
+                a = (space.bases[name] + ta.layout.linearize(
+                    ref.index_at(env)) * ta.decl.element_size)
+                a += owner * space.replicated_stride.get(name, 0)
+                out.append((a, owner, is_write))
+        if lv == nest.depth:
+            return
+        loop = nest.loops[lv]
+        for v in range(loop.lower.eval(env), loop.upper.eval(env) + 1):
+            env[loop.var] = v
+            level(lv + 1)
+        env.pop(loop.var, None)
+
+    level(0)
+    if not out:
+        return (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, bool),)
+    addr, proc, write = zip(*out)
+    return np.array(addr), np.array(proc), np.array(write)
+
+
+def assert_trace_equal(t, ref, what):
+    addr, proc, write = ref
+    assert np.array_equal(t.addr, addr), what
+    assert np.array_equal(t.proc, proc), what
+    assert np.array_equal(t.write, write), what
+    assert t.n_accesses == len(addr), what
 
 
 class TestEnumerate:
@@ -106,11 +234,6 @@ class TestPhaseTrace:
         assert len(expected) == t.n_accesses
         assert sorted(expected) == sorted(t.addr.tolist())
 
-    def test_program_order_keys_sorted(self, figure1_program):
-        spmd = compile_program(figure1_program, Scheme.BASE, 4)
-        _, traces = program_traces(spmd)
-        for t in traces:
-            assert (np.diff(t.key) >= 0).all()
 
     def test_reads_precede_write_within_statement(self, figure1_program):
         spmd = compile_program(figure1_program, Scheme.BASE, 1)
@@ -154,3 +277,75 @@ class TestPhaseTrace:
                 continue
             copy_idx = (t.addr[mask] - ubase) // stride
             assert np.array_equal(copy_idx, t.proc[mask])
+
+
+class TestProgramOrder:
+    """The trace writes each access into its program-order slot; these
+    pin it to the key-sorted reference and to the executor's order."""
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_matches_key_sorted_reference(self, app):
+        for n in (4, 6, 8):
+            prog = build_app(app, n=n)
+            session = CompileSession()
+            for scheme in (Scheme.BASE, Scheme.COMP_DECOMP,
+                           Scheme.COMP_DECOMP_DATA):
+                for nprocs in (1, 3, 8, 32):
+                    spmd = session.compile(prog, scheme, nprocs)
+                    space, traces = program_traces(spmd)
+                    assert len(traces) == len(spmd.phases)
+                    for phase, t in zip(spmd.phases, traces):
+                        assert_trace_equal(
+                            t, key_sorted_trace(spmd, phase, space),
+                            (n, scheme.value, nprocs, phase.nest.name))
+
+    @staticmethod
+    def hand_built():
+        """A depth-0 statement, a depth-1 statement listed after a
+        depth-3 one, and a middle loop whose range is empty on the last
+        outer iteration."""
+        n = 5
+        pb = ProgramBuilder("hand", params={"N": n})
+        a = pb.array("A", (n, n, 2))
+        b = pb.array("B", (n,))
+        c = pb.array("C", (2,))
+        i, j, k = pb.vars("I", "J", "K")
+        nest = pb.nest(
+            "hand", [("I", 0, n - 1), ("J", i + 1, n - 1), ("K", 0, 1)], [])
+        nest.body = [
+            Statement(write=a(i, j, k), reads=(a(i, j, k), b(j)), depth=3),
+            Statement(write=b(i), reads=(b(i), c(0)), depth=1),
+            Statement(write=c(1), reads=(c(0),), depth=0),
+            Statement(write=a(i, i, 0), reads=(), depth=1),
+        ]
+        return pb.build()
+
+    @pytest.mark.parametrize("nprocs", [1, 3])
+    def test_hand_built_nest(self, nprocs):
+        prog = self.hand_built()
+        spmd = compile_program(prog, Scheme.BASE, nprocs)
+        space, traces = program_traces(spmd)
+        for phase, t in zip(spmd.phases, traces):
+            assert_trace_equal(t, key_sorted_trace(spmd, phase, space),
+                               "key")
+            assert_trace_equal(t, run_nest_order_trace(spmd, phase, space),
+                               "walk")
+        # The depth-0 statement runs once, before any loop; the depth-1
+        # statements open every I iteration, ahead of its J loop.
+        t = traces[0]
+        c_base = space.bases["C"]
+        assert t.addr[:2].tolist() == [c_base, c_base + 8]
+        assert t.write[:2].tolist() == [False, True]
+        assert t.n_accesses == 2 + 5 * (3 + 1) + 3 * (5 * 4 // 2) * 2
+
+    @pytest.mark.parametrize("scheme", [Scheme.BASE, Scheme.COMP_DECOMP,
+                                        Scheme.COMP_DECOMP_DATA])
+    def test_lu_matches_executor_walk(self, scheme):
+        prog = lu.build(n=6)
+        for nprocs in (1, 3, 4):
+            spmd = compile_program(prog, scheme, nprocs)
+            space, traces = program_traces(spmd)
+            for phase, t in zip(spmd.phases, traces):
+                assert_trace_equal(
+                    t, run_nest_order_trace(spmd, phase, space),
+                    (scheme.value, nprocs))
