@@ -128,7 +128,7 @@ def classify_accesses(
     n = len(addr)
     # Round 1 stands for every later round.
     tag_rounds = min(rounds, 2)
-    tag, by_tag, tag_in_order = _tag_hits(proc, addr, cfg, tag_rounds)
+    tag_hit, by_tag, tag_in_order = _tag_hits(proc, addr, cfg, tag_rounds)
     # Along the tag order a hit's previous entry is the processor's
     # previous touch of the line, its "own" touch; -1 at tag misses.
     own = prev_in_group(by_tag, ~tag_in_order)
@@ -149,7 +149,7 @@ def classify_accesses(
     # tag misses alone, grouped by (line, processor), give every first
     # touch (the cold accesses) and, for the wrap, every last one.
     line = cfg.line_of(addr)
-    missed = np.flatnonzero(~tag[:n])
+    missed = np.flatnonzero(~tag_hit[:n])
     by_miss = group_index(line[missed], proc[missed])
     first = missed[by_miss[0][by_miss[1]]]
     if rounds > 1:
@@ -159,16 +159,17 @@ def classify_accesses(
     cold = np.zeros(n, dtype=bool)
     cold[first] = True
 
-    # An own access to the line is at or before ``own``, so anything
-    # later is another processor's: a write to the line invalidated our
-    # copy, and any touch of the line makes our next write an ownership
-    # upgrade.  Both are decided along the line order.
+    # An own access to the line (or to one of its words, since no word
+    # straddles two lines) is at or before ``own``, so anything later is
+    # another processor's: a write to the line invalidated our copy, a
+    # write to the word makes that sharing true, and any touch of the
+    # line makes our next write an ownership upgrade.
     by_line, line_start = group_index(line)
     if rounds > 1:
         # The line group of each first touch, for the wrap below.
         group = np.searchsorted(line[by_line[line_start]], line[first])
     del line
-    written = last_flagged_before(by_line, line_start, write) > own
+    line_written = last_flagged_before(by_line, line_start, write) > own
     line_touched = np.zeros(n, dtype=bool)
     ps = proc[by_line]
     line_touched[by_line[1:]] = (ps[1:] != ps[:-1]) & ~line_start[1:]
@@ -177,24 +178,24 @@ def classify_accesses(
         # At a first touch ``own`` is -1, so the terms above say whether
         # the line was written or touched earlier in the round; the wrap
         # adds whether it was after L in the previous one.
-        written_wrap = written[first] | (
+        line_written_wrap = line_written[first] | (
             last_in_group(by_line, line_start, write)[group] > last)
-        touched_wrap = line_touched[first] | (
+        line_touched_wrap = line_touched[first] | (
             last_in_group(by_line, line_start)[group] > last)
         del group
     del by_line, line_start
 
     words = _WordWrites(addr, write, word_bytes)
-    out = _outcome(tag[:n], None if l2_tag is None else l2_tag[:n],
-                   written, line_touched, cold, write,
-                   lambda at: words.between(at, own[at], at))
+    out = _outcome(tag_hit[:n], line_written, line_touched,
+                   lambda at: words.between(at, own[at], at), cold, write,
+                   None if l2_tag is None else l2_tag[:n])
     if rounds > 1:
         wrapped = _outcome(
-            tag[n:][first], None if l2_tag is None else l2_tag[n:][first],
-            written_wrap, touched_wrap, np.zeros(len(first), dtype=bool),
-            write[first],
+            tag_hit[n:][first], line_written_wrap, line_touched_wrap,
             lambda at: (words.between(first[at], -1, first[at])
-                        | words.between(first[at], last[at], n)))
+                        | words.between(first[at], last[at], n)),
+            np.zeros(len(first), dtype=bool), write[first],
+            None if l2_tag is None else l2_tag[n:][first])
         flags = {}
         for f in fields(AccessClassification):
             once = getattr(out, f.name)
@@ -259,8 +260,8 @@ class _WordWrites:
         return (k >= 0) & (self.keys[k] > base + after)
 
 
-def _outcome(tag, l2_tag, line_written, line_touched, cold, write,
-             word_written) -> AccessClassification:
+def _outcome(tag, line_written, line_touched, word_written, cold, write,
+             l2_tag) -> AccessClassification:
     """The miss classes from the tag match and the coherence terms.
     ``word_written(at)`` says whether the word of each invalidated
     access ``at`` was written since the processor's previous touch."""

@@ -279,7 +279,7 @@ def phase_trace(
                 addr[slot] = byte_of[ref]
                 proc[slot] = owner
                 slot = slot + 1
-            write[slot - 1] = True
+            write[slot - 1] = True  # the write is the last reference
     return PhaseTrace(
         nest_name=nest.name,
         addr=addr,
