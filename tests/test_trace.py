@@ -22,10 +22,11 @@ from repro.pipeline import CompileSession
 
 
 def key_sorted_trace(spmd, phase, space):
-    """Reference trace of one phase: the mixed-radix program-order key
-    and stable argsort the trace builder used before it wrote each
-    access straight into its program-order slot.  Returns (addr, proc,
-    write) in int64 / int64 / bool."""
+    """Reference trace of one phase, put in program order by sorting:
+    every access gets a mixed-radix key (the iteration's digits, a pad
+    digit below a shallower statement's depth, then the statement and
+    reference positions) and a stable argsort orders them.  Returns
+    (addr, proc, write) in int64 / int64 / bool."""
     prog = spmd.program
     params = prog.params
     nest = phase.nest
