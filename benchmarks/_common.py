@@ -40,8 +40,6 @@ def run_speedups(prog, machine_kwargs, procs=PROCS, schemes=None):
 
 
 def record(name, title, curves):
-    from repro.obs.bench import append_series
-
     series_payload = {
         scheme: [[p, s] for p, s in srs]
         for scheme, srs in curves.items()
@@ -52,10 +50,6 @@ def record(name, title, curves):
         name, text,
         metrics={"title": title, "series": series_payload},
     )
-    # Snapshot series: every benchmark run also appends its measured
-    # curves to results/bench/series.jsonl, building a timestamped
-    # history alongside the `python -m repro bench` grid snapshots.
-    append_series(name, {"title": title, "series": series_payload})
     return text
 
 

@@ -306,11 +306,7 @@ def cmd_profile(args) -> int:
     if args.json:
         from repro.report import profile_as_dict
 
-        text = json.dumps(profile_as_dict(res), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "profile JSON")
+        _emit_json(args.json, profile_as_dict(res), "profile JSON")
     if args.output:
         if args.format == "chrome":
             try:
@@ -339,10 +335,39 @@ def _write_text(path: str, text: str, what: str) -> None:
     print(f"\nwrote {what} to {path}")
 
 
+def _emit_json(dest: str, payload, what: str) -> None:
+    """Write a ``--json`` payload: ``-`` prints it to stdout, a path
+    goes through :func:`_write_text`."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    if dest == "-":
+        print(text)
+    else:
+        _write_text(dest, text + "\n", what)
+
+
+def _add_grid_flags(p: argparse.ArgumentParser, apps: str, procs: str,
+                    n, scale: bool = True) -> None:
+    """The grid flags of verify/batch/bench: which apps, schemes and
+    processor counts, at which problem size (``_grid_args`` reads
+    them)."""
+    p.add_argument("--apps", default=apps,
+                   help="comma-separated app names, or 'all'")
+    p.add_argument("--schemes", default="base,comp,data",
+                   help="comma-separated scheme names (any alias)")
+    p.add_argument("--procs-list", type=_procs_csv, default=procs,
+                   help="comma-separated processor counts")
+    p.add_argument("--n", type=_positive_int, default=n,
+                   help="problem size per app")
+    p.add_argument("--time-steps", type=_positive_int, default=None)
+    if scale:
+        p.add_argument("--scale", type=_positive_int, default=16)
+
+
 def _grid_args(args):
-    """Validated (apps, schemes) of a grid command (batch/bench-style
-    --apps/--schemes flags)."""
-    apps = _split_csv(args.apps)
+    """Validated (apps, schemes) of a grid command's --apps/--schemes
+    flags; ``--apps all`` selects every app."""
+    apps = (sorted(ALL_APPS) if args.apps.strip() == "all"
+            else _split_csv(args.apps))
     if not apps:
         raise SystemExit("no apps selected")
     for a in apps:
@@ -360,148 +385,12 @@ def _grid_args(args):
     return apps, schemes
 
 
-def cmd_hotspots(args) -> int:
-    """``python -m repro hotspots``: sample the compile+simulate hot
-    path over a grid and report self/cumulative time per function plus
-    the locality analytics of every point."""
-    from repro.machine.simulate import simulate
-    from repro.obs.hotspot import HotspotProfiler
-    from repro.pipeline.grid import GridSpec, point_machine, point_program
-    from repro.report import (
-        format_hotspot_table,
-        format_locality_table,
-        hotspots_html,
-    )
-
-    apps, schemes = _grid_args(args)
-    _apply_session_args(args)
-
-    # One enumeration shared with batch/bench/verify; programs repeat
-    # across a grid's schemes/procs, so builds are memoized per app.
-    spec = GridSpec(
-        apps=tuple(apps), schemes=tuple(s.value for s in schemes),
-        procs=tuple(args.procs_list), n=args.n,
-        time_steps=args.time_steps, scale=args.scale,
-    )
-    progs = {}
-    points = []
-    # Collapsed stacks are only accumulated when a flamegraph was
-    # asked for; the default sampling path stays unchanged.
-    profiler = HotspotProfiler(interval=args.interval,
-                               collect_stacks=bool(args.flame))
-    profiler.start()
-    try:
-        for point in spec.points():
-            if point.app not in progs:
-                try:
-                    progs[point.app] = point_program(point)
-                except ValueError as exc:
-                    raise SystemExit(str(exc))
-            prog = progs[point.app]
-            machine = point_machine(point, prog)
-            spmd = compile_program(prog, parse_scheme(point.scheme),
-                                   point.nprocs)
-            for _ in range(args.repeats):
-                res = simulate(spmd, machine)
-            points.append((point, spmd, machine, res))
-    finally:
-        report = profiler.stop()
-
-    # Locality analytics run *outside* the profiling window: their
-    # reuse-distance merge count costs about as much again as the
-    # simulation, so inside it they would double the production hot
-    # path they are meant to explain.
-    out_points = []
-    for point, spmd, machine, res in points:
-        loc = simulate(spmd, machine, locality=True).locality
-        out_points.append({
-            "app": point.app,
-            "scheme": parse_scheme(point.scheme).value,
-            "nprocs": point.nprocs,
-            "total_time": res.total_time,
-            "n_accesses": res.n_accesses,
-            "locality": loc,
-        })
-
-    payload = {
-        "config": {
-            "apps": apps,
-            "schemes": [s.value for s in schemes],
-            "procs": args.procs_list,
-            "n": args.n,
-            "time_steps": args.time_steps,
-            "scale": args.scale,
-            "repeats": args.repeats,
-            "interval": args.interval,
-        },
-        "hotspots": report.as_dict(),
-        "points": out_points,
-    }
-
-    print(format_hotspot_table(payload["hotspots"], top=args.top))
-    for point in out_points:
-        print()
-        print(f"point: {point['app']} {point['scheme']} "
-              f"P={point['nprocs']}")
-        print(format_locality_table(point["locality"]))
-
-    if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "hotspots JSON")
-    if args.html:
-        _write_text(args.html, hotspots_html(payload), "hotspots HTML")
-    if args.flame:
-        from repro.obs.flame import flamegraph_svg
-
-        _write_text(args.flame,
-                    flamegraph_svg(report.stacks or {},
-                                   title="repro hotspots"),
-                    "flamegraph SVG")
-
-    if args.expect_hot:
-        ranked_fns = [f.key for f in report.top(5, include_external=False)]
-        modules = sorted(report.by_module().items(),
-                         key=lambda kv: (-kv[1], kv[0]))
-        ranked_mods = [m for m, _ in modules[:5]]
-        hit = any(args.expect_hot in k for k in ranked_fns + ranked_mods)
-        if not hit:
-            print(f"error: --expect-hot {args.expect_hot!r} not in the "
-                  f"top-5 self-time ranking (functions: {ranked_fns}; "
-                  f"modules: {ranked_mods})", file=sys.stderr)
-            return 1
-        print(f"\nexpect-hot OK: {args.expect_hot!r} is in the top-5 "
-              "self-time ranking")
-    return 0
-
-
 def cmd_verify(args) -> int:
     """``python -m repro verify``: the semantic oracle over a grid."""
     from repro.verify import format_verify_table, grid_ok, verify_grid
 
+    apps, schemes = _grid_args(args)
     session = _apply_session_args(args)
-    apps = (
-        sorted(ALL_APPS)
-        if args.apps.strip() == "all"
-        else _split_csv(args.apps)
-    )
-    if not apps:
-        raise SystemExit("no apps selected")
-    for a in apps:
-        if a not in ALL_APPS:
-            raise SystemExit(
-                f"unknown app {a!r}; available: "
-                f"{', '.join(sorted(ALL_APPS))}"
-            )
-    try:
-        schemes = [parse_scheme(s) for s in _split_csv(args.schemes)]
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if not schemes:
-        raise SystemExit("no schemes selected")
-
     store, _ = _result_store(args)
     results = verify_grid(apps, schemes, args.procs_list,
                           n=args.n, time_steps=args.time_steps,
@@ -606,8 +495,8 @@ def cmd_batch(args) -> int:
     shutdown = GracefulShutdown(drain_seconds=args.drain)
 
     # Live monitoring rides on the journal: heartbeats interleave with
-    # the run's own records, so `repro status/watch/report` work from
-    # the store dir alone.  --heartbeat 0 turns the whole layer off.
+    # the run's own records, so `repro status` and `repro report` work
+    # from the store dir alone.  --heartbeat 0 turns the whole layer off.
     monitor = None
     if journal is not None and args.heartbeat > 0:
         from repro.obs.runstate import RunMonitor
@@ -742,9 +631,7 @@ def cmd_batch(args) -> int:
             }
         if merged is not None:
             payload["telemetry"] = _batch_telemetry(merged, agg)
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, default=str)
-        print(f"wrote JSON results to {args.json}")
+        _emit_json(args.json, payload, "JSON results")
 
     rc = 1 if agg["errors"] else 0
     if args.expect_incremental is not None \
@@ -860,23 +747,14 @@ def cmd_fsck(args) -> int:
                + ("" if args.no_repair else ", now repaired") + ")")
 
     if args.json:
-        text = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "fsck report JSON")
+        _emit_json(args.json, report.as_dict(), "fsck report JSON")
     if args.strict and not report.clean:
         return 1
     return 0
 
 
 def cmd_bench(args) -> int:
-    from repro.obs.bench import (
-        append_bench_series,
-        compare_snapshots,
-        run_bench,
-        save_snapshot,
-    )
+    from repro.obs.bench import compare_snapshots, run_bench, save_snapshot
     from repro.obs.compare import read_run
     from repro.report import format_bench_table, format_regression_table
 
@@ -895,7 +773,6 @@ def cmd_bench(args) -> int:
     snap = run_bench(
         apps=apps, schemes=schemes, procs=args.procs_list,
         n=args.n, time_steps=args.time_steps, scale=args.scale,
-        repeats=args.repeats,
     )
     print(format_bench_table(snap))
 
@@ -904,19 +781,13 @@ def cmd_bench(args) -> int:
                                      latest=args.latest)
         print(f"\nwrote snapshot to {path}"
               + (f" (pointer: {latest})" if latest else ""))
-        spath = append_bench_series(snap)
-        print(f"appended per-point digest to {spath} "
-              f"(render trends with `python -m repro series`)")
 
     rc = 0
     if baseline is not None:
-        cmp = compare_snapshots(baseline, snap, wall_tol=args.wall_tol,
-                                wall_abs_floor=args.wall_abs_floor)
+        cmp = compare_snapshots(baseline, snap)
         print()
         print(format_regression_table(
-            cmp, title=f"bench comparison vs {args.compare}",
-            show_ok=args.show_ok,
-        ))
+            cmp, title=f"bench comparison vs {args.compare}"))
         if not cmp.ok:
             rc = 1
             # Name the culprit: attribute the regression to the first
@@ -932,100 +803,54 @@ def cmd_bench(args) -> int:
                 ))
             except Exception as exc:  # never mask the regression exit
                 print(f"(root-cause diff unavailable: {exc})")
-            # When the wall gate (or a ledger row) tripped, also rank
-            # the ledger rows whose self time moved — the differential
-            # attribution that names the pass/phase responsible.
-            wall_trip = any(
-                r.failing and (r.metric.startswith("wall.")
-                               or r.metric.endswith(".self_s"))
-                for r in cmp.rows)
-            if wall_trip:
-                try:
-                    from repro.obs.perf import perf_diff
-                    from repro.report import format_perf_diff_table
-
-                    print()
-                    print(format_perf_diff_table(
-                        perf_diff(baseline, snap,
-                                  wall_tol=args.wall_tol,
-                                  wall_abs_floor=args.wall_abs_floor),
-                        title="perf culprits vs baseline",
-                    ))
-                except Exception as exc:
-                    print(f"(perf culprit table unavailable: {exc})")
     return rc
 
 
-def _load_run_status(args):
-    """Shared status/watch/report front door: resolve the store dir and
-    snapshot the run, mapping a missing/unreadable journal to the dead-
-    run exit contract (2 = no such run, 3 = run is dead)."""
-    from repro.obs.runstate import load_status
-    from repro.pipeline.store import resolve_store_dir
-
-    root = resolve_store_dir(args.store_dir)
-    return load_status(root, args.run, stale_after=args.stale_after)
-
-
-def _status_rc(state: str) -> int:
-    """Exit code contract shared by status/watch: 0 while a run is
-    alive or finished cleanly, 3 when it is dead (interrupted/stale)."""
-    return 3 if state in ("interrupted", "stale") else 0
+# Seconds between `status --follow` refreshes.
+FOLLOW_INTERVAL = 1.0
 
 
 def cmd_status(args) -> int:
     """``python -m repro status``: cross-process snapshot of one
-    journaled run — progress, state, ETA — from the journal alone."""
-    from repro.errors import JournalError
-    from repro.report import format_status_text
-
-    try:
-        status = _load_run_status(args)
-    except JournalError as exc:
-        print(f"status: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        text = json.dumps(status.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "run status JSON")
-    else:
-        print(format_status_text(status.as_dict()))
-    return _status_rc(status.state)
-
-
-def cmd_watch(args) -> int:
-    """``python -m repro watch``: a refreshing terminal view tailing
-    the journal of a run owned by another process.  Exits on its own
-    when the run reaches a terminal state (finished/interrupted/stale),
-    with the status exit-code contract."""
-    import time as _time
+    journaled run — progress, state, ETA — from the journal alone.
+    ``--follow`` re-renders it every second until the run is finished,
+    interrupted or stale.  Exit codes: 0 running/finished, 2 no such
+    run, 3 the run is dead (interrupted/stale)."""
+    import time
 
     from repro.errors import JournalError
+    from repro.obs.runstate import load_status
+    from repro.pipeline.store import resolve_store_dir
     from repro.report import format_status_text
 
-    clear = sys.stdout.isatty() and not args.once and not args.json
+    if args.follow and args.json not in (None, "-"):
+        raise SystemExit("status --follow streams JSON to stdout; "
+                         "drop the --json PATH")
+    root = resolve_store_dir(args.store_dir)
+    clear = args.follow and not args.json and sys.stdout.isatty()
     while True:
         try:
-            status = _load_run_status(args)
+            status = load_status(root, args.run,
+                                 stale_after=args.stale_after)
         except JournalError as exc:
-            print(f"watch: {exc}", file=sys.stderr)
+            print(f"status: {exc}", file=sys.stderr)
             return 2
-        if args.json:
+        if args.follow and args.json:
             # One compact JSON object per refresh: a tail-able stream.
             print(json.dumps(status.as_dict(), sort_keys=True),
                   flush=True)
+        elif args.json:
+            _emit_json(args.json, status.as_dict(), "run status JSON")
         else:
             if clear:
                 print("\x1b[2J\x1b[H", end="")
             print(format_status_text(status.as_dict()), flush=True)
-        if args.once or status.state in ("finished", "interrupted",
-                                         "stale"):
-            return _status_rc(status.state)
+        dead = status.state in ("interrupted", "stale")
+        if not args.follow or dead or status.state == "finished":
+            return 3 if dead else 0
         if not clear and not args.json:
             print()
-        _time.sleep(args.interval)
+        time.sleep(FOLLOW_INTERVAL)
 
 
 def cmd_report(args) -> int:
@@ -1049,12 +874,7 @@ def cmd_report(args) -> int:
                     "HTML run report")
         wrote = True
     if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True,
-                          default=str)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "run report JSON")
+        _emit_json(args.json, payload, "run report JSON")
         wrote = True
     if not wrote:
         print(format_status_text(payload["status"]))
@@ -1066,40 +886,6 @@ def cmd_report(args) -> int:
               f"{len(payload['failures'])} failures "
               f"(write the full artifact with --html/--json)")
     return 0
-
-
-def cmd_series(args) -> int:
-    """``python -m repro series``: the benchmark history as per-metric
-    trend rows with regression highlighting — the read side of the
-    previously write-only ``series.jsonl``."""
-    from repro.obs.bench import (
-        load_series_lines,
-        series_path,
-        series_trends,
-    )
-    from repro.report import format_series_table
-
-    path = args.file or series_path()
-    lines = load_series_lines(path)
-    rows = series_trends(lines, wall_tol=args.wall_tol,
-                         wall_abs_floor=args.wall_abs_floor)
-    if args.json:
-        text = json.dumps(
-            {"path": str(path), "samples": len(lines), "rows": rows},
-            indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "series trends JSON")
-    else:
-        print(f"benchmark series: {path} ({len(lines)} samples)")
-        print(format_series_table(rows, limit=args.limit))
-    flagged = [r for r in rows
-               if r["status"] in ("regressed", "changed")]
-    if flagged and not args.json:
-        print(f"\n{len(flagged)} metric(s) flagged "
-              f"(regressed or counter drift)")
-    return 1 if flagged and args.strict else 0
 
 
 def cmd_explain(args) -> int:
@@ -1190,11 +976,7 @@ def _cmd_perf_record(args) -> int:
         title=f"wall-time ledger: {label}", top=args.top,
     ))
     if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "perf record JSON")
+        _emit_json(args.json, payload, "perf record JSON")
     if args.stacks:
         from repro.obs.export import write_collapsed
 
@@ -1291,43 +1073,8 @@ def main(argv=None) -> int:
                    help="output format: Chrome trace events or full dump")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the profile result (phases, arrays, "
-                        "NUMA, conflicts) as JSON; '-' for stdout")
-    _add_cache_flags(p)
-
-    p = sub.add_parser(
-        "hotspots",
-        help="sample the compile+simulate hot path over a grid; rank "
-             "self-time per function and report locality analytics",
-    )
-    p.add_argument("--apps", default="simple,stencil5",
-                   help="comma-separated app names")
-    p.add_argument("--schemes", default="base,comp,data",
-                   help="comma-separated scheme names (any alias)")
-    p.add_argument("--procs-list", type=_procs_csv, default="1,4",
-                   help="comma-separated processor counts")
-    p.add_argument("--n", type=_positive_int, default=16,
-                   help="problem size per app")
-    p.add_argument("--time-steps", type=_positive_int, default=None)
-    p.add_argument("--scale", type=_positive_int, default=16)
-    p.add_argument("--repeats", type=_positive_int, default=3,
-                   help="simulate() repetitions per point while "
-                        "sampling (weights the steady-state hot path)")
-    p.add_argument("--interval", type=_positive_int, default=7,
-                   help="profile events between samples (tick count)")
-    p.add_argument("--top", type=_positive_int, default=15,
-                   help="ranked functions to print")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the full payload (ranking, modules, "
-                        "per-point locality) as JSON; '-' for stdout")
-    p.add_argument("--html", default=None, metavar="PATH",
-                   help="write a self-contained HTML report with "
-                        "phase×array heatmaps")
-    p.add_argument("--expect-hot", default=None, metavar="SUBSTR",
-                   help="exit nonzero unless SUBSTR appears in the "
-                        "top-5 self-time ranking (CI guard)")
-    p.add_argument("--flame", default=None, metavar="PATH",
-                   help="write a self-contained flamegraph SVG of the "
-                        "sampled stacks")
+                        "NUMA, conflicts, locality) as JSON; '-' for "
+                        "stdout")
     _add_cache_flags(p)
 
     p = sub.add_parser(
@@ -1335,16 +1082,7 @@ def main(argv=None) -> int:
         help="semantically verify compiled output against the "
              "sequential reference (app x scheme x procs grid)",
     )
-    p.add_argument("--apps", default="all",
-                   help="comma-separated app names, or 'all'")
-    p.add_argument("--schemes", default="base,comp,data",
-                   help="comma-separated scheme names (any alias)")
-    p.add_argument("--procs-list", type=_procs_csv, default="1,2,4",
-                   help="comma-separated processor counts")
-    p.add_argument("--n", type=_positive_int, default=8,
-                   help="problem size per app (small keeps the oracle "
-                        "fast)")
-    p.add_argument("--time-steps", type=_positive_int, default=None)
+    _add_grid_flags(p, "all", "1,2,4", 8, scale=False)
     _add_cache_flags(p)
     _add_store_flags(p)
 
@@ -1352,16 +1090,7 @@ def main(argv=None) -> int:
         "batch",
         help="compile + simulate a grid of (app, scheme, nprocs) points",
     )
-    p.add_argument("--apps", default="simple",
-                   help="comma-separated app names")
-    p.add_argument("--schemes", default="base,comp,data",
-                   help="comma-separated scheme names (any alias)")
-    p.add_argument("--procs-list", type=_procs_csv, default="1,4",
-                   help="comma-separated processor counts")
-    p.add_argument("--n", type=_positive_int, default=None,
-                   help="problem size forwarded to each app builder")
-    p.add_argument("--time-steps", type=_positive_int, default=None)
-    p.add_argument("--scale", type=_positive_int, default=16)
+    _add_grid_flags(p, "simple", "1,4", None)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes (<=1: serial, shared session)")
     p.add_argument("--pin-decomp", action="store_true",
@@ -1385,9 +1114,9 @@ def main(argv=None) -> int:
                         "its grid at a small size (faults disabled)")
     p.add_argument("--verify-n", type=_positive_int, default=8,
                    help="problem size for --verify (default 8)")
-    p.add_argument("--json", default=None,
+    p.add_argument("--json", default=None, metavar="PATH",
                    help="write per-point results + summary + telemetry "
-                        "as JSON")
+                        "as JSON; '-' for stdout")
     p.add_argument("--trace-out", default=None, metavar="PATH",
                    help="write a merged Chrome trace with one lane per "
                         "worker process (clock-skew corrected)")
@@ -1407,8 +1136,8 @@ def main(argv=None) -> int:
     p.add_argument("--heartbeat", type=_nonneg_float, default=2.0,
                    metavar="SECONDS",
                    help="interval between journal heartbeats for "
-                        "`repro status/watch/report` (default 2.0; 0 "
-                        "disables monitoring; needs the journal)")
+                        "`repro status` and `repro report` (default "
+                        "2.0; 0 disables monitoring; needs the journal)")
     p.add_argument("--expect-executed", type=_nonneg_int, default=None,
                    metavar="N",
                    help="exit nonzero unless exactly N points executed "
@@ -1438,21 +1167,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bench",
-        help="run the pinned perf grid; record a snapshot and/or "
-             "compare against a baseline",
+        help="run the pinned grid; record a snapshot of its simulated "
+             "counters and ledger structure and/or gate it exactly "
+             "against a baseline",
     )
-    p.add_argument("--apps", default="simple,stencil5",
-                   help="comma-separated app names")
-    p.add_argument("--schemes", default="base,comp,data",
-                   help="comma-separated scheme names (any alias)")
-    p.add_argument("--procs-list", type=_procs_csv, default="1,4",
-                   help="comma-separated processor counts")
-    p.add_argument("--n", type=_positive_int, default=16,
-                   help="problem size per app")
-    p.add_argument("--time-steps", type=_positive_int, default=None)
-    p.add_argument("--scale", type=_positive_int, default=16)
-    p.add_argument("--repeats", type=_positive_int, default=3,
-                   help="timed simulate() repetitions per point")
+    _add_grid_flags(p, "simple,stencil5", "1,4", 16)
     p.add_argument("--out-dir", default="results/bench",
                    help="snapshot directory (BENCH_<timestamp>.json)")
     p.add_argument("--latest", default="BENCH_latest.json",
@@ -1461,20 +1180,12 @@ def main(argv=None) -> int:
                    help="run and print without writing a snapshot")
     p.add_argument("--compare", default=None, metavar="BASELINE",
                    help="baseline snapshot (or pointer) to gate "
-                        "against; exits nonzero on regression")
-    p.add_argument("--wall-tol", type=_positive_float, default=0.30,
-                   help="relative wall-time tolerance for --compare "
-                        "(min-of-N; only gated on the same host)")
-    p.add_argument("--wall-abs-floor", type=_nonneg_float, default=0.010,
-                   help="absolute wall-time slack in seconds; a "
-                        "regression must exceed both thresholds")
-    p.add_argument("--show-ok", action="store_true",
-                   help="include passing rows in the comparison table")
+                        "against exactly; exits nonzero on any drift")
 
     def _add_run_flags(p: argparse.ArgumentParser) -> None:
-        """Shared flags of the journal-reading commands
-        (status/watch/report): which run, where, and the staleness
-        threshold for the run-state classification."""
+        """Shared flags of the journal-reading commands (status and
+        report): which run, where, and the staleness threshold for the
+        run-state classification."""
         p.add_argument("run", nargs="?", default="latest",
                        help="a RUN_* id, or 'latest' (default)")
         p.add_argument("--store-dir", default=None, metavar="DIR",
@@ -1497,21 +1208,10 @@ def main(argv=None) -> int:
                    metavar="PATH",
                    help="emit the status as JSON (to PATH, or stdout "
                         "when no path is given)")
-
-    p = sub.add_parser(
-        "watch",
-        help="refreshing terminal view of a run owned by another "
-             "process; exits when the run reaches a terminal state",
-    )
-    _add_run_flags(p)
-    p.add_argument("--interval", type=_positive_float, default=1.0,
-                   metavar="SECONDS",
-                   help="refresh interval (default 1.0)")
-    p.add_argument("--once", action="store_true",
-                   help="render a single frame and exit")
-    p.add_argument("--json", action="store_true",
-                   help="emit one JSON object per refresh instead of "
-                        "the terminal view")
+    p.add_argument("--follow", action="store_true",
+                   help="re-render every second until the run is "
+                        "finished, interrupted or stale; with --json, "
+                        "one compact object per refresh on stdout")
 
     p = sub.add_parser(
         "report",
@@ -1524,29 +1224,6 @@ def main(argv=None) -> int:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the report payload as JSON; '-' for "
                         "stdout")
-
-    p = sub.add_parser(
-        "series",
-        help="render the benchmark history (series.jsonl) as trend "
-             "rows with regression highlighting",
-    )
-    p.add_argument("--file", default=None, metavar="PATH",
-                   help="series file (default: "
-                        "$REPRO_RESULTS_DIR/bench/series.jsonl)")
-    p.add_argument("--limit", type=_positive_int, default=40,
-                   metavar="N", help="max rows to print (default 40)")
-    p.add_argument("--wall-tol", type=_positive_float, default=0.30,
-                   help="relative trend tolerance (default 0.30)")
-    p.add_argument("--wall-abs-floor", type=_nonneg_float,
-                   default=0.010,
-                   help="absolute wall-time slack in seconds")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero when any metric regressed or "
-                        "drifted (CI guard)")
-    p.add_argument("--json", nargs="?", const="-", default=None,
-                   metavar="PATH",
-                   help="emit the trend rows as JSON (to PATH, or "
-                        "stdout when no path is given)")
 
     p = sub.add_parser(
         "explain",
@@ -1634,15 +1311,12 @@ def main(argv=None) -> int:
             "emit": cmd_emit,
             "run": cmd_run,
             "profile": cmd_profile,
-            "hotspots": cmd_hotspots,
             "verify": cmd_verify,
             "batch": cmd_batch,
             "fsck": cmd_fsck,
             "bench": cmd_bench,
             "status": cmd_status,
-            "watch": cmd_watch,
             "report": cmd_report,
-            "series": cmd_series,
             "explain": cmd_explain,
             "diff": cmd_diff,
             "perf": cmd_perf,

@@ -59,11 +59,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_json,
 )
-from repro.obs.hotspot import (
-    HotspotProfiler,
-    HotspotReport,
-    profile,
-)
 
 __all__ = [
     "ENV_FLAG",
@@ -98,7 +93,4 @@ __all__ = [
     "to_json",
     "write_chrome_trace",
     "write_json",
-    "HotspotProfiler",
-    "HotspotReport",
-    "profile",
 ]

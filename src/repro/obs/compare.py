@@ -1,10 +1,9 @@
 """Reading and judging runs: the one place two runs are compared.
 
 Every command that puts two runs side by side — ``bench --compare``,
-``diff``, ``perf diff`` and ``series`` — goes through this module, so
-they agree on what a run file is, which points are the same point,
-when two simulated values are equal and when a wall-clock move is
-noise:
+``diff`` and ``perf diff`` — goes through this module, so they agree
+on what a run file is, which points are the same point, when two
+simulated values are equal and when a wall-clock move is noise:
 
 * :func:`read_run` loads a bench snapshot (following ``BENCH_latest``
   pointer files), a ``perf record`` payload or a ``batch --json``
@@ -17,8 +16,8 @@ noise:
   included — are compared with plain ``==``: any drift is a change;
 * :func:`drift` is the wall-clock noise rule: a move counts only past
   the relative tolerance *and* the absolute floor, and
-  :func:`wall_gate` allows wall comparisons only between runs measured
-  on the same host;
+  :func:`wall_gate` allows wall comparisons only between runs whose
+  :func:`host_fingerprint` is equal;
 * :func:`ledger_moves` aligns and judges two points' wall-time ledgers
   (:func:`repro.obs.perf.build_ledger`) row by row.
 
@@ -30,6 +29,8 @@ harness.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
@@ -38,6 +39,7 @@ __all__ = [
     "WALL_TOL",
     "drift",
     "flatten",
+    "host_fingerprint",
     "ledger_moves",
     "point_key",
     "point_metrics",
@@ -51,6 +53,37 @@ WALL_TOL = 0.30
 # sub-10ms measurement easily exceeds 30% relative, so a move must
 # also be at least this many seconds to count.
 WALL_ABS_FLOOR = 0.010
+
+
+def _cpu_model() -> str:
+    """Best-effort CPU model string (``platform.processor()`` is empty
+    on most Linux builds; fall back to /proc/cpuinfo)."""
+    cpu = platform.processor()
+    if not cpu:
+        try:
+            with open("/proc/cpuinfo") as fh:
+                for line in fh:
+                    if line.lower().startswith(("model name", "hardware")):
+                        cpu = line.split(":", 1)[1].strip()
+                        break
+        except OSError:
+            pass
+    return cpu or platform.machine()
+
+
+def host_fingerprint() -> Dict[str, Any]:
+    """Identity of the measuring machine; wall-time comparisons are
+    only meaningful between equal fingerprints.  The fields double as
+    the explanation when a comparison skips its wall gate —
+    :func:`wall_gate` names exactly which ones differ."""
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "node": platform.node(),
+        "cpu": _cpu_model(),
+        "cores": os.cpu_count() or 0,
+    }
 
 
 def read_run(path: Any) -> Dict[str, Any]:

@@ -226,11 +226,12 @@ def write_chrome_trace(
 
 def write_collapsed(path: str, stacks: Any) -> str:
     """Write collapsed/folded stack lines (``frame;frame value``) to
-    ``path``; returns the path.  ``stacks`` is either a ``{stack:
-    seconds}`` mapping (sorted, 6-decimal values — the same rendering
-    as :meth:`repro.obs.hotspot.HotspotReport.collapsed`) or
-    pre-rendered lines.  The format is what external flamegraph
-    tooling (``flamegraph.pl`` etc.) consumes directly."""
+    ``path`` (``repro perf record --stacks``); returns the path.
+    ``stacks`` is either a ``{stack: seconds}`` mapping (sorted,
+    6-decimal values — the same rendering as
+    :meth:`repro.obs.hotspot.HotspotReport.collapsed`) or pre-rendered
+    lines.  The format is what external flamegraph tooling
+    (``flamegraph.pl`` etc.) consumes directly."""
     if isinstance(stacks, dict):
         lines = [f"{k} {stacks[k]:.6f}" for k in sorted(stacks)]
     else:

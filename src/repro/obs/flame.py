@@ -5,8 +5,8 @@ innermost frame last, value after the final space::
 
     repro/machine/simulate.py:simulate;repro/machine/trace.py:program_traces 0.0042
 
-(:meth:`repro.obs.hotspot.HotspotReport.collapsed` and
-``repro perf record --stacks`` both emit it, and external folded files
+(:meth:`repro.obs.hotspot.HotspotReport.collapsed` produces it for
+``repro perf record --flame``/``--stacks``, and external folded files
 from ``stackcollapse-*.pl`` parse the same way).
 
 The output is a single standalone SVG document — no scripts, no

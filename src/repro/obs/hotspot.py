@@ -1,43 +1,28 @@
-"""Deterministic, low-overhead sampling profiler for the repro hot path.
+"""Deterministic stack sampler behind ``repro perf record --flame`` and
+``--stacks``.
 
-The trace-driven simulator is itself the dominant cost of every bench
-point, and ROADMAP item 1 (vectorize it) needs to know *exactly* which
-functions carry that cost before touching them.  This module provides
-the measurement: a **tick-counted** statistical sampler built on
-``sys.setprofile``.
-
-Design:
+A **tick-counted** statistical sampler built on ``sys.setprofile``:
 
 * The hook body's fast path is two integer operations (tick increment +
   modulo test).  Every ``interval``-th profile event — call, return, or
   C-call boundary — takes a *sample*: it reads ``perf_counter`` once,
-  attributes the elapsed time since the previous sample to the current
+  charges the elapsed time since the previous sample to the current
   Python stack, and returns.  Which events sample is therefore a pure
   function of the event stream, not of wall-clock timers or signals —
   run the same workload twice and the samples land on the same events
   (the recorded *durations* are still wall time).
-* Attribution is by function, keyed ``<repro-relative file>:<qualname>``
-  (e.g. ``machine/trace.py:phase_trace``): **self** time goes to the
-  innermost frame inside the ``repro`` package, **cumulative** time to
-  every distinct repro function on the stack.  Samples with no repro
-  frame at all fall into the :data:`EXTERNAL` bucket, so the report's
-  total always accounts for the whole profiled wall time.  Long
-  opaque C calls (numpy kernels) emit no events while running; their
-  time is attributed at the next sampled event, which — at the default
+* A sample's stack is the chain of frames inside the ``repro``
+  package, each keyed ``<repro-relative file>:<qualname>`` (e.g.
+  ``machine/trace.py:phase_trace``) and joined outermost first
+  (``outer;inner``); seconds accumulate per distinct stack.  Samples
+  with no repro frame at all fall into the :data:`EXTERNAL` bucket, so
+  the stacks always account for every sample.  Long opaque C calls
+  (numpy kernels) emit no events while running; their time is
+  attributed at the next sampled event, which — at the default
   interval — still sits in the function that issued them.
-* With ``collect_stacks=True`` each sample additionally records the
-  full repro stack in collapsed/folded form (``outer;inner`` keys,
-  seconds accumulated per distinct stack) —
-  :meth:`HotspotReport.collapsed` emits the classic folded lines that
-  :func:`repro.obs.flame.flamegraph_svg` renders.  The default is off:
-  the self/cum attribution above stays byte-identical either way, and
-  the extra per-sample join is only paid when a flamegraph was asked
-  for.
-* Per-function self/cumulative distributions are held in
-  :class:`repro.obs.metrics.Histogram` instances (count/sum/min/max +
-  deterministic p50/p95), and :meth:`HotspotReport.to_obs` copies them
-  into the active obs collector as ``hotspot.self_s.<key>`` /
-  ``hotspot.cum_s.<key>`` histograms.
+* :meth:`HotspotReport.collapsed` emits the classic folded lines that
+  :func:`repro.obs.flame.flamegraph_svg` renders and ``perf record
+  --stacks`` writes.
 
 The disabled path is strict: while no profiler is started, this module
 installs nothing — ``sys.getprofile()`` stays untouched and no repro
@@ -52,18 +37,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.obs.metrics import Histogram
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "DEFAULT_INTERVAL",
     "EXTERNAL",
-    "FunctionStat",
     "HotspotProfiler",
     "HotspotReport",
-    "active",
-    "profile",
 ]
 
 # Events between samples.  Small enough that attribution granularity is
@@ -79,7 +59,7 @@ _PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _PKG_PREFIX = os.path.join(_PKG_ROOT, "")
 
 
-def _func_key(code) -> str:
+def _func_key(code) -> Optional[str]:
     """``machine/trace.py:phase_trace`` for repro code, None otherwise."""
     fn = code.co_filename
     if not fn.startswith(_PKG_PREFIX):
@@ -90,136 +70,37 @@ def _func_key(code) -> str:
 
 
 @dataclass
-class FunctionStat:
-    """Aggregated samples of one function (times in seconds)."""
-
-    key: str  # "<repro-relative file>:<qualname>" or EXTERNAL
-    self_s: float
-    cum_s: float
-    self_samples: int
-    cum_samples: int
-    self_p50: float
-    self_p95: float
-    self_max: float
-
-    @property
-    def module(self) -> str:
-        """The file part of the key (``machine/trace.py``)."""
-        return self.key.rsplit(":", 1)[0] if ":" in self.key else self.key
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "module": self.module,
-            "self_s": self.self_s,
-            "cum_s": self.cum_s,
-            "self_samples": self.self_samples,
-            "cum_samples": self.cum_samples,
-            "self_p50": self.self_p50,
-            "self_p95": self.self_p95,
-            "self_max": self.self_max,
-        }
-
-
-@dataclass
 class HotspotReport:
-    """One finished profiling session, ranked by self time.
-
-    ``functions`` is sorted by descending self time with the key as a
-    deterministic tie-break, so rendering the report twice (or on two
-    runs whose sample attribution agrees) produces identical orderings.
-    """
+    """One finished sampling session: collapsed stacks
+    (``{"outer;inner": seconds}``) plus the sampling bookkeeping."""
 
     wall_s: float
     ticks: int
     samples: int
     interval: int
-    functions: List[FunctionStat] = field(default_factory=list)
-    # Collapsed stacks ({"outer;inner": seconds}); None unless the
-    # profiler ran with collect_stacks=True.
-    stacks: Optional[Dict[str, float]] = None
-    # The raw per-function histograms, kept for to_obs().
-    _hists: Dict[str, Tuple[Histogram, Histogram]] = field(
-        default_factory=dict, repr=False)
-
-    def top(self, n: int = 10, include_external: bool = True
-            ) -> List[FunctionStat]:
-        fns = self.functions if include_external else [
-            f for f in self.functions if f.key != EXTERNAL
-        ]
-        return fns[:n]
-
-    def by_module(self) -> Dict[str, float]:
-        """Self-time rollup per file, name-sorted."""
-        out: Dict[str, float] = {}
-        for f in self.functions:
-            out[f.module] = out.get(f.module, 0.0) + f.self_s
-        return {k: out[k] for k in sorted(out)}
+    stacks: Dict[str, float] = field(default_factory=dict)
 
     def collapsed(self) -> List[str]:
         """The sampled stacks as folded lines (``a;b;c 0.000123``,
-        seconds, stack-sorted) — flamegraph input.  Empty when the
-        profiler ran without ``collect_stacks``."""
-        if not self.stacks:
-            return []
+        seconds, stack-sorted) — flamegraph input."""
         return [f"{k} {self.stacks[k]:.6f}" for k in sorted(self.stacks)]
-
-    def as_dict(self, top: Optional[int] = None) -> Dict[str, Any]:
-        fns = self.functions if top is None else self.top(top)
-        return {
-            "wall_s": self.wall_s,
-            "ticks": self.ticks,
-            "samples": self.samples,
-            "interval": self.interval,
-            "functions": [f.as_dict() for f in fns],
-            "modules": self.by_module(),
-        }
-
-    def to_obs(self) -> None:
-        """Copy the per-function distributions into the active obs
-        collector as ``hotspot.self_s.<key>`` / ``hotspot.cum_s.<key>``
-        histograms (no-op while observability is disabled)."""
-        from repro import obs
-
-        if not obs.enabled():
-            return
-        registry = obs.collector().metrics
-        for key, (self_h, cum_h) in sorted(self._hists.items()):
-            for prefix, src in (("hotspot.self_s.", self_h),
-                                ("hotspot.cum_s.", cum_h)):
-                if not src.count:
-                    continue
-                dst = registry.histogram(prefix + key)
-                for v in src.samples:
-                    dst.observe(v)
-                # The decimated sample list may undercount; carry the
-                # exact totals over explicitly.
-                dst.count = src.count
-                dst.total = src.total
-                dst.min = src.min
-                dst.max = src.max
 
 
 class HotspotProfiler:
-    """Tick-counted sampling profiler; use via ``start()``/``stop()``
-    or the :func:`profile` context manager.
+    """Tick-counted stack sampler; use via ``start()``/``stop()`` or as
+    a context manager (``report()`` afterwards).
 
     ``clock`` is injectable for deterministic tests (any zero-argument
     callable returning monotonically increasing floats).
     """
 
     def __init__(self, interval: int = DEFAULT_INTERVAL,
-                 clock: Callable[[], float] = time.perf_counter,
-                 collect_stacks: bool = False):
+                 clock: Callable[[], float] = time.perf_counter):
         if interval < 1:
             raise ValueError("interval must be >= 1")
         self.interval = int(interval)
         self._clock = clock
-        self._hists: Dict[str, Tuple[Histogram, Histogram]] = {}
-        # Collapsed-stack accumulator; None keeps the default sample
-        # path free of the per-sample key join.
-        self._stacks: Optional[Dict[str, float]] = (
-            {} if collect_stacks else None)
+        self._stacks: Dict[str, float] = {}
         self._ticks = 0
         self._samples = 0
         self._t_start = 0.0
@@ -233,10 +114,8 @@ class HotspotProfiler:
     def start(self) -> "HotspotProfiler":
         if self._running:
             raise RuntimeError("profiler already running")
-        global _active
         self._prev_hook = sys.getprofile()
         self._running = True
-        _active = self
         self._t_start = self._last = self._clock()
         sys.setprofile(self._hook)
         return self
@@ -244,13 +123,10 @@ class HotspotProfiler:
     def stop(self) -> HotspotReport:
         if not self._running:
             raise RuntimeError("profiler not running")
-        global _active
         sys.setprofile(self._prev_hook)
         self._t_stop = self._clock()
         self._running = False
         self._prev_hook = None
-        if _active is self:
-            _active = None
         return self.report()
 
     def __enter__(self) -> "HotspotProfiler":
@@ -272,100 +148,25 @@ class HotspotProfiler:
         dt = now - self._last
         self._last = now
         self._samples += 1
-        # Attribute: self to the innermost repro frame, cumulative to
-        # every distinct repro function on the stack.
-        hists = self._hists
-        stacks = self._stacks
-        path: Optional[List[str]] = [] if stacks is not None else None
-        self_key = None
-        seen = None
+        path: List[str] = []
         f = frame
         while f is not None:
             key = _func_key(f.f_code)
             if key is not None:
-                if path is not None:
-                    path.append(key)  # innermost first; reversed below
-                if self_key is None:
-                    self_key = key
-                    seen = {key}
-                elif key not in seen:
-                    seen.add(key)
-                    entry = hists.get(key)
-                    if entry is None:
-                        entry = hists[key] = (Histogram(key), Histogram(key))
-                    entry[1].observe(dt)
+                path.append(key)  # innermost first; reversed below
             f = f.f_back
-        if stacks is not None:
-            skey = ";".join(reversed(path)) if path else EXTERNAL
-            stacks[skey] = stacks.get(skey, 0.0) + dt
-        if self_key is None:
-            self_key = EXTERNAL
-        entry = hists.get(self_key)
-        if entry is None:
-            entry = hists[self_key] = (Histogram(self_key),
-                                       Histogram(self_key))
-        entry[0].observe(dt)
-        entry[1].observe(dt)
+        skey = ";".join(reversed(path)) if path else EXTERNAL
+        self._stacks[skey] = self._stacks.get(skey, 0.0) + dt
 
     # -- reporting -----------------------------------------------------------
 
     def report(self) -> HotspotReport:
-        """The current (or final) aggregation as a ranked report."""
+        """The current (or final) stacks and sampling counts."""
         end = self._t_stop if not self._running else self._clock()
-        stats = []
-        for key, (self_h, cum_h) in self._hists.items():
-            stats.append(FunctionStat(
-                key=key,
-                self_s=self_h.total,
-                cum_s=cum_h.total,
-                self_samples=self_h.count,
-                cum_samples=cum_h.count,
-                self_p50=self_h.p50 if self_h.count else 0.0,
-                self_p95=self_h.p95 if self_h.count else 0.0,
-                self_max=self_h.max if self_h.count else 0.0,
-            ))
-        stats.sort(key=lambda s: (-s.self_s, s.key))
         return HotspotReport(
             wall_s=end - self._t_start,
             ticks=self._ticks,
             samples=self._samples,
             interval=self.interval,
-            functions=stats,
-            stacks=(dict(self._stacks)
-                    if self._stacks is not None else None),
-            _hists=self._hists,
+            stacks=dict(self._stacks),
         )
-
-
-# -- module-level convenience ------------------------------------------------
-
-_active: Optional[HotspotProfiler] = None
-
-
-def active() -> Optional[HotspotProfiler]:
-    """The running profiler, or ``None`` — the disabled state, in which
-    this module has installed nothing into ``sys.setprofile``."""
-    return _active
-
-
-class _ProfileContext:
-    """Context manager handed out by :func:`profile`."""
-
-    def __init__(self, interval: int, collect_stacks: bool = False):
-        self.profiler = HotspotProfiler(interval=interval,
-                                        collect_stacks=collect_stacks)
-        self.report: Optional[HotspotReport] = None
-
-    def __enter__(self) -> "_ProfileContext":
-        self.profiler.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.report = self.profiler.stop()
-        return False
-
-
-def profile(interval: int = DEFAULT_INTERVAL,
-            collect_stacks: bool = False) -> _ProfileContext:
-    """``with hotspot.profile() as p: ...`` — ``p.report`` afterwards."""
-    return _ProfileContext(interval, collect_stacks=collect_stacks)

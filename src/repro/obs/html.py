@@ -1,11 +1,11 @@
 """Shared building blocks for self-contained HTML reports.
 
-Every HTML artifact the CLI can emit (``hotspots --html``, ``report
---html``) goes through this module: one escaping path, one stylesheet,
-no external assets — a report file must render from a CI artifact tab
-or an ``file://`` open with nothing else on disk.  Deterministic:
-output is a pure function of the input values and all iteration orders
-are the caller's.
+The HTML run report (``repro report --html``) is built from these
+parts, and :mod:`repro.obs.flame` shares the escaping: one escaping
+path, one stylesheet, no external assets — a report file must render
+from a CI artifact tab or an ``file://`` open with nothing else on
+disk.  Deterministic: output is a pure function of the input values
+and all iteration orders are the caller's.
 
 Cells passed to :func:`table` are escaped here (callers hand over raw
 values, never pre-escaped markup); the only way to attach styling is
@@ -20,7 +20,6 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "esc",
-    "heat_style",
     "page",
     "svg_line",
     "table",
@@ -52,11 +51,6 @@ def page(title: str, parts: Iterable[str]) -> str:
         f"<title>{esc(title)}</title><style>{_STYLE}</style></head>"
         f"<body><h1>{esc(title)}</h1>" + "".join(parts) + "</body></html>"
     )
-
-
-def heat_style(alpha: float) -> str:
-    """Background shading for heatmap cells (deterministic alpha)."""
-    return f"background:rgba(178,34,34,{max(0.0, min(1.0, alpha)):.3f})"
 
 
 def _cell(value: Any, tag: str, left: bool) -> str:

@@ -1,11 +1,9 @@
 """Differential performance attribution: the wall-time ledger and the
 ``repro perf`` engines.
 
-The repo could already *detect* a wall regression (``bench --compare``)
-and root-cause *semantic* divergence (``repro diff`` over decision
-provenance); this module closes the remaining loop by attributing a
-wall-time delta to the passes, simulator phases, and functions
-responsible.  Three pieces:
+``repro diff`` root-causes *semantic* divergence over decision
+provenance; this module attributes a *wall-time* delta to the passes,
+simulator phases, and functions responsible.  Three pieces:
 
 * :func:`build_ledger` — an **exhaustive, reconciled** accounting of
   one recording.  Every span's *self* time (duration minus its direct
@@ -25,10 +23,10 @@ responsible.  Three pieces:
   the ledger per grid point since snapshot schema 3.
 * :func:`perf_diff` — aligns two runs (bench snapshots or ``perf
   record`` payloads) and ranks the ledger rows whose self-time moved,
-  judged by :func:`repro.obs.compare.ledger_moves` exactly as ``bench
-  --compare`` judges them: row *sets* and *counts* are deterministic
-  and gated exactly; self-time columns are gated only on the same host
-  and only past a relative tolerance AND an absolute floor.
+  judged by :func:`repro.obs.compare.ledger_moves`: row *sets* and
+  *counts* are deterministic and gated exactly (as ``bench --compare``
+  gates them); self-time columns are gated only on the same host and
+  only past a relative tolerance AND an absolute floor.
 
 Ledger reconciliation rules (the falsifiability contract):
 
@@ -55,6 +53,7 @@ from repro.obs import core as _obs_core
 from repro.obs.compare import (
     WALL_ABS_FLOOR,
     WALL_TOL,
+    host_fingerprint,
     ledger_moves,
     run_points,
     wall_gate,
@@ -222,7 +221,6 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         _obs_core._enabled = saved_enabled
 
     out = {
-        "spmd": spmd,
         "res": res,
         "compile_s": compile_s,
         "addressing": addressing,
@@ -230,12 +228,11 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         "provenance": prov,
     }
     if collect_stacks:
-        from repro.obs import hotspot
+        from repro.obs.hotspot import DEFAULT_INTERVAL, HotspotProfiler
 
-        with hotspot.profile(interval or hotspot.DEFAULT_INTERVAL,
-                             collect_stacks=True) as sampled:
+        with HotspotProfiler(interval or DEFAULT_INTERVAL) as sampler:
             simulate(spmd, machine)
-        out["stacks"] = sampled.report.collapsed()
+        out["stacks"] = sampler.report().collapsed()
     return out
 
 
@@ -249,7 +246,6 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
     from datetime import datetime, timezone
 
     from repro.codegen.spmd import scheme_short_name
-    from repro.obs.bench import host_fingerprint
     from repro.pipeline.grid import GridSpec, point_machine, point_program
     from repro.pipeline.session import CompileSession
 
@@ -341,10 +337,10 @@ def perf_diff(run_a: Mapping[str, Any], run_b: Mapping[str, Any],
               wall_abs_floor: float = WALL_ABS_FLOOR) -> PerfDiff:
     """Align two runs' ledgers and rank the rows that moved.
 
-    Rows are judged by :func:`repro.obs.compare.ledger_moves`, the
-    ``bench --compare`` rule: the row *set* and anchor *counts* are
-    deterministic, so any drift is ``changed`` (significant)
-    regardless of host; ``self_s`` columns are wall-clock, so they are
+    Rows are judged by :func:`repro.obs.compare.ledger_moves`: the row
+    *set* and anchor *counts* are deterministic, so any drift is
+    ``changed`` (significant) regardless of host, exactly as ``bench
+    --compare`` gates them; ``self_s`` columns are wall-clock, so they are
     compared only when both runs share a host fingerprint, and flagged
     only past ``wall_tol`` relative AND ``wall_abs_floor`` seconds
     absolute.  Rows come back ranked by absolute self-time movement,

@@ -12,8 +12,8 @@ different processes:
   Monitoring is best-effort by construction: every emit path swallows
   and counts its own errors, and heartbeats are never fsync'd.
 
-* :func:`load_status` runs in *any other process* (``repro status`` /
-  ``watch``).  It replays the journal into a :class:`RunStatus`:
+* :func:`load_status` runs in *any other process* (``repro status``,
+  once or every second with ``--follow``).  It replays the journal into a :class:`RunStatus`:
   progress, per-scheme completion matrix, cache-hit rate, an EWMA of
   executed per-point latency and the ETA it implies, and a run-state
   classification::

@@ -1,8 +1,8 @@
 """The shared grid-execution engine.
 
 Every surface that sweeps ``(app, scheme, nprocs)`` coordinates —
-``repro batch``, the benchmark harness (:mod:`repro.obs.bench`), the
-verifier and hotspot sweeps in the CLI — used to carry its own copy of
+``repro batch``, the benchmark harness (:mod:`repro.obs.bench`) and
+the verifier sweep in the CLI — used to carry its own copy of
 the enumerate/compile/simulate loop.  This module is the single
 implementation they all consume:
 
@@ -817,7 +817,8 @@ def run_grid(
     like the journal) is told about every dispatch, finish (including
     store-served points) and wave in grid-global indices, and is
     pumped while the executor waits — driving the heartbeat records
-    ``repro status`` / ``watch`` / ``report`` read.
+    ``repro status`` (and ``status --follow``) and ``repro report``
+    read.
     """
     points = list(points)
     if (store is None and journal is None and shutdown is None

@@ -177,101 +177,6 @@ def format_locality_table(loc: Mapping) -> str:
     return "\n".join(lines)
 
 
-def format_hotspot_table(hot: Mapping, top: int = 15) -> str:
-    """Ranked self-time table of one hotspot profile
-    (:meth:`repro.obs.hotspot.HotspotReport.as_dict`), followed by the
-    per-module and per-package self-time rollups.  All orderings are
-    deterministic (self-time descending, key ascending tie-break; the
-    rollups re-sort the name-sorted dicts the same way)."""
-    lines: List[str] = [
-        f"hotspots: wall={hot['wall_s']:.3f}s samples={hot['samples']} "
-        f"interval={hot['interval']} ticks={hot['ticks']}"
-    ]
-    header = (
-        f"{'function':58s} {'self ms':>9s} {'cum ms':>9s} {'n':>6s} "
-        f"{'p50 ms':>8s} {'p95 ms':>8s} {'max ms':>8s}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for f in hot["functions"][:top]:
-        lines.append(
-            f"{f['key']:58s} {f['self_s'] * 1e3:9.2f} "
-            f"{f['cum_s'] * 1e3:9.2f} {f['self_samples']:>6d} "
-            f"{f['self_p50'] * 1e3:8.3f} {f['self_p95'] * 1e3:8.3f} "
-            f"{f['self_max'] * 1e3:8.3f}"
-        )
-    modules = hot.get("modules") or {}
-    if modules:
-        lines.append("")
-        lines.append(f"{'module (self-time rollup)':58s} {'self ms':>9s}")
-        ranked = sorted(modules.items(), key=lambda kv: (-kv[1], kv[0]))
-        for mod, s in ranked:
-            lines.append(f"{mod:58s} {s * 1e3:9.2f}")
-        # Top-level package rollup: machine/* vs pipeline/* vs ... — the
-        # coarse answer to "is the simulator or the compiler the cost".
-        pkgs: Dict[str, float] = {}
-        for mod, s in modules.items():
-            pkg = mod.split("/", 1)[0] if "/" in mod else mod
-            pkgs[pkg] = pkgs.get(pkg, 0.0) + s
-        lines.append("")
-        lines.append(f"{'package':58s} {'self ms':>9s}")
-        for pkg, s in sorted(pkgs.items(), key=lambda kv: (-kv[1], kv[0])):
-            lines.append(f"{pkg:58s} {s * 1e3:9.2f}")
-    return "\n".join(lines)
-
-
-def hotspots_html(payload: Mapping) -> str:
-    """Self-contained HTML rendering of a ``repro hotspots`` payload:
-    the ranked function table plus one phase×array heatmap per grid
-    point, cells shaded by access count.  Deterministic: content is a
-    pure function of the payload, iteration orders are sorted."""
-    from repro.obs.html import esc, heat_style, page, table
-
-    parts: List[str] = []
-    hot = payload.get("hotspots")
-    if hot:
-        wall = "{:.3f}".format(hot["wall_s"])
-        parts.append(
-            f"<p>wall={esc(wall)}s samples={esc(hot['samples'])} "
-            f"interval={esc(hot['interval'])}</p>"
-        )
-        parts.append("<h2>self-time ranking</h2>")
-        parts.append(table(
-            ["function", "self ms", "cum ms", "samples"],
-            [[f["key"], f"{f['self_s'] * 1e3:.2f}",
-              f"{f['cum_s'] * 1e3:.2f}", f["self_samples"]]
-             for f in hot["functions"]],
-        ))
-    for point in payload.get("points", []):
-        loc = point.get("locality") or {}
-        hm = loc.get("heatmap") or {}
-        if not hm.get("phases"):
-            continue
-        label = (f"{point['app']} / {point['scheme']} / "
-                 f"P={point['nprocs']}")
-        parts.append(f"<h2>heatmap: {esc(label)}</h2>")
-        peak = max(
-            (c for row in hm["counts"] for c in row), default=0
-        )
-        rows = []
-        for phase, row in zip(hm["phases"], hm["counts"]):
-            # Shade by relative access count (deterministic alpha).
-            rows.append([phase] + [
-                (c, heat_style(c / peak if peak else 0.0)) for c in row
-            ])
-        parts.append(table(["phase \\ array", *hm["arrays"]], rows))
-        reuse = loc.get("reuse") or {}
-        if reuse:
-            parts.append(table(
-                ["array", "accesses", "cold", "p50", "p95", "max"],
-                [[name, reuse[name]["accesses"], reuse[name]["cold"],
-                  f"{reuse[name]['p50']:.1f}",
-                  f"{reuse[name]['p95']:.1f}", reuse[name]["max"]]
-                 for name in sorted(reuse)],
-            ))
-    return page("repro hotspots", parts)
-
-
 def _fmt_bytes(n) -> str:
     if not isinstance(n, (int, float)):
         return "?"
@@ -280,7 +185,7 @@ def _fmt_bytes(n) -> str:
 
 def format_status_text(status: Mapping) -> str:
     """Terminal rendering of one run's :class:`RunStatus` dict — the
-    ``repro status`` / ``repro watch`` display."""
+    ``repro status`` display, redrawn every second by ``--follow``."""
     s = status
     lines: List[str] = []
     pid = s.get("pid")
@@ -343,39 +248,6 @@ def format_status_text(status: Mapping) -> str:
     if s.get("torn_tail") or s.get("bad_lines"):
         lines.append(f"journal damage: torn_tail={bool(s.get('torn_tail'))}"
                      f" bad_lines={s.get('bad_lines', 0)}")
-    return "\n".join(lines)
-
-
-def format_series_table(rows: Sequence[Mapping], limit: int = 0) -> str:
-    """The ``repro series`` trend table: one row per tracked metric,
-    regressions and counter drifts highlighted with a leading ``!``."""
-    lines: List[str] = []
-    shown = list(rows[:limit]) if limit and limit > 0 else list(rows)
-    header = (f"  {'metric':44s} {'unit':12s} {'runs':>5s} "
-              f"{'last':>10s} {'prev':>10s} {'misses':>8s}  status")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for r in shown:
-        mark = "! " if r.get("status") in ("regressed", "changed") else "  "
-        prev = r.get("prev")
-        misses = r.get("misses")
-        line = (
-            f"{mark}{str(r.get('key', '?')):44s} "
-            f"{str(r.get('unit', '')):12s} {r.get('runs', 0):>5d} "
-            f"{r.get('value', 0):>10.4g} "
-            f"{(f'{prev:.4g}' if prev is not None else '-'):>10s} "
-            f"{(str(misses) if misses is not None else '-'):>8s}  "
-            f"{r.get('status', '')}"
-        )
-        if r.get("note"):
-            line += f"  ({r['note']})"
-        lines.append(line)
-    if limit and limit > 0 and len(rows) > limit:
-        lines.append(f"... {len(rows) - limit} more rows "
-                     f"(raise --limit to see them)")
-    if not rows:
-        lines.append("(series history is empty — run `repro bench` or "
-                     "the pytest benchmarks to grow it)")
     return "\n".join(lines)
 
 
@@ -636,42 +508,34 @@ def _fmt_value(v) -> str:
 
 
 def format_bench_table(snapshot: Mapping) -> str:
-    """Per-point summary of one perf-harness snapshot
+    """Per-point summary of one bench snapshot
     (:func:`repro.obs.bench.run_bench`)."""
     cfg = snapshot["config"]
     lines = [
         f"bench: n={cfg['n']} scale={cfg['scale']} "
-        f"repeats={cfg['repeats']} ({snapshot['created']})"
+        f"({snapshot['created']})"
     ]
     header = (
         f"{'app':12s} {'scheme':6s} {'P':>3s} {'compile':>9s} "
-        f"{'wall min':>10s} {'wall p50':>10s} {'wall max':>10s} "
         f"{'sim time':>11s} {'accesses':>9s}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for p in snapshot["points"]:
-        w = p["wall"]
         lines.append(
             f"{p['app']:12s} {p['scheme']:6s} {p['nprocs']:3d} "
-            f"{p['compile_s']:9.4f} {w['min']:10.5f} {w['p50']:10.5f} "
-            f"{w['max']:10.5f} {p['sim']['total_time']:11.4e} "
+            f"{p['compile_s']:9.4f} {p['sim']['total_time']:11.4e} "
             f"{p['sim']['n_accesses']:9d}"
         )
     return "\n".join(lines)
 
 
-def format_regression_table(comparison, title: str = "bench comparison",
-                            show_ok: bool = False) -> str:
+def format_regression_table(comparison,
+                            title: str = "bench comparison") -> str:
     """Per-metric verdict of one baseline-vs-current comparison
-    (:func:`repro.obs.bench.compare_snapshots`).
-
-    Failing rows (regressed wall time, drifted simulated counters,
-    vanished points, incomparable snapshots) always print; ``show_ok``
-    adds the passing rows too.
-    """
-    rows = [r for r in comparison.rows
-            if show_ok or r.status not in ("ok",)]
+    (:func:`repro.obs.bench.compare_snapshots`): one row per drifted
+    simulated counter or ledger row, vanished or new point, or
+    incomparable snapshot."""
     lines = [title]
     header = (
         f"{'point':22s} {'metric':28s} {'baseline':>14s} "
@@ -679,9 +543,9 @@ def format_regression_table(comparison, title: str = "bench comparison",
     )
     lines.append(header)
     lines.append("-" * len(header))
-    if not rows:
-        lines.append("(all metrics within thresholds)")
-    for r in rows:
+    if not comparison.rows:
+        lines.append("(every compared metric matches the baseline exactly)")
+    for r in comparison.rows:
         if isinstance(r.baseline, (int, float)) and \
                 isinstance(r.current, (int, float)) and \
                 not isinstance(r.baseline, bool) and r.baseline:
@@ -694,11 +558,9 @@ def format_regression_table(comparison, title: str = "bench comparison",
             f"{_fmt_value(r.current):>14s} {delta:>9s}  {status}"
         )
     n_fail = len(comparison.regressions)
-    gate = "on" if comparison.wall_gated else "off (different host)"
     lines.append(
         f"verdict: {'OK' if comparison.ok else 'REGRESSED'} "
-        f"({n_fail} failing metric{'s' if n_fail != 1 else ''}; "
-        f"wall gate {gate}, tol {comparison.wall_tol:.0%})"
+        f"({n_fail} failing metric{'s' if n_fail != 1 else ''})"
     )
     return "\n".join(lines)
 

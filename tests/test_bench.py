@@ -1,9 +1,9 @@
-"""Persistent perf-regression harness (PR-4): snapshot shape,
-persistence + pointer files, and the noise-aware comparison gate.
+"""The bench harness: snapshot shape, persistence + pointer files,
+and the exact comparison gate.
 
 The gate's contract: identical snapshots pass; any drift in a
-deterministic simulated counter fails (exact match); wall time fails
-only beyond the relative tolerance and only on the same host.
+deterministic simulated counter or in the ledger's row set or counts
+fails (exact match); nothing timed is gated, on any host.
 """
 
 import copy
@@ -16,6 +16,7 @@ from repro.__main__ import main
 from repro.obs import bench, compare
 from repro.obs.bench import compare_snapshots, run_bench, save_snapshot
 from repro.obs.compare import read_run
+from repro.obs.perf import perf_diff
 from repro.pipeline import reset_session
 from repro.report import format_bench_table, format_regression_table
 
@@ -36,7 +37,7 @@ def snap():
     """One tiny grid, shared by the read-only tests (deep-copy before
     mutating)."""
     return run_bench(apps=["simple"], schemes=["base", "comp"],
-                     procs=[1, 2], n=8, repeats=2)
+                     procs=[1, 2], n=8)
 
 
 class TestRunBench:
@@ -48,11 +49,11 @@ class TestRunBench:
         assert snap["host"]["cores"] >= 1
         assert snap["config"]["apps"] == ["simple"]
         assert snap["config"]["schemes"] == ["base", "comp"]
+        assert "repeats" not in snap["config"]
         assert len(snap["points"]) == 4
         for p in snap["points"]:
-            assert p["wall"]["repeats"] == 2
-            assert len(p["wall"]["samples"]) == 2
-            assert p["wall"]["min"] <= p["wall"]["p50"] <= p["wall"]["max"]
+            # Nothing timed is stored: the gate is exact.
+            assert "wall" not in p
             assert p["sim"]["total_time"] > 0
             assert p["sim"]["n_accesses"] > 0
             assert "misses" in p["sim"]
@@ -60,7 +61,7 @@ class TestRunBench:
 
     def test_points_carry_perf_ledger_and_stacks(self, snap):
         # Schema 3: every point stores the wall-time ledger.  No
-        # comparison reads sampled stacks or the hotspot profile, so a
+        # comparison reads sampled stacks or a sampled profile, so a
         # snapshot carries neither.
         for p in snap["points"]:
             ledger = p["perf"]["ledger"]
@@ -76,7 +77,7 @@ class TestRunBench:
 
     def test_deterministic_sim_metrics(self, snap):
         again = run_bench(apps=["simple"], schemes=["base", "comp"],
-                          procs=[1, 2], n=8, repeats=1)
+                          procs=[1, 2], n=8)
         for a, b in zip(snap["points"], again["points"]):
             assert a["sim"] == b["sim"]
 
@@ -86,15 +87,9 @@ class TestRunBench:
     def test_obs_state_restored(self):
         obs.enable(reset=True)
         keep = obs.collector()
-        run_bench(apps=["simple"], schemes=["base"], procs=[1], n=8,
-                  repeats=1)
+        run_bench(apps=["simple"], schemes=["base"], procs=[1], n=8)
         assert obs.enabled()
         assert obs.collector() is keep
-
-    def test_rejects_bad_repeats(self):
-        with pytest.raises(ValueError, match="repeats"):
-            run_bench(apps=["simple"], schemes=["base"], procs=[1],
-                      repeats=0)
 
 
 class TestPersistence:
@@ -133,8 +128,7 @@ class TestPersistence:
 class TestCompare:
     def test_identical_snapshots_pass(self, snap):
         cmp = compare_snapshots(snap, copy.deepcopy(snap))
-        assert cmp.ok
-        assert cmp.wall_gated
+        assert cmp.ok and cmp.rows == []
         table = format_regression_table(cmp)
         assert "verdict: OK" in table
 
@@ -149,43 +143,26 @@ class TestCompare:
         table = format_regression_table(cmp)
         assert "sim.n_accesses" in table and "REGRESSED" in table
 
-    def test_wall_regression_same_host(self, snap):
+    def test_different_host_gates_exactly(self, snap):
+        # No part of the gate depends on the host: a baseline from
+        # another machine passes on equal counters and fails on drift.
         cur = copy.deepcopy(snap)
-        for p in cur["points"]:
-            p["wall"]["min"] = p["wall"]["min"] + 1.0  # way past both gates
-        cmp = compare_snapshots(snap, cur, wall_tol=0.30)
-        assert not cmp.ok
-        assert all(r.metric == "wall.min" and r.status == "regressed"
-                   for r in cmp.regressions)
-
-    def test_wall_within_tolerance_passes(self, snap):
-        cur = copy.deepcopy(snap)
-        for p in cur["points"]:
-            p["wall"]["min"] = p["wall"]["min"] * 1.1
-        assert compare_snapshots(snap, cur, wall_tol=0.30).ok
-
-    def test_sub_floor_jitter_never_regresses(self, snap):
-        # Huge relative swing on a tiny measurement stays under the
-        # absolute floor and must not trip the gate.
-        base = copy.deepcopy(snap)
-        cur = copy.deepcopy(snap)
-        for bp, cp in zip(base["points"], cur["points"]):
-            bp["wall"]["min"] = 0.001
-            cp["wall"]["min"] = 0.003  # +200% relative, +2ms absolute
-        assert compare_snapshots(base, cur, wall_tol=0.30,
-                                 wall_abs_floor=0.010).ok
-        assert not compare_snapshots(base, cur, wall_tol=0.30,
-                                     wall_abs_floor=0.0).ok
-
-    def test_different_host_skips_wall_gate(self, snap):
-        cur = copy.deepcopy(snap)
-        cur["host"] = dict(cur["host"], node="elsewhere")
-        for p in cur["points"]:
-            p["wall"]["min"] = p["wall"]["min"] * 100.0
+        cur["host"] = dict(cur["host"], node="elsewhere", cores=9999)
+        assert compare_snapshots(snap, cur).ok
+        cur["points"][0]["sim"]["total_time"] *= 2.0
         cmp = compare_snapshots(snap, cur)
-        assert cmp.ok and not cmp.wall_gated
-        assert any(r.status == "skipped" for r in cmp.rows)
-        assert "wall gate off" in format_regression_table(cmp)
+        assert [r.metric for r in cmp.regressions] == ["sim.total_time"]
+
+    def test_snapshot_with_wall_block_still_compares(self, snap):
+        # Older schema-3 snapshots still carry per-point "wall" blocks
+        # and config.repeats; nothing reads them.
+        old = copy.deepcopy(snap)
+        old["config"]["repeats"] = 3
+        for p in old["points"]:
+            p["wall"] = {"repeats": 3, "samples": [1.0, 2.0, 3.0],
+                         "min": 1.0, "p50": 2.0, "mean": 2.0, "max": 3.0}
+        cmp = compare_snapshots(old, snap)
+        assert cmp.ok and cmp.rows == []
 
     def test_vanished_point_fails(self, snap):
         cur = copy.deepcopy(snap)
@@ -242,8 +219,8 @@ class TestCompare:
 
 
 class TestCompareLedger:
-    """The schema-3 ledger gate: deterministic structure exact,
-    self-time noise-gated like wall.min."""
+    """The schema-3 ledger gate: deterministic structure exact, self
+    times never read (``perf diff`` compares them on one host)."""
 
     def test_ledger_count_drift_fails_exactly(self, snap):
         cur = copy.deepcopy(snap)
@@ -266,43 +243,30 @@ class TestCompareLedger:
         assert all(r.note == "ledger row appeared/disappeared"
                    for r in cmp.regressions)
 
-    def test_ledger_self_time_noise_gated(self, snap):
-        # +200% relative but under the 10ms floor: quiet.  Past both
-        # thresholds: regressed.
-        base = copy.deepcopy(snap)
-        cur = copy.deepcopy(snap)
-        for bp, cp in zip(base["points"], cur["points"]):
-            for br, cr in zip(bp["perf"]["ledger"]["rows"],
-                              cp["perf"]["ledger"]["rows"]):
-                br["self_s"] = 0.001
-                cr["self_s"] = 0.003
-        assert compare_snapshots(base, cur).ok
-        cur["points"][0]["perf"]["ledger"]["rows"][0]["self_s"] = 1.0
-        cmp = compare_snapshots(base, cur)
-        assert not cmp.ok
-        assert cmp.regressions[0].metric.endswith(".self_s")
-
     def test_ledger_self_time_not_gated_cross_host(self, snap):
-        cur = copy.deepcopy(snap)
-        cur["host"] = dict(cur["host"], node="elsewhere")
-        for p in cur["points"]:
-            for r in p["perf"]["ledger"]["rows"]:
-                r["self_s"] += 10.0
-        assert compare_snapshots(snap, cur).ok
+        # Self times are wall-clock; the exact gate ignores them on
+        # another host and on this one alike.
+        for host in (snap["host"], dict(snap["host"], node="elsewhere")):
+            cur = copy.deepcopy(snap)
+            cur["host"] = host
+            for p in cur["points"]:
+                for r in p["perf"]["ledger"]["rows"]:
+                    r["self_s"] += 10.0
+            assert compare_snapshots(snap, cur).ok
 
     def test_host_mismatch_skip_message_names_fields(self, snap):
+        # Comparing self times across hosts is left to perf diff, which
+        # names every differing host field when it skips them.
         cur = copy.deepcopy(snap)
         cur["host"] = dict(cur["host"], node="elsewhere", cores=9999)
-        cmp = compare_snapshots(snap, cur)
-        skipped = [r for r in cmp.rows if r.status == "skipped"]
-        assert skipped
-        assert "node" in skipped[0].note and "cores" in skipped[0].note
-        assert "wall gate off" in skipped[0].note
+        pd = perf_diff(snap, cur)
+        assert not pd.wall_gated
+        assert "node" in pd.host_note and "cores" in pd.host_note
 
 
 class TestHostFingerprint:
     def test_fingerprint_fields(self):
-        fp = bench.host_fingerprint()
+        fp = compare.host_fingerprint()
         assert fp["cpu"] and isinstance(fp["cores"], int)
         assert fp["python"].count(".") >= 1
 
@@ -322,14 +286,15 @@ class TestBenchTable:
     def test_format_bench_table(self, snap):
         table = format_bench_table(snap)
         assert "simple" in table
-        assert "wall min" in table and "sim time" in table
+        assert "compile" in table and "sim time" in table
+        assert "wall" not in table
         assert len(table.splitlines()) == 3 + len(snap["points"])
 
 
 class TestBenchCLI:
     def _run(self, tmp_path, *extra):
         argv = ["bench", "--apps", "simple", "--schemes", "base",
-                "--procs-list", "1", "--n", "8", "--repeats", "2",
+                "--procs-list", "1", "--n", "8",
                 "--out-dir", str(tmp_path / "bench"),
                 "--latest", str(tmp_path / "BENCH_latest.json")]
         return main(argv + list(extra))
@@ -355,25 +320,6 @@ class TestBenchCLI:
         out = capsys.readouterr().out
         assert "sim.total_time" in out and "REGRESSED" in out
 
-    def test_wall_gate_trip_prints_perf_culprits(self, tmp_path, capsys):
-        # A tripped wall gate must auto-print the differential
-        # attribution (perf culprit table) next to the provenance diff.
-        assert self._run(tmp_path) == 0
-        baseline = read_run(tmp_path / "BENCH_latest.json")
-        for p in baseline["points"]:
-            p["wall"]["min"] = 1e-9
-            for r in p["perf"]["ledger"]["rows"]:
-                r["self_s"] *= 1e-6
-        doctored = tmp_path / "doctored.json"
-        doctored.write_text(json.dumps(baseline))
-        capsys.readouterr()
-        rc = self._run(tmp_path, "--compare", str(doctored),
-                       "--wall-abs-floor", "0.0")
-        assert rc == 1
-        out = capsys.readouterr().out
-        assert "perf culprits vs baseline" in out
-        assert "SIGNIFICANT" in out
-
     def test_compare_resolves_baseline_before_save(self, tmp_path):
         # --compare against the pointer must mean the *previous* run.
         assert self._run(tmp_path) == 0
@@ -395,83 +341,3 @@ class TestBenchCLI:
     def test_unknown_app_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown app"):
             main(["bench", "--apps", "bogus", "--no-save"])
-
-
-class TestSeriesTrends:
-    """The ``repro series`` rollup: bench digests and figure curves
-    judged last-vs-previous."""
-
-    def _bench_line(self, created, wall, misses):
-        return {"schema": 2, "created": created, "name": "bench",
-                "kind": "bench",
-                "points": [{"point": "simple/comp/P4",
-                            "wall_p50": wall, "misses": misses}]}
-
-    def _figure_line(self, created, speedup):
-        return {"schema": 2, "created": created, "name": "fig_speedup",
-                "series": {"OPT": [[1, 1.0], [8, speedup]]}}
-
-    def test_single_sample_is_new(self):
-        rows = bench.series_trends([self._bench_line("t0", 0.01, 5)])
-        assert [r["status"] for r in rows] == ["new"]
-        assert rows[0]["prev"] is None and rows[0]["runs"] == 1
-
-    def test_wall_regression_needs_relative_and_absolute(self):
-        # +200% but only +0.002s absolute: under the floor, not flagged.
-        rows = bench.series_trends([self._bench_line("t0", 0.001, 5),
-                                    self._bench_line("t1", 0.003, 5)])
-        assert rows[0]["status"] == "ok"
-        # +200% and +0.02s absolute: regression.
-        rows = bench.series_trends([self._bench_line("t0", 0.01, 5),
-                                    self._bench_line("t1", 0.03, 5)])
-        assert rows[0]["status"] == "regressed"
-
-    def test_miss_drift_overrides_wall_verdict(self):
-        rows = bench.series_trends([self._bench_line("t0", 0.01, 100),
-                                    self._bench_line("t1", 0.01, 101)])
-        assert rows[0]["status"] == "changed"
-        assert "100 → 101" in rows[0]["note"]
-
-    def test_figure_speedup_judged_at_max_procs(self):
-        rows = bench.series_trends([self._figure_line("t0", 5.0),
-                                    self._figure_line("t1", 3.0)])
-        assert rows[0]["key"] == "fig_speedup:OPT@P8"
-        assert rows[0]["unit"] == "speedup"
-        assert rows[0]["status"] == "regressed"
-        rows = bench.series_trends([self._figure_line("t0", 5.0),
-                                    self._figure_line("t1", 5.1)])
-        assert rows[0]["status"] == "ok"
-
-    def test_garbled_and_unknown_lines_ignored(self):
-        rows = bench.series_trends([
-            {"kind": "bench", "points": [{"point": None, "wall_p50": 1}]},
-            {"series": "not a dict"},
-            {"unrelated": True},
-            self._bench_line("t0", 0.01, 5),
-        ])
-        assert len(rows) == 1
-
-
-class TestAppendBenchSeries:
-    def test_digest_round_trip(self, snap, tmp_path):
-        path = tmp_path / "series.jsonl"
-        out = bench.append_bench_series(snap, path=path)
-        assert out == str(path)
-        lines = bench.load_series_lines(path)
-        assert len(lines) == 1
-        assert lines[0]["kind"] == "bench"
-        digest = {p["point"]: p for p in lines[0]["points"]}
-        for p in snap["points"]:
-            key = compare.point_key(p)
-            assert digest[key]["wall_p50"] == p["wall"]["p50"]
-            assert digest[key]["misses"] == sum(p["sim"]["misses"].values())
-
-    def test_load_series_lines_is_lenient(self, tmp_path):
-        path = tmp_path / "series.jsonl"
-        path.write_text('{"kind": "bench", "points": []}\n'
-                        'garbage\n'
-                        '[1, 2]\n'
-                        '{"name": "ok"}\n')
-        lines = bench.load_series_lines(path)
-        assert len(lines) == 2
-        assert bench.load_series_lines(tmp_path / "missing.jsonl") == []

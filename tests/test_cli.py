@@ -80,39 +80,58 @@ class TestProfileErrors:
         assert payload["locality"]["reuse"]
 
 
-class TestHotspotsErrors:
-    _FAST = ["--n", "8", "--repeats", "1", "--apps", "simple",
-             "--schemes", "base", "--procs-list", "1"]
+class TestGridArgsErrors:
+    """verify, batch and bench read --apps/--schemes through one
+    validator: unknown names and empty lists are one-line errors."""
+
+    _COMMANDS = (["verify"], ["bench", "--no-save"])
 
     def test_bad_app(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["hotspots", "--apps", "nosuchapp"])
+        for cmd in self._COMMANDS:
+            with pytest.raises(SystemExit, match="unknown app"):
+                main([*cmd, "--apps", "nosuchapp"])
 
     def test_bad_scheme(self):
-        with pytest.raises(SystemExit, match="unknown scheme"):
-            main(["hotspots", "--schemes", "bogus"])
+        for cmd in self._COMMANDS:
+            with pytest.raises(SystemExit, match="unknown scheme"):
+                main([*cmd, "--apps", "simple", "--schemes", "bogus"])
 
     def test_empty_apps(self):
-        with pytest.raises(SystemExit, match="no apps"):
-            main(["hotspots", "--apps", ","])
+        for cmd in self._COMMANDS:
+            with pytest.raises(SystemExit, match="no apps"):
+                main([*cmd, "--apps", ","])
+
+    def test_apps_all_expands_to_every_app(self):
+        import argparse
+
+        from repro.__main__ import _grid_args
+        from repro.apps import ALL_APPS
+        from repro.compiler import Scheme
+
+        apps, schemes = _grid_args(
+            argparse.Namespace(apps="all", schemes="base,comp"))
+        assert apps == sorted(ALL_APPS)
+        assert schemes == [Scheme.BASE, Scheme.COMP_DECOMP]
+
+
+class TestBatchJson:
+    _FAST = ["batch", "--apps", "simple", "--schemes", "base",
+             "--procs-list", "1", "--n", "8"]
 
     def test_json_to_nonexistent_dir(self, tmp_path):
-        missing = tmp_path / "no" / "dir" / "hot.json"
+        missing = tmp_path / "no" / "dir" / "batch.json"
         with pytest.raises(SystemExit, match="cannot write"):
-            main(["hotspots", *self._FAST, "--json", str(missing)])
+            main([*self._FAST, "--json", str(missing)])
 
-    def test_html_to_nonexistent_dir(self, tmp_path):
-        missing = tmp_path / "no" / "dir" / "hot.html"
-        with pytest.raises(SystemExit, match="cannot write"):
-            main(["hotspots", *self._FAST, "--html", str(missing)])
-
-    def test_json_dash_to_stdout(self, capsys):
-        assert main(["hotspots", *self._FAST, "--json", "-"]) == 0
+    def test_json_dash_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([*self._FAST, "--json", "-"]) == 0
         out = capsys.readouterr().out
-        start = out.index('{\n  "config"')
+        start = out.index("{\n")
         payload = json.loads(out[start:out.rindex("}") + 1])
-        assert payload["hotspots"]["samples"] > 0
-        assert payload["points"][0]["locality"]
+        assert payload["summary"]["points"] == 1
+        assert payload["results"][0]["locality"]
+        assert not (tmp_path / "-").exists()
 
 
 class TestIncrementalCli:
@@ -230,12 +249,6 @@ class TestBrokenPipe:
             except OSError:
                 pass
 
-    def test_series_exits_141(self, tmp_path):
-        with self._broken_stdout():
-            rc = main(["series", "--file",
-                       str(tmp_path / "missing.jsonl")])
-        assert rc == 141
-
     def test_explain_exits_141(self):
         with self._broken_stdout():
             rc = main(["explain", "simple", "--n", "8", "--procs", "2"])
@@ -252,14 +265,6 @@ class TestBrokenPipe:
             rc = main(["diff", str(path), str(path)])
         assert rc == 141
 
-    def test_hotspots_exits_141(self):
-        import sys
-
-        with self._broken_stdout():
-            rc = main(["hotspots", *self._GRID, "--repeats", "1"])
-        assert rc == 141
-        assert sys.getprofile() is None, "profiler hook leaked"
-
     def test_report_exits_141(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         assert main(["batch", *self._GRID, "--store-dir", store]) == 0
@@ -269,7 +274,10 @@ class TestBrokenPipe:
         assert rc == 141
 
     def test_perf_record_exits_141(self):
+        import sys
+
         with self._broken_stdout():
             rc = main(["perf", "record", "simple", "--scheme", "base",
                        "--procs", "1", "--n", "8"])
         assert rc == 141
+        assert sys.getprofile() is None, "profiler hook leaked"

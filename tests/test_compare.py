@@ -41,7 +41,7 @@ def snap():
     """A small bench snapshot, shared read-only (deep-copy before
     mutating)."""
     return run_bench(apps=["simple"], schemes=["base"], procs=[1, 2],
-                     n=8, repeats=1)
+                     n=8)
 
 
 @pytest.fixture
@@ -105,10 +105,12 @@ class TestOneEqualityRule:
 
 class TestCommittedBaseline:
     def test_baseline_stores_only_compared_keys(self):
-        # Neither the hotspot profile nor the sampled stacks are read
-        # by any comparison, and both change on every regeneration.
+        # Neither sampled stacks nor timed repeats are read by any
+        # comparison, and both change on every regeneration.
         baseline = read_run(BASELINE)
         assert baseline["points"]
+        assert "repeats" not in baseline["config"]
         for p in baseline["points"]:
             assert "profile" not in p
+            assert "wall" not in p
             assert set(p["perf"]) == {"ledger"}

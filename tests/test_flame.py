@@ -13,7 +13,6 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from repro import obs
-from repro.obs import hotspot
 from repro.obs.export import write_collapsed
 from repro.obs.flame import flamegraph_svg, parse_collapsed
 from repro.obs.hotspot import EXTERNAL, HotspotProfiler
@@ -135,35 +134,22 @@ class TestWriteCollapsed:
 
 
 class TestProfilerStacks:
-    def test_default_profiler_has_no_stacks(self):
-        with hotspot.profile() as p:
-            _workload()
-        assert p.report.stacks is None
-        assert p.report.collapsed() == []
-
     def test_collect_stacks_capture(self):
-        with hotspot.profile(collect_stacks=True) as p:
+        with HotspotProfiler() as p:
             _workload()
-        rep = p.report
+        rep = p.report()
         assert rep.stacks
-        # Stack leaves are self-time buckets: the folded totals must
-        # agree with the flat self-time attribution.
-        assert sum(rep.stacks.values()) == pytest.approx(
-            sum(f.self_s for f in rep.functions), rel=1e-6)
+        # Every sample lands in exactly one folded stack.
+        assert sum(rep.stacks.values()) <= rep.wall_s * 1.5
         non_ext = [s for s in rep.stacks if s != EXTERNAL]
-        assert any(";" in s or "/" in s for s in non_ext)
+        assert any(";" in s for s in non_ext)
+        assert parse_collapsed(rep.collapsed()) == pytest.approx(
+            rep.stacks, abs=1e-6)
 
     def test_collapsed_lines_feed_flamegraph(self):
-        with hotspot.profile(collect_stacks=True) as p:
+        with HotspotProfiler() as p:
             _workload()
-        lines = p.report.collapsed()
+        lines = p.report().collapsed()
         assert lines == sorted(lines)
         svg = flamegraph_svg(lines, title="profiled")
         ET.fromstring(svg)
-
-    def test_constructor_flag(self):
-        prof = HotspotProfiler(collect_stacks=True)
-        prof.start()
-        _workload()
-        rep = prof.stop()
-        assert rep.stacks is not None

@@ -1,5 +1,6 @@
-"""The sampling profiler: attribution, determinism, the strict
-disabled path, report ordering, obs round-trip, and the CLI.
+"""The stack sampler behind ``perf record --flame/--stacks``:
+lifecycle, stack attribution, determinism, and the strict disabled
+path.
 
 The overhead guard mirrors ``tests/test_obs.py``: while no profiler is
 started, the repro hot path must run within 5% of a floor measured the
@@ -7,7 +8,6 @@ same way — the profiler installs nothing (``sys.getprofile()`` stays
 untouched), so the only honest difference is timer noise.
 """
 
-import json
 import sys
 import time
 
@@ -18,13 +18,7 @@ from repro.apps import simple
 from repro.compiler import Scheme, compile_all
 from repro.machine import scaled_dash
 from repro.machine.simulate import simulate
-from repro.obs import hotspot
-from repro.obs.hotspot import (
-    DEFAULT_INTERVAL,
-    EXTERNAL,
-    HotspotProfiler,
-    HotspotReport,
-)
+from repro.obs.hotspot import EXTERNAL, HotspotProfiler, HotspotReport
 
 
 @pytest.fixture(autouse=True)
@@ -65,10 +59,8 @@ class TestLifecycle:
         assert sys.getprofile() is None
         prof.start()
         assert sys.getprofile() is not None
-        assert hotspot.active() is prof
         report = prof.stop()
         assert sys.getprofile() is None
-        assert hotspot.active() is None
         assert isinstance(report, HotspotReport)
 
     def test_nested_prev_hook_restored(self):
@@ -96,66 +88,55 @@ class TestLifecycle:
             HotspotProfiler(interval=0)
 
     def test_profile_context_manager(self):
-        with hotspot.profile() as p:
+        with HotspotProfiler() as p:
+            assert sys.getprofile() is not None
             _workload()
-        assert p.report is not None
-        assert p.report.samples > 0
+        assert sys.getprofile() is None
+        assert p.report().samples > 0
 
 
 class TestAttribution:
     def test_repro_functions_attributed(self):
-        with hotspot.profile() as p:
+        with HotspotProfiler() as p:
             _workload()
-        rep = p.report
-        keys = {f.key for f in rep.functions}
-        assert any(k.startswith("machine/") for k in keys)
-        assert any(k.startswith("pipeline/") or k.startswith("analysis/")
-                   for k in keys)
-        # Self time sums to the sampled wall time (every sample lands
-        # in exactly one self bucket, EXTERNAL included).
-        total_self = sum(f.self_s for f in rep.functions)
-        assert total_self <= rep.wall_s * 1.5
-        for f in rep.functions:
-            assert f.cum_s >= f.self_s - 1e-12 or f.key == EXTERNAL
+        rep = p.report()
+        frames = {f for stack in rep.stacks for f in stack.split(";")}
+        assert any(f.startswith("machine/") for f in frames)
+        assert any(f.startswith("pipeline/") or f.startswith("analysis/")
+                   for f in frames)
+        # Stacks account for the sampled wall time: every sample lands
+        # in exactly one stack, EXTERNAL included.
+        assert sum(rep.stacks.values()) <= rep.wall_s * 1.5
+        # Outermost frame first: simulate() encloses the trace build.
+        nested = [s.split(";") for s in rep.stacks
+                  if "machine/simulate.py:simulate;" in s
+                  and "machine/trace.py:" in s]
+        assert nested
+        for frames in nested:
+            first_trace = min(i for i, f in enumerate(frames)
+                              if f.startswith("machine/trace.py:"))
+            assert frames.index("machine/simulate.py:simulate") < first_trace
 
     def test_external_bucket(self):
         def spin():
             return sum(range(50))
 
-        with hotspot.profile() as p:
+        with HotspotProfiler() as p:
             # Pure non-repro work: every sample must fall to EXTERNAL.
             for _ in range(5000):
                 spin()
-        rep = p.report
+        rep = p.report()
         assert rep.samples > 0
-        non_ext = [f for f in rep.functions if f.key != EXTERNAL]
-        assert sum(f.self_s for f in non_ext) <= rep.wall_s * 0.5
-
-    def test_ranking_deterministic_ordering(self):
-        with hotspot.profile() as p:
-            _workload()
-        fns = p.report.functions
-        ranks = [(-f.self_s, f.key) for f in fns]
-        assert ranks == sorted(ranks)
-        # as_dict carries the same order plus the module rollup.
-        d = p.report.as_dict(top=5)
-        assert [f["key"] for f in d["functions"]] == \
-               [f.key for f in fns[:5]]
-        assert list(d["modules"]) == sorted(d["modules"])
-
-    def test_module_rollup_sums_to_functions(self):
-        with hotspot.profile() as p:
-            _workload()
-        rep = p.report
-        assert sum(rep.by_module().values()) == pytest.approx(
-            sum(f.self_s for f in rep.functions))
+        non_ext = {k: v for k, v in rep.stacks.items() if k != EXTERNAL}
+        assert sum(non_ext.values()) <= rep.wall_s * 0.5
+        assert rep.collapsed()[0].startswith(EXTERNAL + " ")
 
 
 class TestDeterminism:
     def test_fake_clock_exact_totals(self):
         """With an injectable clock the recorded durations are exact:
         sampling positions are tick-counted, so the same event stream
-        yields the same sample count and byte-identical attribution."""
+        yields the same sample count and byte-identical stacks."""
 
         def run_once():
             t = [0.0]
@@ -167,50 +148,25 @@ class TestDeterminism:
             prof = HotspotProfiler(interval=3, clock=clock)
             prof.start()
             try:
-                prog = simple.build(n=8, time_steps=2)
+                simple.build(n=8, time_steps=2)
             finally:
                 rep = prof.stop()
             return rep
 
         a, b = run_once(), run_once()
         assert a.samples == b.samples > 0
-        assert [(f.key, f.self_samples, f.cum_samples)
-                for f in a.functions] == \
-               [(f.key, f.self_samples, f.cum_samples)
-                for f in b.functions]
+        assert a.stacks == b.stacks
+        assert a.collapsed() == b.collapsed()
         # Each sampled dt is exactly 1.0 fake seconds.
-        assert sum(f.self_s for f in a.functions) == pytest.approx(
-            float(a.samples))
+        assert sum(a.stacks.values()) == float(a.samples)
 
     def test_tick_counted_sampling_rate(self):
-        with hotspot.profile(interval=11) as p:
+        with HotspotProfiler(interval=11) as p:
             _workload()
-        rep = p.report
+        rep = p.report()
         assert rep.interval == 11
         # samples == floor(ticks / interval) exactly (pure tick count).
         assert rep.samples == rep.ticks // 11
-
-
-class TestObsRoundTrip:
-    def test_to_obs_histograms(self):
-        with hotspot.profile() as p:
-            _workload()
-        rep = p.report
-        obs.enable(reset=True)
-        rep.to_obs()
-        hists = obs.collector().metrics.histograms
-        self_keys = [k for k in hists if k.startswith("hotspot.self_s.")]
-        assert self_keys
-        top = rep.functions[0]
-        h = hists[f"hotspot.self_s.{top.key}"]
-        assert h.count == top.self_samples
-        assert h.total == pytest.approx(top.self_s)
-
-    def test_to_obs_noop_when_disabled(self):
-        with hotspot.profile() as p:
-            _workload()
-        p.report.to_obs()  # must not raise, must not enable anything
-        assert not obs.enabled()
 
 
 class TestOverhead:
@@ -229,42 +185,3 @@ class TestOverhead:
             f"disabled profiler overhead too high: {with_module:.4f}s "
             f"vs floor {floor:.4f}s"
         )
-
-
-class TestCli:
-    def test_hotspots_smoke_trace_in_top5(self, capsys, tmp_path):
-        """The CI guard's exact contract: on a small grid with repeats,
-        machine/trace.py is in the top-5 self-time ranking."""
-        from repro.__main__ import main
-
-        out_json = tmp_path / "hot.json"
-        out_html = tmp_path / "hot.html"
-        rc = main([
-            "hotspots", "--apps", "simple,stencil5",
-            "--schemes", "base,comp,data", "--procs-list", "1,4",
-            "--n", "16", "--repeats", "3",
-            "--expect-hot", "machine/trace.py",
-            "--json", str(out_json), "--html", str(out_html),
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "expect-hot OK" in out
-        assert "machine/trace.py" in out
-        payload = json.loads(out_json.read_text())
-        assert payload["hotspots"]["samples"] > 0
-        assert payload["points"]
-        assert payload["points"][0]["locality"]["reuse"]
-        html = out_html.read_text()
-        assert "<html" in html and "heatmap" in html
-
-    def test_hotspots_expect_hot_failure(self, capsys, tmp_path):
-        from repro.__main__ import main
-
-        rc = main([
-            "hotspots", "--apps", "simple", "--schemes", "base",
-            "--procs-list", "1", "--n", "8", "--repeats", "1",
-            "--expect-hot", "no/such/module.py",
-        ])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "no/such/module.py" in err

@@ -210,11 +210,11 @@ class TestBenchRoundTrip:
         from repro.obs.compare import read_run
 
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
-                               procs=[1], n=8, repeats=1)
+                               procs=[1], n=8)
         assert snap["schema"] == bench.SCHEMA_VERSION
         point = snap["points"][0]
         assert point["sim"]["locality"]["reuse"]
-        # The never-compared hotspot profile is not stored.
+        # Nothing that no comparison reads is stored.
         assert "profile" not in point
         # Round-trip: save, load, exact-match compare.
         path, _ = bench.save_snapshot(snap, out_dir=tmp_path,
@@ -229,7 +229,7 @@ class TestBenchRoundTrip:
         from repro.obs import bench
 
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
-                               procs=[1], n=8, repeats=1)
+                               procs=[1], n=8)
         mutated = json.loads(json.dumps(snap))
         reuse = mutated["points"][0]["sim"]["locality"]["reuse"]
         first = next(iter(reuse))

@@ -1,8 +1,8 @@
-"""Live monitoring end to end: ``repro status``/``watch``/``report``
-driven as real subprocesses against a driver running (or killed) in
-*another* process — the cross-process contract is the whole point —
-plus the guard that heartbeat emission stays under 5% of unmonitored
-wall time."""
+"""Live monitoring end to end: ``repro status`` (once and
+``--follow``) and ``repro report`` driven as real subprocesses against
+a driver running (or killed) in *another* process — the cross-process
+contract is the whole point — plus the guard that heartbeat emission
+stays under 5% of unmonitored wall time."""
 
 import json
 import os
@@ -22,6 +22,10 @@ GRID = ["--apps", "simple", "--schemes", "base,comp,data",
         "--procs-list", "1,4", "--n", "10"]
 SLOW_GRID = ["--apps", "simple,stencil5,lu", "--schemes", "base,comp,data",
              "--procs-list", "1,2,4", "--n", "48"]
+# Every point's spmd pass sleeps 0.5 s, so GRID runs for ~3 s: long
+# enough for several one-second `status --follow` refreshes.
+STALLED = ["--inject-faults",
+           "seed=1,pass.stall=1.0,stall_s=0.5,stall_pass=spmd"]
 
 
 def _env():
@@ -45,6 +49,15 @@ def _status_json(store, *extra):
     proc = _repro(["status", "--store-dir", str(store), "--json", *extra])
     payload = json.loads(proc.stdout) if proc.stdout.strip() else None
     return proc.returncode, payload
+
+
+def _follow_frames(store):
+    """``status --follow --json``: its exit code and one parsed status
+    per refresh."""
+    proc = _repro(["status", "--follow", "--json",
+                   "--store-dir", str(store)])
+    return (proc.returncode,
+            [json.loads(line) for line in proc.stdout.splitlines()])
 
 
 class TestStatusCLI:
@@ -73,15 +86,39 @@ class TestStatusCLI:
         assert "state=finished" in text.stdout
         assert "6/6" in text.stdout
 
-    def test_watch_once_exits_with_state_code(self, tmp_path):
+    def test_follow_finished_run_exits_with_state_code(self, tmp_path):
         store = tmp_path / "store"
         done = _repro(["batch", *GRID, "--heartbeat", "0.1",
                        "--store-dir", str(store)])
         assert done.returncode == 0, done.stdout + done.stderr
-        watch = _repro(["watch", "--once", "--json",
-                        "--store-dir", str(store)])
-        assert watch.returncode == 0
-        assert json.loads(watch.stdout)["state"] == "finished"
+        rc, frames = _follow_frames(store)
+        assert rc == 0
+        assert [f["state"] for f in frames] == ["finished"]
+
+    def test_follow_streams_live_driver_until_finished(self, tmp_path):
+        """``--follow`` refreshes from another process until the run's
+        end record lands, then exits 0."""
+        store = tmp_path / "store"
+        driver = subprocess.Popen(
+            [sys.executable, "-m", "repro", "batch", *GRID, *STALLED,
+             "--heartbeat", "0.1", "--store-dir", str(store)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=_env(), cwd=str(REPO),
+        )
+        try:
+            while _status_json(store)[0] == 2:  # no journal yet
+                assert driver.poll() is None, "driver exited early"
+                time.sleep(0.1)
+            rc, frames = _follow_frames(store)
+        finally:
+            assert driver.wait(timeout=120) == 0
+        assert rc == 0
+        assert len(frames) >= 2
+        assert frames[0]["state"] == "running"
+        assert frames[-1]["state"] == "finished"
+        assert frames[-1]["finished"] == frames[-1]["total"] == 6
+        assert [f["finished"] for f in frames] == \
+            sorted(f["finished"] for f in frames)
 
     def test_status_of_live_driver_in_another_process(self, tmp_path):
         """The acceptance path: a separate process polls a running
@@ -180,6 +217,12 @@ class TestKilledDriver:
         state = JournalState.load(
             jdir / f"{resolve_run_id(jdir, 'latest')}.jsonl")
         assert [e["i"] for e in st["in_flight"]] == state.in_flight
+
+        # --follow stops at the dead run's first frame with the same
+        # exit code.
+        rc, frames = _follow_frames(store)
+        assert rc == 3
+        assert [f["state"] for f in frames] == ["interrupted"]
 
         # Satellite: --resume surfaces the mid-flight points it will
         # re-execute with a full retry budget.

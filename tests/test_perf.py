@@ -106,7 +106,7 @@ class TestBuildLedger:
     def test_reconciles_on_every_bench_grid_point(self):
         # The acceptance property: exhaustive accounting on a real grid.
         snap = bench.run_bench(apps=["simple"], schemes=["base", "data"],
-                               procs=[1, 2], n=8, repeats=1)
+                               procs=[1, 2], n=8)
         for p in snap["points"]:
             ledger = p["perf"]["ledger"]
             ok, row_sum = ledger_reconciles(ledger)
@@ -252,7 +252,7 @@ class TestPerfDiff:
 
     def test_diff_accepts_bench_snapshots(self):
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
-                               procs=[1], n=8, repeats=1)
+                               procs=[1], n=8)
         pd = perf_diff(snap, copy.deepcopy(snap))
         assert pd.n_points == 1 and not pd.significant
 

@@ -215,38 +215,6 @@ class TestStatusText:
         assert "pid ?" in text
 
 
-class TestSeriesTable:
-    ROWS = [
-        {"key": "simple/comp/P4", "unit": "wall p50 s", "runs": 3,
-         "value": 0.03, "prev": 0.01, "misses": 101,
-         "status": "regressed", "note": "wall p50 up 200%"},
-        {"key": "fig:OPT@P8", "unit": "speedup", "runs": 2,
-         "value": 5.0, "prev": 4.9, "misses": None, "status": "ok"},
-    ]
-
-    def test_flags_and_alignment(self):
-        from repro.report import format_series_table
-
-        text = format_series_table(self.ROWS)
-        lines = text.splitlines()
-        assert lines[2].startswith("! simple/comp/P4")
-        assert "(wall p50 up 200%)" in lines[2]
-        assert lines[3].startswith("  fig:OPT@P8")
-        assert "-" in lines[3]  # None prev/misses render as dashes
-
-    def test_limit_hides_tail(self):
-        from repro.report import format_series_table
-
-        text = format_series_table(self.ROWS, limit=1)
-        assert "fig:OPT@P8" not in text
-        assert "... 1 more rows" in text
-
-    def test_empty_history_hint(self):
-        from repro.report import format_series_table
-
-        assert "series history is empty" in format_series_table([])
-
-
 class TestRunReportHtml:
     def _payload(self):
         return {
