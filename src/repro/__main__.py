@@ -10,10 +10,10 @@ Usage examples::
     python -m repro batch --apps simple,lu --schemes base,comp,data \\
         --procs-list 1,4 --jobs 4 --store-dir /tmp/repro-store
 
-Caching: compiler artifacts live in an in-process memory cache;
-every command accepts ``--no-cache`` (run every compiler pass, reuse
-nothing).  Finished grid points persist across runs in the result
-store (``--store-dir``/``--incremental``).
+Caching: each command's compile session memoizes compiler artifacts
+in memory; every command accepts ``--no-cache`` (run every compiler
+stage, reuse nothing).  Finished grid points persist across runs in
+the result store (``--store-dir``/``--incremental``).
 """
 
 from __future__ import annotations
@@ -108,13 +108,11 @@ def _procs_csv(text: str):
 def _apply_session_args(args):
     """Install a fresh default session configured per ``--no-cache``;
     returns it.  (Each CLI command starts cold — in particular
-    ``profile`` traces real pass work.)"""
+    ``profile`` traces real stage runs.)"""
     from repro import pipeline
 
-    if getattr(args, "no_cache", False):
-        session = pipeline.CompileSession(cache=None)
-    else:
-        session = pipeline.CompileSession()
+    session = pipeline.CompileSession(
+        cache=not getattr(args, "no_cache", False))
     pipeline.set_session(session)
     return session
 
@@ -255,7 +253,10 @@ def _parallel_speedup_curves(args, schemes, procs):
         )
         for scheme, p in coords
     ]
-    results = run_grid(points, jobs=args.jobs, cache=not args.no_cache)
+    # No BASE fallback: a scheme that fails to compile fails the run,
+    # as it does serially, instead of printing BASE under its label.
+    results = run_grid(points, jobs=args.jobs, cache=not args.no_cache,
+                       degrade=False)
     for r in results:
         if not r.ok:
             raise SystemExit(

@@ -12,12 +12,12 @@ Mirrors the three configurations measured in Section 6:
   distributed array with Section 4's strip-mine + permute algorithm so
   each processor's data are contiguous.
 
-Since PR 2 the actual staging lives in :mod:`repro.pipeline` — typed
-passes (restructure → decompose → layout → spmd-codegen) run by a
-:class:`~repro.pipeline.session.CompileSession` over a
-content-addressed artifact cache.  The functions here are thin,
-signature-compatible wrappers over the process-wide default session;
-construct your own session for isolation or a disk-backed cache.
+The staging lives in :mod:`repro.pipeline`: a
+:class:`~repro.pipeline.session.CompileSession` runs the four stages
+(restructure → decompose → layout → spmd) and memoizes their artifacts
+by program content.  The functions here are thin wrappers over the
+process-wide default session; construct your own session for
+isolation.
 
 ``compile_program`` produces the SPMD plan the machine model replays;
 ``emit_c_program`` (re-exported) renders it as C-like source.
@@ -51,10 +51,10 @@ def restructure_program(prog: Program) -> Program:
     column-major arrays).  Every compiler configuration — including
     BASE — starts from this form, as in the paper.
 
-    Memoized by program *content* in the default session's artifact
-    cache (the result of restructuring a program twice — or
-    restructuring an already-restructured program — is the same
-    object); the input program is never mutated.
+    Memoized by program *content* in the default session (the result
+    of restructuring a program twice — or restructuring an
+    already-restructured program — is the same object); the input
+    program is never mutated.
     """
     return get_session().restructure(prog)
 
@@ -64,7 +64,6 @@ def compile_program(
     scheme: Scheme,
     nprocs: int,
     decomp: Optional[Decomposition] = None,
-    max_dims: int = 2,
 ) -> SpmdProgram:
     """Compile one program under one configuration.
 
@@ -72,9 +71,7 @@ def compile_program(
     directives via :mod:`repro.decomp.hpf`); otherwise the greedy
     algorithm runs (or its cached artifact is reused).
     """
-    return get_session().compile(
-        prog, scheme, nprocs, decomp=decomp, max_dims=max_dims
-    )
+    return get_session().compile(prog, scheme, nprocs, decomp=decomp)
 
 
 @dataclass
@@ -95,8 +92,6 @@ class CompiledProgram:
         }[scheme]
 
 
-def compile_all(
-    prog: Program, nprocs: int, max_dims: int = 2
-) -> CompiledProgram:
+def compile_all(prog: Program, nprocs: int) -> CompiledProgram:
     """Compile a program under all three Section-6 configurations."""
-    return get_session().compile_all(prog, nprocs, max_dims=max_dims)
+    return get_session().compile_all(prog, nprocs)

@@ -38,11 +38,7 @@ from repro.obs.core import (
     reset,
     span,
 )
-from repro.obs.provenance import (
-    ArtifactEnvelope,
-    DecisionRecord,
-    ProvenanceLog,
-)
+from repro.obs.provenance import DecisionRecord, ProvenanceLog
 from repro.obs.metrics import (
     NOOP_METRIC,
     Counter,
@@ -71,7 +67,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "ArtifactEnvelope",
     "DecisionRecord",
     "ProvenanceLog",
     "collector",

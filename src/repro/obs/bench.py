@@ -161,7 +161,7 @@ def run_bench(
     polluting — or being polluted by — whatever the caller records).
     """
     from repro.codegen.spmd import parse_scheme, scheme_short_name
-    from repro.pipeline.grid import GridSpec, point_program
+    from repro.pipeline.grid import make_grid, point_program
     from repro.pipeline.session import CompileSession
 
     parsed = [parse_scheme(s) for s in schemes]
@@ -171,16 +171,12 @@ def run_bench(
     points: List[Dict[str, Any]] = []
     # The shared engine enumerates the grid; programs are built once
     # per app (they repeat across schemes/procs).
-    spec = GridSpec(
-        apps=tuple(apps),
-        schemes=tuple(scheme_short_name(s) for s in parsed),
-        procs=tuple(procs),
-        n=n, time_steps=time_steps, scale=scale,
-    )
+    grid = make_grid(apps, [scheme_short_name(s) for s in parsed], procs,
+                     n=n, time_steps=time_steps, scale=scale)
     progs: Dict[str, Any] = {}
     try:
         obs.disable()
-        for point in spec.points():
+        for point in grid:
             if point.app not in progs:
                 progs[point.app] = point_program(point)
             points.append(_bench_point(session, point, progs[point.app]))

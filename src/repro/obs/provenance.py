@@ -20,11 +20,10 @@ test — provenance never needs an enable flag and never perturbs
 fingerprints or cache keys, because decisions are a pure function of
 the same inputs the fingerprint already covers.
 
-``PassManager.execute`` opens a capture around every pass body and
-stores the captured records alongside the artifact in the cache
-(:class:`ArtifactEnvelope`), so a cache hit replays the exact records
-of the original run and a warm session reproduces the full log
-bit-identically.
+``CompileSession`` opens a capture around every stage it runs and
+memoizes the captured records with the stage's artifact, so a memo
+hit replays the exact records of the original run and a warm session
+reproduces the full log bit-identically.
 
 Reason codes
 ------------
@@ -38,7 +37,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs import core as _core
 from repro.obs.compare import point_metrics, run_points
@@ -46,7 +45,6 @@ from repro.obs.compare import point_metrics, run_points
 __all__ = [
     "DecisionRecord",
     "ProvenanceLog",
-    "ArtifactEnvelope",
     "capture",
     "record",
     "active",
@@ -86,7 +84,7 @@ REASON_CATALOG: Dict[str, Dict[str, str]] = {
         "max (gain, locality, dim-preference)": "greedy row choice maximizing rank gain",
         "communication-free stays 1-D": "no boundary communication; extra dims add nothing",
         "no candidate row": "no independent rowspace row adds parallelism",
-        "max_dims reached": "decomposition rank capped by --max-dims",
+        "max_dims reached": "decomposition rank capped at max_dims (2)",
     },
     "decomp.folding": {
         "triangular bounds couple mapped levels": "CYCLIC balances triangular iteration spaces",
@@ -199,26 +197,6 @@ class ProvenanceLog:
         return iter(self.records)
 
 
-@dataclass
-class ArtifactEnvelope:
-    """A cached pass artifact bundled with the decisions that produced
-    it.  Stored *in place of* the bare value so cache bytes (and hit
-    counts) are identical whether or not any consumer reads provenance;
-    fingerprints hash programs, not artifacts, so they are untouched."""
-
-    value: Any
-    records: List[DecisionRecord]
-
-
-def unwrap(artifact: Any) -> Tuple[Any, List[DecisionRecord]]:
-    """Split a cached artifact into (value, records).  Bare values (from
-    caches written before provenance existed, or seeded fixed points)
-    carry no records."""
-    if isinstance(artifact, ArtifactEnvelope):
-        return artifact.value, artifact.records
-    return artifact, []
-
-
 # ---------------------------------------------------------------------------
 # Capture stack
 
@@ -234,9 +212,9 @@ def active() -> bool:
 def capture():
     """Collect decisions recorded in the dynamic extent into a list.
 
-    Captures nest; records go to the innermost one only (a pass body's
-    capture shadows any outer one, mirroring how cached artifacts carry
-    their own records).
+    Captures nest; records go to the innermost one only (a stage's
+    capture shadows any outer one, mirroring how memoized artifacts
+    carry their own records).
     """
     records: List[DecisionRecord] = []
     _capture_stack.append(records)
@@ -270,18 +248,14 @@ def record(site: str, stage: str, subject: Any, chosen: Any,
 # ---------------------------------------------------------------------------
 # High-level collection
 
-def collect_point(session, prog, scheme, nprocs: int, *,
-                  decomp_nprocs: Optional[int] = None,
-                  line_pad_elements: Optional[int] = None):
+def collect_point(session, prog, scheme, nprocs: int):
     """Compile one grid point and gather its full decision log: the
-    pass-pipeline decisions from the session plus the addropt decisions
-    made while emitting optimized code.  Returns ``(spmd, log)``."""
+    compile stages' decisions from the session plus the addropt
+    decisions made while emitting optimized code.  Returns
+    ``(spmd, log)``."""
     from repro.codegen.emit_optimized import emit_optimized_program
 
-    spmd = session.compile(
-        prog, scheme, nprocs,
-        decomp_nprocs=decomp_nprocs, line_pad_elements=line_pad_elements,
-    )
+    spmd = session.compile(prog, scheme, nprocs)
     log = session.last_provenance.copy()
     with capture() as recs:
         emit_optimized_program(spmd)

@@ -1,13 +1,12 @@
 """Stable content fingerprints for pipeline artifacts.
 
-The artifact cache is content-addressed: a pass result is keyed by a
-SHA-256 digest of everything that determines it — the canonical
-serialization of the input :class:`~repro.ir.program.Program`, the
-scheme, the processor count, and the pass's own version string.  Two
-structurally identical programs built independently (same arrays, same
-nests, same affine expressions, same compute bytecode) therefore map to
-the same key, while any change to the IR, the configuration, or the
-pass implementation produces a different one.
+A compile session keys every stage artifact on the SHA-256 digest of
+the canonical serialization of the input
+:class:`~repro.ir.program.Program`, and the result store keys every
+point on it.  Two structurally identical programs built independently
+(same arrays, same nests, same affine expressions, same compute
+bytecode) therefore map to the same key, while any change to the IR
+produces a different one.
 
 Statement ``compute`` callables are part of program semantics (the
 executor applies them), so they participate in the fingerprint via
@@ -120,9 +119,9 @@ def fingerprint_program(prog: Program) -> str:
 
 
 def fingerprint_decomposition(decomp: Optional[Decomposition]) -> str:
-    """SHA-256 hex digest of a decomposition's content (``"auto"``-less
-    callers use this when a decomposition is supplied externally, e.g.
-    from HPF directives, so it contributes to downstream pass keys)."""
+    """SHA-256 hex digest of a decomposition's content (a compile
+    session keys downstream stages on it when a decomposition is
+    supplied externally, e.g. from HPF directives)."""
     if decomp is None:
         return "none"
     h = hashlib.sha256()
@@ -147,8 +146,8 @@ def fingerprint_decomposition(decomp: Optional[Decomposition]) -> str:
 
 
 def make_key(components: Iterable[str]) -> str:
-    """Collapse key components (pass name, version, fingerprints,
-    configuration scalars as strings) into one cache key."""
+    """Collapse key components (fingerprints, configuration scalars as
+    strings) into one SHA-256 key."""
     h = hashlib.sha256()
     _feed(h, *components)
     return h.hexdigest()

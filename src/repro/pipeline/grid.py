@@ -6,7 +6,7 @@ the verifier sweep in the CLI — used to carry its own copy of
 the enumerate/compile/simulate loop.  This module is the single
 implementation they all consume:
 
-* :class:`GridSpec` enumerates a cartesian grid into
+* :func:`make_grid` enumerates a cartesian grid into
   :class:`GridPoint` coordinates (one ``(app, scheme, nprocs)`` plus
   problem-size/machine knobs);
 * :func:`point_program` / :func:`point_machine` / :func:`point_key`
@@ -84,7 +84,6 @@ __all__ = [
     "GracefulShutdown",
     "GridPoint",
     "GridResult",
-    "GridSpec",
     "execute_grid",
     "make_grid",
     "merged_trace",
@@ -254,34 +253,6 @@ class _DrainExpired(Exception):
     """Internal: the shutdown drain deadline passed while waiting."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """A cartesian ``apps x schemes x procs`` grid, declaratively.
-
-    ``pin_decomp`` fixes every point's decomposition at ``max(procs)``
-    so the whole sweep shares one decomposition (the serial
-    ``speedup_curve`` convention).
-    """
-
-    apps: Tuple[str, ...]
-    schemes: Tuple[str, ...]
-    procs: Tuple[int, ...]
-    n: Optional[int] = None
-    time_steps: Optional[int] = None
-    scale: int = 16
-    pin_decomp: bool = False
-
-    def points(self) -> List[GridPoint]:
-        dp = max(self.procs) if self.pin_decomp and self.procs else None
-        return [
-            GridPoint(app=a, scheme=s, nprocs=p, n=self.n,
-                      time_steps=self.time_steps, scale=self.scale,
-                      decomp_procs=dp)
-            for a, s, p in itertools.product(
-                self.apps, self.schemes, self.procs)
-        ]
-
-
 def make_grid(
     apps: Sequence[str],
     schemes: Sequence[str],
@@ -291,12 +262,16 @@ def make_grid(
     scale: int = 16,
     pin_decomp: bool = False,
 ) -> List[GridPoint]:
-    """The cartesian ``apps x schemes x procs`` grid.  ``pin_decomp``
-    fixes every point's decomposition at ``max(procs)``."""
-    return GridSpec(
-        apps=tuple(apps), schemes=tuple(schemes), procs=tuple(procs),
-        n=n, time_steps=time_steps, scale=scale, pin_decomp=pin_decomp,
-    ).points()
+    """The cartesian ``apps x schemes x procs`` grid, apps outermost.
+    ``pin_decomp`` fixes every point's decomposition at ``max(procs)``
+    so the whole sweep shares one decomposition (the serial
+    ``speedup_curve`` convention)."""
+    dp = max(procs) if pin_decomp and procs else None
+    return [
+        GridPoint(app=a, scheme=s, nprocs=p, n=n, time_steps=time_steps,
+                  scale=scale, decomp_procs=dp)
+        for a, s, p in itertools.product(apps, schemes, procs)
+    ]
 
 
 # -- coordinate -> program / machine / key -----------------------------------
@@ -351,7 +326,7 @@ def _point_session(point: GridPoint, session, degrade: bool = False,
 
     prog = point_program(point)
     machine = point_machine(point, prog)
-    before = session.manager.counts()
+    before = session.stats()
     t0 = time.perf_counter()
     degrade_reason: Optional[str] = None
     if degrade:
@@ -374,7 +349,7 @@ def _point_session(point: GridPoint, session, degrade: bool = False,
             app=point.app, scheme=point.scheme, nprocs=point.nprocs,
         ) from exc
     elapsed = time.perf_counter() - t0
-    after = session.manager.counts()
+    after = session.stats()
 
     def _delta(kind: str) -> Dict[str, int]:
         prev = before[kind]
@@ -426,7 +401,7 @@ _worker_cache: Optional[bool] = None
 def _make_session(cache: bool):
     from repro.pipeline.session import CompileSession
 
-    return CompileSession() if cache else CompileSession(cache=None)
+    return CompileSession(cache=cache)
 
 
 def _worker_run(payload) -> GridResult:

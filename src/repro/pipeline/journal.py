@@ -36,7 +36,7 @@ rehydrates every ``done`` point, and executes only the rest —
 appending to the same journal so a twice-interrupted run resumes
 again.  Every simulated outcome matches an uninterrupted run because
 ``done`` records are served verbatim and execution is deterministic.
-Pass counters keep their per-pass totals (runs + hits) but may split
+The per-stage counters keep their totals (runs + hits) but may split
 differently, since the resuming process starts with a cold artifact
 cache — see DESIGN.md.
 

@@ -1,125 +1,145 @@
-"""Compile sessions: the pass pipeline's front door.
+"""Compile sessions: the one driver of the compiler's stages.
 
-A :class:`CompileSession` owns an :class:`~repro.pipeline.cache.ArtifactCache`
-and a :class:`~repro.pipeline.manager.PassManager` and exposes the same
-three operations as the legacy driver (``restructure`` /
-``compile`` / ``compile_all``), now as explicit pass-pipeline
-executions with content-addressed artifact reuse.  It replaces the old
-``prog._restructured`` attribute hack: memoization lives in the
-session's cache, keyed by program content, and never mutates caller
-objects.
+A :class:`CompileSession` runs ``restructure → decompose → layout →
+spmd`` (:mod:`repro.pipeline.passes`) for one point and memoizes each
+stage's artifact, with the decision records that produced it, in an
+in-memory LRU of :data:`CACHE_CAPACITY` entries.  A key is a plain
+tuple that starts with the stage name and the source program's content
+fingerprint, so structurally identical programs share artifacts and no
+caller object is ever mutated.  The memo lives and dies with the
+session; finished point results persist across processes in the result
+store (:mod:`repro.pipeline.store`).
 
-A process-wide default session backs the compatibility wrappers in
+Every real stage run is a ``pass.<name>`` span and bumps
+``pipeline.pass.<name>.runs``; a memo hit bumps
+``pipeline.pass.<name>.cache_hits`` and replays the original run's
+decision records.  ``pipeline.cache.hits``, ``.misses`` and
+``.evictions`` count the LRU itself.
+
+A process-wide default session backs the wrappers in
 :mod:`repro.compiler`; callers that want isolation (a cold profile, a
 batch worker) construct their own.
 """
 
 from __future__ import annotations
 
-import os
 import threading
+from collections import Counter, OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro import obs
-from repro.obs.provenance import ProvenanceLog
+from repro import faults, obs
 from repro.codegen.spmd import Scheme, SpmdProgram
 from repro.decomp.model import Decomposition
+from repro.errors import CompileError, ReproError
 from repro.ir.program import Program
-from repro.pipeline.cache import ArtifactCache
+from repro.obs import provenance
+from repro.obs.provenance import ProvenanceLog
+from repro.pipeline import passes
 from repro.pipeline.fingerprint import (
     fingerprint_decomposition,
     fingerprint_program,
 )
-from repro.pipeline.manager import PassManager
-from repro.pipeline.passes import (
-    ART_DECOMPOSITION,
-    ART_PROGRAM,
-    ART_RESTRUCTURED,
-    DecomposePass,
-    LayoutPass,
-    PassContext,
-    RestructurePass,
-    SpmdCodegenPass,
-    VerifyPass,
-)
 
 __all__ = [
-    "ENV_VERIFY",
+    "CACHE_CAPACITY",
     "CompileSession",
     "get_session",
     "set_session",
     "reset_session",
 ]
 
-_AUTO = object()
-
-ENV_VERIFY = "REPRO_VERIFY"
+CACHE_CAPACITY = 256
+"""Artifacts one session's LRU holds before it evicts the oldest."""
 
 
 class CompileSession:
-    """One pipeline instance: passes + artifact cache.
+    """Runs and memoizes the compiler's stages.
 
-    ``cache`` may be an :class:`ArtifactCache`, ``None`` to disable
-    artifact reuse entirely (every pass always runs), or omitted for a
-    fresh in-memory cache.
-
-    ``verify=True`` appends the :class:`VerifyPass` oracle to every
-    compile — each SPMD plan is executed against the sequential
-    reference and a divergence raises
-    :class:`~repro.errors.VerifyError`.  ``verify=None`` (default)
-    reads the ``REPRO_VERIFY`` environment flag.
+    ``cache=False`` (the CLI's ``--no-cache``) runs every stage on
+    every compile and keeps nothing.
     """
 
-    def __init__(self, cache=_AUTO, max_dims: int = 2,
-                 verify: Optional[bool] = None):
-        if cache is _AUTO:
-            cache = ArtifactCache()
-        if verify is None:
-            verify = os.environ.get(ENV_VERIFY, "").lower() not in (
-                "", "0", "false", "no"
-            )
-        self.cache: Optional[ArtifactCache] = cache
-        self.manager = PassManager(cache)
-        self.max_dims = max_dims
-        self.verify = bool(verify)
-        self._restructure = RestructurePass()
-        self._decompose = DecomposePass()
-        self._layout = LayoutPass()
-        self._spmd = SpmdCodegenPass()
-        self._verify = VerifyPass()
+    def __init__(self, cache: bool = True):
+        self._memo: Optional[OrderedDict] = OrderedDict() if cache else None
+        self._runs: Counter = Counter()
+        self._hits: Counter = Counter()
         # Decision log of the most recent compile()/compile_all() point
-        # (cache hits replay the original records, so this is complete
+        # (memo hits replay the original records, so this is complete
         # even on a fully warm session).
         self.last_provenance = ProvenanceLog()
 
-    # -- pipeline operations ----------------------------------------------
+    # -- one stage ---------------------------------------------------------
 
-    def _context(self, prog: Program, **kw) -> PassContext:
-        ctx = PassContext(
-            program=prog,
-            program_fp=fingerprint_program(prog),
-            max_dims=self.max_dims,
-            **kw,
-        )
-        ctx.artifacts[ART_PROGRAM] = prog
-        return ctx
+    def _stage(self, name: str, key: Tuple, log: ProvenanceLog,
+               prog: Program, scheme: Optional[Scheme], nprocs: int,
+               fn, *args):
+        """Stage ``name``'s artifact under ``key``: replayed from the
+        memo, or made by ``fn(*args)`` inside its ``pass.<name>`` span.
+        Either way its decision records are appended to ``log``."""
+        memo = self._memo
+        if memo is not None:
+            key = (name,) + key
+            hit = memo.get(key)
+            if hit is not None:
+                memo.move_to_end(key)
+                obs.inc("pipeline.cache.hits")
+                self._hits[name] += 1
+                obs.inc(f"pipeline.pass.{name}.cache_hits")
+                value, records = hit
+                log.extend(records)
+                return value
+            obs.inc("pipeline.cache.misses")
+        context = dict(app=prog.name,
+                       scheme=scheme.value if scheme else None,
+                       nprocs=nprocs)
+        with obs.span(f"pass.{name}", cat="pipeline", program=prog.name,
+                      scheme=context["scheme"], nprocs=nprocs):
+            try:
+                # The stall fires inside the pass span so the injected
+                # delay is booked against this pass in the wall-time
+                # ledger (the perf CI job's attribution target).
+                faults.maybe_pass_stall(name)
+                faults.check("pass", pass_name=name, **context)
+                with provenance.capture() as records:
+                    value = fn(*args)
+            except ReproError:
+                raise  # already typed, context attached at the source
+            except Exception as exc:
+                raise CompileError(
+                    f"pass {name!r} failed: {type(exc).__name__}: {exc}",
+                    pass_name=name, **context,
+                ) from exc
+        log.extend(records)
+        self._runs[name] += 1
+        obs.inc(f"pipeline.pass.{name}.runs")
+        if memo is not None:
+            self._store(key, value, records)
+        return value
+
+    def _store(self, key: Tuple, value, records) -> None:
+        memo = self._memo
+        memo[key] = (value, records)
+        memo.move_to_end(key)
+        while len(memo) > CACHE_CAPACITY:
+            memo.popitem(last=False)
+            obs.inc("pipeline.cache.evictions")
+
+    # -- pipeline operations -----------------------------------------------
 
     def restructure(self, prog: Program) -> Program:
-        """The restructured form of ``prog`` (cached by content).
+        """The restructured form of ``prog`` (memoized by content).
 
         The output is registered as its own fixed point, so
         restructuring an already-restructured program returns it
-        unchanged — the property the old attribute memo provided,
-        without mutating any ``Program``.
+        unchanged, without mutating any ``Program``.
         """
-        ctx = self._context(prog)
-        out = self.manager.execute(self._restructure, ctx)
-        if out is not prog and self.cache is not None:
-            out_ctx = self._context(out)
-            if out_ctx.program_fp != ctx.program_fp:
-                self.manager.seed(
-                    self._restructure.cache_key(out_ctx), out
-                )
+        fp = fingerprint_program(prog)
+        out = self._stage("restructure", (fp,), ProvenanceLog(), prog,
+                          None, 1, passes.restructure, prog)
+        if out is not prog and self._memo is not None:
+            out_fp = fingerprint_program(out)
+            if out_fp != fp:
+                self._store(("restructure", out_fp), out, [])
         return out
 
     def compile(
@@ -128,12 +148,9 @@ class CompileSession:
         scheme: Scheme,
         nprocs: int,
         decomp: Optional[Decomposition] = None,
-        max_dims: Optional[int] = None,
-        line_pad_elements: Optional[int] = None,
         decomp_nprocs: Optional[int] = None,
     ) -> SpmdProgram:
-        """Compile one (program, scheme, nprocs) point through the
-        pipeline.
+        """Compile one (program, scheme, nprocs) point.
 
         ``decomp`` supplies an external decomposition (e.g. from HPF
         directives); its content fingerprint then keys the downstream
@@ -143,43 +160,42 @@ class CompileSession:
         :func:`repro.machine.simulate.speedup_curve`).
         """
         prog.validate()
-        ctx = self._context(
-            prog,
-            scheme=scheme,
-            nprocs=nprocs,
-            decomp_nprocs=decomp_nprocs or nprocs,
-            line_pad_elements=line_pad_elements,
-        )
-        if max_dims is not None:
-            ctx.max_dims = max_dims
+        fp = fingerprint_program(prog)
         with obs.span("compiler.compile", cat="compiler",
                       program=prog.name, scheme=scheme.value,
                       nprocs=nprocs):
-            spmd = self._compile_ctx(ctx, decomp)
-        self.last_provenance = ctx.provenance
+            spmd, log, _ = self._compile(prog, fp, scheme, nprocs, decomp,
+                                         decomp_nprocs or nprocs)
+        self.last_provenance = log
         return spmd
 
-    def _compile_ctx(self, ctx: PassContext,
-                     decomp: Optional[Decomposition]) -> SpmdProgram:
-        self._restructure_into(ctx)
-        if ctx.scheme is Scheme.BASE:
-            spmd = self.manager.execute(self._spmd, ctx)
+    def _compile(self, prog: Program, fp: str, scheme: Scheme, nprocs: int,
+                 decomp: Optional[Decomposition], decomp_nprocs: int):
+        """``(spmd, decision log, decomposition)`` of one point; ``fp``
+        is ``prog``'s fingerprint."""
+        log = ProvenanceLog()
+
+        def stage(name, key, fn, *args):
+            return self._stage(name, key, log, prog, scheme, nprocs,
+                               fn, *args)
+
+        rprog = stage("restructure", (fp,), passes.restructure, prog)
+        token = "auto"
+        if scheme is Scheme.BASE:
+            spmd = stage("spmd", (fp, scheme, nprocs, token, decomp_nprocs),
+                         passes.spmd, rprog, scheme, nprocs)
+            return spmd, log, None
+        if decomp is None:
+            decomp = stage("decompose", (fp, decomp_nprocs),
+                           passes.decompose, rprog, decomp_nprocs)
         else:
-            if decomp is not None:
-                ctx.decomp_token = fingerprint_decomposition(decomp)
-                ctx.artifacts[ART_DECOMPOSITION] = decomp
-            else:
-                self.manager.execute(self._decompose, ctx)
-            self.manager.execute(self._layout, ctx)
-            spmd = self.manager.execute(self._spmd, ctx)
-        if self.verify:
-            self.manager.execute(self._verify, ctx)
-        return spmd
-
-    def _restructure_into(self, ctx: PassContext) -> Program:
-        out = self.manager.execute(self._restructure, ctx)
-        ctx.artifacts[ART_RESTRUCTURED] = out
-        return out
+            token = fingerprint_decomposition(decomp)
+        data = scheme is Scheme.COMP_DECOMP_DATA
+        layout = stage("layout", (fp, nprocs, token, decomp_nprocs, data),
+                       passes.layout, rprog, decomp, nprocs, data)
+        spmd = stage("spmd", (fp, scheme, nprocs, token, decomp_nprocs),
+                     passes.spmd, rprog, scheme, nprocs, decomp, layout)
+        return spmd, log, decomp
 
     def compile_degradable(
         self,
@@ -215,45 +231,33 @@ class CompileSession:
             spmd = self.compile(prog, Scheme.BASE, nprocs, **kw)
             return spmd, reason
 
-    def compile_all(self, prog: Program, nprocs: int,
-                    max_dims: Optional[int] = None) -> "CompiledProgram":
+    def compile_all(self, prog: Program, nprocs: int) -> "CompiledProgram":
         """All three Section-6 configurations of one program, sharing
         one restructure and one decomposition."""
         from repro.compiler import CompiledProgram
 
         prog.validate()
-        md = self.max_dims if max_dims is None else max_dims
+        fp = fingerprint_program(prog)
         with obs.span("compiler.compile_all", cat="compiler",
                       program=prog.name, nprocs=nprocs):
             spmds: Dict[Scheme, SpmdProgram] = {}
-            decomp: Optional[Decomposition] = None
+            decomps: Dict[Scheme, Decomposition] = {}
             for scheme in (Scheme.BASE, Scheme.COMP_DECOMP,
                            Scheme.COMP_DECOMP_DATA):
-                ctx = self._context(
-                    prog, scheme=scheme, nprocs=nprocs,
-                    decomp_nprocs=nprocs,
-                )
-                ctx.max_dims = md
-                spmds[scheme] = self._compile_ctx(ctx, None)
-                self.last_provenance = ctx.provenance
-                if scheme is not Scheme.BASE and decomp is None:
-                    decomp = ctx.artifacts[ART_DECOMPOSITION]
+                spmds[scheme], self.last_provenance, decomps[scheme] = (
+                    self._compile(prog, fp, scheme, nprocs, None, nprocs))
             return CompiledProgram(
                 base=spmds[Scheme.BASE],
                 comp_decomp=spmds[Scheme.COMP_DECOMP],
                 comp_decomp_data=spmds[Scheme.COMP_DECOMP_DATA],
-                decomposition=decomp,
+                decomposition=decomps[Scheme.COMP_DECOMP],
             )
 
     # -- introspection -----------------------------------------------------
 
-    def stats(self) -> Dict[str, object]:
-        """Pass run/hit counts plus cache counters (JSON-ready)."""
-        out: Dict[str, object] = dict(self.manager.counts())
-        out["cache"] = (
-            self.cache.stats.as_dict() if self.cache is not None else None
-        )
-        return out
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """Stage runs and memo hits by stage name (JSON-ready)."""
+        return {"runs": dict(self._runs), "hits": dict(self._hits)}
 
 
 # -- process-wide default session -------------------------------------------
@@ -281,7 +285,7 @@ def set_session(session: Optional[CompileSession]) -> None:
 
 def reset_session() -> CompileSession:
     """Install and return a fresh default session (used by tests and
-    cold-profile paths to guarantee real pass executions)."""
+    cold-profile paths to guarantee real stage runs)."""
     session = CompileSession()
     set_session(session)
     return session

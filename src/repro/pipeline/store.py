@@ -151,7 +151,7 @@ def result_key(
 
 @dataclass
 class StoreStats:
-    """Counters for one store instance (always on, like CacheStats)."""
+    """Counters for one store instance (always on, unlike obs)."""
 
     hits: int = 0
     misses: int = 0

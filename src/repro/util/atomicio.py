@@ -14,8 +14,9 @@ crash-safe sequence:
 
 A reader therefore only ever observes the old content or the complete
 new content — never a prefix.  ``fsync=False`` skips both syncs for
-callers that prefer throughput over durability (e.g. bench series
-rotation, where losing the newest line in a crash is acceptable).
+callers that prefer throughput over durability (e.g. the bench
+snapshot and its ``BENCH_latest.json`` pointer, which a crash costs at
+most the newest run of).
 
 Fault injection (:mod:`repro.faults`) hooks the write path so chaos
 tests can reach every recovery branch deterministically:

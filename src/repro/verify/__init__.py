@@ -14,10 +14,8 @@ Entry points:
 * :func:`verify_spmd` — oracle for one compiled plan;
 * :func:`verify_point` / :func:`verify_grid` — compile-and-verify
   drivers over ``app × scheme × nprocs`` coordinates (the
-  ``python -m repro verify`` command and the ``--verify`` flags);
-* :class:`~repro.pipeline.passes.VerifyPass` — the same oracle as an
-  optional pipeline pass (``CompileSession(verify=True)`` or
-  ``REPRO_VERIFY=1``).
+  ``python -m repro verify`` command and the ``--verify`` flags of
+  ``run`` and ``batch``).
 """
 
 from repro.verify.oracle import Divergence, VerifyResult, verify_spmd

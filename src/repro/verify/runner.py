@@ -2,7 +2,7 @@
 
 Verifies ``app × scheme × nprocs`` coordinates at a small problem size:
 the grid is enumerated by the shared
-:class:`~repro.pipeline.grid.GridSpec` engine, each point builds the
+:func:`~repro.pipeline.grid.make_grid` engine, each point builds the
 app, compiles it through a
 :class:`~repro.pipeline.session.CompileSession` (so artifacts are shared
 across the grid exactly like a real run) and hands the plan to
@@ -89,18 +89,14 @@ def verify_grid(
     without re-running the oracle.
     """
     from repro.codegen.spmd import parse_scheme
-    from repro.pipeline.grid import GridSpec, point_key
+    from repro.pipeline.grid import make_grid, point_key
     from repro.pipeline.session import CompileSession
 
     session = session or CompileSession()
-    spec = GridSpec(
-        apps=tuple(apps),
-        schemes=tuple(getattr(s, "value", s) for s in schemes),
-        procs=tuple(procs),
-        n=n, time_steps=time_steps,
-    )
+    grid = make_grid(apps, [getattr(s, "value", s) for s in schemes],
+                     procs, n=n, time_steps=time_steps)
     results: List[VerifyResult] = []
-    for point in spec.points():
+    for point in grid:
         scheme_name = parse_scheme(point.scheme).value
         key = None
         if store is not None:

@@ -44,6 +44,35 @@ class TestCli:
         assert "base" in out
         assert "1.00" in out
 
+    def test_run_jobs_matches_serial(self, capsys):
+        args = ["run", "simple", "--n", "8", "--procs-list", "1,2,4",
+                "--scale", "32"]
+        assert main(args + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert "comp decomp + data transform" in serial
+        assert main(args + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    def test_run_jobs_failed_scheme_fails_the_run(self, monkeypatch,
+                                                  capsys):
+        """A scheme that fails to compile fails a parallel run as it
+        fails a serial one; its row must not show BASE's times."""
+        from repro.errors import CompileError
+        from repro.pipeline import passes
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("decomposition exploded")
+
+        # The pool forks its workers, so they see the patch.
+        monkeypatch.setattr(passes, "decompose_program", boom)
+        args = ["run", "simple", "--n", "8", "--procs-list", "1,2",
+                "--scheme", "comp", "--scale", "32"]
+        with pytest.raises(CompileError, match="decomposition exploded"):
+            main(args + ["--jobs", "1"])
+        with pytest.raises(SystemExit, match="decomposition exploded"):
+            main(args + ["--jobs", "2"])
+        assert "comp decomp" not in capsys.readouterr().out
+
     def test_unknown_app(self):
         with pytest.raises(SystemExit):
             main(["decompose", "nosuchapp"])

@@ -13,9 +13,8 @@ import pytest
 from repro import faults, obs
 from repro.__main__ import main
 from repro.errors import CompileError, FaultInjected, ReproError
-from repro.pipeline import CompileSession, reset_session
+from repro.pipeline import CompileSession, passes, reset_session
 from repro.pipeline.grid import GridPoint, run_grid, summarize
-from repro.pipeline.passes import DecomposePass
 
 
 def _pristine_faults():
@@ -29,7 +28,6 @@ def _pristine_faults():
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_VERIFY", raising=False)
     _pristine_faults()
     obs.disable()
     obs.reset()
@@ -125,7 +123,7 @@ class TestPipelineFaults:
 
         faults.configure("seed=1,pass=1.0")
         with pytest.raises(ReproError):
-            CompileSession(cache=None).compile(
+            CompileSession(cache=False).compile(
                 build_app("simple", n=8), Scheme.BASE, 2
             )
 
@@ -133,12 +131,12 @@ class TestPipelineFaults:
         from repro.apps import build_app
         from repro.codegen.spmd import Scheme
 
-        def boom(self, ctx):
+        def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(DecomposePass, "run", boom)
+        monkeypatch.setattr(passes, "decompose_program", boom)
         with pytest.raises(CompileError) as ei:
-            CompileSession(cache=None).compile(
+            CompileSession(cache=False).compile(
                 build_app("simple", n=8), Scheme.COMP_DECOMP, 2
             )
         assert "decompose" in str(ei.value)
@@ -147,10 +145,10 @@ class TestPipelineFaults:
 
 class TestDegradation:
     def test_broken_scheme_degrades_to_base(self, monkeypatch):
-        def boom(self, ctx):
+        def boom(*args, **kwargs):
             raise RuntimeError("decomposition exploded")
 
-        monkeypatch.setattr(DecomposePass, "run", boom)
+        monkeypatch.setattr(passes, "decompose_program", boom)
         points = [
             GridPoint(app="simple", scheme="data", nprocs=2, n=8),
             GridPoint(app="simple", scheme="base", nprocs=2, n=8),
@@ -162,10 +160,10 @@ class TestDegradation:
         assert summarize(results)["degraded"] == 1
 
     def test_no_degrade_keeps_error(self, monkeypatch):
-        def boom(self, ctx):
+        def boom(*args, **kwargs):
             raise RuntimeError("decomposition exploded")
 
-        monkeypatch.setattr(DecomposePass, "run", boom)
+        monkeypatch.setattr(passes, "decompose_program", boom)
         points = [GridPoint(app="simple", scheme="data", nprocs=2, n=8)]
         results = run_grid(points, jobs=1, degrade=False)
         assert not results[0].ok

@@ -11,7 +11,6 @@ from repro.pipeline import grid as grid_mod
 from repro.pipeline.grid import (
     GridPoint,
     GridResult,
-    GridSpec,
     make_grid,
     point_key,
     point_machine,
@@ -48,16 +47,17 @@ GRID_KW = dict(n=8, time_steps=2)
 
 
 class TestGridSpec:
-    def test_points_order_matches_make_grid(self):
-        spec = GridSpec(apps=("simple", "stencil5"),
-                        schemes=("base", "comp"), procs=(1, 4), n=8)
-        assert spec.points() == make_grid(
-            ["simple", "stencil5"], ["base", "comp"], [1, 4], n=8)
+    """How a grid is specified: ``make_grid``'s enumeration and
+    ``GridPoint``'s normalization."""
 
     def test_pin_decomp(self):
-        spec = GridSpec(apps=("simple",), schemes=("comp",),
-                        procs=(2, 8), n=8, pin_decomp=True)
-        assert all(p.decomp_procs == 8 for p in spec.points())
+        points = make_grid(["simple", "lu"], ["base", "comp"], [2, 8],
+                           n=8, pin_decomp=True)
+        # apps outermost, then schemes, then processor counts
+        assert [(p.app, p.scheme, p.nprocs) for p in points] == [
+            (a, s, n) for a in ("simple", "lu") for s in ("base", "comp")
+            for n in (2, 8)]
+        assert all(p.decomp_procs == 8 for p in points)
 
     def test_scheme_normalized(self):
         pt = GridPoint(app="simple", scheme="OPT", nprocs=2)

@@ -1,23 +1,22 @@
-"""The pass pipeline: fingerprints, artifact cache, sessions, batch.
+"""The compile pipeline: fingerprints, artifact cache, sessions, batch.
 
-Covers the PR-2 acceptance points: fingerprint stability across
-equivalent ``Program`` builds and invalidation on any content or
-configuration change; the in-memory LRU; a warm-cache ``compile_all``
-performing zero pass executions (asserted via obs metrics); and the
-parallel batch driver matching the serial path point-for-point.
+Covers fingerprint stability across equivalent ``Program`` builds and
+invalidation on any content or configuration change; the session's
+in-memory LRU; a warm-cache ``compile_all`` performing zero stage runs
+(asserted via obs metrics); and the parallel batch driver matching the
+serial path point-for-point.
 """
 
 import pytest
 
 from repro import obs
-from repro.apps import build_app, simple
+from repro.apps import build_app, lu, simple
 from repro.codegen.spmd import Scheme, parse_scheme, scheme_short_name
 from repro.pipeline import (
-    MISS,
-    ArtifactCache,
     CompileSession,
     fingerprint_program,
     reset_session,
+    session as session_mod,
 )
 from repro.pipeline.grid import (
     GridPoint,
@@ -25,7 +24,6 @@ from repro.pipeline.grid import (
     run_grid,
     summarize,
 )
-from repro.pipeline.passes import RestructurePass
 
 
 @pytest.fixture(autouse=True)
@@ -68,32 +66,48 @@ class TestFingerprint:
         assert fp_add != fp_mul
         assert fp_add == fp_add2
 
-    def test_pass_key_invalidation(self, monkeypatch):
-        prog = simple.build(n=8)
+    def test_pass_key_invalidation(self):
         session = CompileSession()
-        rp = RestructurePass()
-        ctx = session._context(prog)
-        k1 = rp.cache_key(ctx)
-        monkeypatch.setattr(RestructurePass, "version", "999")
-        assert rp.cache_key(ctx) != k1
-        # scheme / nprocs reach the codegen pass key
-        c4 = session._context(prog, scheme=Scheme.BASE, nprocs=4)
-        c8 = session._context(prog, scheme=Scheme.BASE, nprocs=8)
-        cd = session._context(prog, scheme=Scheme.COMP_DECOMP, nprocs=4)
-        keys = {session._spmd.cache_key(c) for c in (c4, c8, cd)}
-        assert len(keys) == 3
+        session.compile(simple.build(n=8), Scheme.BASE, 4)
+        session.compile(simple.build(n=8), Scheme.BASE, 4)
+        assert session.stats()["runs"] == {"restructure": 1, "spmd": 1}
+        # scheme / nprocs reach the codegen key; the program's content
+        # reaches every key.
+        session.compile(simple.build(n=8), Scheme.BASE, 8)
+        session.compile(simple.build(n=8), Scheme.COMP_DECOMP, 4)
+        assert session.stats()["runs"]["spmd"] == 3
+        session.compile(simple.build(n=10), Scheme.BASE, 4)
+        assert session.stats()["runs"]["restructure"] == 2
+        # A pinned decomposition processor count reaches the
+        # decomposition key (and, through it, every downstream key).
+        session.compile(simple.build(n=8), Scheme.COMP_DECOMP, 4,
+                        decomp_nprocs=8)
+        assert session.stats()["runs"]["decompose"] == 2
+        assert session.stats()["runs"]["spmd"] == 5
 
 
 class TestArtifactCache:
-    def test_lru_eviction(self):
-        cache = ArtifactCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a
-        cache.put("c", 3)  # evicts b
-        assert cache.get("b") is MISS
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.stats.evictions == 1
+    def test_lru_eviction(self, monkeypatch):
+        """The session's artifact cache is an LRU: a hit refreshes an
+        entry, and the least recently used one is evicted first.  (LU
+        restructures to a program with its own content, so each
+        restructure stores exactly one entry.)"""
+        monkeypatch.setattr(session_mod, "CACHE_CAPACITY", 2)
+        session = CompileSession()
+
+        def restructure(n):
+            session.restructure(lu.build(n=n))
+            return session.stats()["runs"]["restructure"]
+
+        obs.enable(reset=True)
+        assert restructure(6) == 1
+        assert restructure(8) == 2
+        assert restructure(6) == 2  # hit: refreshes n=6
+        assert restructure(10) == 3  # evicts n=8
+        counters = obs.collector().metrics.snapshot()["counters"]
+        assert counters["pipeline.cache.evictions"] == 1
+        assert restructure(6) == 3  # still cached
+        assert restructure(8) == 4  # evicted: runs again
 
 
 class TestSessionMemoization:
@@ -112,15 +126,16 @@ class TestSessionMemoization:
         assert session.restructure(r1) is r1  # fixed point
 
     def test_no_cache_session_still_compiles(self):
-        session = CompileSession(cache=None)
+        session = CompileSession(cache=False)
         prog = simple.build(n=8)
         spmd = session.compile(prog, Scheme.COMP_DECOMP, 4)
         assert spmd.nprocs == 4
-        assert session.manager.total_runs() > 0
+        runs = {"restructure": 1, "decompose": 1, "layout": 1, "spmd": 1}
+        assert session.stats() == {"runs": runs, "hits": {}}
         # Every compile does full work.
-        before = session.manager.total_runs()
         session.compile(simple.build(n=8), Scheme.COMP_DECOMP, 4)
-        assert session.manager.total_runs() > before
+        assert session.stats() == {
+            "runs": {k: 2 * v for k, v in runs.items()}, "hits": {}}
 
 
 class TestWarmCompileAll:
@@ -154,6 +169,34 @@ class TestWarmCompileAll:
         assert counters.get("pipeline.pass.spmd.runs", 0) == 0
         r1 = restructure_program(simple.build(n=12, time_steps=2))
         assert restructure_program(r1) is r1
+
+
+class TestPerfbenchHooks:
+    def test_layer_tracer_sees_stage_calls(self):
+        """The repo benchmark times the compiler by wrapping
+        ``CompileSession.compile`` and the ``decompose_program`` and
+        ``generate_spmd`` globals of ``repro.pipeline.passes``; a
+        refactor that stops calling through them must fail here."""
+        import importlib.util
+        import time
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_layers",
+                                                      path)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        tracer = layers.LayerTracer(time.perf_counter)
+        tracer.install()
+        try:
+            session = CompileSession()
+            for _ in range(2):  # cold, then warm
+                session.compile(simple.build(n=8), Scheme.COMP_DECOMP, 4)
+        finally:
+            tracer.uninstall()
+        assert tracer.calls["pipeline.compile"] == 2
+        assert tracer.calls["decomp.decompose"] == 1
+        assert tracer.calls["codegen.spmd"] == 1
 
 
 class TestBatch:

@@ -10,7 +10,7 @@ from repro.apps import build_app
 from repro.codegen.spmd import parse_scheme
 from repro.obs import provenance
 from repro.obs.bench import run_bench
-from repro.pipeline import ArtifactCache, CompileSession
+from repro.pipeline import CompileSession
 
 
 OPT = parse_scheme("opt")
@@ -51,45 +51,39 @@ class TestCollection:
 class TestCacheReplay:
     def _log_json(self, session, prog):
         _, log = provenance.collect_point(session, prog, OPT, 8)
-        return log.to_json(), session.manager.counts()
+        return log.to_json(), session.stats()
 
-    def test_disk_cache_replays_identical_log(self):
-        """A session warmed by another session's cache must replay the
-        decision log bit-identically without re-running any pass."""
-        cache = ArtifactCache()
-        prog = build_app("tomcatv", n=32)
-        cold = CompileSession(cache=cache)
-        cold_json, cold_counts = self._log_json(cold, prog)
+    def test_warm_session_replays_identical_log(self):
+        """A warm session must replay the decision log bit-identically
+        without re-running any stage."""
+        session = CompileSession()
+        cold_json, cold_counts = self._log_json(
+            session, build_app("tomcatv", n=32))
         assert sum(cold_counts["runs"].values()) > 0
+        assert sum(cold_counts["hits"].values()) == 0
 
-        warm = CompileSession(cache=cache)
         warm_json, warm_counts = self._log_json(
-            warm, build_app("tomcatv", n=32))
+            session, build_app("tomcatv", n=32))
         assert warm_json == cold_json
-        assert sum(warm_counts["runs"].values()) == 0
+        assert warm_counts["runs"] == cold_counts["runs"]
         assert sum(warm_counts["hits"].values()) > 0
 
     def test_capture_state_does_not_change_cache_keys(self):
         """Whether anyone is listening must not perturb fingerprints:
         a compile inside an outer capture hits the artifacts written by
         one that ran with no capture at all."""
-        cache = ArtifactCache()
-        first = CompileSession(cache=cache)
-        first.compile(build_app("simple", n=12), OPT, 4)
-        assert sum(first.manager.counts()["hits"].values()) == 0
+        session = CompileSession()
+        session.compile(build_app("simple", n=12), OPT, 4)
+        first = session.stats()
+        assert sum(first["hits"].values()) == 0
+        first_log = session.last_provenance
 
-        second = CompileSession(cache=cache)
         with provenance.capture():
-            second.compile(build_app("simple", n=12), OPT, 4)
-        counts = second.manager.counts()
-        assert sum(counts["runs"].values()) == 0
+            session.compile(build_app("simple", n=12), OPT, 4)
+        counts = session.stats()
+        assert counts["runs"] == first["runs"]
         assert sum(counts["hits"].values()) > 0
-        assert len(second.last_provenance) == len(first.last_provenance)
-
-    def test_bare_values_unwrap_without_records(self):
-        value, records = provenance.unwrap({"plain": "artifact"})
-        assert value == {"plain": "artifact"}
-        assert records == []
+        assert len(session.last_provenance) == len(first_log)
 
 
 class TestDiff:

@@ -4,7 +4,7 @@ Covers: the oracle passing over a real app × scheme × procs grid
 (bit-identical lockstep execution through transformed layouts), the
 bijectivity pre-check rejecting a colliding layout, first-divergence
 diagnostics when the compiled plan genuinely computes something else,
-the optional ``verify`` pipeline pass, and the ``verify`` CLI command.
+and the ``verify`` CLI command.
 """
 
 from dataclasses import replace
@@ -18,7 +18,6 @@ from repro.codegen.spmd import Scheme
 from repro.datatrans.layout import DimAtom, Layout
 from repro.errors import VerifyError
 from repro.pipeline import CompileSession, reset_session
-from repro.pipeline.passes import ART_SPMD, VerifyPass
 from repro.verify import (
     format_verify_table,
     grid_ok,
@@ -29,8 +28,7 @@ from repro.verify import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_state(monkeypatch):
-    monkeypatch.delenv("REPRO_VERIFY", raising=False)
+def _clean_state():
     obs.disable()
     obs.reset()
     reset_session()
@@ -59,7 +57,7 @@ class TestOracleGrid:
                               [1, 2], n=6, session=session)
         assert grid_ok(results)
         # restructure ran once, not once per grid point
-        assert session.manager.runs.get("restructure", 0) == 1
+        assert session.stats()["runs"]["restructure"] == 1
 
     def test_compile_failure_is_a_failed_point(self):
         res = verify_point("nosuchapp", Scheme.BASE, 1, n=6)
@@ -123,42 +121,6 @@ class TestOracleCatchesBugs:
         with pytest.raises(VerifyError) as ei:
             res.raise_on_failure()
         assert ei.value.context()["app"] == "simple"
-
-
-class TestVerifyPass:
-    def test_session_verify_flag_runs_pass(self):
-        session = CompileSession(verify=True)
-        session.compile(build_app("simple", n=6),
-                        Scheme.COMP_DECOMP_DATA, 2)
-        assert session.manager.runs.get("verify", 0) == 1
-
-    def test_env_flag_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        assert CompileSession().verify
-        monkeypatch.setenv("REPRO_VERIFY", "0")
-        assert not CompileSession().verify
-
-    def test_verify_pass_never_cached(self):
-        session = CompileSession(verify=True)
-        for _ in range(2):
-            session.compile(build_app("simple", n=6), Scheme.BASE, 2)
-        # Two compiles, two real verify executions (zero cache hits).
-        assert session.manager.runs.get("verify", 0) == 2
-        assert session.manager.hits.get("verify", 0) == 0
-
-    def test_pass_raises_verify_error_on_divergence(self):
-        session = CompileSession()
-        prog = build_app("simple", n=6)
-        spmd = session.compile(prog, Scheme.BASE, 2)
-        tampered = build_app("simple", n=6)
-        st = tampered.nests[0].body[0]
-        tampered.nests[0].body[0] = replace(
-            st, compute=lambda *vals: 0.0
-        )
-        ctx = session._context(tampered, scheme=Scheme.BASE, nprocs=2)
-        ctx.artifacts[ART_SPMD] = spmd
-        with pytest.raises(VerifyError):
-            VerifyPass().run(ctx)
 
 
 class TestVerifyCli:
