@@ -148,6 +148,7 @@ def _result_store(args):
     incremental = bool(
         getattr(args, "incremental", False)
         or getattr(args, "expect_incremental", None) is not None
+        or getattr(args, "resume", None) is not None
     )
     store_dir = getattr(args, "store_dir", None)
     if not (incremental or store_dir):
@@ -416,33 +417,26 @@ def cmd_batch(args) -> int:
     import os
     from dataclasses import asdict
 
-    from repro import faults, obs
+    from repro import faults
     from repro.errors import JournalError
     from repro.pipeline import journal as journal_mod
     from repro.pipeline.grid import (
         GracefulShutdown,
         make_grid,
-        merged_trace,
         run_grid,
         summarize,
     )
-    from repro.pipeline.store import resolve_store_dir
 
     store, incremental = _result_store(args)
-    if args.resume is not None and args.no_journal:
-        raise SystemExit("--resume needs the journal; drop --no-journal")
-    want_journal = (not args.no_journal
-                    and (store is not None or args.resume is not None))
-    jdir = (journal_mod.journal_dir(resolve_store_dir(args.store_dir))
-            if want_journal else None)
+    jdir = journal_mod.journal_dir(store.root) if store is not None else None
 
     degrade = not args.no_degrade
     locality = bool(args.json)
     journal = None
-    preset = None
     if args.resume is not None:
         # The grid comes from the journal, not the CLI flags: a resume
-        # must execute exactly the run it is resuming.
+        # must execute exactly the run it is resuming.  Its finished
+        # points come from the store (--resume implies --incremental).
         try:
             run_id = journal_mod.resolve_run_id(jdir, args.resume)
             state = journal_mod.JournalState.load(
@@ -454,12 +448,11 @@ def cmd_batch(args) -> int:
         spec = state.spec
         degrade = bool(spec.get("degrade", degrade))
         locality = bool(spec.get("locality", locality))
-        preset = state.finished_results()
         if state.complete:
-            print(f"note: run {run_id} already completed; serving all "
-                  f"{len(preset)} journaled points")
+            print(f"note: run {run_id} already completed; its stored "
+                  f"points are served from the result store")
         else:
-            print(f"resuming {run_id}: {len(preset)}/{len(points)} "
+            print(f"resuming {run_id}: {len(state.finished)}/{len(points)} "
                   f"points already journaled")
             mid_flight = state.in_flight
             if mid_flight:
@@ -485,14 +478,13 @@ def cmd_batch(args) -> int:
             n=args.n, time_steps=args.time_steps, scale=args.scale,
             pin_decomp=args.pin_decomp,
         )
-        if want_journal:
+        if store is not None:
             spec = {
                 "points": [asdict(p) for p in points],
                 "degrade": degrade,
                 "locality": locality,
             }
             journal = journal_mod.JournalWriter.create(jdir, spec)
-    preset_ids = {id(r) for r in (preset or {}).values()}
     shutdown = GracefulShutdown(drain_seconds=args.drain)
 
     # Live monitoring rides on the journal: heartbeats interleave with
@@ -504,10 +496,6 @@ def cmd_batch(args) -> int:
 
         monitor = RunMonitor(total=len(points), journal=journal,
                              interval=args.heartbeat, jobs=args.jobs)
-        if preset:
-            # Journal-served points are finished work: count them so a
-            # resumed run's progress bar starts where the last one died.
-            monitor.dispatched = monitor.finished = len(preset)
 
     saved_faults = os.environ.get(faults.ENV_FLAG)
     if args.inject_faults is not None:
@@ -519,12 +507,6 @@ def cmd_batch(args) -> int:
         # workers inherit the same deterministic plan.
         faults.configure(spec)
         os.environ[faults.ENV_FLAG] = spec
-    # --trace-out / --json both need telemetry: the driver records its
-    # own spans (retry/respawn accounting; in serial mode every point)
-    # and parallel workers ship per-point snapshots back for the merge.
-    collect = bool(args.trace_out or args.json)
-    if collect:
-        obs.enable(reset=True)
     try:
         with shutdown.install():
             results = run_grid(
@@ -532,10 +514,9 @@ def cmd_batch(args) -> int:
                 cache=not args.no_cache,
                 timeout=args.timeout, retries=args.retries,
                 backoff=args.backoff, degrade=degrade,
-                collect_telemetry=collect,
                 locality=locality,
                 store=store, incremental=incremental,
-                journal=journal, shutdown=shutdown, preset=preset,
+                journal=journal, shutdown=shutdown,
                 monitor=monitor,
             )
     finally:
@@ -545,23 +526,15 @@ def cmd_batch(args) -> int:
                 os.environ.pop(faults.ENV_FLAG, None)
             else:
                 os.environ[faults.ENV_FLAG] = saved_faults
-    # Points executed by *this* process: not store-served, and not one
-    # of the journaled results a --resume rehydrated.
-    live_executed = sum(
-        1 for r in results
-        if not r.store_hit and id(r) not in preset_ids)
+    agg = summarize(results)
     if monitor is not None:
         # Final heartbeat (terminal counts) before the end record.
         monitor.close()
     if journal is not None:
         journal.end(
             "interrupted" if shutdown.triggered else "complete",
-            executed=live_executed)
+            executed=agg["executed"])
         journal.close()
-    merged = None
-    if collect:
-        merged = merged_trace(results)
-        obs.disable()
 
     print(f"{'app':12s} {'scheme':6s} {'P':>3s} {'time':>12s} "
           f"{'accesses':>10s} {'runs':>5s} {'hits':>5s} {'try':>3s}"
@@ -570,8 +543,6 @@ def cmd_batch(args) -> int:
         p = r.point
         if r.ok:
             status = "ok (store)" if r.store_hit else "ok"
-            if id(r) in preset_ids:
-                status = "ok (journal)"
             if r.degraded:
                 first = (r.degrade_reason or "?").strip().splitlines()[0]
                 status = f"ok (degraded to base: {first})"
@@ -585,7 +556,6 @@ def cmd_batch(args) -> int:
             print(f"{p.app:12s} {p.scheme:6s} {p.nprocs:3d} "
                   f"{'-':>12s} {'-':>10s} {'-':>5s} {'-':>5s} "
                   f"{r.attempts:3d}  ERROR: {first}")
-    agg = summarize(results)
     runs = ", ".join(f"{k}={v}" for k, v in sorted(agg["pass_runs"].items()))
     hits = ", ".join(f"{k}={v}" for k, v in sorted(agg["pass_hits"].items()))
     print(f"\npoints: {agg['points']}  ok: {agg['ok']}  "
@@ -604,16 +574,7 @@ def cmd_batch(args) -> int:
               f"{st['entries']} entries, {st['bytes']} bytes)")
     if journal is not None:
         print(f"journal: {journal.run_id} "
-              f"({journal.appends} appends, {journal.errors} errors, "
-              f"{len(preset_ids)} served from journal, "
-              f"{live_executed} executed live)")
-
-    if args.trace_out and merged is not None:
-        merged.write(args.trace_out)
-        pids = ", ".join(str(p) for p in merged.worker_pids())
-        print(f"wrote merged Chrome trace to {args.trace_out} "
-              f"(worker pids: {pids or 'none — serial run'}; load in "
-              "chrome://tracing or https://ui.perfetto.dev)")
+              f"({journal.appends} appends, {journal.errors} errors)")
 
     if args.json:
         payload = {"summary": agg,
@@ -625,13 +586,9 @@ def cmd_batch(args) -> int:
                 "run_id": journal.run_id,
                 "appends": journal.appends,
                 "errors": journal.errors,
-                "resumed": bool(preset),
-                "served_from_journal": len(preset_ids),
-                "executed_live": live_executed,
+                "resumed": args.resume is not None,
                 "interrupted": shutdown.triggered,
             }
-        if merged is not None:
-            payload["telemetry"] = _batch_telemetry(merged, agg)
         _emit_json(args.json, payload, "JSON results")
 
     rc = 1 if agg["errors"] else 0
@@ -640,14 +597,6 @@ def cmd_batch(args) -> int:
         print(f"error: --expect-incremental {args.expect_incremental} "
               f"but {agg['executed']} points executed "
               f"({agg['store_hits']} served from the store)",
-              file=sys.stderr)
-        rc = 1
-    if args.expect_executed is not None \
-            and live_executed != args.expect_executed:
-        print(f"error: --expect-executed {args.expect_executed} but "
-              f"{live_executed} points executed live "
-              f"({len(preset_ids)} served from the journal, "
-              f"{agg['store_hits']} from the store)",
               file=sys.stderr)
         rc = 1
     if args.verify:
@@ -666,45 +615,6 @@ def cmd_batch(args) -> int:
               file=sys.stderr)
         rc = 130
     return rc
-
-
-def _batch_telemetry(merged, agg) -> dict:
-    """The ``--json`` telemetry block: batch-level health counters
-    aggregated across the driver and every worker lane, with the full
-    per-lane counter provenance alongside."""
-    metrics = merged.merged_metrics()
-    counters = metrics["counters"]
-
-    def total(name: str) -> int:
-        entry = counters.get(name)
-        return entry["total"] if entry else 0
-
-    def prefixed(prefix: str) -> dict:
-        return {
-            name: entry["total"]
-            for name, entry in sorted(counters.items())
-            if name.startswith(prefix)
-        }
-
-    return {
-        "workers": len(merged.worker_pids()),
-        "pass_runs": agg["pass_runs"],
-        "pass_hits": agg["pass_hits"],
-        "total_pass_runs": agg["total_pass_runs"],
-        "retries": total("batch.retries"),
-        "timeouts": total("batch.timeouts"),
-        "respawns": total("batch.respawns"),
-        "worker_lost": total("batch.worker_lost"),
-        "degraded": total("pipeline.degraded"),
-        "faults": prefixed("faults."),
-        "cache": prefixed("pipeline.cache."),
-        "store": prefixed("store."),
-        "journal": prefixed("journal."),
-        "locks": prefixed("lock."),
-        "shutdowns": total("batch.shutdowns"),
-        "quarantine_evicted": total("store.quarantine.evicted"),
-        "counters": counters,
-    }
 
 
 def cmd_fsck(args) -> int:
@@ -1116,35 +1026,24 @@ def main(argv=None) -> int:
     p.add_argument("--verify-n", type=_positive_int, default=8,
                    help="problem size for --verify (default 8)")
     p.add_argument("--json", default=None, metavar="PATH",
-                   help="write per-point results + summary + telemetry "
-                        "as JSON; '-' for stdout")
-    p.add_argument("--trace-out", default=None, metavar="PATH",
-                   help="write a merged Chrome trace with one lane per "
-                        "worker process (clock-skew corrected)")
+                   help="write per-point results + summary as JSON; "
+                        "'-' for stdout")
     p.add_argument("--resume", default=None, metavar="RUN",
                    help="resume an interrupted journaled run (a RUN_* "
-                        "id, or 'latest'); the grid is rebuilt from the "
-                        "journal and finished points are served "
-                        "verbatim, never re-executed")
+                        "id, or 'latest'): the grid is rebuilt from the "
+                        "journal and re-run against the result store, "
+                        "so stored points are served and only the rest "
+                        "execute (implies --incremental)")
     p.add_argument("--drain", type=_nonneg_float, default=30.0,
                    metavar="SECONDS",
                    help="on SIGINT/SIGTERM, seconds to let in-flight "
                         "points finish before abandoning them "
                         "(default 30; a second signal stops at once)")
-    p.add_argument("--no-journal", action="store_true",
-                   help="disable the crash-recovery run journal that a "
-                        "result store otherwise writes")
     p.add_argument("--heartbeat", type=_nonneg_float, default=2.0,
                    metavar="SECONDS",
                    help="interval between journal heartbeats for "
                         "`repro status` and `repro report` (default "
                         "2.0; 0 disables monitoring; needs the journal)")
-    p.add_argument("--expect-executed", type=_nonneg_int, default=None,
-                   metavar="N",
-                   help="exit nonzero unless exactly N points executed "
-                        "live in this process — journal- and "
-                        "store-served points do not count (CI resume "
-                        "guard)")
     _add_cache_flags(p)
     _add_store_flags(p, expect=True)
 

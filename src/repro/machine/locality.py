@@ -31,7 +31,7 @@ the main implementations the fast paths.
 
 All results are deterministic functions of the trace, so they are safe
 to exact-match in bench snapshots: they are the locality fingerprint a
-simulator rewrite (ROADMAP item 1) must preserve.
+simulator rewrite (ROADMAP item 4) must preserve.
 """
 
 from __future__ import annotations

@@ -47,8 +47,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.export import (
-    collector_state,
-    lane_trace_events,
     summary,
     to_chrome_trace,
     to_json,
@@ -81,8 +79,6 @@ __all__ = [
     "inc",
     "reset",
     "span",
-    "collector_state",
-    "lane_trace_events",
     "summary",
     "to_chrome_trace",
     "to_json",

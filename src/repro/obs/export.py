@@ -11,12 +11,10 @@ Three output shapes:
 * :func:`summary` — a human-readable span tree with durations,
   attached counters, and the metric totals.
 
-Lane support: :func:`collector_state` freezes a collector into a plain
-JSON/pickle-safe dict (raw ``perf_counter`` timestamps preserved) and
-:func:`lane_trace_events` renders such a state into one Chrome-trace
-lane — an arbitrary ``pid`` with an optional process-name row and a
-time shift.  :mod:`repro.obs.agg` builds multi-process merged traces
-on top of these two primitives, one lane per worker PID.
+The Chrome trace is built in two steps: :func:`collector_state`
+freezes a collector into a plain JSON-safe dict (raw ``perf_counter``
+timestamps preserved) and :func:`lane_trace_events` renders such a
+state as one trace lane.
 """
 
 from __future__ import annotations
@@ -83,8 +81,7 @@ def collector_state(collector: Optional[Collector] = None) -> Dict[str, Any]:
     """Freeze one recording into a plain JSON/pickle-safe dict.
 
     Timestamps stay raw ``time.perf_counter()`` readings (``t0`` is
-    included) so a later merge can shift them onto another process's
-    clock; :func:`lane_trace_events` does the relative conversion.
+    included); :func:`lane_trace_events` does the relative conversion.
     """
     c = collector or core.collector()
     return {
@@ -120,24 +117,20 @@ def lane_trace_events(
     state: Dict[str, Any],
     *,
     pid: int = 0,
-    tid: int = 0,
     t0: Optional[float] = None,
-    shift: float = 0.0,
     process_name: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Chrome trace events for one :func:`collector_state`, as one lane.
 
     ``t0`` is the zero point of the output timeline (defaults to the
-    state's own ``t0``); ``shift`` is added to every raw timestamp
-    before the conversion, which is how a merge maps a worker's clock
-    onto the driver's.  Timed events come back sorted by ``ts`` so each
+    state's own ``t0``).  Timed events come back sorted by ``ts`` so the
     lane is monotonic; a metadata row naming the lane is prepended when
     ``process_name`` is given.
     """
     zero = state["t0"] if t0 is None else t0
 
     def ts(t: float) -> float:
-        return _us(t + shift, zero)
+        return _us(t, zero)
 
     timed: List[Dict[str, Any]] = []
     for s in state["spans"]:
@@ -146,7 +139,7 @@ def lane_trace_events(
             "cat": s["cat"],
             "ph": "X",
             "pid": pid,
-            "tid": tid,
+            "tid": 0,
             "ts": ts(s["start"]),
             "dur": _us(s["end"], s["start"]),
             "args": _jsonable(
@@ -161,7 +154,7 @@ def lane_trace_events(
                 "cat": s["cat"],
                 "ph": "C",
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "ts": ts(s["end"]),
                 "args": {k: _jsonable(v)},
             })
@@ -172,7 +165,7 @@ def lane_trace_events(
             "ph": "i",
             "s": "t",
             "pid": pid,
-            "tid": tid,
+            "tid": 0,
             "ts": ts(e["ts"]),
             "args": _jsonable(e["attrs"]),
         })
@@ -186,7 +179,7 @@ def lane_trace_events(
             "name": name,
             "ph": "C",
             "pid": pid,
-            "tid": tid,
+            "tid": 0,
             "ts": end_ts,
             "args": {name: _jsonable(value)},
         })
@@ -196,7 +189,7 @@ def lane_trace_events(
     out: List[Dict[str, Any]] = []
     if process_name is not None:
         out.append({"name": "process_name", "ph": "M", "pid": pid,
-                    "tid": tid, "args": {"name": process_name}})
+                    "tid": 0, "args": {"name": process_name}})
     out.extend(timed)
     return out
 

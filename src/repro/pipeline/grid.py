@@ -15,14 +15,14 @@ implementation they all consume:
   is stored under;
 * :func:`execute_grid` is the hardened wave-based executor (per-point
   error isolation, timeouts, retries with exponential backoff, broken
-  pool respawn, BASE-scheme degradation, per-point telemetry
-  snapshots) moved verbatim from the old batch driver;
+  pool respawn, BASE-scheme degradation);
 * :func:`run_grid` layers the persistent
   :class:`~repro.pipeline.store.ResultStore` on top: with
   ``incremental=True`` it serves every point whose
   program x scheme x procs x machine x model-version key is already
   stored, executes only the rest, and writes fresh results back — so a
-  rerun after editing one app re-executes exactly that app's points.
+  rerun after editing one app re-executes exactly that app's points,
+  and ``repro batch --resume`` re-runs a journaled grid the same way.
 
 Execution hardening (the driver survives hostile conditions without
 losing grid points):
@@ -45,12 +45,6 @@ losing grid points):
 Simulation is deterministic, so the parallel path produces results
 identical to the serial one point-for-point, and a store-served point
 is bit-identical to re-executing it.
-
-Telemetry (``collect_telemetry=True``): each worker records every
-point under its own fresh collector (one ``batch.point`` root span)
-and ships the frozen snapshot back inside the point's
-:class:`GridResult`; the driver merges the snapshots into a single
-skew-corrected multi-lane trace via :mod:`repro.obs.agg`.
 """
 
 from __future__ import annotations
@@ -86,11 +80,9 @@ __all__ = [
     "GridResult",
     "execute_grid",
     "make_grid",
-    "merged_trace",
     "point_key",
     "point_machine",
     "point_program",
-    "result_from_dict",
     "run_grid",
     "run_point",
     "summarize",
@@ -176,27 +168,9 @@ class GridResult:
     # Served from the persistent result store (and under which key).
     store_hit: bool = False
     store_key: str = ""
-    # Frozen obs snapshot (repro.obs.agg.snapshot) of the attempt that
-    # produced this result, when the batch collected telemetry.
-    telemetry: Optional[Dict[str, object]] = None
 
     def as_dict(self) -> Dict[str, object]:
-        out = asdict(self)
-        # The raw telemetry snapshot is bulky and has its own exporters
-        # (repro.obs.agg); JSON result dumps carry the aggregate only.
-        out.pop("telemetry", None)
-        out["point"] = asdict(self.point)
-        return out
-
-
-def result_from_dict(d: Dict[str, object]) -> GridResult:
-    """Rehydrate :meth:`GridResult.as_dict` output (journal ``done``
-    records, ``batch --json`` rows) back into a result — the exact
-    inverse, so a served record is bit-identical to the original."""
-    d = dict(d)
-    d.pop("telemetry", None)
-    point = GridPoint(**d.pop("point"))
-    return GridResult(point=point, **d)
+        return asdict(self)
 
 
 class GracefulShutdown:
@@ -406,29 +380,15 @@ def _make_session(cache: bool):
 
 def _worker_run(payload) -> GridResult:
     global _worker_session, _worker_cache
-    point_dict, cache, degrade, collect, locality = payload
+    point_dict, cache, degrade, locality = payload
     # Injected process-level faults (crash/stall) fire only here, in
     # worker processes — never in the driver.
     faults.maybe_worker_faults()
     if _worker_session is None or _worker_cache != cache:
         _worker_session = _make_session(cache)
         _worker_cache = cache
-    if not collect:
-        return run_point(GridPoint(**point_dict), _worker_session,
-                         degrade=degrade, locality=locality)
-    # One fresh collector per point: the snapshot shipped back with the
-    # result then holds exactly this point's spans/events/metrics.
-    from repro.obs import agg
-
-    obs.enable(reset=True)
-    try:
-        result = run_point(GridPoint(**point_dict), _worker_session,
-                           degrade=degrade, locality=locality)
-        result.telemetry = agg.snapshot()
-    finally:
-        obs.disable()
-        obs.reset()
-    return result
+    return run_point(GridPoint(**point_dict), _worker_session,
+                     degrade=degrade, locality=locality)
 
 
 # -- the executor ------------------------------------------------------------
@@ -459,7 +419,6 @@ def execute_grid(
     retries: int = 0,
     backoff: float = 0.5,
     degrade: bool = True,
-    collect_telemetry: bool = False,
     locality: bool = False,
     on_result: Optional[Callable[[int, GridResult], None]] = None,
     on_start: Optional[Callable[[int], None]] = None,
@@ -491,13 +450,6 @@ def execute_grid(
     re-attempts failed points with exponential ``backoff``.
     ``degrade`` enables the BASE-scheme compile fallback per point.
 
-    ``collect_telemetry`` makes every parallel worker record its point
-    under a fresh obs collector and attach the frozen snapshot to the
-    result (``GridResult.telemetry``) for an :mod:`repro.obs.agg`
-    merge.  The serial path records straight into the caller's own
-    collector instead (enable obs before calling), so its results carry
-    no per-point snapshots.
-
     ``locality`` attaches the deterministic reuse-distance /
     set-pressure / heatmap analytics to every point
     (``GridResult.locality``) at the cost of one extra analytics pass
@@ -516,8 +468,8 @@ def execute_grid(
                            locality, on_result, on_start, shutdown,
                            monitor)
     return _run_parallel(points, jobs, cache, timeout, retries, backoff,
-                         degrade, collect_telemetry, locality, on_result,
-                         on_start, on_wave, shutdown, monitor)
+                         degrade, locality, on_result, on_start, on_wave,
+                         shutdown, monitor)
 
 
 def _run_serial(points, cache, retries, backoff, degrade,
@@ -558,9 +510,9 @@ def _run_serial(points, cache, retries, backoff, degrade,
 
 
 def _run_parallel(points, jobs, cache, timeout, retries, backoff,
-                  degrade, collect_telemetry=False, locality=False,
-                  on_result=None, on_start=None, on_wave=None,
-                  shutdown=None, monitor=None) -> List[GridResult]:
+                  degrade, locality=False, on_result=None, on_start=None,
+                  on_wave=None, shutdown=None,
+                  monitor=None) -> List[GridResult]:
     """Wave-based execution: each wave gets a fresh pool for whatever
     is still pending.
 
@@ -572,8 +524,7 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
     wave completes nothing at all (then everyone is charged, which
     bounds the total number of waves even under a 100% crash rate).
     """
-    payloads = [(asdict(p), cache, degrade, collect_telemetry, locality)
-                for p in points]
+    payloads = [(asdict(p), cache, degrade, locality) for p in points]
     results: List[Optional[GridResult]] = [None] * len(points)
     attempts = [0] * len(points)
     pending: List[int] = list(range(len(points)))
@@ -718,8 +669,8 @@ _PAYLOAD_FIELDS = (
 
 def _result_payload(result: GridResult) -> Dict[str, object]:
     """The store payload of an executed result: the simulation outcome
-    only — never pass counters or telemetry, which describe one
-    process's run, not the point."""
+    only — never pass counters, which describe one process's run, not
+    the point."""
     out = result.as_dict()
     return {k: out[k] for k in _PAYLOAD_FIELDS}
 
@@ -749,24 +700,25 @@ def run_grid(
     retries: int = 0,
     backoff: float = 0.5,
     degrade: bool = True,
-    collect_telemetry: bool = False,
     locality: bool = False,
     store: Optional[ResultStore] = None,
     incremental: bool = False,
     journal=None,
     shutdown: Optional[GracefulShutdown] = None,
-    preset: Optional[Dict[int, GridResult]] = None,
     monitor=None,
 ) -> List[GridResult]:
     """Run every point, optionally against a persistent result store.
 
-    Without a ``store``, ``journal``, ``shutdown`` or ``preset`` this
+    Without a ``store``, ``journal``, ``shutdown`` or ``monitor`` this
     is exactly :func:`execute_grid`.  With a store, every executed
     ok/non-degraded result is written back under its
     :func:`point_key`; with ``incremental=True`` the store is
     consulted first and matching points are *served* instead of
     executed (``GridResult.store_hit``), so only points whose program,
     machine, or model version changed do any compile/simulate work.
+    A ``--resume`` is exactly this: the journaled grid re-run with
+    ``incremental=True``, so the points an earlier run stored are
+    served and failed, degraded or unfinished points execute.
 
     The store is touched only on the driver side — before dispatch and
     per completed point — so workers stay store-free; cross-process
@@ -777,12 +729,8 @@ def run_grid(
     ``journal`` is a :class:`repro.pipeline.journal.JournalWriter`
     (duck-typed to avoid the circular import): each point's terminal
     result is appended the moment it lands, including store-served
-    points, so a killed driver can be resumed from the journal alone.
-
-    ``preset`` maps global point index -> already-finished
-    :class:`GridResult` (a ``--resume`` replays the journal into this);
-    preset points are served verbatim — never re-executed, never
-    re-journaled (their records are already in the reopened journal).
+    points, so ``repro status`` and ``repro report`` can follow the run
+    from the journal alone.
 
     ``shutdown`` (a :class:`GracefulShutdown`) makes the run stop
     dispatching on SIGINT/SIGTERM and drain in-flight work; abandoned
@@ -797,29 +745,22 @@ def run_grid(
     """
     points = list(points)
     if (store is None and journal is None and shutdown is None
-            and monitor is None and not preset):
+            and monitor is None):
         return execute_grid(
             points, jobs=jobs, cache=cache,
             timeout=timeout, retries=retries, backoff=backoff,
-            degrade=degrade, collect_telemetry=collect_telemetry,
-            locality=locality,
+            degrade=degrade, locality=locality,
         )
-    preset = dict(preset or {})
     results: List[Optional[GridResult]] = [None] * len(points)
-    for i, r in preset.items():
-        if 0 <= i < len(points):
-            results[i] = r
     # One key per point.  Programs repeat across schemes/procs, so the
     # build is memoized on the coordinate knobs that shape it.  A point
     # whose program cannot even be built gets no key — it still goes to
     # the executor, which isolates the failure per point exactly as a
-    # store-less run would.  Preset points skip the build entirely.
+    # store-less run would.
     keys: List[Optional[str]] = [None] * len(points)
     if store is not None:
         progs: Dict[Tuple, object] = {}
         for i, p in enumerate(points):
-            if results[i] is not None:
-                continue
             pk = (p.app, p.n, p.time_steps)
             try:
                 if pk not in progs:
@@ -835,8 +776,6 @@ def run_grid(
                 keys[i] = None
     to_run: List[int] = []
     for i, (p, k) in enumerate(zip(points, keys)):
-        if results[i] is not None:
-            continue
         payload = None
         if incremental and store is not None and k is not None:
             payload = store.get(k)
@@ -860,9 +799,8 @@ def run_grid(
                 r.store_key = keys[i]
             results[i] = r
             # Degraded results ran the wrong scheme and failures carry
-            # no result — neither is evidence worth persisting in the
-            # store (the journal records them all so resume does not
-            # re-run a point that already failed terminally).
+            # no result — neither is evidence worth persisting, so a
+            # resume re-executes them.
             if (store is not None and keys[i] is not None
                     and r.ok and not r.degraded):
                 store.put(keys[i], _result_payload(r),
@@ -890,46 +828,11 @@ def run_grid(
         execute_grid(
             [points[i] for i in to_run], jobs=jobs, cache=cache,
             timeout=timeout, retries=retries, backoff=backoff,
-            degrade=degrade,
-            collect_telemetry=collect_telemetry, locality=locality,
+            degrade=degrade, locality=locality,
             on_result=_record, on_start=_started, on_wave=_wave,
             shutdown=shutdown, monitor=monitor,
         )
     return [r for r in results if r is not None]
-
-
-def merged_trace(results: Sequence[GridResult], parent=None):
-    """Merge the per-point worker snapshots into one multi-lane trace.
-
-    Each snapshot's root span (the worker's ``batch.point``) is tagged
-    with the final hardening verdict for its point — ``attempts``,
-    ``retried``, ``degraded``, ``ok`` and the count of faults injected
-    during the surviving attempt — so a chaos run reads back out of a
-    single trace file.  ``parent`` is an optional pre-frozen driver
-    snapshot (defaults to the live collector, which in serial runs
-    already holds every point's spans).
-    """
-    from repro.obs import agg
-
-    trace = agg.MergedTrace(parent=parent)
-    for r in results:
-        if r.telemetry is None:
-            continue
-        counters = r.telemetry["metrics"]["counters"]
-        faults_fired = sum(
-            v for k, v in counters.items() if k.startswith("faults.")
-        )
-        tags = {
-            "attempts": r.attempts,
-            "retried": r.attempts > 1,
-            "ok": r.ok,
-        }
-        if r.degraded:
-            tags["degraded"] = True
-        if faults_fired:
-            tags["faults_injected"] = faults_fired
-        trace.add_worker(r.telemetry, tags=tags)
-    return trace
 
 
 def summarize(results: Sequence[GridResult]) -> Dict[str, object]:

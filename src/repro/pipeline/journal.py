@@ -18,9 +18,8 @@ Record stream (``type`` field)::
     start      point i was dispatched (carries a wall-clock ``t`` so a
                reader can see how long it has been in flight)
     done       point i reached a terminal state; carries the full
-               :class:`~repro.pipeline.grid.GridResult` dict (minus
-               telemetry), so a resumed run can serve the point
-               bit-identically without touching the store
+               :class:`~repro.pipeline.grid.GridResult` dict, which
+               ``repro status`` and ``repro report`` read
     heartbeat  periodic liveness: driver pid, current wave, progress
                counters, the in-flight point indices, rss.  Appended
                flushed-but-not-fsync'd — heartbeats are monitoring
@@ -29,21 +28,22 @@ Record stream (``type`` field)::
                ("interrupted") — a journal with no ``end`` record
                means the driver died mid-run
 
-``repro batch --resume <run-id|latest>`` replays this: it rebuilds the
-point list from the header, refuses to run if the recorded spec
-fingerprint does not match (the journal describes a *different* grid),
-rehydrates every ``done`` point, and executes only the rest —
-appending to the same journal so a twice-interrupted run resumes
-again.  Every simulated outcome matches an uninterrupted run because
-``done`` records are served verbatim and execution is deterministic.
-The per-stage counters keep their totals (runs + hits) but may split
-differently, since the resuming process starts with a cold artifact
-cache — see DESIGN.md.
+``repro batch --resume <run-id|latest>`` rebuilds the point list from
+the header, refuses to run if the recorded spec fingerprint does not
+match (the journal describes a *different* grid), and re-runs the grid
+against the result store with incremental lookup on — appending to the
+same journal so a twice-interrupted run resumes again.  The store is
+the one record of a finished point: the points an earlier run
+stored are served, and the rest (unfinished, failed or degraded, which
+the store never keeps) execute.  Every simulated outcome matches an
+uninterrupted run because a served point is bit-identical to
+re-executing it — see DESIGN.md.
 
 Fault injection: journal appends honour ``disk.enospc`` (the append is
-dropped and counted — losing a record only costs a re-execution on
-resume, never correctness) and ``disk.torn_write`` (a prefix of the
-line lands, unsynced — exercising the reader's torn-tail skip).
+dropped and counted — a lost record is missing from ``status`` and
+``report``, never from what a resume executes) and
+``disk.torn_write`` (a prefix of the line lands, unsynced —
+exercising the reader's torn-tail skip).
 
 Concurrency: a journal file has exactly one writer (the run id embeds
 the pid and a serial), so appends need no lock; only the shared
@@ -64,7 +64,7 @@ from typing import IO, Any, Dict, List, Optional, Set, Tuple
 from repro import faults, obs
 from repro.errors import JournalError
 from repro.pipeline.fingerprint import make_key
-from repro.pipeline.grid import GridPoint, GridResult, result_from_dict
+from repro.pipeline.grid import GridPoint, GridResult
 from repro.util.atomicio import write_atomic
 from repro.util.locking import FileLock
 
@@ -151,8 +151,8 @@ class JournalWriter:
 
     Appends are fsync'd by default (``fsync=False`` trades durability
     for speed).  Append failures are counted (``journal.errors``) and
-    swallowed: a lost record re-executes one point on resume, which is
-    always safe.
+    swallowed: a resume takes only the grid from the journal, and the
+    store decides which points it serves.
     """
 
     def __init__(self, jdir: Path, run_id: str, fh: IO[str],
@@ -264,8 +264,8 @@ class JournalWriter:
                       "t": round(time.time(), 3)})
 
     def point_done(self, index: int, result: GridResult) -> None:
-        """The commit record: once this line is durable, a resume will
-        serve the point instead of re-executing it."""
+        """The record of a point's terminal result (``status`` and
+        ``report`` read it; a resume serves the point from the store)."""
         self._append({"type": "done", "i": index,
                       "ok": result.ok,
                       "t": round(time.time(), 3),
@@ -354,7 +354,7 @@ class JournalState:
         """Parse a journal leniently: a torn final line (the crash
         window) is skipped and counted; a garbled interior line (a torn
         append that later appends ran into) loses at most the records
-        on that line — their points simply re-execute."""
+        on that line."""
         path = Path(path)
         state = cls(path=path)
         records, state.bad_lines, state.torn_tail = read_records(path)
@@ -446,15 +446,3 @@ class JournalState:
             raise JournalError(
                 f"journal spec does not describe a point list: {exc}",
                 journal=str(self.path)) from exc
-
-    def finished_results(self) -> Dict[int, GridResult]:
-        """Rehydrated terminal results, index → GridResult, served
-        verbatim by a resumed run."""
-        out: Dict[int, GridResult] = {}
-        for i, d in sorted(self.finished.items()):
-            try:
-                out[i] = result_from_dict(d)
-            except (KeyError, TypeError, ValueError):
-                self.bad_lines += 1
-                obs.inc("journal.bad_lines")
-        return out

@@ -160,6 +160,7 @@ class StoreStats:
     evictions: int = 0
     corrupt: int = 0
     quarantined: int = 0
+    quarantine_evicted: int = 0
     lock_timeouts: int = 0
     errors: int = 0
 
@@ -172,6 +173,7 @@ class StoreStats:
             "evictions": self.evictions,
             "corrupt": self.corrupt,
             "quarantined": self.quarantined,
+            "quarantine_evicted": self.quarantine_evicted,
             "lock_timeouts": self.lock_timeouts,
             "errors": self.errors,
         }
@@ -315,6 +317,7 @@ class ResultStore:
                 os.unlink(stale)
             except OSError:
                 continue
+            self.stats.quarantine_evicted += 1
             obs.inc("store.quarantine.evicted")
 
     def put(self, key: str, payload: Dict[str, Any],

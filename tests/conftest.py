@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,28 @@ def pass_invocations(counts):
     runs, hits = counts["pass_runs"], counts["pass_hits"]
     return {n: runs.get(n, 0) + hits.get(n, 0)
             for n in set(runs) | set(hits)}
+
+
+# Alternated (a, b) pairs the overhead guards time.  Timing the
+# monitoring guard's run against itself (2 vCPU, the two designs run
+# interleaved), 10 pairs broke its bound in 1 of 100 trials where 5
+# runs of each arm in one block broke it in 14 of 100; 20 pairs did no
+# better than 10.  A monitor whose heartbeats sleep 5 ms broke it 5 of 5.
+OVERHEAD_PAIRS = 10
+
+
+def best_of_alternating(arm_a, arm_b):
+    """Each arm's minimum wall time over ``OVERHEAD_PAIRS`` rounds that
+    run ``arm_a`` then ``arm_b``.  Alternating spreads any drift in the
+    host's speed over both arms, so the comparison measures the arms,
+    not the order they ran in."""
+    best_a = best_b = float("inf")
+    for _ in range(OVERHEAD_PAIRS):
+        t0 = time.perf_counter()
+        arm_a()
+        t1 = time.perf_counter()
+        arm_b()
+        t2 = time.perf_counter()
+        best_a = min(best_a, t1 - t0)
+        best_b = min(best_b, t2 - t1)
+    return best_a, best_b

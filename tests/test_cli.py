@@ -224,10 +224,24 @@ class TestIncrementalCli:
             path.write_text("{broken")
         monkeypatch.setattr(store_mod, "QUARANTINE_KEEP", 1)
         assert main(args) == 0
-        telemetry = json.loads(out_json.read_text())["telemetry"]
+        payload = json.loads(out_json.read_text())
         # Three corrupt entries quarantined into a one-slot quarantine.
-        assert telemetry["store"]["store.quarantine.evicted"] == 2
-        assert telemetry["quarantine_evicted"] == 2
+        assert payload["store"]["quarantine_evicted"] == 2
+
+    def test_resume_re_executes_failed_points(self, capsys, tmp_path):
+        """The store keeps no failed result, so a resume re-executes
+        the points that failed instead of serving the failures back."""
+        store = str(tmp_path / "store")
+        assert main(["batch", "--apps", "simple", "--schemes", "comp",
+                     "--procs-list", "1,2", "--n", "8",
+                     "--store-dir", store, "--no-degrade",
+                     "--inject-faults", "seed=1,pass=1.0"]) == 1
+        assert capsys.readouterr().out.count("ERROR") == 2
+        assert main(["batch", "--resume", "latest",
+                     "--store-dir", store]) == 0
+        out = capsys.readouterr().out
+        assert "points: 2  ok: 2  errors: 0" in out
+        assert "result store: 0 served, 2 executed" in out
 
     def test_negative_expect_incremental_rejected(self):
         with pytest.raises(SystemExit) as ei:

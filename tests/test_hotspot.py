@@ -9,7 +9,6 @@ untouched), so the only honest difference is timer noise.
 """
 
 import sys
-import time
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.compiler import Scheme, compile_all
 from repro.machine import scaled_dash
 from repro.machine.simulate import simulate
 from repro.obs.hotspot import EXTERNAL, HotspotProfiler, HotspotReport
+from tests.conftest import best_of_alternating
 
 
 @pytest.fixture(autouse=True)
@@ -42,15 +42,6 @@ def _workload():
     compiled = compile_all(prog, nprocs=4)
     machine = scaled_dash(4, scale=32, word_bytes=8)
     return simulate(compiled.by_scheme(Scheme.COMP_DECOMP_DATA), machine)
-
-
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 class TestLifecycle:
@@ -179,8 +170,7 @@ class TestOverhead:
 
         HotspotProfiler()  # constructed, never started
         assert sys.getprofile() is None
-        with_module = _best_of(_workload)
-        floor = _best_of(_workload)
+        with_module, floor = best_of_alternating(_workload, _workload)
         assert with_module <= floor * 1.05 + 0.005, (
             f"disabled profiler overhead too high: {with_module:.4f}s "
             f"vs floor {floor:.4f}s"

@@ -1,4 +1,4 @@
-"""The crash-consistent run journal: append/replay round trips, torn
+"""The crash-consistent run journal: append/read round trips, torn
 tails, spec-fingerprint validation, resume resolution, and the seeded
 disk-fault behaviour of the append path."""
 
@@ -70,12 +70,11 @@ class TestWriterReader:
         assert state.started == 3
         assert not state.torn_tail and state.bad_lines == 0
         assert state.points() == points
-        finished = state.finished_results()
-        assert sorted(finished) == [0, 1, 2]
+        assert sorted(state.finished) == [0, 1, 2]
         for i, p in enumerate(points):
-            # Bit-identical rehydration: the resume contract.
-            assert finished[i].as_dict() == _result(p, t=100.0 + i).as_dict()
-            assert not finished[i].store_hit
+            # Each done record carries the full result dict.
+            assert state.finished[i] == _result(p, t=100.0 + i).as_dict()
+            assert not state.finished[i]["store_hit"]
 
     def test_appends_are_fsynced_by_default(self, tmp_path):
         obs.enable(reset=True)
@@ -96,7 +95,7 @@ class TestWriterReader:
         state = JournalState.load(path)
         state.validate()
         assert state.torn_tail
-        assert sorted(state.finished_results()) == [0]
+        assert sorted(state.finished) == [0]
 
     def test_garbled_interior_line_loses_only_that_record(self, tmp_path):
         points = _points()
@@ -109,7 +108,7 @@ class TestWriterReader:
         path.write_text("".join(lines))
         state = JournalState.load(path)
         assert state.bad_lines == 1
-        assert sorted(state.finished_results()) == [0]
+        assert sorted(state.finished) == [0]
 
     def test_no_header_raises(self, tmp_path):
         path = tmp_path / "RUN_X.jsonl"
@@ -138,10 +137,10 @@ class TestWriterReader:
         writer.point_done(0, bad)
         writer.close()
         state = JournalState.load(tmp_path / f"{writer.run_id}.jsonl")
-        finished = state.finished_results()
-        assert not finished[0].ok
-        assert finished[0].error == "boom"
-        assert finished[0].attempts == 3
+        finished = state.finished
+        assert not finished[0]["ok"]
+        assert finished[0]["error"] == "boom"
+        assert finished[0]["attempts"] == 3
 
 
 class TestFingerprint:
@@ -210,8 +209,8 @@ class TestAppendFaults:
         assert writer.errors >= 1
         writer.close()
         state = JournalState.load(tmp_path / f"{writer.run_id}.jsonl")
-        # Losing the record only costs a re-execution on resume.
-        assert state.finished_results() == {}
+        # The record is lost; the run goes on.
+        assert state.finished == {}
 
     def test_torn_write_lands_prefix_reader_skips_it(self, tmp_path):
         points = _points()
@@ -222,7 +221,7 @@ class TestAppendFaults:
         writer.close()
         state = JournalState.load(tmp_path / f"{writer.run_id}.jsonl")
         assert state.torn_tail
-        assert state.finished_results() == {}
+        assert state.finished == {}
 
 
 class TestHeartbeats:

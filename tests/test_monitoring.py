@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs
 from repro.pipeline.journal import JournalState, journal_dir, resolve_run_id
+from tests.conftest import best_of_alternating
 
 REPO = Path(__file__).resolve().parent.parent
 GRID = ["--apps", "simple", "--schemes", "base,comp,data",
@@ -280,7 +281,7 @@ class TestReportCLI:
 class TestOverhead:
     def test_monitoring_overhead_under_5_percent(self, tmp_path):
         """Heartbeats add < 5% wall time to a journaled grid run
-        (min-of-N against the unmonitored floor)."""
+        (min of alternated runs against the unmonitored floor)."""
         from repro import pipeline
         from repro.obs.runstate import RunMonitor
         from repro.pipeline.grid import GridPoint, run_grid
@@ -309,17 +310,9 @@ class TestOverhead:
             writer.end("complete", executed=len(points))
             writer.close()
 
-        def _best_of(fn, repeats=5):
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
         _run(True)  # warm imports and numpy caches
-        monitored = _best_of(lambda: _run(True))
-        floor = _best_of(lambda: _run(False))
+        monitored, floor = best_of_alternating(lambda: _run(True),
+                                               lambda: _run(False))
         # 5% relative margin plus 5ms absolute slack for timer noise.
         assert monitored <= floor * 1.05 + 0.005, (
             f"monitoring overhead too high: {monitored:.4f}s vs "

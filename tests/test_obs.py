@@ -17,6 +17,7 @@ from repro.apps import simple
 from repro.compiler import Scheme, compile_all, compile_program
 from repro.machine import scaled_dash
 from repro.machine.simulate import simulate
+from tests.conftest import best_of_alternating
 
 
 @pytest.fixture(autouse=True)
@@ -210,6 +211,34 @@ class TestDisabledFastPath:
         assert sp.duration == 0.0
 
 
+REQUIRED_KEYS = {"name", "ph", "pid", "tid"}
+PHASES = {"M", "X", "i", "C"}
+
+
+def _check_chrome_schema(trace):
+    """Structural validation of one Chrome trace-event object: the
+    exporter's contract with trace viewers."""
+    assert set(trace) == {"traceEvents", "displayTimeUnit"}
+    last_ts = {}
+    for ev in trace["traceEvents"]:
+        assert REQUIRED_KEYS <= set(ev), ev
+        assert ev["ph"] in PHASES, ev
+        assert isinstance(ev["pid"], int)
+        assert isinstance(ev["tid"], int)
+        if ev["ph"] == "M":
+            assert ev["name"] == "process_name"
+            assert isinstance(ev["args"]["name"], str)
+            continue
+        assert isinstance(ev["ts"], (int, float))
+        if ev["ph"] == "X":
+            assert isinstance(ev["dur"], (int, float))
+        if ev["ph"] == "i":
+            assert ev["s"] == "t"
+        # Timed events must be monotonic within their lane.
+        assert ev["ts"] >= last_ts.get(ev["pid"], float("-inf"))
+        last_ts[ev["pid"]] = ev["ts"]
+
+
 class TestExport:
     def _record_something(self):
         obs.enable()
@@ -222,6 +251,7 @@ class TestExport:
     def test_chrome_trace_round_trip(self):
         self._record_something()
         data = json.loads(json.dumps(obs.to_chrome_trace()))
+        _check_chrome_schema(data)
         evs = data["traceEvents"]
         xs = {e["name"]: e for e in evs if e["ph"] == "X"}
         assert set(xs) == {"outer", "inner"}
@@ -315,6 +345,7 @@ class TestProfileCli:
         assert rc == 0
         with open(out) as fh:
             data = json.load(fh)
+        _check_chrome_schema(data)
         evs = data["traceEvents"]
         xs = [e for e in evs if e.get("ph") == "X"]
         # Nested compiler-phase spans ...
@@ -344,15 +375,6 @@ def _workload():
     return simulate(compiled.by_scheme(Scheme.COMP_DECOMP_DATA), machine)
 
 
-def _best_of(fn, repeats=5):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 class TestOverhead:
     def test_disabled_path_under_5_percent(self, monkeypatch):
         """The disabled instrumentation adds < 5% to compile+simulate.
@@ -363,15 +385,17 @@ class TestOverhead:
         """
         obs.disable()
         _workload()  # warm imports and numpy caches
-
-        with_hooks = _best_of(_workload)
-
         noop_cm = obs.NOOP_SPAN
-        monkeypatch.setattr(obs, "span", lambda *a, **k: noop_cm)
-        monkeypatch.setattr(obs, "event", lambda *a, **k: None)
-        monkeypatch.setattr(obs, "inc", lambda *a, **k: None)
-        monkeypatch.setattr(obs, "enabled", lambda: False)
-        floor = _best_of(_workload)
+
+        def _stubbed():
+            with monkeypatch.context() as m:
+                m.setattr(obs, "span", lambda *a, **k: noop_cm)
+                m.setattr(obs, "event", lambda *a, **k: None)
+                m.setattr(obs, "inc", lambda *a, **k: None)
+                m.setattr(obs, "enabled", lambda: False)
+                _workload()
+
+        with_hooks, floor = best_of_alternating(_workload, _stubbed)
 
         # 5% relative margin plus 5ms absolute slack for timer noise on
         # very fast runs.

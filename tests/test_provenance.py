@@ -257,16 +257,3 @@ class TestTraceDeterminism:
         assert json.dumps(a) == json.dumps(b)
         names = [e["name"] for e in a if e["ph"] == "C"]
         assert names == sorted(names)
-
-    def test_merged_metrics_name_sorted(self):
-        from repro import obs
-        from repro.obs.agg import MergedTrace, snapshot
-
-        obs.enable(reset=True)
-        obs.inc("zeta", 1)
-        obs.inc("alpha", 2)
-        merged = MergedTrace(snapshot())
-        metrics = merged.merged_metrics()
-        obs.disable()
-        keys = list(metrics["counters"])
-        assert keys == sorted(keys)
