@@ -665,56 +665,25 @@ def cmd_fsck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.obs.bench import compare_snapshots, run_bench, save_snapshot
-    from repro.obs.compare import read_run
-    from repro.report import format_bench_table, format_regression_table
+    from repro.obs.bench import run_bench, save_snapshot
+    from repro.report import format_bench_table
 
     apps, schemes = _grid_args(args)
-
-    # Resolve the baseline before saving: --compare against the
-    # pointer file must mean "the previous run", not the snapshot this
-    # run is about to write.
-    baseline = None
-    if args.compare:
-        try:
-            baseline = read_run(args.compare)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot load baseline: {exc}")
-
     snap = run_bench(
         apps=apps, schemes=schemes, procs=args.procs_list,
         n=args.n, time_steps=args.time_steps, scale=args.scale,
     )
     print(format_bench_table(snap))
-
-    if not args.no_save:
-        path, latest = save_snapshot(snap, out_dir=args.out_dir,
-                                     latest=args.latest)
-        print(f"\nwrote snapshot to {path}"
-              + (f" (pointer: {latest})" if latest else ""))
-
-    rc = 0
-    if baseline is not None:
-        cmp = compare_snapshots(baseline, snap)
-        print()
-        print(format_regression_table(
-            cmp, title=f"bench comparison vs {args.compare}"))
-        if not cmp.ok:
-            rc = 1
-            # Name the culprit: attribute the regression to the first
-            # diverging compiler decision between baseline and this run.
-            try:
-                from repro.obs import provenance
-                from repro.report import format_diff_table
-
-                print()
-                print(format_diff_table(
-                    provenance.diff_runs(baseline, snap),
-                    title="root-cause diff vs baseline",
-                ))
-            except Exception as exc:  # never mask the regression exit
-                print(f"(root-cause diff unavailable: {exc})")
-    return rc
+    if args.json == "-":
+        print(json.dumps(snap, indent=1))
+    elif args.json:
+        try:
+            save_snapshot(snap, args.json)
+        except OSError as exc:
+            raise SystemExit(
+                f"cannot write bench snapshot to {args.json}: {exc}")
+        print(f"\nwrote snapshot to {args.json}")
+    return 0
 
 
 # Seconds between `status --follow` refreshes.
@@ -825,43 +794,29 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _read_runs(args, command: str):
-    """Load the two run files of ``diff``/``perf diff``; ``None``
-    (after a one-line message) when either is unreadable."""
-    from repro.obs.compare import read_run
-
-    try:
-        return read_run(args.run_a), read_run(args.run_b)
-    except (OSError, ValueError) as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None
-
-
 def cmd_diff(args) -> int:
-    """``python -m repro diff``: root-cause diff of two run files."""
-    from repro.obs import provenance
+    """``python -m repro diff``: judge two run files; exits 0 when
+    they agree, 1 when they diverge, 2 when either is unreadable."""
+    from repro.obs.compare import diff_runs, read_run
     from repro.report import format_diff_table
 
-    runs = _read_runs(args, "diff")
-    if runs is None:
+    try:
+        runs = read_run(args.run_a), read_run(args.run_b)
+    except (OSError, ValueError) as exc:
+        print(f"diff: {exc}", file=sys.stderr)
         return 2
-    diff = provenance.diff_runs(*runs)
+    diff = diff_runs(*runs)
     if args.json:
         print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
     else:
         print(format_diff_table(
             diff, title=f"{args.run_a} vs {args.run_b}"))
-    return 1 if diff.significant else 0
+    return 1 if diff.diverged else 0
 
 
 def cmd_perf(args) -> int:
-    """``python -m repro perf``: differential performance attribution
-    (record a wall-time ledger, or diff two runs' ledgers)."""
-    return {"record": _cmd_perf_record,
-            "diff": _cmd_perf_diff}[args.perf_command](args)
-
-
-def _cmd_perf_record(args) -> int:
+    """``python -m repro perf``: the wall-time ledger of one point,
+    with optional flamegraph, collapsed stacks and JSON payload."""
     from repro.obs.flame import flamegraph_svg
     from repro.obs.perf import record_point
     from repro.report import format_ledger_table
@@ -876,18 +831,15 @@ def _cmd_perf_record(args) -> int:
         payload = record_point(
             args.app, scheme, args.procs, n=args.n,
             time_steps=args.time_steps, scale=args.scale,
-            interval=args.interval,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
     point = payload["points"][0]
     label = f"{point['app']}/{point['scheme']}/P{point['nprocs']}"
-    print(format_ledger_table(
-        point["perf"]["ledger"],
-        title=f"wall-time ledger: {label}", top=args.top,
-    ))
+    print(format_ledger_table(point["perf"]["ledger"],
+                              title=f"wall-time ledger: {label}"))
     if args.json:
-        _emit_json(args.json, payload, "perf record JSON")
+        _emit_json(args.json, payload, "perf JSON")
     if args.stacks:
         from repro.obs.export import write_collapsed
 
@@ -905,24 +857,6 @@ def _cmd_perf_record(args) -> int:
             "flamegraph SVG",
         )
     return 0
-
-
-def _cmd_perf_diff(args) -> int:
-    from repro.obs.perf import perf_diff
-    from repro.report import format_perf_diff_table
-
-    runs = _read_runs(args, "perf diff")
-    if runs is None:
-        return 2
-    pd = perf_diff(*runs, wall_tol=args.wall_tol,
-                   wall_abs_floor=args.wall_abs_floor)
-    if args.json:
-        print(json.dumps(pd.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_perf_diff_table(
-            pd, title=f"perf diff: {args.run_a} vs {args.run_b}",
-            top=args.top))
-    return 1 if pd.significant else 0
 
 
 def main(argv=None) -> int:
@@ -1067,20 +1001,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bench",
-        help="run the pinned grid; record a snapshot of its simulated "
-             "counters and ledger structure and/or gate it exactly "
-             "against a baseline",
+        help="run the pinned grid and record a snapshot of its "
+             "simulated counters, ledgers and decisions ('repro diff' "
+             "judges two snapshots)",
     )
     _add_grid_flags(p, "simple,stencil5", "1,4", 16)
-    p.add_argument("--out-dir", default="results/bench",
-                   help="snapshot directory (BENCH_<timestamp>.json)")
-    p.add_argument("--latest", default="BENCH_latest.json",
-                   help="repo-root pointer file updated on save")
-    p.add_argument("--no-save", action="store_true",
-                   help="run and print without writing a snapshot")
-    p.add_argument("--compare", default=None, metavar="BASELINE",
-                   help="baseline snapshot (or pointer) to gate "
-                        "against exactly; exits nonzero on any drift")
+    p.add_argument("--json", default=None, metavar="PATH",
+                   help="write the snapshot as JSON; '-' for stdout")
 
     def _add_run_flags(p: argparse.ArgumentParser) -> None:
         """Shared flags of the journal-reading commands (status and
@@ -1143,8 +1070,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "diff",
-        help="root-cause diff of two runs (bench snapshots or "
-             "'batch --json' files); exits 1 when counters diverge",
+        help="judge two runs (bench snapshots, perf payloads or "
+             "'batch --json' files): exits 1 when simulated counters, "
+             "ledger structure or the point set differ; ranks "
+             "same-host self-time moves",
     )
     p.add_argument("run_a", help="baseline run file")
     p.add_argument("run_b", help="candidate run file")
@@ -1153,55 +1082,24 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "perf",
-        help="differential performance attribution: record a "
-             "wall-time ledger + flamegraph for one point, or diff "
-             "two runs' ledgers",
+        help="measure one (app, scheme, procs) point: wall-time ledger "
+             "table, optional flamegraph/collapsed stacks/JSON payload",
     )
-    psub = p.add_subparsers(dest="perf_command", required=True)
-    pp = psub.add_parser(
-        "record",
-        help="measure one (app, scheme, procs) point: ledger table, "
-             "optional flamegraph/collapsed stacks/JSON payload",
-    )
-    pp.add_argument("app")
-    pp.add_argument("--scheme", choices=sorted(SCHEME_ALIASES),
-                    default="data")
-    pp.add_argument("--procs", type=_positive_int, default=4)
-    pp.add_argument("--n", type=_positive_int, default=16)
-    pp.add_argument("--time-steps", type=_positive_int, default=None)
-    pp.add_argument("--scale", type=_positive_int, default=16)
-    pp.add_argument("--interval", type=_positive_int, default=None,
-                    help="profile events between stack samples")
-    pp.add_argument("--top", type=_positive_int, default=25,
-                    help="ledger rows to print")
-    pp.add_argument("--json", default=None, metavar="PATH",
-                    help="write the run (ledger + stacks) as JSON — "
-                         "perf-diffable against bench snapshots; '-' "
-                         "for stdout")
-    pp.add_argument("--flame", default=None, metavar="PATH",
-                    help="write a self-contained flamegraph SVG")
-    pp.add_argument("--stacks", default=None, metavar="PATH",
-                    help="write the raw collapsed-stack lines "
-                         "(flamegraph.pl input)")
-    pp = psub.add_parser(
-        "diff",
-        help="rank the ledger rows whose self time moved between two "
-             "runs (bench snapshots or perf records); exits 1 when "
-             "significant",
-    )
-    pp.add_argument("run_a", help="baseline run file")
-    pp.add_argument("run_b", help="candidate run file")
-    pp.add_argument("--wall-tol", type=_positive_float, default=0.30,
-                    help="relative self-time tolerance (same host "
-                         "only)")
-    pp.add_argument("--wall-abs-floor", type=_nonneg_float,
-                    default=0.010,
-                    help="absolute self-time slack in seconds; a "
-                         "culprit must exceed both thresholds")
-    pp.add_argument("--top", type=_positive_int, default=20,
-                    help="ranked rows to print")
-    pp.add_argument("--json", action="store_true",
-                    help="emit the structured diff as JSON")
+    p.add_argument("app")
+    p.add_argument("--scheme", choices=sorted(SCHEME_ALIASES),
+                   default="data")
+    p.add_argument("--procs", type=_positive_int, default=4)
+    p.add_argument("--n", type=_positive_int, default=16)
+    p.add_argument("--time-steps", type=_positive_int, default=None)
+    p.add_argument("--scale", type=_positive_int, default=16)
+    p.add_argument("--json", default=None, metavar="PATH",
+                   help="write the run (ledger + stacks) as JSON — "
+                        "'repro diff' reads it; '-' for stdout")
+    p.add_argument("--flame", default=None, metavar="PATH",
+                   help="write a self-contained flamegraph SVG")
+    p.add_argument("--stacks", default=None, metavar="PATH",
+                   help="write the raw collapsed-stack lines "
+                        "(flamegraph.pl input)")
 
     args = parser.parse_args(argv)
     try:

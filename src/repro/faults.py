@@ -21,7 +21,7 @@ Recognized sites and what the consumers do when they fire:
                    a pure *slowdown*, not a failure; narrow it to one
                    pass with ``stall_pass=<name>``.  The perf CI job
                    plants a deterministic wall-time culprit this way
-                   and requires ``repro perf diff`` to attribute it
+                   and requires ``repro diff`` to rank it first
 ``worker.crash``   a batch worker process hard-exits (``os._exit``) →
                    the driver respawns the pool and retries
 ``worker.stall``   a batch worker sleeps ``stall_s`` seconds → the
@@ -209,8 +209,8 @@ def maybe_pass_stall(pass_name: str) -> None:
     """Fire the ``pass.stall`` fault: sleep ``stall_s`` seconds inside
     the named pass's span.  Unlike the ``pass`` site this is a pure
     slowdown — the pass still succeeds — so the wall-time ledger books
-    the sleep against that pass and ``repro perf diff`` must name it
-    as the culprit.  ``stall_pass=<name>`` narrows the site to one
+    the sleep against that pass and ``repro diff`` must rank its
+    self time first.  ``stall_pass=<name>`` narrows the site to one
     pass; without it every pass draws."""
     plan = current_plan()
     if plan is None or plan.rate("pass.stall") <= 0.0:

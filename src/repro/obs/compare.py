@@ -1,29 +1,29 @@
 """Reading and judging runs: the one place two runs are compared.
 
-Every command that puts two runs side by side — ``bench --compare``,
-``diff`` and ``perf diff`` — goes through this module, so they agree
-on what a run file is, which points are the same point, when two
-simulated values are equal and when a wall-clock move is noise:
+``repro diff A B`` is the one judge of two runs — bench snapshots,
+``repro perf`` payloads or ``batch --json`` outputs — and this module
+is all of it:
 
-* :func:`read_run` loads a bench snapshot (following ``BENCH_latest``
-  pointer files), a ``perf record`` payload or a ``batch --json``
-  output;
+* :func:`read_run` loads a run file;
 * :func:`run_points` keys each point by :func:`point_key`, reading the
   coordinate from the point itself or from a ``batch --json`` row's
   nested ``point``;
 * :func:`point_metrics` flattens a point to ``sim.*`` and ``wall.*``
-  leaves.  The simulator is deterministic, so simulated leaves — lists
-  included — are compared with plain ``==``: any drift is a change;
+  leaves;
 * :func:`drift` is the wall-clock noise rule: a move counts only past
   the relative tolerance *and* the absolute floor, and
   :func:`wall_gate` allows wall comparisons only between runs whose
   :func:`host_fingerprint` is equal;
 * :func:`ledger_moves` aligns and judges two points' wall-time ledgers
-  (:func:`repro.obs.perf.build_ledger`) row by row.
-
-The module imports nothing from ``repro``: :mod:`repro.obs.provenance`
-is loaded by every ``import repro`` and must not pull in the bench
-harness.
+  (:func:`repro.obs.perf.build_ledger`) row by row;
+* :func:`diff_runs` is the judge.  The simulator is deterministic, so
+  everything it gates is compared exactly: schema and problem size,
+  the point set, every ``sim.*`` leaf (lists included, and a leaf
+  present in one run only is a change) and the ledgers' row sets and
+  counts.  Each diverging point is attributed to its first diverging
+  compiler decision.  Wall-clock moves — ledger self times, a ``batch
+  --json`` row's ``elapsed`` — are ranked by size between same-host
+  runs and never make two runs differ.
 """
 
 from __future__ import annotations
@@ -31,14 +31,19 @@ from __future__ import annotations
 import json
 import os
 import platform
-from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+
+from repro.obs.provenance import record_identity
 
 __all__ = [
+    "DIVERGED",
     "WALL_ABS_FLOOR",
     "WALL_TOL",
+    "DiffRow",
+    "RunDiff",
+    "diff_runs",
     "drift",
-    "flatten",
     "host_fingerprint",
     "ledger_moves",
     "point_key",
@@ -53,6 +58,16 @@ WALL_TOL = 0.30
 # sub-10ms measurement easily exceeds 30% relative, so a move must
 # also be at least this many seconds to count.
 WALL_ABS_FLOOR = 0.010
+
+# Row statuses that make two runs differ (exit 1): a deterministic
+# leaf or ledger row that changed, a point in one run only, or runs of
+# another schema or problem size.  Wall-clock moves
+# (``regressed``/``improved``) and the attribution of a diverging point
+# (``culprit``/``unattributed``) are reported, never gated.
+DIVERGED = ("changed", "missing", "incomparable")
+
+# The config keys that fix a run's problem size.
+_SIZE_KEYS = ("n", "time_steps", "scale")
 
 
 def _cpu_model() -> str:
@@ -87,33 +102,21 @@ def host_fingerprint() -> Dict[str, Any]:
 
 
 def read_run(path: Any) -> Dict[str, Any]:
-    """Load a run file: a bench snapshot or ``perf record`` payload
-    (``points``) or a ``batch --json`` output (``results``).  Pointer
-    files (``{"pointer": ...}``, as ``BENCH_latest.json``) are
-    followed; a relative pointer resolves against the pointer file's
-    directory.  Raises ValueError for anything else."""
-    path = Path(path)
-    for _ in range(4):  # pointer chains are short; bound anyway
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or "pointer" not in data:
-            break
-        candidate = Path(data["pointer"])
-        if not candidate.is_absolute() and not candidate.exists():
-            candidate = path.parent / candidate
-        path = candidate
-    else:
-        raise ValueError(f"pointer chain too deep starting at {path}")
+    """Load a run file: a bench snapshot or ``repro perf`` payload
+    (``points``) or a ``batch --json`` output (``results``).  Raises
+    ValueError for anything else."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     if isinstance(data, dict) and ("points" in data or "results" in data):
         return data
     raise ValueError(
-        f"{path}: not a bench snapshot, perf record or batch --json "
+        f"{path}: not a bench snapshot, perf payload or batch --json "
         "output (expected a 'points' or 'results' key)")
 
 
 def point_key(point: Mapping[str, Any]) -> str:
-    """``app/scheme/P<nprocs>`` of one point: a bench or ``perf
-    record`` point carries the coordinate at top level, a ``batch
+    """``app/scheme/P<nprocs>`` of one point: a bench or ``repro
+    perf`` point carries the coordinate at top level, a ``batch
     --json`` row under ``point``."""
     coord = point.get("point")
     if not isinstance(coord, Mapping):
@@ -128,14 +131,14 @@ def run_points(run: Mapping[str, Any]) -> Dict[str, Mapping[str, Any]]:
     return {point_key(p): p for p in rows if isinstance(p, Mapping)}
 
 
-def flatten(obj: Mapping[str, Any], prefix: str) -> Dict[str, Any]:
+def _flatten(obj: Mapping[str, Any], prefix: str) -> Dict[str, Any]:
     """Dotted-name leaves of nested dicts; every non-dict value
     (numbers, strings, lists) is a leaf."""
     flat: Dict[str, Any] = {}
     for key, value in obj.items():
         name = f"{prefix}.{key}"
         if isinstance(value, Mapping):
-            flat.update(flatten(value, name))
+            flat.update(_flatten(value, name))
         else:
             flat[name] = value
     return flat
@@ -143,7 +146,7 @@ def flatten(obj: Mapping[str, Any], prefix: str) -> Dict[str, Any]:
 
 def point_metrics(point: Mapping[str, Any]) -> Dict[str, Any]:
     """Flat ``sim.*`` and ``wall.*`` leaves of one point.  Bench and
-    ``perf record`` points keep them under ``sim``/``wall``; a ``batch
+    ``repro perf`` points keep them under ``sim``/``wall``; a ``batch
     --json`` row has the simulated results at top level and one wall
     number, ``elapsed``."""
     if "sim" in point:
@@ -157,7 +160,7 @@ def point_metrics(point: Mapping[str, Any]) -> Dict[str, Any]:
         if point.get("locality"):
             sim["locality"] = point["locality"]
         wall = {"elapsed": point["elapsed"]} if "elapsed" in point else {}
-    return {**flatten(sim, "sim"), **flatten(wall, "wall")}
+    return {**_flatten(sim, "sim"), **_flatten(wall, "wall")}
 
 
 def drift(base: float, cur: float, tol: float = WALL_TOL,
@@ -184,40 +187,179 @@ def wall_gate(run_a: Mapping[str, Any],
     return run_a.get("host") == run_b.get("host"), why_not
 
 
-def ledger_moves(a: Mapping[str, Any], b: Mapping[str, Any],
-                 wall_gated: bool, tol: float = WALL_TOL,
-                 floor: float = WALL_ABS_FLOOR
-                 ) -> Iterator[Tuple[str, str, Optional[Mapping],
-                                     Optional[Mapping], str, str]]:
-    """Align two ledgers by ``(kind, name)`` and judge every row:
-    yields ``(label, kind, row_a, row_b, status, note)`` in
-    ``(kind, name)`` order, a row missing on one side being ``None``.
+@dataclass
+class DiffRow:
+    """One finding of :func:`diff_runs`: ``metric`` of ``point`` (a
+    point key, or ``*`` for the run as a whole) reads ``a`` in run A
+    and ``b`` in run B.
+
+    ``status`` is one of :data:`DIVERGED`; ``regressed``/``improved``
+    for a same-host wall-clock move past :func:`drift`; or, on the row
+    closing each diverging point, ``culprit`` (``a``/``b`` are the
+    first decision records that differ) or ``unattributed`` (``note``
+    says why no decision is to blame)."""
+
+    point: str
+    metric: str
+    a: Any
+    b: Any
+    status: str
+    note: str = ""
+
+
+@dataclass
+class RunDiff:
+    """The verdict of :func:`diff_runs`.  ``rows`` come in report
+    order: run-level and missing-point rows, then each diverging
+    point's changed rows closed by its attribution row, then the
+    wall-clock moves, largest ``|b - a|`` first."""
+
+    rows: List[DiffRow] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)
+    n_compared: int = 0
+    wall_gated: bool = True
+    host_note: str = ""
+
+    @property
+    def diverged(self) -> bool:
+        return any(r.status in DIVERGED for r in self.rows)
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {**asdict(self), "diverged": self.diverged}
+
+
+def ledger_moves(key: str, a: Mapping[str, Any], b: Mapping[str, Any],
+                 wall_gated: bool) -> Iterator[DiffRow]:
+    """Align two ledgers of point ``key`` by ``(kind, name)`` and yield
+    a row for every ledger row that moved, in ``(kind, name)`` order.
 
     The row set and anchor counts are deterministic, so a row that
-    appeared or vanished, or whose count drifted, is ``changed`` on
-    any host.  Self time is wall-clock: ``regressed``/``improved`` by
-    :func:`drift`, and only when ``wall_gated``; every other row is
-    ``ok``.  The label is ``kind/name``, or the bare name for the
-    residual row.
+    appeared or vanished (metric ``perf.<label>``), or whose count
+    drifted (``perf.<label>.count``), is ``changed`` on any host.
+    Self time (``perf.<label>.self_s``) is wall-clock: ``regressed`` or
+    ``improved`` by :func:`drift`, and only when ``wall_gated``.  The
+    label is ``kind/name``, or the bare name for the residual row.
     """
     rows_a = {(r["kind"], r["name"]): r for r in a["rows"]}
     rows_b = {(r["kind"], r["name"]): r for r in b["rows"]}
     for kind, name in sorted(set(rows_a) | set(rows_b)):
         label = name if kind == "residual" else f"{kind}/{name}"
         ra, rb = rows_a.get((kind, name)), rows_b.get((kind, name))
-        status, note = "ok", ""
         if ra is None or rb is None:
-            status, note = "changed", "ledger row appeared/disappeared"
+            yield DiffRow(key, f"perf.{label}",
+                          "absent" if ra is None else "present",
+                          "absent" if rb is None else "present",
+                          "changed", "ledger row appeared/disappeared")
         elif kind != "residual" and ra["count"] != rb["count"]:
-            status = "changed"
-            note = (f"ledger count drifted {ra['count']} → {rb['count']} "
-                    "(exact-match gate)")
+            yield DiffRow(key, f"perf.{label}.count", ra["count"],
+                          rb["count"], "changed", "ledger count drifted")
         elif wall_gated:
-            move = drift(float(ra["self_s"]), float(rb["self_s"]),
-                         tol, floor)
-            if move > 0:
-                status = "regressed"
-                note = f"ledger self time over +{tol:.0%} threshold"
-            elif move < 0:
-                status = "improved"
-        yield label, kind, ra, rb, status, note
+            move = drift(float(ra["self_s"]), float(rb["self_s"]))
+            if move:
+                yield DiffRow(key, f"perf.{label}.self_s", ra["self_s"],
+                              rb["self_s"],
+                              "regressed" if move > 0 else "improved")
+
+
+def _attribute(key: str, pa: Mapping[str, Any],
+               pb: Mapping[str, Any]) -> DiffRow:
+    """The row closing a diverging point: its first diverging decision
+    record (span ids ignored), or why there is none to blame."""
+    fa, fb = pa.get("machine_fp"), pb.get("machine_fp")
+    if fa and fb and fa != fb:
+        # Different simulated-machine geometry: the runs measured
+        # different machines, so no compiler decision is to blame.
+        return DiffRow(
+            key, "decision", None, None, "unattributed",
+            f"machine fingerprint differs ({fa[:12]}.. vs {fb[:12]}..); "
+            "divergence attributed to a machine-config change, not a "
+            "compiler decision")
+    la = pa.get("provenance") or []
+    lb = pb.get("provenance") or []
+    if not (la and lb):
+        which = ("either run" if not (la or lb)
+                 else f"run {'A' if not la else 'B'}")
+        return DiffRow(key, "decision", None, None, "unattributed",
+                       f"no provenance recorded in {which}; cannot "
+                       "attribute")
+    for i in range(max(len(la), len(lb))):
+        ra = la[i] if i < len(la) else None
+        rb = lb[i] if i < len(lb) else None
+        if ra is None or rb is None or \
+                record_identity(ra) != record_identity(rb):
+            return DiffRow(key, f"decision #{i}", ra, rb, "culprit",
+                           "first diverging decision")
+    return DiffRow(key, "decision", None, None, "unattributed",
+                   "decision logs identical; the change is not "
+                   "attributable to a compiler decision")
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _size(run: Mapping[str, Any]) -> Dict[str, Any]:
+    return {k: v for k, v in (run.get("config") or {}).items()
+            if k in _SIZE_KEYS}
+
+
+def _ledger(point: Mapping[str, Any]) -> Optional[Mapping[str, Any]]:
+    return (point.get("perf") or {}).get("ledger")
+
+
+def diff_runs(run_a: Mapping[str, Any],
+              run_b: Mapping[str, Any]) -> RunDiff:
+    """Judge run B against run A (any run shapes, aligned by
+    :func:`point_key`); see the module docstring for the rules."""
+    diff = RunDiff()
+    diff.wall_gated, diff.host_note = wall_gate(run_a, run_b)
+    for metric, a, b, note in (
+            ("schema", run_a.get("schema"), run_b.get("schema"),
+             "run schema differs"),
+            ("config", _size(run_a), _size(run_b),
+             "runs measured at different problem sizes")):
+        if a != b:
+            diff.rows.append(DiffRow("*", metric, a, b, "incomparable",
+                                     note))
+            return diff
+    points_a, points_b = run_points(run_a), run_points(run_b)
+    for key in sorted(points_a.keys() ^ points_b.keys()):
+        in_a = key in points_a
+        diff.rows.append(DiffRow(
+            key, "*", "present" if in_a else "absent",
+            "absent" if in_a else "present", "missing",
+            f"point in run {'A' if in_a else 'B'} only"))
+    moves: List[DiffRow] = []
+    for key in sorted(points_a.keys() & points_b.keys()):
+        diff.n_compared += 1
+        pa, pb = points_a[key], points_b[key]
+        ma, mb = point_metrics(pa), point_metrics(pb)
+        changed = [
+            DiffRow(key, m, ma.get(m, "absent"), mb.get(m, "absent"),
+                    "changed",
+                    "" if m in ma and m in mb else "leaf in one run only")
+            for m in sorted(set(ma) | set(mb))
+            if m.startswith("sim.")
+            and (m not in ma or m not in mb or ma[m] != mb[m])]
+        if diff.wall_gated:
+            for m in sorted(set(ma) & set(mb)):
+                if m.startswith("wall.") and _is_number(ma[m]) \
+                        and _is_number(mb[m]):
+                    move = drift(float(ma[m]), float(mb[m]))
+                    if move:
+                        moves.append(DiffRow(
+                            key, m, ma[m], mb[m],
+                            "regressed" if move > 0 else "improved"))
+        la, lb = _ledger(pa), _ledger(pb)
+        if la and lb:
+            for row in ledger_moves(key, la, lb, diff.wall_gated):
+                (changed if row.status == "changed" else moves).append(row)
+        elif la or lb:
+            diff.notes.append(f"{key}: no ledger in run "
+                              f"{'A' if not la else 'B'}; not compared")
+        if changed:
+            diff.rows.extend(changed)
+            diff.rows.append(_attribute(key, pa, pb))
+    moves.sort(key=lambda r: (-abs(r.b - r.a), r.point, r.metric))
+    diff.rows.extend(moves)
+    return diff

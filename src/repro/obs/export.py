@@ -219,7 +219,7 @@ def write_chrome_trace(
 
 def write_collapsed(path: str, stacks: Any) -> str:
     """Write collapsed/folded stack lines (``frame;frame value``) to
-    ``path`` (``repro perf record --stacks``); returns the path.
+    ``path`` (``repro perf --stacks``); returns the path.
     ``stacks`` is either a ``{stack: seconds}`` mapping (sorted,
     6-decimal values — the same rendering as
     :meth:`repro.obs.hotspot.HotspotReport.collapsed`) or pre-rendered

@@ -1,4 +1,4 @@
-"""Deterministic stack sampler behind ``repro perf record --flame`` and
+"""Deterministic stack sampler behind ``repro perf --flame`` and
 ``--stacks``.
 
 A **tick-counted** statistical sampler built on ``sys.setprofile``:
@@ -21,7 +21,7 @@ A **tick-counted** statistical sampler built on ``sys.setprofile``:
   attributed at the next sampled event, which — at the default
   interval — still sits in the function that issued them.
 * :meth:`HotspotReport.collapsed` emits the classic folded lines that
-  :func:`repro.obs.flame.flamegraph_svg` renders and ``perf record
+  :func:`repro.obs.flame.flamegraph_svg` renders and ``repro perf
   --stacks`` writes.
 
 The disabled path is strict: while no profiler is started, this module

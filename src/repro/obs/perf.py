@@ -1,9 +1,8 @@
-"""Differential performance attribution: the wall-time ledger and the
-``repro perf`` engines.
+"""The wall-time ledger and ``repro perf``.
 
 ``repro diff`` root-causes *semantic* divergence over decision
-provenance; this module attributes a *wall-time* delta to the passes,
-simulator phases, and functions responsible.  Three pieces:
+provenance; this module attributes *wall time* to the passes,
+simulator phases, and functions responsible.  Two pieces:
 
 * :func:`build_ledger` — an **exhaustive, reconciled** accounting of
   one recording.  Every span's *self* time (duration minus its direct
@@ -19,15 +18,15 @@ simulator phases, and functions responsible.  Three pieces:
   every point.
 * :func:`measure_point` / :func:`record_point` — one observed
   compile + simulate window producing the ledger and the deterministic
-  machine metrics, plus — for ``perf record`` — a collapsed-stack
+  machine metrics, plus — for ``repro perf`` — a collapsed-stack
   sample (:mod:`repro.obs.flame` renders it); ``repro bench`` stores
   the ledger per grid point since snapshot schema 3.
-* :func:`perf_diff` — aligns two runs (bench snapshots or ``perf
-  record`` payloads) and ranks the ledger rows whose self-time moved,
-  judged by :func:`repro.obs.compare.ledger_moves`: row *sets* and
-  *counts* are deterministic and gated exactly (as ``bench --compare``
-  gates them); self-time columns are gated only on the same host and
-  only past a relative tolerance AND an absolute floor.
+
+Two runs' ledgers are compared by ``repro diff``
+(:func:`repro.obs.compare.ledger_moves`): row *sets* and *counts* are
+deterministic and gated exactly; self times are ranked, between
+same-host runs only and only past a relative tolerance AND an absolute
+floor, and never make two runs differ.
 
 Ledger reconciliation rules (the falsifiability contract):
 
@@ -39,36 +38,25 @@ Ledger reconciliation rules (the falsifiability contract):
 3. Anchor row counts equal the number of times the anchor span itself
    ran (descendant spans add time, never count), so pass-row counts
    are exactly the session's stage run counts — deterministic, and
-   exact-match-gated by ``bench --compare``.
+   exact-match-gated by ``repro diff``.
 """
 
 from __future__ import annotations
 
 import gc
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs import core as _obs_core
-from repro.obs.compare import (
-    WALL_ABS_FLOOR,
-    WALL_TOL,
-    host_fingerprint,
-    ledger_moves,
-    run_points,
-    wall_gate,
-)
+from repro.obs.compare import host_fingerprint
 
 __all__ = [
     "PERF_SCHEMA",
     "UNATTRIBUTED",
-    "PerfDiff",
-    "PerfRowDelta",
     "build_ledger",
     "ledger_reconciles",
     "measure_point",
-    "perf_diff",
     "record_point",
 ]
 
@@ -171,8 +159,8 @@ def ledger_reconciles(ledger: Mapping[str, Any],
 # -- measurement -------------------------------------------------------------
 
 def measure_point(session, prog, scheme, nprocs: int, machine, *,
-                  locality: bool = True, collect_stacks: bool = False,
-                  interval: Optional[int] = None) -> Dict[str, Any]:
+                  locality: bool = True,
+                  collect_stacks: bool = False) -> Dict[str, Any]:
     """One observed compile + detail-simulate window for one point.
 
     Opens a private collector, records the whole window under a
@@ -231,19 +219,18 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
     if collect_stacks:
         from repro.obs.hotspot import DEFAULT_INTERVAL, HotspotProfiler
 
-        with HotspotProfiler(interval or DEFAULT_INTERVAL) as sampler:
+        with HotspotProfiler(DEFAULT_INTERVAL) as sampler:
             simulate(spmd, machine)
         out["stacks"] = sampler.report().collapsed()
     return out
 
 
 def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
-                 time_steps: Optional[int] = None, scale: int = 16,
-                 interval: Optional[int] = None) -> Dict[str, Any]:
-    """``repro perf record``: measure one (app, scheme, procs) point
-    on the shared grid engine's program/machine mapping and return a
-    bench-snapshot-shaped payload (``repro diff`` and :func:`perf_diff`
-    both accept it directly)."""
+                 time_steps: Optional[int] = None,
+                 scale: int = 16) -> Dict[str, Any]:
+    """``repro perf``: measure one (app, scheme, procs) point on the
+    shared grid engine's program/machine mapping and return a
+    bench-snapshot-shaped payload (``repro diff`` reads it)."""
     from datetime import datetime, timezone
 
     from repro.codegen.spmd import scheme_short_name
@@ -255,8 +242,7 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
     prog = point_program(point)
     machine = point_machine(point, prog)
     m = measure_point(CompileSession(), prog, scheme, nprocs,
-                      machine, locality=False, collect_stacks=True,
-                      interval=interval)
+                      machine, locality=False, collect_stacks=True)
     res = m["res"]
     return {
         "schema": PERF_SCHEMA,
@@ -277,100 +263,3 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
             "perf": {"ledger": m["ledger"], "stacks": m["stacks"]},
         }],
     }
-
-
-# -- diffing -----------------------------------------------------------------
-
-@dataclass
-class PerfRowDelta:
-    """One aligned ledger row of one grid point."""
-
-    point: str
-    row: str    # "pass/layout", "phase/<nest>", "sim/trace", residual name
-    kind: str
-    baseline: Optional[float]  # self_s, seconds
-    current: Optional[float]
-    base_count: Optional[int] = None
-    cur_count: Optional[int] = None
-    status: str = "ok"  # ok | regressed | improved | changed | skipped
-    note: str = ""
-
-    @property
-    def delta(self) -> float:
-        return (self.current or 0.0) - (self.baseline or 0.0)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {**asdict(self), "delta": self.delta}
-
-
-@dataclass
-class PerfDiff:
-    """Outcome of one run-vs-run ledger alignment."""
-
-    rows: List[PerfRowDelta] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    n_points: int = 0
-    n_rows: int = 0
-    wall_gated: bool = True
-    host_note: str = ""
-    wall_tol: float = WALL_TOL
-    wall_abs_floor: float = WALL_ABS_FLOOR
-
-    @property
-    def significant(self) -> bool:
-        return bool(self.culprits)
-
-    @property
-    def culprits(self) -> List[PerfRowDelta]:
-        return [r for r in self.rows
-                if r.status in ("regressed", "improved", "changed")]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {**asdict(self), "rows": [r.as_dict() for r in self.rows],
-                "significant": self.significant}
-
-
-def perf_diff(run_a: Mapping[str, Any], run_b: Mapping[str, Any],
-              wall_tol: float = WALL_TOL,
-              wall_abs_floor: float = WALL_ABS_FLOOR) -> PerfDiff:
-    """Align two runs' ledgers and rank the rows that moved.
-
-    Rows are judged by :func:`repro.obs.compare.ledger_moves`: the row
-    *set* and anchor *counts* are deterministic, so any drift is
-    ``changed`` (significant) regardless of host, exactly as ``bench
-    --compare`` gates them; ``self_s`` columns are wall-clock, so they are
-    compared only when both runs share a host fingerprint, and flagged
-    only past ``wall_tol`` relative AND ``wall_abs_floor`` seconds
-    absolute.  Rows come back ranked by absolute self-time movement,
-    largest first.
-    """
-    pd = PerfDiff(wall_tol=wall_tol, wall_abs_floor=wall_abs_floor)
-    pd.wall_gated, pd.host_note = wall_gate(run_a, run_b)
-    pa, pb = run_points(run_a), run_points(run_b)
-    for key in sorted(pa.keys() ^ pb.keys()):
-        which = "baseline" if key in pa else "current"
-        pd.notes.append(f"{key}: only in {which} run")
-    for key in sorted(pa.keys() & pb.keys()):
-        pd.n_points += 1
-        A = (pa[key].get("perf") or {}).get("ledger")
-        B = (pb[key].get("perf") or {}).get("ledger")
-        if A is None or B is None:
-            which = ("either" if A is B else
-                     "baseline" if A is None else "current")
-            pd.notes.append(f"{key}: no ledger in {which} run; skipped")
-            continue
-        for label, kind, ra, rb, status, note in ledger_moves(
-                A, B, pd.wall_gated, wall_tol, wall_abs_floor):
-            pd.n_rows += 1
-            if status == "ok":
-                continue
-            pd.rows.append(PerfRowDelta(
-                point=key, row=label, kind=kind,
-                baseline=None if ra is None else ra["self_s"],
-                current=None if rb is None else rb["self_s"],
-                base_count=None if ra is None else ra["count"],
-                cur_count=None if rb is None else rb["count"],
-                status=status, note=note,
-            ))
-    pd.rows.sort(key=lambda r: (-abs(r.delta), r.point, r.row))
-    return pd

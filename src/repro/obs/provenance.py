@@ -7,8 +7,10 @@ strip-mine + permute layout derivation (Section 4), and the div/mod
 address optimizations (Section 4.4).  The tracing layer records *that*
 those phases ran; this module records the decisions themselves so that
 ``python -m repro explain`` can render the decision tree for one
-compilation and ``python -m repro diff`` can attribute a performance
-delta between two runs to the first decision that diverged.
+compilation and ``python -m repro diff``
+(:func:`repro.obs.compare.diff_runs`) can attribute a diverging point
+of two runs to the first decision that diverged
+(:func:`record_identity` is the equality it uses).
 
 Model
 -----
@@ -40,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs import core as _core
-from repro.obs.compare import point_metrics, run_points
 
 __all__ = [
     "DecisionRecord",
@@ -49,16 +50,13 @@ __all__ = [
     "record",
     "active",
     "collect_point",
-    "diff_runs",
-    "RunDiff",
-    "PointDiff",
-    "MetricDelta",
+    "record_identity",
     "STAGE_ORDER",
     "REASON_CATALOG",
 ]
 
 # Pipeline-ordered stages a record can belong to; explain renders groups
-# in this order, diff uses it to break ties between diverging records.
+# in this order.
 STAGE_ORDER = ("unimodular", "decomposition", "folding", "layout", "addropt")
 
 # site -> {reason code: meaning}.  Documentation + the vocabulary the
@@ -261,165 +259,3 @@ def collect_point(session, prog, scheme, nprocs: int):
         emit_optimized_program(spmd)
     log.extend(recs)
     return spmd, log
-
-
-# ---------------------------------------------------------------------------
-# Run loading + root-cause diffing
-
-@dataclass
-class MetricDelta:
-    """One metric that differs between two runs.  Values are numbers
-    or, for list-valued metrics (locality heatmaps, wall samples),
-    lists — which have no delta."""
-
-    metric: str
-    a: Any
-    b: Any
-
-    @property
-    def delta(self) -> Optional[float]:
-        try:
-            return self.b - self.a
-        except TypeError:  # a list-valued metric
-            return None
-
-    @property
-    def rel(self) -> Optional[float]:
-        if self.delta is None or self.a == 0:
-            return None
-        return self.delta / abs(self.a)
-
-
-@dataclass
-class PointDiff:
-    """One grid point's differences between two runs."""
-
-    key: str
-    deltas: List[MetricDelta] = field(default_factory=list)
-    culprit: Optional[Dict[str, Any]] = None       # diverging record in run B
-    culprit_was: Optional[Dict[str, Any]] = None   # its counterpart in run A
-    culprit_index: Optional[int] = None
-    note: str = ""
-
-    @property
-    def significant(self) -> bool:
-        """Wall time is noisy; a point only *fails* a diff when a
-        deterministic (non-wall) metric moved."""
-        return any(not d.metric.startswith("wall") for d in self.deltas)
-
-    def score(self) -> float:
-        best = 0.0
-        for d in self.deltas:
-            if d.metric.startswith("wall"):
-                continue
-            r = d.rel
-            best = max(best, abs(r) if r is not None else float("inf"))
-        return best
-
-
-@dataclass
-class RunDiff:
-    points: List[PointDiff] = field(default_factory=list)
-    missing_in_b: List[str] = field(default_factory=list)
-    missing_in_a: List[str] = field(default_factory=list)
-    n_compared: int = 0
-
-    @property
-    def identical(self) -> bool:
-        return not (self.points or self.missing_in_a or self.missing_in_b)
-
-    @property
-    def significant(self) -> bool:
-        return bool(self.missing_in_a or self.missing_in_b
-                    or any(p.significant for p in self.points))
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "n_compared": self.n_compared,
-            "identical": self.identical,
-            "significant": self.significant,
-            "missing_in_a": list(self.missing_in_a),
-            "missing_in_b": list(self.missing_in_b),
-            "points": [
-                {
-                    "key": p.key,
-                    "deltas": [
-                        {"metric": d.metric, "a": d.a, "b": d.b,
-                         "delta": d.delta, "rel": d.rel}
-                        for d in p.deltas
-                    ],
-                    "culprit": p.culprit,
-                    "culprit_was": p.culprit_was,
-                    "culprit_index": p.culprit_index,
-                    "note": p.note,
-                }
-                for p in self.points
-            ],
-        }
-
-
-def _first_divergence(a_recs: List[Dict[str, Any]],
-                      b_recs: List[Dict[str, Any]]):
-    """Index + pair of the first records that differ (span id ignored),
-    or None when the logs agree."""
-    for i in range(max(len(a_recs), len(b_recs))):
-        ra = a_recs[i] if i < len(a_recs) else None
-        rb = b_recs[i] if i < len(b_recs) else None
-        if ra is None or rb is None:
-            return i, ra, rb
-        if record_identity(ra) != record_identity(rb):
-            return i, ra, rb
-    return None
-
-
-def diff_runs(run_a: Dict[str, Any], run_b: Dict[str, Any]) -> RunDiff:
-    """Align two runs point-by-point (any run shape, keyed by
-    :func:`repro.obs.compare.point_key`), collect deltas of every
-    :func:`~repro.obs.compare.point_metrics` leaf both sides carry, and
-    attribute each differing point to the first diverging decision
-    record.  Wall metrics (``wall.*``) count as noise.  Points are
-    ranked by largest relative non-wall delta."""
-    a, b = run_points(run_a), run_points(run_b)
-    diff = RunDiff()
-    diff.missing_in_b = sorted(k for k in a if k not in b)
-    diff.missing_in_a = sorted(k for k in b if k not in a)
-    for key in sorted(k for k in a if k in b):
-        diff.n_compared += 1
-        ma, mb = point_metrics(a[key]), point_metrics(b[key])
-        deltas = [
-            MetricDelta(m, ma[m], mb[m])
-            for m in sorted(set(ma) & set(mb))
-            if ma[m] != mb[m]
-        ]
-        if not deltas:
-            continue
-        pd = PointDiff(key=key, deltas=deltas)
-        fa = a[key].get("machine_fp")
-        fb = b[key].get("machine_fp")
-        if fa and fb and fa != fb:
-            # Different simulated-machine geometry: the runs measured
-            # different machines, so no compiler decision is to blame.
-            pd.note = (
-                "machine fingerprint differs "
-                f"({fa[:12]}.. vs {fb[:12]}..); divergence attributed "
-                "to a machine-config change, not a compiler decision"
-            )
-            diff.points.append(pd)
-            continue
-        pa = a[key].get("provenance") or []
-        pb = b[key].get("provenance") or []
-        if not pa and not pb:
-            pd.note = "no provenance recorded in either run; cannot attribute"
-        elif not pa or not pb:
-            which = "A" if not pa else "B"
-            pd.note = f"no provenance recorded in run {which}; cannot attribute"
-        else:
-            div = _first_divergence(pa, pb)
-            if div is None:
-                pd.note = ("decision logs identical; delta not attributable "
-                           "to a compiler decision (measurement noise?)")
-            else:
-                pd.culprit_index, pd.culprit_was, pd.culprit = div
-        diff.points.append(pd)
-    diff.points.sort(key=lambda p: (-p.score(), p.key))
-    return diff

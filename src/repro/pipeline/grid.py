@@ -138,8 +138,9 @@ class GridPoint:
 class GridResult:
     """Outcome of one point (simulation scalars + cache effectiveness).
 
-    ``attempts`` counts how many executions this point took (1 on the
-    happy path); ``degraded`` marks a point whose requested scheme
+    ``attempts`` counts how many times this point was dispatched (1 on
+    the happy path; each retry, and each requeue after a crashed worker
+    took the point down with its pool, adds one); ``degraded`` marks a point whose requested scheme
     failed to compile and which ran under the ``BASE`` fallback
     instead, with the original failure in ``degrade_reason``.
     ``store_hit`` marks a point served from the persistent result
@@ -516,17 +517,20 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
     """Wave-based execution: each wave gets a fresh pool for whatever
     is still pending.
 
-    Attempt accounting is attributable: a point is charged an attempt
-    only for an outcome of its *own* (a result, its own timeout, a
-    distinct executor error).  A crashed worker breaks the whole
+    The retry budget is attributable: a point is charged only for an
+    outcome of its *own* (a result, its own timeout, a distinct
+    executor error).  A crashed worker breaks the whole
     ``ProcessPoolExecutor``, taking innocent in-flight points with it —
-    those collateral points are requeued for free, *except* when a
-    wave completes nothing at all (then everyone is charged, which
-    bounds the total number of waves even under a 100% crash rate).
+    those collateral points are requeued without a charge, *except*
+    when a wave completes nothing at all (then everyone is charged,
+    which bounds the total number of waves even under a 100% crash
+    rate).  A result's ``attempts`` is not the charge but the number
+    of waves that dispatched the point, so a requeue still shows.
     """
     payloads = [(asdict(p), cache, degrade, locality) for p in points]
     results: List[Optional[GridResult]] = [None] * len(points)
-    attempts = [0] * len(points)
+    charged = [0] * len(points)
+    dispatched = [0] * len(points)
     pending: List[int] = list(range(len(points)))
     wave = 0
 
@@ -545,16 +549,18 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
             time.sleep(_backoff_delay(backoff, wave))
         if on_wave is not None:
             on_wave(wave, len(pending))
+        for i in pending:
+            dispatched[i] += 1
         next_pending: List[int] = []
 
         def _retry_or_fail(i: int, error: str) -> None:
-            if attempts[i] <= retries:
+            if charged[i] <= retries:
                 obs.inc("batch.retries")
                 next_pending.append(i)
             else:
                 _finish(i, GridResult(
                     point=points[i], ok=False, error=error,
-                    attempts=attempts[i],
+                    attempts=dispatched[i],
                 ))
 
         pool = ProcessPoolExecutor(max_workers=jobs)
@@ -585,8 +591,7 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
                 continue
             try:
                 result = _await_result(fut, timeout, shutdown, monitor)
-                attempts[i] += 1
-                result.attempts = attempts[i]
+                result.attempts = dispatched[i]
                 _finish(i, result)
                 progressed = True
             except _DrainExpired:
@@ -594,7 +599,7 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
                 fut.cancel()
             except FuturesTimeoutError:
                 broken = True
-                attempts[i] += 1
+                charged[i] += 1
                 obs.inc("batch.timeouts")
                 obs.event("batch.timeout", cat="batch",
                           point=points[i].label(), timeout=timeout)
@@ -613,12 +618,12 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
             except Exception:
                 # Unexpected executor-side failure for this future
                 # only; the pool itself may still be healthy.
-                attempts[i] += 1
+                charged[i] += 1
                 _retry_or_fail(i, traceback.format_exc(limit=5))
         if not aborted:
             for i in collateral:
                 if not progressed:
-                    attempts[i] += 1
+                    charged[i] += 1
                 _retry_or_fail(
                     i, "worker process died (pool broken) before this "
                        "point completed")

@@ -455,47 +455,75 @@ def _describe_record(rec: Optional[Mapping]) -> str:
 
 
 def format_diff_table(diff, title: str = "run diff") -> str:
-    """Ranked root-cause table of a
-    :class:`~repro.obs.provenance.RunDiff`: per differing point, the
-    metric deltas and the first diverging decision record."""
+    """Render one :func:`repro.obs.compare.diff_runs` verdict: what
+    makes the runs differ, point by point and each closed by its
+    first diverging decision, then the wall-clock moves ranked
+    largest first."""
+    from repro.obs.compare import DIVERGED, WALL_ABS_FLOOR, WALL_TOL
+
     lines = [title]
-    if diff.identical:
-        lines.append(
-            f"(runs identical: {diff.n_compared} point"
-            f"{'s' if diff.n_compared != 1 else ''} compared, no deltas)"
-        )
-        return "\n".join(lines)
-    for key in diff.missing_in_b:
-        lines.append(f"point {key}: present in A only")
-    for key in diff.missing_in_a:
-        lines.append(f"point {key}: present in B only")
-    for rank, p in enumerate(diff.points, 1):
-        lines.append(f"#{rank} {p.key}"
-                     + ("" if p.significant else "  [wall-only: noise]"))
-        for d in p.deltas:
-            rel = f" ({d.rel:+.1%})" if d.rel is not None else ""
+    if not diff.wall_gated:
+        lines.append(f"self times not compared: hosts differ "
+                     f"({diff.host_note})")
+    moves = [r for r in diff.rows if r.status in ("regressed", "improved")]
+    point = None
+    for r in diff.rows:
+        if r.status in ("regressed", "improved"):
+            continue
+        if r.status == "incomparable":
+            lines.append(f"{r.metric}: {_fmt_value(r.a)} vs "
+                         f"{_fmt_value(r.b)}: {r.note}")
+        elif r.status == "missing":
+            lines.append(f"point {r.point}: {r.note}")
+        else:
+            if r.point != point:
+                point = r.point
+                lines.append(f"point {point}")
+            if r.status == "culprit":
+                lines.append(f"    culprit: {r.metric} diverged")
+                lines.append(f"      A: {_describe_record(r.a)}")
+                lines.append(f"      B: {_describe_record(r.b)}")
+            elif r.status == "unattributed":
+                lines.append(f"    {r.note}")
+            else:
+                try:
+                    rel = f" ({(r.b - r.a) / abs(r.a):+.1%})" if r.a else ""
+                except TypeError:  # a list, or a leaf in one run only
+                    rel = ""
+                note = f" ({r.note})" if r.note else ""
+                lines.append(f"    {r.metric}: {_fmt_value(r.a)} -> "
+                             f"{_fmt_value(r.b)}{rel}  {r.status}{note}")
+    if moves:
+        lines.append(f"wall-clock moves past {WALL_TOL:.0%} and "
+                     f"{WALL_ABS_FLOOR * 1e3:.0f} ms, largest first "
+                     "(not gated):")
+        for rank, r in enumerate(moves, 1):
             lines.append(
-                f"    {d.metric}: {_fmt_value(d.a)} -> {_fmt_value(d.b)}{rel}"
-            )
-        if p.culprit or p.culprit_was:
-            lines.append(
-                f"    culprit: decision #{p.culprit_index} diverged"
-            )
-            lines.append(f"      A: {_describe_record(p.culprit_was)}")
-            lines.append(f"      B: {_describe_record(p.culprit)}")
-        elif p.note:
-            lines.append(f"    {p.note}")
-    n_sig = sum(1 for p in diff.points if p.significant)
-    lines.append(
-        f"verdict: {'DIVERGED' if diff.significant else 'NOISE-ONLY'} "
-        f"({n_sig} significant point{'s' if n_sig != 1 else ''} of "
-        f"{diff.n_compared} compared)"
-    )
+                f"#{rank:<3d} {r.point:20s} {r.metric:32s} "
+                f"{r.a * 1e3:9.3f} -> {r.b * 1e3:9.3f} ms "
+                f"{(r.b - r.a) * 1e3:+9.3f}  {r.status}")
+    for note in diff.notes:
+        lines.append(f"note: {note}")
+    def count(n: int, what: str) -> str:
+        return f"{n} {what}{'s' if n != 1 else ''}"
+
+    compared = f"{count(diff.n_compared, 'point')} compared"
+    if any(r.status == "incomparable" for r in diff.rows):
+        verdict = "DIVERGED (runs incomparable)"
+    elif diff.diverged:
+        k = len({r.point for r in diff.rows if r.status in DIVERGED})
+        verdict = f"DIVERGED ({count(k, 'diverging point')}; {compared})"
+    elif moves:
+        verdict = (f"SAME ({compared}; "
+                   f"{count(len(moves), 'wall-clock move')})")
+    else:
+        verdict = f"SAME (runs identical: {compared})"
+    lines.append(f"verdict: {verdict}")
     return "\n".join(lines)
 
 
 def _fmt_value(v) -> str:
-    """Compact cell rendering for bench/regression tables."""
+    """Compact cell rendering for the diff table."""
     if isinstance(v, bool):
         return str(v)
     if isinstance(v, list):
@@ -530,43 +558,12 @@ def format_bench_table(snapshot: Mapping) -> str:
     return "\n".join(lines)
 
 
-def format_regression_table(comparison,
-                            title: str = "bench comparison") -> str:
-    """Per-metric verdict of one baseline-vs-current comparison
-    (:func:`repro.obs.bench.compare_snapshots`): one row per drifted
-    simulated counter or ledger row, vanished or new point, or
-    incomparable snapshot."""
-    lines = [title]
-    header = (
-        f"{'point':22s} {'metric':28s} {'baseline':>14s} "
-        f"{'current':>14s} {'delta':>9s}  status"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    if not comparison.rows:
-        lines.append("(every compared metric matches the baseline exactly)")
-    for r in comparison.rows:
-        if isinstance(r.baseline, (int, float)) and \
-                isinstance(r.current, (int, float)) and \
-                not isinstance(r.baseline, bool) and r.baseline:
-            delta = f"{(r.current - r.baseline) / r.baseline:+.1%}"
-        else:
-            delta = "-"
-        status = r.status + (f" ({r.note})" if r.note else "")
-        lines.append(
-            f"{r.point:22s} {r.metric:28s} {_fmt_value(r.baseline):>14s} "
-            f"{_fmt_value(r.current):>14s} {delta:>9s}  {status}"
-        )
-    n_fail = len(comparison.regressions)
-    lines.append(
-        f"verdict: {'OK' if comparison.ok else 'REGRESSED'} "
-        f"({n_fail} failing metric{'s' if n_fail != 1 else ''})"
-    )
-    return "\n".join(lines)
+# Ledger rows `repro perf` prints, largest self time first.
+LEDGER_ROWS = 25
 
 
-def format_ledger_table(ledger: Mapping, title: str = "wall-time ledger",
-                        top: int = 25) -> str:
+def format_ledger_table(ledger: Mapping,
+                        title: str = "wall-time ledger") -> str:
     """Render one wall-time ledger
     (:func:`repro.obs.perf.build_ledger`): rows by descending self
     time, plus the reconciliation verdict that makes the accounting
@@ -588,61 +585,18 @@ def format_ledger_table(ledger: Mapping, title: str = "wall-time ledger",
     lines.append("-" * len(header))
     rows = sorted(ledger["rows"],
                   key=lambda r: (-r["self_s"], r["kind"], r["name"]))
-    for r in rows[:top]:
+    for r in rows[:LEDGER_ROWS]:
         frac = (r["self_s"] / total) if total else 0.0
         lines.append(
             f"{r['kind']:9s} {r['name']:36s} {r['self_s'] * 1e3:10.3f} "
             f"{frac:7.1%} {r['count']:6d}"
         )
-    if len(rows) > top:
-        lines.append(f"... {len(rows) - top} more rows")
+    if len(rows) > LEDGER_ROWS:
+        lines.append(f"... {len(rows) - LEDGER_ROWS} more rows")
     ok, row_sum = ledger_reconciles(ledger)
     lines.append(
         f"reconciliation: {'OK' if ok else 'BROKEN'} "
         f"(rows sum {row_sum * 1e3:.3f} ms vs total {total * 1e3:.3f} ms)"
-    )
-    return "\n".join(lines)
-
-
-def format_perf_diff_table(pd, title: str = "perf diff",
-                           top: int = 20) -> str:
-    """Ranked culprit table of one :func:`repro.obs.perf.perf_diff`:
-    the ledger rows whose self time (or deterministic count) moved,
-    largest absolute movement first."""
-    lines = [title]
-    gate = "on" if pd.wall_gated else (
-        f"off ({pd.host_note})" if pd.host_note else "off (different host)")
-    lines.append(
-        f"compared {pd.n_points} point{'s' if pd.n_points != 1 else ''}, "
-        f"{pd.n_rows} ledger rows; wall gate {gate}, "
-        f"tol {pd.wall_tol:.0%}, floor {pd.wall_abs_floor * 1e3:.0f} ms"
-    )
-    culprits = pd.culprits
-    if culprits:
-        header = (
-            f"{'rank':4s} {'point':20s} {'row':26s} {'base ms':>9s} "
-            f"{'cur ms':>9s} {'delta ms':>9s}  status"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for rank, r in enumerate(culprits[:top], 1):
-            base = "-" if r.baseline is None else f"{r.baseline * 1e3:.3f}"
-            cur = "-" if r.current is None else f"{r.current * 1e3:.3f}"
-            status = r.status + (f" ({r.note})" if r.note else "")
-            lines.append(
-                f"#{rank:<3d} {r.point:20s} {r.row:26s} {base:>9s} "
-                f"{cur:>9s} {r.delta * 1e3:+9.3f}  {status}"
-            )
-        if len(culprits) > top:
-            lines.append(f"... {len(culprits) - top} more rows")
-    else:
-        lines.append("(no significant self-time or count movement)")
-    for note in pd.notes:
-        lines.append(f"note: {note}")
-    n = len(culprits)
-    lines.append(
-        f"verdict: {'SIGNIFICANT' if pd.significant else 'QUIET'} "
-        f"({n} row{'s' if n != 1 else ''} moved)"
     )
     return "\n".join(lines)
 

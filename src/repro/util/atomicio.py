@@ -1,8 +1,8 @@
 """Atomic, durable file writes — the one implementation.
 
 The result store (:mod:`repro.pipeline.store`), the run journal's
-``latest`` pointer and the bench snapshots (:mod:`repro.obs.bench`) all
-write through this function.  The write protocol is the standard
+``latest`` pointer and ``repro bench --json`` snapshots
+(:mod:`repro.obs.bench`) all write through this function.  The write protocol is the standard
 crash-safe sequence:
 
 1. create a temp file *in the destination directory* (same filesystem,
@@ -15,8 +15,7 @@ crash-safe sequence:
 A reader therefore only ever observes the old content or the complete
 new content — never a prefix.  ``fsync=False`` skips both syncs for
 callers that prefer throughput over durability (e.g. the bench
-snapshot and its ``BENCH_latest.json`` pointer, which a crash costs at
-most the newest run of).
+snapshot, which a crash costs at most the newest run of).
 
 Fault injection (:mod:`repro.faults`) hooks the write path so chaos
 tests can reach every recovery branch deterministically:

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import statistics
 import time
 
 import numpy as np
@@ -50,25 +51,28 @@ def pass_invocations(counts):
 
 
 # Alternated (a, b) pairs the overhead guards time.  Timing the
-# monitoring guard's run against itself (2 vCPU, the two designs run
-# interleaved), 10 pairs broke its bound in 1 of 100 trials where 5
-# runs of each arm in one block broke it in 14 of 100; 20 pairs did no
-# better than 10.  A monitor whose heartbeats sleep 5 ms broke it 5 of 5.
+# monitoring guard's run against itself (2 vCPU, 100 trials, the two
+# statistics interleaved), the median of paired differences broke the
+# bound in 0 trials where per-arm minima broke it in 4; a monitor whose
+# heartbeats sleep 5 ms broke it 5 of 5 under both.
 OVERHEAD_PAIRS = 10
 
 
-def best_of_alternating(arm_a, arm_b):
-    """Each arm's minimum wall time over ``OVERHEAD_PAIRS`` rounds that
-    run ``arm_a`` then ``arm_b``.  Alternating spreads any drift in the
-    host's speed over both arms, so the comparison measures the arms,
-    not the order they ran in."""
-    best_a = best_b = float("inf")
+def median_paired_overhead(arm_a, arm_b):
+    """``(overhead, floor)`` over ``OVERHEAD_PAIRS`` rounds that run
+    ``arm_a`` then ``arm_b``: the median of the paired differences
+    ``a_i - b_i`` and the median of ``b_i``.  Alternating spreads any
+    drift in the host's speed over both arms, and a median of pairs,
+    unlike a per-arm minimum, is not moved by one fast run that only
+    one arm caught.  Guards assert ``overhead <= floor * 0.05 +
+    0.005``."""
+    diffs, floors = [], []
     for _ in range(OVERHEAD_PAIRS):
         t0 = time.perf_counter()
         arm_a()
         t1 = time.perf_counter()
         arm_b()
         t2 = time.perf_counter()
-        best_a = min(best_a, t1 - t0)
-        best_b = min(best_b, t2 - t1)
-    return best_a, best_b
+        diffs.append((t1 - t0) - (t2 - t1))
+        floors.append(t2 - t1)
+    return statistics.median(diffs), statistics.median(floors)

@@ -1,9 +1,10 @@
-"""The bench harness: snapshot shape, persistence + pointer files,
-and the exact comparison gate.
+"""The bench recorder: snapshot shape and persistence, and the exact
+gate ``repro diff`` puts on two snapshots.
 
-The gate's contract: identical snapshots pass; any drift in a
+The gate's contract: identical snapshots agree; any drift in a
 deterministic simulated counter or in the ledger's row set or counts
-fails (exact match); nothing timed is gated, on any host.
+diverges (exact match); nothing timed makes two snapshots differ, on
+any host.
 """
 
 import copy
@@ -14,11 +15,10 @@ import pytest
 from repro import obs
 from repro.__main__ import main
 from repro.obs import bench, compare
-from repro.obs.bench import compare_snapshots, run_bench, save_snapshot
-from repro.obs.compare import read_run
-from repro.obs.perf import perf_diff
+from repro.obs.bench import run_bench, save_snapshot
+from repro.obs.compare import diff_runs, read_run
 from repro.pipeline import reset_session
-from repro.report import format_bench_table, format_regression_table
+from repro.report import format_bench_table, format_diff_table
 
 
 @pytest.fixture(autouse=True)
@@ -92,110 +92,111 @@ class TestRunBench:
         assert obs.collector() is keep
 
 
+def _changed(diff):
+    """Metrics of the rows that make two runs differ."""
+    return [r.metric for r in diff.rows if r.status in compare.DIVERGED]
+
+
 class TestPersistence:
-    def test_save_and_load_via_pointer(self, snap, tmp_path):
-        out = tmp_path / "bench"
-        latest = tmp_path / "BENCH_latest.json"
-        path, lpath = save_snapshot(snap, out_dir=out, latest=latest)
-        assert json.load(open(lpath))["pointer"] == path
+    def test_save_and_load(self, snap, tmp_path):
+        path = tmp_path / "bench" / "snap.json"
+        path.parent.mkdir()
+        save_snapshot(snap, path)
         assert read_run(path) == snap
-        assert read_run(latest) == snap
-
-    def test_relative_pointer_resolves_against_pointer_dir(self, snap,
-                                                           tmp_path):
-        out = tmp_path / "bench"
-        path, _ = save_snapshot(snap, out_dir=out, latest=None)
-        pointer = out / "latest.json"
-        name = path.rsplit("/", 1)[-1]
-        pointer.write_text(json.dumps({"schema": 1, "pointer": name}))
-        assert read_run(pointer) == snap
-
-    def test_collision_gets_serial_suffix(self, snap, tmp_path):
-        out = tmp_path / "bench"
-        p1, _ = save_snapshot(snap, out_dir=out, latest=None)
-        p2, _ = save_snapshot(snap, out_dir=out, latest=None)
-        assert p1 != p2 and p2.endswith("-1.json")
+        assert [p.name for p in path.parent.iterdir()] == ["snap.json"]
 
     def test_pointer_cycle_bounded(self, tmp_path):
+        # The BENCH_latest.json pointer files of earlier versions are
+        # not runs: loading one is a one-line error, not a redirect,
+        # so even a cycle of them ends at the first file.
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         a.write_text(json.dumps({"pointer": str(b)}))
         b.write_text(json.dumps({"pointer": str(a)}))
-        with pytest.raises(ValueError, match="pointer chain"):
+        with pytest.raises(ValueError, match="a.json: not a bench snapshot"):
             read_run(a)
 
 
 class TestCompare:
     def test_identical_snapshots_pass(self, snap):
-        cmp = compare_snapshots(snap, copy.deepcopy(snap))
-        assert cmp.ok and cmp.rows == []
-        table = format_regression_table(cmp)
-        assert "verdict: OK" in table
+        diff = diff_runs(snap, copy.deepcopy(snap))
+        assert not diff.diverged and diff.rows == []
+        assert "verdict: SAME (runs identical: 4 points compared)" in \
+            format_diff_table(diff)
 
     def test_perturbed_sim_counter_fails_exactly(self, snap):
         cur = copy.deepcopy(snap)
         cur["points"][0]["sim"]["n_accesses"] += 1
-        cmp = compare_snapshots(snap, cur)
-        assert not cmp.ok
-        bad = cmp.regressions
-        assert [r.metric for r in bad] == ["sim.n_accesses"]
-        assert bad[0].status == "changed"
-        table = format_regression_table(cmp)
-        assert "sim.n_accesses" in table and "REGRESSED" in table
+        diff = diff_runs(snap, cur)
+        assert diff.diverged
+        assert _changed(diff) == ["sim.n_accesses"]
+        table = format_diff_table(diff)
+        assert "sim.n_accesses" in table and "DIVERGED" in table
 
     def test_different_host_gates_exactly(self, snap):
-        # No part of the gate depends on the host: a baseline from
-        # another machine passes on equal counters and fails on drift.
+        # No deterministic part of the gate depends on the host: a
+        # baseline from another machine agrees on equal counters and
+        # diverges on drift.
         cur = copy.deepcopy(snap)
         cur["host"] = dict(cur["host"], node="elsewhere", cores=9999)
-        assert compare_snapshots(snap, cur).ok
+        assert not diff_runs(snap, cur).diverged
         cur["points"][0]["sim"]["total_time"] *= 2.0
-        cmp = compare_snapshots(snap, cur)
-        assert [r.metric for r in cmp.regressions] == ["sim.total_time"]
+        assert _changed(diff_runs(snap, cur)) == ["sim.total_time"]
 
     def test_snapshot_with_wall_block_still_compares(self, snap):
         # Older schema-3 snapshots still carry per-point "wall" blocks
-        # and config.repeats; nothing reads them.
+        # and config.repeats; they are wall-clock, so they never gate.
         old = copy.deepcopy(snap)
         old["config"]["repeats"] = 3
         for p in old["points"]:
             p["wall"] = {"repeats": 3, "samples": [1.0, 2.0, 3.0],
                          "min": 1.0, "p50": 2.0, "mean": 2.0, "max": 3.0}
-        cmp = compare_snapshots(old, snap)
-        assert cmp.ok and cmp.rows == []
+        diff = diff_runs(old, snap)
+        assert not diff.diverged and diff.rows == []
 
     def test_vanished_point_fails(self, snap):
         cur = copy.deepcopy(snap)
         cur["points"] = cur["points"][1:]
-        cmp = compare_snapshots(snap, cur)
-        assert not cmp.ok
-        assert cmp.regressions[0].status == "missing"
+        diff = diff_runs(snap, cur)
+        assert diff.diverged
+        assert [(r.point, r.status, r.a, r.b) for r in diff.rows] == [
+            ("simple/base/P1", "missing", "present", "absent")]
 
-    def test_new_point_reported_not_failing(self, snap):
+    def test_new_point_fails(self, snap):
         base = copy.deepcopy(snap)
         base["points"] = base["points"][1:]
-        cmp = compare_snapshots(base, snap)
-        assert cmp.ok
-        assert any(r.status == "new" for r in cmp.rows)
+        diff = diff_runs(base, snap)
+        assert diff.diverged
+        assert [(r.point, r.status, r.a, r.b) for r in diff.rows] == [
+            ("simple/base/P1", "missing", "absent", "present")]
+        assert "point simple/base/P1: point in run B only" in \
+            format_diff_table(diff)
 
     def test_config_mismatch_incomparable(self, snap):
-        cur = copy.deepcopy(snap)
-        cur["config"] = dict(cur["config"], n=99)
-        cmp = compare_snapshots(snap, cur)
-        assert not cmp.ok
-        assert cmp.rows[0].status == "incomparable"
+        # Any of the three problem-size keys; the other config keys
+        # (apps, schemes, procs) only shape the point set.
+        for field, value in (("n", 99), ("scale", 4), ("time_steps", 3)):
+            cur = copy.deepcopy(snap)
+            cur["config"] = dict(cur["config"], **{field: value})
+            diff = diff_runs(snap, cur)
+            assert diff.diverged
+            assert [(r.metric, r.status) for r in diff.rows] == [
+                ("config", "incomparable")]
 
     def test_schema_mismatch_incomparable(self, snap):
         cur = copy.deepcopy(snap)
         cur["schema"] = 99
-        cmp = compare_snapshots(snap, cur)
-        assert not cmp.ok and cmp.rows[0].metric == "schema"
+        diff = diff_runs(snap, cur)
+        assert diff.diverged
+        assert [(r.metric, r.a, r.b) for r in diff.rows] == [
+            ("schema", 3, 99)]
+        assert "DIVERGED (runs incomparable)" in format_diff_table(diff)
 
     def test_schema2_snapshot_loads_but_is_incomparable(self, snap,
                                                         tmp_path):
         # A committed schema-2 baseline (no "perf" key, old host shape)
-        # must still load fine and fail the gate as incomparable — not
-        # crash on the missing ledger.
+        # must still load fine and diverge as incomparable — not crash
+        # on the missing ledger.
         old = copy.deepcopy(snap)
         old["schema"] = 2
         old["host"] = {k: old["host"][k] for k in
@@ -206,62 +207,75 @@ class TestCompare:
         path.write_text(json.dumps(old))
         loaded = read_run(path)
         assert loaded["schema"] == 2
-        cmp = compare_snapshots(loaded, snap)
-        assert not cmp.ok and cmp.rows[0].status == "incomparable"
+        diff = diff_runs(loaded, snap)
+        assert diff.diverged and diff.rows[0].status == "incomparable"
 
     def test_missing_ledger_in_baseline_not_compared(self, snap):
-        # Same schema but a point without "perf" (defensive): the
-        # ledger gate simply doesn't apply to that point.
+        # Same schema but points without "perf" (defensive): the ledger
+        # gate does not apply to them, and each gets a note.
         base = copy.deepcopy(snap)
         for p in base["points"]:
             p.pop("perf")
-        assert compare_snapshots(base, snap).ok
+        diff = diff_runs(base, snap)
+        assert not diff.diverged
+        assert len(diff.notes) == 4
+        assert "no ledger in run A" in diff.notes[0]
 
 
 class TestCompareLedger:
-    """The schema-3 ledger gate: deterministic structure exact, self
-    times never read (``perf diff`` compares them on one host)."""
+    """The schema-3 ledger gate: deterministic structure exact on any
+    host; self times ranked on one host and never gated."""
 
     def test_ledger_count_drift_fails_exactly(self, snap):
         cur = copy.deepcopy(snap)
+        cur["host"] = dict(cur["host"], node="elsewhere")
         row = cur["points"][0]["perf"]["ledger"]["rows"][0]
         row["count"] += 1
-        cmp = compare_snapshots(snap, cur)
-        assert not cmp.ok
-        bad = cmp.regressions
-        assert len(bad) == 1
-        assert bad[0].metric.startswith("perf.") and \
-            bad[0].metric.endswith(".count")
-        assert bad[0].status == "changed"
+        diff = diff_runs(snap, cur)
+        assert diff.diverged
+        (bad,) = [r for r in diff.rows if r.status == "changed"]
+        assert bad.metric == \
+            f"perf.{row['kind']}/{row['name']}.count"
+        assert (bad.a, bad.b) == (row["count"] - 1, row["count"])
+        assert bad.note == "ledger count drifted"
 
     def test_ledger_row_vanished_fails(self, snap):
         cur = copy.deepcopy(snap)
         led = cur["points"][0]["perf"]["ledger"]
         led["rows"] = [r for r in led["rows"] if r["kind"] != "pass"]
-        cmp = compare_snapshots(snap, cur)
-        assert not cmp.ok
-        assert all(r.note == "ledger row appeared/disappeared"
-                   for r in cmp.regressions)
+        diff = diff_runs(snap, cur)
+        assert diff.diverged
+        bad = [r for r in diff.rows if r.status == "changed"]
+        assert bad and all(
+            (r.a, r.b, r.note) == ("present", "absent",
+                                   "ledger row appeared/disappeared")
+            for r in bad)
 
     def test_ledger_self_time_not_gated_cross_host(self, snap):
-        # Self times are wall-clock; the exact gate ignores them on
-        # another host and on this one alike.
-        for host in (snap["host"], dict(snap["host"], node="elsewhere")):
+        # Self times are wall-clock: ranked on one host, not read on
+        # another, and never a divergence on either.
+        for host, moved in ((snap["host"], True),
+                            (dict(snap["host"], node="elsewhere"), False)):
             cur = copy.deepcopy(snap)
             cur["host"] = host
             for p in cur["points"]:
                 for r in p["perf"]["ledger"]["rows"]:
                     r["self_s"] += 10.0
-            assert compare_snapshots(snap, cur).ok
+            diff = diff_runs(snap, cur)
+            assert not diff.diverged
+            assert bool(diff.rows) is moved
+            assert all(r.status == "regressed" for r in diff.rows)
 
     def test_host_mismatch_skip_message_names_fields(self, snap):
-        # Comparing self times across hosts is left to perf diff, which
-        # names every differing host field when it skips them.
+        # Across hosts self times are not compared, and the verdict
+        # names every differing host field.
         cur = copy.deepcopy(snap)
         cur["host"] = dict(cur["host"], node="elsewhere", cores=9999)
-        pd = perf_diff(snap, cur)
-        assert not pd.wall_gated
-        assert "node" in pd.host_note and "cores" in pd.host_note
+        diff = diff_runs(snap, cur)
+        assert not diff.wall_gated
+        assert "node" in diff.host_note and "cores" in diff.host_note
+        assert "self times not compared: hosts differ (cores: " in \
+            format_diff_table(diff)
 
 
 class TestHostFingerprint:
@@ -292,52 +306,50 @@ class TestBenchTable:
 
 
 class TestBenchCLI:
-    def _run(self, tmp_path, *extra):
+    def _run(self, path, *extra):
         argv = ["bench", "--apps", "simple", "--schemes", "base",
-                "--procs-list", "1", "--n", "8",
-                "--out-dir", str(tmp_path / "bench"),
-                "--latest", str(tmp_path / "BENCH_latest.json")]
+                "--procs-list", "1", "--n", "8", "--json", str(path)]
         return main(argv + list(extra))
 
     def test_two_runs_then_compare_pass(self, tmp_path, capsys):
-        assert self._run(tmp_path) == 0
-        assert self._run(tmp_path) == 0
-        rc = self._run(tmp_path, "--compare",
-                       str(tmp_path / "BENCH_latest.json"))
-        assert rc == 0
-        assert "verdict: OK" in capsys.readouterr().out
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert self._run(a) == 0
+        assert self._run(b) == 0
+        assert read_run(a)["points"][0]["sim"] == \
+            read_run(b)["points"][0]["sim"]
+        capsys.readouterr()
+        assert main(["diff", str(a), str(b)]) == 0
+        assert "verdict: SAME" in capsys.readouterr().out
 
     def test_compare_perturbed_baseline_exits_nonzero(self, tmp_path,
                                                       capsys):
-        assert self._run(tmp_path) == 0
-        latest = tmp_path / "BENCH_latest.json"
-        baseline = read_run(latest)
+        fresh = tmp_path / "fresh.json"
+        assert self._run(fresh) == 0
+        baseline = read_run(fresh)
         baseline["points"][0]["sim"]["total_time"] += 1.0
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(baseline))
-        rc = self._run(tmp_path, "--compare", str(doctored))
-        assert rc == 1
+        capsys.readouterr()
+        assert main(["diff", str(doctored), str(fresh)]) == 1
         out = capsys.readouterr().out
-        assert "sim.total_time" in out and "REGRESSED" in out
+        assert "sim.total_time" in out and "DIVERGED" in out
 
-    def test_compare_resolves_baseline_before_save(self, tmp_path):
-        # --compare against the pointer must mean the *previous* run.
-        assert self._run(tmp_path) == 0
-        first = json.load(open(tmp_path / "BENCH_latest.json"))["pointer"]
-        assert self._run(tmp_path, "--compare",
-                         str(tmp_path / "BENCH_latest.json")) == 0
-        second = json.load(open(tmp_path / "BENCH_latest.json"))["pointer"]
-        assert first != second  # pointer moved, gate used the old one
+    def test_no_save_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # Without --json, bench only prints.
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--apps", "simple", "--schemes", "base",
+                     "--procs-list", "1", "--n", "8"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "simple" in capsys.readouterr().out
 
-    def test_no_save_writes_nothing(self, tmp_path):
-        assert self._run(tmp_path, "--no-save") == 0
-        assert not (tmp_path / "bench").exists()
-        assert not (tmp_path / "BENCH_latest.json").exists()
-
-    def test_missing_baseline_is_an_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot load baseline"):
-            self._run(tmp_path, "--compare", str(tmp_path / "nope.json"))
+    def test_missing_baseline_is_an_error(self, tmp_path, capsys):
+        assert main(["diff", str(tmp_path / "nope.json"),
+                     str(tmp_path / "nope.json")]) == 2
+        assert "nope.json" in capsys.readouterr().err
+        with pytest.raises(SystemExit, match="cannot write bench "
+                                             "snapshot"):
+            self._run(tmp_path / "no" / "such" / "dir.json")
 
     def test_unknown_app_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown app"):
-            main(["bench", "--apps", "bogus", "--no-save"])
+            main(["bench", "--apps", "bogus"])

@@ -113,7 +113,7 @@ class TestGridArgsErrors:
     """verify, batch and bench read --apps/--schemes through one
     validator: unknown names and empty lists are one-line errors."""
 
-    _COMMANDS = (["verify"], ["bench", "--no-save"])
+    _COMMANDS = (["verify"], ["bench"])
 
     def test_bad_app(self):
         for cmd in self._COMMANDS:
@@ -320,7 +320,7 @@ class TestBrokenPipe:
         import sys
 
         with self._broken_stdout():
-            rc = main(["perf", "record", "simple", "--scheme", "base",
+            rc = main(["perf", "simple", "--scheme", "base",
                        "--procs", "1", "--n", "8"])
         assert rc == 141
         assert sys.getprofile() is None, "profiler hook leaked"

@@ -8,13 +8,40 @@ returns a complete, ordered result list with per-point error records —
 never an unhandled exception.
 """
 
+import os
+import sys
+import time
+
 import pytest
 
 from repro import faults, obs
 from repro.__main__ import main
 from repro.errors import CompileError, FaultInjected, ReproError
-from repro.pipeline import CompileSession, passes, reset_session
+from repro.pipeline import CompileSession, grid, passes, reset_session
 from repro.pipeline.grid import GridPoint, run_grid, summarize
+
+_real_worker_run = grid._worker_run
+# Directory the late-crashing worker below coordinates through; set by
+# the test before the pool forks its workers.
+_CRASH_DIR = None
+
+
+def _crash_once_after_the_others(payload):
+    """A batch worker whose P4 point dies once, after the other points
+    of its wave have finished and their results had time to reach the
+    driver."""
+    point = payload[0]
+    if point["nprocs"] == 4 and not (_CRASH_DIR / "crashed").exists():
+        (_CRASH_DIR / "crashed").touch()
+        deadline = time.monotonic() + 30.0
+        while (len(list(_CRASH_DIR.glob("done-*"))) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os._exit(3)
+    result = _real_worker_run(payload)
+    (_CRASH_DIR / f"done-{point['nprocs']}").touch()
+    return result
 
 
 def _pristine_faults():
@@ -194,6 +221,21 @@ class TestBatchWorkerFaults:
             assert not r.ok
             assert r.attempts == 2  # initial try + one retry
             assert "pool broken" in r.error
+
+    def test_requeue_after_crash_counts_as_attempt(self, monkeypatch,
+                                                   tmp_path):
+        # The crash is charged to nobody (its wave made progress), so
+        # the retry budget is untouched — but the point ran twice, and
+        # its result and the summary say so.
+        monkeypatch.setattr(sys.modules[__name__], "_CRASH_DIR", tmp_path)
+        monkeypatch.setattr(grid, "_worker_run",
+                            _crash_once_after_the_others)
+        points = [GridPoint(app="simple", scheme="base", nprocs=p, n=8)
+                  for p in (1, 4, 2)]
+        results = run_grid(points, jobs=3, retries=1, backoff=0.01)
+        assert [r.ok for r in results] == [True, True, True]
+        assert [r.attempts for r in results] == [1, 2, 1]
+        assert summarize(results)["retried"] >= 1
 
     def test_worker_stall_hits_timeout(self, monkeypatch):
         monkeypatch.setenv(

@@ -1,4 +1,4 @@
-"""The stack sampler behind ``perf record --flame/--stacks``:
+"""The stack sampler behind ``repro perf --flame/--stacks``:
 lifecycle, stack attribution, determinism, and the strict disabled
 path.
 
@@ -18,7 +18,7 @@ from repro.compiler import Scheme, compile_all
 from repro.machine import scaled_dash
 from repro.machine.simulate import simulate
 from repro.obs.hotspot import EXTERNAL, HotspotProfiler, HotspotReport
-from tests.conftest import best_of_alternating
+from tests.conftest import median_paired_overhead
 
 
 @pytest.fixture(autouse=True)
@@ -170,8 +170,8 @@ class TestOverhead:
 
         HotspotProfiler()  # constructed, never started
         assert sys.getprofile() is None
-        with_module, floor = best_of_alternating(_workload, _workload)
-        assert with_module <= floor * 1.05 + 0.005, (
-            f"disabled profiler overhead too high: {with_module:.4f}s "
-            f"vs floor {floor:.4f}s"
+        overhead, floor = median_paired_overhead(_workload, _workload)
+        assert overhead <= floor * 0.05 + 0.005, (
+            f"disabled profiler overhead too high: {overhead:+.4f}s "
+            f"over floor {floor:.4f}s"
         )

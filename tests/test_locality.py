@@ -207,7 +207,7 @@ class TestCollectLocality:
 class TestBenchRoundTrip:
     def test_snapshot_carries_locality_and_profile(self, tmp_path):
         from repro.obs import bench
-        from repro.obs.compare import read_run
+        from repro.obs.compare import diff_runs, read_run
 
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
                                procs=[1], n=8)
@@ -217,16 +217,17 @@ class TestBenchRoundTrip:
         # Nothing that no comparison reads is stored.
         assert "profile" not in point
         # Round-trip: save, load, exact-match compare.
-        path, _ = bench.save_snapshot(snap, out_dir=tmp_path,
-                                      latest=None)
+        path = tmp_path / "snap.json"
+        bench.save_snapshot(snap, path)
         loaded = read_run(path)
         assert loaded["points"][0]["sim"]["locality"] == \
                point["sim"]["locality"]
-        cmp = bench.compare_snapshots(loaded, snap)
-        assert cmp.ok, [r for r in cmp.rows if r.failing]
+        diff = diff_runs(loaded, snap)
+        assert not diff.diverged, diff.rows
 
     def test_locality_drift_fails_gate(self, tmp_path):
         from repro.obs import bench
+        from repro.obs.compare import diff_runs
 
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
                                procs=[1], n=8)
@@ -234,9 +235,10 @@ class TestBenchRoundTrip:
         reuse = mutated["points"][0]["sim"]["locality"]["reuse"]
         first = next(iter(reuse))
         reuse[first]["cold"] += 1
-        cmp = bench.compare_snapshots(snap, mutated)
-        assert not cmp.ok
-        assert any("locality" in r.metric for r in cmp.regressions)
+        diff = diff_runs(snap, mutated)
+        assert diff.diverged
+        assert any("locality" in r.metric for r in diff.rows
+                   if r.status == "changed")
 
 
 class TestBatchLocality:

@@ -17,7 +17,7 @@ from repro.apps import simple
 from repro.compiler import Scheme, compile_all, compile_program
 from repro.machine import scaled_dash
 from repro.machine.simulate import simulate
-from tests.conftest import best_of_alternating
+from tests.conftest import median_paired_overhead
 
 
 @pytest.fixture(autouse=True)
@@ -395,11 +395,11 @@ class TestOverhead:
                 m.setattr(obs, "enabled", lambda: False)
                 _workload()
 
-        with_hooks, floor = best_of_alternating(_workload, _stubbed)
+        overhead, floor = median_paired_overhead(_workload, _stubbed)
 
         # 5% relative margin plus 5ms absolute slack for timer noise on
         # very fast runs.
-        assert with_hooks <= floor * 1.05 + 0.005, (
-            f"disabled obs overhead too high: {with_hooks:.4f}s vs "
+        assert overhead <= floor * 0.05 + 0.005, (
+            f"disabled obs overhead too high: {overhead:+.4f}s over "
             f"floor {floor:.4f}s"
         )

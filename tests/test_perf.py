@@ -1,15 +1,16 @@
-"""Differential performance attribution (PR-10): the wall-time ledger
-(build, reconciliation contract, anchor rollup), ``perf record``
-payloads, and the ``perf diff`` noise matrix.
+"""Performance attribution: the wall-time ledger (build,
+reconciliation contract, anchor rollup), ``repro perf`` payloads, and
+how ``repro diff`` judges two ledgers.
 
 The load-bearing contracts:
 
 * ledger rows (incl. ``<unattributed>``) sum back to the measured wall
   total on every point — the accounting is falsifiable;
-* two same-config runs produce no significant diff rows, while an
-  injected per-pass stall is ranked as the top culprit;
+* two same-config runs produce no self-time rows, while an injected
+  per-pass stall is ranked first;
 * deterministic structure (row sets, counts) gates exactly; self time
-  gates only same-host and only past relative AND absolute thresholds.
+  is ranked only same-host and only past relative AND absolute
+  thresholds, and never gates.
 """
 
 import copy
@@ -25,17 +26,16 @@ from repro.__main__ import main
 from repro.codegen.spmd import parse_scheme
 from repro.obs import bench
 from repro.obs import core as _obs_core
-from repro.obs.compare import point_key
+from repro.obs.compare import diff_runs, point_key
 from repro.obs.perf import (
     UNATTRIBUTED,
     build_ledger,
     ledger_reconciles,
     measure_point,
-    perf_diff,
     record_point,
 )
 from repro.pipeline import CompileSession, reset_session
-from repro.report import format_ledger_table, format_perf_diff_table
+from repro.report import format_diff_table, format_ledger_table
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +53,7 @@ def _clean_state():
 
 @pytest.fixture(scope="module")
 def recorded():
-    """One ``perf record`` payload, shared read-only (deep-copy before
+    """One ``repro perf`` payload, shared read-only (deep-copy before
     mutating)."""
     return record_point("simple", parse_scheme("data"), 2, n=8)
 
@@ -176,92 +176,110 @@ class TestMeasureWindow:
         assert gc.isenabled()
 
 
+def _moves(diff):
+    """The ranked wall-clock rows of one diff."""
+    return [r for r in diff.rows if r.status in ("regressed", "improved")]
+
+
 class TestPerfDiff:
     def test_identical_runs_quiet(self, recorded):
-        pd = perf_diff(recorded, copy.deepcopy(recorded))
-        assert not pd.significant
-        assert pd.n_points == 1 and pd.rows == []
-        assert "QUIET" in format_perf_diff_table(pd)
+        diff = diff_runs(recorded, copy.deepcopy(recorded))
+        assert not diff.diverged
+        assert diff.n_compared == 1 and diff.rows == []
+        assert "runs identical" in format_diff_table(diff)
 
     def test_sub_threshold_drift_quiet(self, recorded):
         cur = copy.deepcopy(recorded)
         for r in cur["points"][0]["perf"]["ledger"]["rows"]:
             r["self_s"] *= 1.05  # +5%, under the 30% relative gate
-        assert not perf_diff(recorded, cur).significant
+        assert diff_runs(recorded, cur).rows == []
 
     def test_sub_floor_jitter_quiet(self, recorded):
-        # +200% relative but +2ms absolute: under the 10ms floor.
+        # +200% relative but +2ms absolute: under the 10ms floor; the
+        # same relative move at +20ms is ranked.
         base = copy.deepcopy(recorded)
         cur = copy.deepcopy(recorded)
         for br, cr in zip(base["points"][0]["perf"]["ledger"]["rows"],
                           cur["points"][0]["perf"]["ledger"]["rows"]):
             br["self_s"] = 0.001
             cr["self_s"] = 0.003
-        assert not perf_diff(base, cur).significant
-        assert perf_diff(base, cur, wall_abs_floor=0.0).significant
+        assert diff_runs(base, cur).rows == []
+        for br, cr in zip(base["points"][0]["perf"]["ledger"]["rows"],
+                          cur["points"][0]["perf"]["ledger"]["rows"]):
+            br["self_s"] = 0.010
+            cr["self_s"] = 0.030
+        diff = diff_runs(base, cur)
+        assert _moves(diff) and not diff.diverged
 
     def test_injected_slowdown_ranked_first(self, recorded):
         cur = copy.deepcopy(recorded)
         rows = cur["points"][0]["perf"]["ledger"]["rows"]
         target = next(r for r in rows if r["kind"] == "pass")
         target["self_s"] += 5.0
-        pd = perf_diff(recorded, cur)
-        assert pd.significant
-        top = pd.culprits[0]
-        assert top.row == f"pass/{target['name']}"
-        assert top.status == "regressed"
-        table = format_perf_diff_table(pd)
-        assert f"pass/{target['name']}" in table and "#1" in table
+        other = next(r for r in rows if r["kind"] == "sim")
+        other["self_s"] += 1.0
+        diff = diff_runs(recorded, cur)
+        assert not diff.diverged  # self time never gates
+        assert [(r.metric, r.status) for r in _moves(diff)] == [
+            (f"perf.pass/{target['name']}.self_s", "regressed"),
+            (f"perf.sim/{other['name']}.self_s", "regressed")]
+        first = next(line for line in format_diff_table(diff).splitlines()
+                     if line.startswith("#1 "))
+        assert f"perf.pass/{target['name']}.self_s" in first
 
     def test_count_drift_is_changed_even_cross_host(self, recorded):
         cur = copy.deepcopy(recorded)
         cur["host"] = dict(cur["host"], node="elsewhere")
         rows = cur["points"][0]["perf"]["ledger"]["rows"]
         next(r for r in rows if r["kind"] == "pass")["count"] += 1
-        pd = perf_diff(recorded, cur)
-        assert not pd.wall_gated
-        assert pd.significant
-        assert pd.culprits[0].status == "changed"
-        assert "count drifted" in pd.culprits[0].note
+        diff = diff_runs(recorded, cur)
+        assert not diff.wall_gated
+        assert diff.diverged
+        assert diff.rows[0].status == "changed"
+        assert "count drifted" in diff.rows[0].note
 
     def test_wall_not_gated_cross_host_with_explanation(self, recorded):
         cur = copy.deepcopy(recorded)
         cur["host"] = dict(cur["host"], node="elsewhere")
         for r in cur["points"][0]["perf"]["ledger"]["rows"]:
             r["self_s"] += 10.0
-        pd = perf_diff(recorded, cur)
-        assert not pd.significant and not pd.wall_gated
-        assert "node" in pd.host_note
-        assert "node" in format_perf_diff_table(pd)
+        diff = diff_runs(recorded, cur)
+        assert diff.rows == [] and not diff.wall_gated
+        assert "node" in diff.host_note
+        assert "node" in format_diff_table(diff)
 
     def test_vanished_row_is_changed(self, recorded):
         cur = copy.deepcopy(recorded)
         led = cur["points"][0]["perf"]["ledger"]
         led["rows"] = [r for r in led["rows"] if r["kind"] != "phase"]
-        pd = perf_diff(recorded, cur)
-        assert pd.significant
-        assert all(r.status == "changed" for r in pd.culprits)
+        diff = diff_runs(recorded, cur)
+        assert diff.diverged
+        assert all(r.status == "changed" for r in diff.rows
+                   if r.metric.startswith("perf."))
 
     def test_run_without_ledger_skipped_with_note(self, recorded):
         old = copy.deepcopy(recorded)
         for p in old["points"]:
             p.pop("perf")
-        pd = perf_diff(old, recorded)
-        assert not pd.significant
-        assert any("no ledger" in n for n in pd.notes)
+        diff = diff_runs(old, recorded)
+        assert not diff.diverged
+        assert diff.notes == ["simple/data/P2: no ledger in run A; "
+                              "not compared"]
+        assert "note: simple/data/P2: no ledger" in format_diff_table(diff)
 
     def test_diff_accepts_bench_snapshots(self):
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
                                procs=[1], n=8)
-        pd = perf_diff(snap, copy.deepcopy(snap))
-        assert pd.n_points == 1 and not pd.significant
+        diff = diff_runs(snap, copy.deepcopy(snap))
+        assert diff.n_compared == 1 and not diff.diverged
 
     def test_as_dict_json_safe(self, recorded):
         cur = copy.deepcopy(recorded)
         cur["points"][0]["perf"]["ledger"]["rows"][0]["self_s"] += 5.0
-        d = perf_diff(recorded, cur).as_dict()
+        d = diff_runs(recorded, cur).as_dict()
         assert json.loads(json.dumps(d)) == d
-        assert d["significant"] is True
+        assert d["diverged"] is False
+        assert [r["status"] for r in d["rows"]] == ["regressed"]
 
 
 class TestPassStallFault:
@@ -292,14 +310,16 @@ class TestPassStallFault:
             stalled = record_point("simple", parse_scheme("data"), 2, n=8)
         finally:
             faults.configure(None)
-        pd = perf_diff(base, stalled, wall_abs_floor=0.02)
-        assert pd.significant
-        assert pd.culprits[0].row == "pass/layout"
+        diff = diff_runs(base, stalled)
+        assert not diff.diverged
+        top = _moves(diff)[0]
+        assert (top.metric, top.status) == ("perf.pass/layout.self_s",
+                                            "regressed")
 
 
 class TestPerfCLI:
     def test_record_json_stdout(self, capsys):
-        rc = main(["perf", "record", "simple", "--scheme", "data",
+        rc = main(["perf", "simple", "--scheme", "data",
                    "--procs", "2", "--n", "8", "--json", "-"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -314,7 +334,7 @@ class TestPerfCLI:
 
         flame = tmp_path / "flame.svg"
         stacks = tmp_path / "stacks.collapsed"
-        rc = main(["perf", "record", "simple", "--scheme", "base",
+        rc = main(["perf", "simple", "--scheme", "base",
                    "--procs", "1", "--n", "8",
                    "--flame", str(flame), "--stacks", str(stacks)])
         assert rc == 0
@@ -325,29 +345,40 @@ class TestPerfCLI:
 
     def test_record_unknown_app_rejected(self):
         with pytest.raises(SystemExit, match="unknown app"):
-            main(["perf", "record", "bogus"])
+            main(["perf", "bogus"])
 
     def test_diff_exit_codes(self, tmp_path, capsys):
+        # The exit code reads deterministic data only: a self-time move
+        # is listed but exits 0; a count drift exits 1; a file that is
+        # not a run exits 2.
         base = record_point("simple", parse_scheme("base"), 1, n=8)
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(base))
-        doctored = copy.deepcopy(base)
-        rows = doctored["points"][0]["perf"]["ledger"]["rows"]
-        next(r for r in rows if r["kind"] == "pass")["self_s"] += 5.0
-        b.write_text(json.dumps(doctored))
-        assert main(["perf", "diff", str(a), str(a)]) == 0
-        assert main(["perf", "diff", str(a), str(b)]) == 1
-        out = capsys.readouterr().out
-        assert "SIGNIFICANT" in out
-        assert main(["perf", "diff", str(a),
-                     str(tmp_path / "missing.json")]) == 2
+        paths = {}
+        for name, field, delta in (("a", "self_s", 0.0),
+                                   ("slow", "self_s", 5.0),
+                                   ("count", "count", 1)):
+            doctored = copy.deepcopy(base)
+            rows = doctored["points"][0]["perf"]["ledger"]["rows"]
+            next(r for r in rows if r["kind"] == "pass")[field] += delta
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doctored))
+        paths["pointer"] = tmp_path / "pointer.json"
+        paths["pointer"].write_text(json.dumps({"pointer": "a.json"}))
+        a = str(paths["a"])
+        assert main(["diff", a, a]) == 0
+        assert main(["diff", a, str(paths["slow"])]) == 0
+        assert "regressed" in capsys.readouterr().out
+        assert main(["diff", a, str(paths["count"])]) == 1
+        assert "DIVERGED" in capsys.readouterr().out
+        assert main(["diff", a, str(tmp_path / "missing.json")]) == 2
+        assert main(["diff", a, str(paths["pointer"])]) == 2
+        assert "not a bench snapshot" in capsys.readouterr().err
 
     def test_diff_json_output(self, tmp_path, capsys):
         base = record_point("simple", parse_scheme("base"), 1, n=8)
         a = tmp_path / "a.json"
         a.write_text(json.dumps(base))
-        rc = main(["perf", "diff", str(a), str(a), "--json"])
+        rc = main(["diff", str(a), str(a), "--json"])
         assert rc == 0
         d = json.loads(capsys.readouterr().out)
-        assert d["significant"] is False and d["n_points"] == 1
+        assert d["diverged"] is False and d["n_compared"] == 1
+        assert d["rows"] == []

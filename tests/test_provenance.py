@@ -10,6 +10,7 @@ from repro.apps import build_app
 from repro.codegen.spmd import parse_scheme
 from repro.obs import provenance
 from repro.obs.bench import run_bench
+from repro.obs.compare import diff_runs
 from repro.pipeline import CompileSession
 
 
@@ -94,9 +95,9 @@ class TestDiff:
     def test_identical_runs(self):
         snap = self._snap()
         assert snap["points"][0]["provenance"]
-        diff = provenance.diff_runs(snap, snap)
-        assert diff.identical
-        assert not diff.significant
+        diff = diff_runs(snap, snap)
+        assert diff.rows == []
+        assert not diff.diverged
         assert diff.n_compared == 1
 
     def test_forced_layout_change_is_attributed(self, monkeypatch,
@@ -121,13 +122,15 @@ class TestDiff:
         snap_b = self._snap()
         monkeypatch.undo()
 
-        diff = provenance.diff_runs(snap_a, snap_b)
-        assert diff.significant
-        point = diff.points[0]
-        assert point.culprit is not None
-        assert point.culprit["stage"] == "layout"
-        assert point.culprit["chosen"] == "identity"
-        assert point.culprit_was["chosen"] == "strip-mine+permute"
+        diff = diff_runs(snap_a, snap_b)
+        assert diff.diverged
+        # The diverging point's rows end with its first diverging
+        # decision: run B's record in ``b``, run A's in ``a``.
+        culprit = diff.rows[-1]
+        assert culprit.status == "culprit"
+        assert culprit.b["stage"] == "layout"
+        assert culprit.b["chosen"] == "identity"
+        assert culprit.a["chosen"] == "strip-mine+permute"
 
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -152,7 +155,7 @@ class TestDiff:
         a.write_text(json.dumps(snap))
         assert main(["diff", str(a), str(a), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["identical"] is True
+        assert payload["diverged"] is False and payload["rows"] == []
 
     def test_missing_provenance_fails_soft(self):
         """Pre-provenance snapshots (e.g. the committed baseline) diff
@@ -162,10 +165,12 @@ class TestDiff:
         for p in legacy["points"]:
             p.pop("provenance", None)
             p["sim"]["total_time"] += 1.0
-        diff = provenance.diff_runs(legacy, snap)
-        assert diff.significant
-        assert diff.points[0].culprit is None
-        assert "provenance" in diff.points[0].note
+        diff = diff_runs(legacy, snap)
+        assert diff.diverged
+        last = diff.rows[-1]
+        assert last.status == "unattributed"
+        assert last.note == ("no provenance recorded in run A; cannot "
+                             "attribute")
 
     def test_machine_fp_recorded_in_bench_points(self):
         snap = self._snap()
@@ -183,16 +188,17 @@ class TestDiff:
         for p in snap_b["points"]:
             p["machine_fp"] = "f" * 64
             p["sim"]["total_time"] *= 2.0
-        diff = provenance.diff_runs(snap_a, snap_b)
-        assert diff.significant
-        point = diff.points[0]
-        assert point.culprit is None
-        assert "machine fingerprint differs" in point.note
-        assert "machine-config change" in point.note
+        diff = diff_runs(snap_a, snap_b)
+        assert diff.diverged
+        last = diff.rows[-1]
+        assert last.status == "unattributed"
+        assert "machine fingerprint differs" in last.note
+        assert "machine-config change" in last.note
 
     def test_wall_only_delta_is_noise(self):
         # Wall leaves (an older snapshot's "wall" block, a batch row's
-        # elapsed) differ on every run and never gate.
+        # elapsed) differ on every run and never gate; under the 10 ms
+        # floor they are not even listed.
         snap = self._snap()
         for p in snap["points"]:
             p["wall"] = {"min": 0.002, "samples": [0.002, 0.003]}
@@ -204,9 +210,14 @@ class TestDiff:
                     else [x * 1.5 for x in v])
                 for k, v in p["wall"].items()
             }
-        diff = provenance.diff_runs(snap, jittered)
-        assert not diff.identical
-        assert not diff.significant  # wall deltas never gate
+        diff = diff_runs(snap, jittered)
+        assert diff.rows == []
+        for p in jittered["points"]:
+            p["wall"]["min"] += 1.0
+        diff = diff_runs(snap, jittered)
+        assert not diff.diverged  # wall deltas never gate
+        assert [(r.metric, r.status) for r in diff.rows] == [
+            ("wall.min", "regressed")]
 
 
 class TestExplainCli:

@@ -129,24 +129,26 @@ class TestExplainTree:
 
 class TestDiffTable:
     def test_identical_one_liner(self):
-        from repro.obs.provenance import RunDiff
+        from repro.obs.compare import RunDiff
         from repro.report import format_diff_table
 
-        diff = RunDiff()
-        diff.n_compared = 3
+        diff = RunDiff(n_compared=3)
         text = format_diff_table(diff)
-        assert "(runs identical: 3 points compared, no deltas)" in text
+        assert text.splitlines()[1:] == [
+            "verdict: SAME (runs identical: 3 points compared)"]
 
     def test_no_overlap(self):
-        from repro.obs.provenance import RunDiff
+        from repro.obs.compare import diff_runs
         from repro.report import format_diff_table
 
-        diff = RunDiff()
-        diff.missing_in_b = ["a/base/P1"]
-        diff.missing_in_a = ["b/base/P1"]
+        diff = diff_runs({"points": [{"app": "a", "scheme": "base",
+                                      "nprocs": 1}]},
+                         {"points": [{"app": "b", "scheme": "base",
+                                      "nprocs": 1}]})
         text = format_diff_table(diff)
-        assert "present in A only" in text
-        assert "present in B only" in text
+        assert "point a/base/P1: point in run A only" in text
+        assert "point b/base/P1: point in run B only" in text
+        assert "DIVERGED (2 diverging points; 0 points compared)" in text
 
     def test_diff_cli_bad_file_exits_2(self, tmp_path, capsys):
         from repro.__main__ import main
