@@ -66,6 +66,12 @@ class TestBatchJsonRuns:
         out = capsys.readouterr().out
         assert "point simple/base/P1" in out
         assert "DIVERGED (1 diverging point; 6 points compared)" in out
+
+    def test_perf_diff_aligns_every_batch_point(self, batch_pair, capsys):
+        # The JSON form, which the perf CI job parses, keys every
+        # batch point by app/scheme/procs as the table does.
+        a, b = batch_pair
+        capsys.readouterr()
         assert main(["diff", str(a), str(b), "--json"]) == 1
         d = json.loads(capsys.readouterr().out)
         assert d["n_compared"] == 6
