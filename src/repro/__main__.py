@@ -577,7 +577,9 @@ def cmd_batch(args) -> int:
               f"({journal.appends} appends, {journal.errors} errors)")
 
     if args.json:
-        payload = {"summary": agg,
+        from repro.obs.compare import host_fingerprint
+
+        payload = {"summary": agg, "host": host_fingerprint(),
                    "results": [r.as_dict() for r in results]}
         if store is not None:
             payload["store"] = store.stats_dict()

@@ -30,6 +30,18 @@ previous own touch wraps round to its last touch of the line in the
 previous round.  That wrapped history is the same in every later
 round, so in the spec rounds 2, 3, ... equal round 1 flag for flag.
 
+A stream too long to hold at once is classified in chunks, each with
+the :class:`CoherenceHistory` that the chunks before it leave behind.
+Every term read at an access is the last event of some key before it:
+the tag (the last access of its set and processor), the own touch, the
+last write and the last touch of its line and the last write of its
+word; an LRU set also reads the distinct lines since the own touch.
+So a short prefix of real past events that keeps the last event of
+every key, in stream order, gives each access of the chunk after it
+the terms the whole stream would.  Only coldness reaches further back,
+and the history carries it as the set of (line, processor) pairs ever
+touched.
+
 Miss taxonomy (Section 1.1):
 
 * **cold** — processor touches a line for the first time;
@@ -100,6 +112,7 @@ def classify_accesses(
     word_bytes: int = 8,
     l2: "CacheConfig | None" = None,
     rounds: int = 1,
+    history: "CoherenceHistory | None" = None,
 ) -> AccessClassification:
     """Classify every access of a merged, globally-ordered stream.
 
@@ -119,16 +132,35 @@ def classify_accesses(
     after L in the previous one.  Every later round sees exactly that
     wrapped history, so rounds 2, 3, ... equal round 1 flag for flag.
 
+    ``history`` makes the accesses given one chunk of a longer stream
+    (one round only): they are classified after the history's prefix of
+    past events, a first touch is cold only if no earlier chunk touched
+    the pair, and the history is updated in place to what this chunk
+    leaves behind.  The flags still cover exactly the accesses given.
+    Without it the stream is classified whole, with no history work.
+
     Every word must lie inside one cache line (``cfg.line_bytes`` a
     multiple of ``word_bytes``); other geometries raise ``ValueError``.
     """
     if cfg.line_bytes % word_bytes:
         raise ValueError(f"word_bytes={word_bytes} does not divide the "
                          f"{cfg.line_bytes}-byte cache line")
+    keep, m = None, 0
+    if history is not None:
+        if rounds != 1:
+            raise ValueError("a carried history classifies one round")
+        # Positions of the events the next chunk's history keeps.
+        keep = []
+        m = len(history)
+        if m:
+            proc, addr, write = (np.concatenate([history.proc, proc]),
+                                 np.concatenate([history.addr, addr]),
+                                 np.concatenate([history.write, write]))
     n = len(addr)
     # Round 1 stands for every later round.
     tag_rounds = min(rounds, 2)
-    tag_hit, by_tag, tag_in_order = _tag_hits(proc, addr, cfg, tag_rounds)
+    tag_hit, by_tag, tag_in_order = _tag_hits(proc, addr, cfg, tag_rounds,
+                                              keep)
     # Along the tag order a hit's previous entry is the processor's
     # previous touch of the line, its "own" touch; -1 at tag misses.
     own = prev_in_group(by_tag, ~tag_in_order)
@@ -141,21 +173,26 @@ def classify_accesses(
     del by_tag, tag_in_order
     l2_tag = None
     if l2 is not None:
-        l2_tag, by_l2, l2_in_order = _tag_hits(proc, addr, l2, tag_rounds)
+        l2_tag, by_l2, l2_in_order = _tag_hits(proc, addr, l2, tag_rounds,
+                                               keep)
         own = np.where(own >= 0, own, prev_in_group(by_l2, ~l2_in_order))
         del by_l2, l2_in_order
 
     # A processor's first touch of a line is always a tag miss, so the
     # tag misses alone, grouped by (line, processor), give every first
     # touch (the cold accesses) and, for the wrap, every last one.
+    # A pair the prefix touches was touched by an earlier chunk, so only
+    # the chunk's own accesses are asked.
     line = cfg.line_of(addr)
-    missed = np.flatnonzero(~tag_hit[:n])
+    missed = np.flatnonzero(~tag_hit[m:n]) + m
     by_miss = group_index(line[missed], proc[missed])
     first = missed[by_miss[0][by_miss[1]]]
     if rounds > 1:
         last = run_end[missed[last_in_group(*by_miss)]]
         del run_end
     del missed, by_miss
+    if history is not None:
+        first = history.first_touches(line, proc, first)
     cold = np.zeros(n, dtype=bool)
     cold[first] = True
 
@@ -183,6 +220,10 @@ def classify_accesses(
         line_touched_wrap = line_touched[first] | (
             last_in_group(by_line, line_start)[group] > last)
         del group
+    if keep is not None:
+        # A line's last write is the last write of one of its words,
+        # which the history keeps below.
+        keep.append(last_in_group(by_line, line_start))
     del by_line, line_start
 
     words = _WordWrites(addr, write, word_bytes)
@@ -203,6 +244,12 @@ def classify_accesses(
             later[first] = getattr(wrapped, f.name)
             flags[f.name] = repeat_rounds(once, later, rounds)
         out = AccessClassification(**flags)
+    if keep is not None:
+        keep.append(words.last_writes())
+        history.keep(proc, addr, write, keep)
+        # The prefix's flags were the earlier chunks' to report.
+        out = AccessClassification(**{f.name: getattr(out, f.name)[m:]
+                                      for f in fields(AccessClassification)})
     if obs.enabled():
         obs.event(
             "sim.classify", cat="machine", accesses=len(out.hit),
@@ -215,7 +262,59 @@ def classify_accesses(
     return out
 
 
-def _tag_hits(proc, addr, cfg, rounds):
+class CoherenceHistory:
+    """What the chunks of a stream classified so far leave behind for
+    the next one (:func:`classify_accesses`'s ``history``).
+
+    ``proc``, ``addr`` and ``write`` are a prefix of real past events in
+    stream order.  It keeps, for each cache level, the last access of
+    each of the ``assoc`` most recent lines of every (set, processor);
+    the last access of every line; and the last write of every word,
+    which also holds every line's last write.  Any other event in it is
+    older than its key's last, so no term reads it.  ``seen[line,
+    proc]`` marks every pair ever touched, which is all that decides a
+    cold miss.
+    """
+
+    def __init__(self):
+        empty = np.zeros(0, dtype=np.int64)
+        self.proc, self.addr = empty, empty
+        self.write = np.zeros(0, dtype=bool)
+        self.seen = np.zeros((0, 0), dtype=bool)
+
+    def __len__(self) -> int:
+        return len(self.addr)
+
+    def first_touches(self, line, proc, at):
+        """Of the accesses ``at``, each its pair's first touch in the
+        chunk, those whose pair no earlier chunk touched; they are
+        marked as touched."""
+        ln, p = line[at], proc[at].astype(np.intp)
+        rows, cols = self.seen.shape
+        if len(at) and (ln.max() >= rows or p.max() >= cols):
+            # Rows double, so that a stream reaching ever higher lines
+            # copies the table a few times only.
+            grown = np.zeros((rows if ln.max() < rows
+                              else max(int(ln.max()) + 1, 2 * rows),
+                              max(int(p.max()) + 1, cols)), dtype=bool)
+            grown[:rows, :cols] = self.seen
+            self.seen = grown
+        new = ~self.seen[ln, p]
+        self.seen[ln[new], p[new]] = True
+        return at[new]
+
+    def keep(self, proc, addr, write, kept):
+        """Make the events at the positions ``kept`` (arrays, -1 for
+        none) of the chunk and its prefix the next prefix."""
+        at = np.sort(np.concatenate(kept))
+        # A sort and a neighbour mask: np.unique may hash instead.
+        new = at >= 0
+        new[1:] &= at[1:] != at[:-1]
+        at = at[new]
+        self.proc, self.addr, self.write = proc[at], addr[at], write[at]
+
+
+def _tag_hits(proc, addr, cfg, rounds, keep=None):
     """Tag match of one cache level: ``(hit, order, hit_in_order)``,
     the flags of ``rounds`` rounds in stream order, and an order of the
     stream along which each hit's previous entry is the processor's
@@ -224,40 +323,68 @@ def _tag_hits(proc, addr, cfg, rounds):
     default, matched along the (set, processor) order; the LRU
     set-associative variant (model-sensitivity studies) thresholds the
     same stack distances as the locality report, and is followed along
-    the (line, processor) order.  Both are exact and vectorized."""
+    the (line, processor) order.  Both are exact and vectorized.  A
+    ``keep`` list gets the positions this level's tags depend on: the
+    last access of each of the ``assoc`` most recent lines of every
+    (set, processor)."""
     line = cfg.line_of(addr)
     if cfg.assoc == 1:
-        return direct_mapped_order(proc, line, cfg, rounds)
+        hit, order, in_order, start = direct_mapped_order(proc, line, cfg,
+                                                          rounds)
+        if keep is not None:
+            keep.append(last_in_group(order, start))
+        return hit, order, in_order
     hit = assoc_lru_hits(proc, addr, cfg, rounds)
-    order = group_index(line, proc)[0]
+    order, start = group_index(line, proc)
+    if keep is not None:
+        # Each (line, processor)'s last touch; of those, the ``assoc``
+        # most recent of each (set, processor).
+        last = np.sort(last_in_group(order, start))
+        by_set, set_start = group_index(cfg.set_of(line[last]), proc[last])
+        rank = np.arange(len(last))
+        group_end = np.flatnonzero(np.roll(set_start, -1))
+        recent = group_end[np.cumsum(set_start) - 1] - rank < cfg.assoc
+        keep.append(last[by_set[recent]])
     return hit, order, hit[:len(addr)][order]
 
 
 class _WordWrites:
     """The writes of a stream sorted by (word, position), searched for
     writes to one word between two positions.  Sorted on first use: only
-    invalidated accesses ask."""
+    invalidated accesses ask, and a carried history."""
 
     def __init__(self, addr, write, word_bytes):
         self.addr, self.write, self.word_bytes = addr, write, word_bytes
         self.n = len(addr)
-        self.keys = None
+        self._keys = None
+
+    def keys(self):
+        """``word * n + position`` of every write, ascending."""
+        if self._keys is None:
+            pos = np.flatnonzero(self.write)
+            word = self.addr[pos] // self.word_bytes
+            order = group_index(word)[0]
+            self._keys = word[order].astype(np.int64) * self.n + pos[order]
+        return self._keys
 
     def between(self, at, after, before):
         """Whether the word of each access ``at`` was written at a
         position strictly between ``after`` and ``before``."""
         if not len(at):
             return np.zeros(0, dtype=bool)
-        if self.keys is None:
-            pos = np.flatnonzero(self.write)
-            word = self.addr[pos] // self.word_bytes
-            order = group_index(word)[0]
-            self.keys = word[order].astype(np.int64) * self.n + pos[order]
-            del pos, word, order
+        keys = self.keys()
         base = (self.addr[at] // self.word_bytes).astype(np.int64) * self.n
         # The last write to the word before ``before``, if any.
-        k = np.searchsorted(self.keys, base + before) - 1
-        return (k >= 0) & (self.keys[k] > base + after)
+        k = np.searchsorted(keys, base + before) - 1
+        return (k >= 0) & (keys[k] > base + after)
+
+    def last_writes(self):
+        """The position of the last write to every written word."""
+        keys = self.keys()
+        word = keys // max(self.n, 1)
+        last = np.ones(len(keys), dtype=bool)
+        last[:-1] = word[1:] != word[:-1]
+        return keys[last] % max(self.n, 1)
 
 
 def _outcome(tag, line_written, line_touched, word_written, cold, write,

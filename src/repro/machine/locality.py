@@ -110,7 +110,10 @@ def set_pressure(
     line = addr // cfg.line_bytes
     nprocs = int(proc.max()) + 1
     span = int(line.max()) + 1
-    uniq = np.unique(proc.astype(np.int64) * span + line)
+    # A sort and a neighbour mask: np.unique may take a slower hash
+    # path on integer keys.
+    uniq = np.sort(proc.astype(np.int64) * span + line)
+    uniq = uniq[np.append(True, uniq[1:] != uniq[:-1])]
     up = uniq // span
     uline = uniq % span
     uset = uline % nsets

@@ -16,6 +16,12 @@ are summed bottom-up over the levels and block starts accumulated
 top-down, and every reference is written straight into its slot; the
 coherence model reads the result as the lockstep interleaving of the
 processors.
+
+A phase can also be traced over a range of its outermost loop's
+iterations: the same walk, with level 0's one row clipped.  Consecutive
+ranges concatenate to the phase's trace, and :func:`outer_blocks`
+counts each outer iteration's accesses without tracing them, so a long
+round can be simulated in chunks of whole iterations.
 """
 
 from __future__ import annotations
@@ -72,18 +78,23 @@ def _eval_affine_vec(
 
 
 def _levels(
-    nest: LoopNest, params: Mapping[str, int], depth: int
+    nest: LoopNest, params: Mapping[str, int], depth: int,
+    top: Optional[Tuple[int, int]] = None,
 ) -> Iterator[Tuple[Dict[str, np.ndarray], int, Optional[np.ndarray]]]:
     """Walk the first ``depth`` loops level by level, in sequential
     order.  Yields ``(columns, count, reps)`` for levels 0..``depth``:
     the coordinate columns of that level's rows (the iteration prefixes
     of its enclosing loops), their count, and how many iterations of the
-    next loop each row runs (None at ``depth``)."""
+    next loop each row runs (None at ``depth``).  ``top = (first,
+    stop)`` keeps only the outermost loop's iterations first..stop-1,
+    counted from its lower bound (level 0 is one row)."""
     cols: Dict[str, np.ndarray] = {}
     n = 1
-    for loop in nest.loops[:depth]:
+    for d, loop in enumerate(nest.loops[:depth]):
         lo = _eval_affine_vec(loop.lower, cols, params, n)
         hi = _eval_affine_vec(loop.upper, cols, params, n)
+        if d == 0 and top is not None:
+            lo, hi = lo + top[0], np.minimum(hi, lo + top[1] - 1)
         reps = np.maximum(hi - lo + 1, 0)
         yield cols, n, reps
         total = int(reps.sum())
@@ -200,17 +211,13 @@ def _smallest_int(largest: int) -> type:
     return np.int64
 
 
-def phase_trace(
-    spmd: SpmdProgram,
-    phase: SpmdPhase,
-    space: AddressSpace,
-) -> PhaseTrace:
-    """Build the merged, program-ordered access trace of one phase."""
-    params = spmd.program.params
-    nest = phase.nest
-    # Statements per depth, in body order; a level's own block holds
-    # their references (reads, then the write) one statement after
-    # another.
+def _statement_depths(
+    nest: LoopNest,
+) -> Tuple[Dict[int, List[int]], int, List[int]]:
+    """The statements of each depth in body order, the deepest depth,
+    and the references each depth's rows make of their own: a level's
+    own block holds its statements' references (reads, then the write)
+    one statement after another."""
     by_depth: Dict[int, List[int]] = {}
     for s, st in enumerate(nest.body):
         d = st.depth if st.depth is not None else nest.depth
@@ -218,25 +225,95 @@ def phase_trace(
     deepest = max(by_depth, default=0)
     own = [sum(1 + len(nest.body[s].reads) for s in by_depth.get(d, ()))
            for d in range(deepest + 1)]
+    return by_depth, deepest, own
+
+
+def _block_sizes(own: List[int], reps: List[np.ndarray]) -> list:
+    """Block sizes of levels 0..len(reps), bottom-up: a row's own
+    references plus its children's blocks (children are contiguous rows
+    of the next level).  Every row of the deepest level, len(reps), has
+    no children, so that level's size is the one number ``own[-1]``
+    and its rows are never listed."""
+    sizes = [own[len(reps)]]
+    for d in range(len(reps) - 1, -1, -1):
+        if d == len(reps) - 1:
+            inner = sizes[0] * reps[d]
+        else:
+            csum = np.concatenate(([0], np.cumsum(sizes[0])))
+            ends = np.cumsum(reps[d])
+            inner = csum[ends] - csum[ends - reps[d]]
+        sizes.insert(0, own[d] + inner)
+    return sizes
+
+
+def accesses_at_most(spmd: SpmdProgram, phase: SpmdPhase) -> int:
+    """An upper bound on a phase's accesses from its loops' numeric
+    ranges (:meth:`LoopNest.numeric_bounds`), exact for a rectangular
+    nest.  It walks no level, so it is the cheap first answer to "is
+    this round small"."""
+    _, deepest, own = _statement_depths(phase.nest)
+    bounds = phase.nest.numeric_bounds(spmd.program.params)
+    total, rows = 0, 1
+    for d in range(deepest + 1):
+        total += own[d] * rows
+        if d < deepest:
+            rows *= max(bounds[d][1] - bounds[d][0] + 1, 0)
+    return total
+
+
+def outer_blocks(spmd: SpmdProgram, phase: SpmdPhase
+                 ) -> Tuple[int, np.ndarray]:
+    """How many accesses of a phase come ahead of its outermost loop
+    (its depth-0 statements), and how many each iteration of that loop
+    makes, in order.  A phase without loops has no iterations.  The
+    walk stops before the deepest level, whose rows are only counted,
+    so it costs a small part of :func:`phase_trace`."""
+    _, deepest, own = _statement_depths(phase.nest)
+    if deepest == 0:
+        return own[0], np.zeros(0, dtype=np.int64)
+    reps = []
+    for _, _, r in _levels(phase.nest, spmd.program.params, deepest):
+        reps.append(r)
+        if len(reps) == deepest:
+            break  # the deepest level's columns are never built
+    per_iteration = _block_sizes(own, reps)[1]
+    return own[0], np.broadcast_to(per_iteration, (int(reps[0][0]),))
+
+
+def phase_trace(
+    spmd: SpmdProgram,
+    phase: SpmdPhase,
+    space: AddressSpace,
+    top: Optional[Tuple[int, int]] = None,
+) -> PhaseTrace:
+    """Build the merged, program-ordered access trace of one phase.
+
+    ``top = (first, stop)`` traces only the outermost loop's iterations
+    first..stop-1 (see :func:`outer_blocks`); the phase's depth-0
+    statements run ahead of that loop, so they belong to the piece with
+    ``first == 0``.  Consecutive pieces concatenate to the whole trace.
+    """
+    params = spmd.program.params
+    nest = phase.nest
+    by_depth, deepest, own = _statement_depths(nest)
+    if top is not None and top[0] > 0:
+        by_depth.pop(0, None)
+        own[0] = 0
 
     # One walk over the levels: each level's child counts, and the
     # columns of the levels that run statements.
     level_cols: Dict[int, Dict[str, np.ndarray]] = {}
     reps: List[np.ndarray] = []
-    for d, (cols, n, r) in enumerate(_levels(nest, params, deepest)):
+    for d, (cols, n, r) in enumerate(_levels(nest, params, deepest, top)):
         if d in by_depth:
             level_cols[d] = cols
         if r is not None:
             reps.append(r)
 
-    # Block sizes bottom-up: a row's own references plus its children's
-    # blocks (children are contiguous rows of the next level); the n
-    # rows of the deepest level have no children.
-    sizes = [np.full(n, own[deepest], dtype=np.int64)]
-    for d in range(deepest - 1, -1, -1):
-        csum = np.concatenate(([0], np.cumsum(sizes[0])))
-        ends = np.cumsum(reps[d])
-        sizes.insert(0, own[d] + csum[ends] - csum[ends - reps[d]])
+    # The n rows of the deepest level are listed here: a piece's rows
+    # are few enough.
+    sizes = _block_sizes(own, reps)[:-1] + [
+        np.full(n, own[deepest], dtype=np.int64)]
     total = int(sizes[0][0])
     # Block starts top-down: a child starts after its parent's own
     # references and its earlier siblings' blocks.
@@ -292,20 +369,30 @@ def phase_trace(
     )
 
 
-def program_traces(spmd: SpmdProgram, page_bytes: int = 4096) -> Tuple[
-    AddressSpace, List[PhaseTrace]
-]:
-    """Traces for every phase (one time step), in program order."""
+def program_traces(
+    spmd: SpmdProgram, page_bytes: int = 4096,
+    pieces: Optional[Sequence[Tuple[int, int, int]]] = None,
+) -> Tuple[AddressSpace, List[PhaseTrace]]:
+    """Traces for every phase (one time step), in program order.
+
+    ``pieces`` lists ``(phase index, first, stop)`` triples instead,
+    each traced over the outermost loop's iterations first..stop-1 (see
+    :func:`phase_trace`): :func:`repro.machine.simulate.simulate` walks
+    a large round in chunks of such pieces."""
     space = AddressSpace.build(spmd.transformed, spmd.nprocs, page_bytes)
+    if pieces is None:
+        pieces = [(k, None, None) for k in range(len(spmd.phases))]
     # Nest frequency (inner repetition) is applied by the cost model,
     # not by replicating trace data.
     traces = []
     with obs.span("sim.trace", cat="machine", scheme=spmd.scheme.value,
                   total_bytes=space.total_bytes) as sp:
-        for phase in spmd.phases:
+        for k, first, stop in pieces:
+            phase = spmd.phases[k]
+            top = None if first is None else (first, stop)
             with obs.span("sim.trace.phase", cat="machine",
                           nest=phase.nest.name) as psp:
-                t = phase_trace(spmd, phase, space)
+                t = phase_trace(spmd, phase, space, top)
                 psp.add("accesses", t.n_accesses)
                 traces.append(t)
         sp.add("accesses", sum(t.n_accesses for t in traces))

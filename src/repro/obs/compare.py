@@ -12,8 +12,8 @@ is all of it:
   leaves;
 * :func:`drift` is the wall-clock noise rule: a move counts only past
   the relative tolerance *and* the absolute floor, and
-  :func:`wall_gate` allows wall comparisons only between runs whose
-  :func:`host_fingerprint` is equal;
+  :func:`wall_gate` allows wall comparisons only between runs that
+  both record a :func:`host_fingerprint`, and the same one;
 * :func:`ledger_moves` aligns and judges two points' wall-time ledgers
   (:func:`repro.obs.perf.build_ledger`) row by row;
 * :func:`diff_runs` is the judge.  The simulator is deterministic, so
@@ -178,13 +178,17 @@ def drift(base: float, cur: float, tol: float = WALL_TOL,
 def wall_gate(run_a: Mapping[str, Any],
               run_b: Mapping[str, Any]) -> Tuple[bool, str]:
     """``(gated, why_not)``: wall-clock numbers compare only between
-    runs whose host fingerprints are equal; ``why_not`` lists the
-    differing fields as ``field: x vs y``."""
-    a, b = run_a.get("host") or {}, run_b.get("host") or {}
-    why_not = "; ".join(f"{k}: {a.get(k)!r} vs {b.get(k)!r}"
-                        for k in sorted(set(a) | set(b))
-                        if a.get(k) != b.get(k))
-    return run_a.get("host") == run_b.get("host"), why_not
+    runs that both record a host fingerprint, and the same one.
+    ``why_not`` names a run that records none, or lists the differing
+    fields as ``field: x vs y``."""
+    a, b = run_a.get("host"), run_b.get("host")
+    missing = [name for name, host in (("A", a), ("B", b)) if not host]
+    if missing:
+        return False, f"no host recorded in run {' and '.join(missing)}"
+    differ = "; ".join(f"{k}: {a.get(k)!r} vs {b.get(k)!r}"
+                       for k in sorted(set(a) | set(b))
+                       if a.get(k) != b.get(k))
+    return not differ, differ and f"hosts differ ({differ})"
 
 
 @dataclass

@@ -463,8 +463,7 @@ def format_diff_table(diff, title: str = "run diff") -> str:
 
     lines = [title]
     if not diff.wall_gated:
-        lines.append(f"self times not compared: hosts differ "
-                     f"({diff.host_note})")
+        lines.append(f"self times not compared: {diff.host_note}")
     moves = [r for r in diff.rows if r.status in ("regressed", "improved")]
     point = None
     for r in diff.rows:

@@ -61,7 +61,10 @@ def write_atomic(path: os.PathLike, data: Union[str, bytes],
 
     Raises ``OSError`` on failure (callers decide whether a failed
     write is fatal); on any failure the temp file is removed, the
-    destination is untouched.  Returns the destination path.
+    destination is untouched.  An error of the temp file's create,
+    write or rename is raised again with its errno and message and with
+    the destination as its ``filename``, so that it names the file the
+    caller asked for.  Returns the destination path.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -78,20 +81,24 @@ def write_atomic(path: os.PathLike, data: Union[str, bytes],
         fsync = False
     if mkdirs:
         path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                                   prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
             if fsync:
                 fh.flush()
                 os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
     if fsync:
         fsync_dir(path.parent)

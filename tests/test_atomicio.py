@@ -49,6 +49,22 @@ class TestWriteAtomic:
         with pytest.raises(OSError):
             write_atomic(p, "x", mkdirs=False)
 
+    def test_error_names_the_destination(self, tmp_path):
+        # Not the temp file the write went through.
+        p = tmp_path / "missing" / "x.json"
+        with pytest.raises(FileNotFoundError) as info:
+            write_atomic(p, "{}", mkdirs=False)
+        assert info.value.filename == str(p)
+        assert info.value.errno == errno.ENOENT
+        assert ".tmp" not in str(info.value)
+
+    def test_replace_error_names_the_destination(self, tmp_path):
+        target = tmp_path / "dir-not-file"
+        target.mkdir()
+        with pytest.raises(OSError) as info:
+            write_atomic(target, "x")
+        assert info.value.filename == str(target)
+
     def test_no_temp_droppings(self, tmp_path):
         p = tmp_path / "out.txt"
         write_atomic(p, "x")

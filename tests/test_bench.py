@@ -350,6 +350,14 @@ class TestBenchCLI:
                                              "snapshot"):
             self._run(tmp_path / "no" / "such" / "dir.json")
 
+    def test_write_error_names_the_destination(self, tmp_path):
+        dest = tmp_path / "missing" / "x.json"
+        with pytest.raises(SystemExit) as info:
+            self._run(dest)
+        msg = str(info.value)
+        assert msg.endswith(f"No such file or directory: '{dest}'"), msg
+        assert ".tmp" not in msg
+
     def test_unknown_app_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown app"):
             main(["bench", "--apps", "bogus"])

@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.__main__ import main
 from repro.obs.bench import run_bench
-from repro.obs.compare import diff_runs, read_run
+from repro.obs.compare import diff_runs, host_fingerprint, read_run
 from repro.pipeline import reset_session
 from repro.report import format_diff_table
 
@@ -92,6 +92,25 @@ class TestBatchJsonRuns:
         assert not diff.diverged
         assert [(r.point, r.metric, r.status) for r in diff.rows] == [
             ("simple/base/P1", "wall.elapsed", "regressed")]
+
+    def test_batch_json_records_its_host(self, batch_pair):
+        assert read_run(batch_pair[0])["host"] == host_fingerprint()
+
+    def test_elapsed_not_ranked_without_a_host(self, batch_pair):
+        # A run that records no host may come from any machine, so its
+        # wall numbers are not compared, and the note says which run.
+        a = read_run(batch_pair[0])
+        a.pop("host", None)
+        b = copy.deepcopy(a)
+        b["results"][0]["elapsed"] += 5.0
+        diff = diff_runs(a, b)
+        assert not diff.diverged and not diff.wall_gated
+        assert not any(r.status == "regressed" for r in diff.rows)
+        assert diff.host_note == "no host recorded in run A and B"
+        assert ("self times not compared: no host recorded in run A and B"
+                in format_diff_table(diff))
+        b["host"] = host_fingerprint()
+        assert diff_runs(a, b).host_note == "no host recorded in run A"
 
 
 class TestOneEqualityRule:

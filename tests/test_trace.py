@@ -15,6 +15,7 @@ from repro.machine.trace import (
     _eval_affine_vec,
     _owner_ids,
     enumerate_iterations,
+    outer_blocks,
     phase_trace,
     program_traces,
 )
@@ -350,3 +351,49 @@ class TestProgramOrder:
                 assert_trace_equal(
                     t, run_nest_order_trace(spmd, phase, space),
                     (scheme.value, nprocs))
+
+
+class TestPieces:
+    """``program_traces(..., pieces)`` traces sub-ranges of a phase's
+    outermost loop: consecutive pieces concatenate to the whole phase
+    trace, the depth-0 statements in the first, and
+    :func:`outer_blocks` counts each outer iteration's accesses without
+    tracing them."""
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS) + ["hand"])
+    def test_pieces_concatenate_to_the_phase(self, app):
+        if app == "hand":
+            prog, schemes = TestProgramOrder.hand_built(), [Scheme.BASE]
+        else:
+            prog, schemes = build_app(app, n=8), list(Scheme)
+        rng = np.random.default_rng(len(app))
+        session = CompileSession()
+        for scheme in schemes:
+            for nprocs in (1, 3):
+                spmd = session.compile(prog, scheme, nprocs)
+                _, whole = program_traces(spmd)
+                for k, (phase, t) in enumerate(zip(spmd.phases, whole)):
+                    lead, sizes = outer_blocks(spmd, phase)
+                    assert lead + sizes.sum() == t.n_accesses
+                    nout = len(sizes)
+                    cuts = sorted({0, nout, *rng.integers(0, nout + 1, 3)})
+                    _, parts = program_traces(spmd, pieces=[
+                        (k, a, b) for a, b in zip(cuts, cuts[1:])])
+                    for f in ("addr", "proc", "write"):
+                        got = np.concatenate([getattr(p, f) for p in parts])
+                        assert got.dtype == getattr(t, f).dtype
+                        assert np.array_equal(got, getattr(t, f)), (
+                            scheme.value, nprocs, k, f)
+                    _, each = program_traces(spmd, pieces=[
+                        (k, j, j + 1) for j in range(nout)])
+                    assert [p.n_accesses for p in each] == [
+                        int(size) + (lead if j == 0 else 0)
+                        for j, size in enumerate(sizes)]
+
+    def test_lead_belongs_to_the_first_piece(self):
+        prog = TestProgramOrder.hand_built()
+        spmd = compile_program(prog, Scheme.BASE, 1)
+        lead, sizes = outer_blocks(spmd, spmd.phases[0])
+        assert lead == 2  # C(1) = C(0): one read, one write
+        assert sizes.tolist() == [4 + 3 * 4 * 2 - 3 * j * 2
+                                  for j in range(5)]
