@@ -1,7 +1,8 @@
 """Invalidation-based cache coherence.
 
 Two implementations of the same protocol (write-invalidate MSI over
-private direct-mapped caches, lockstep global interleaving):
+private direct-mapped or LRU set-associative caches, lockstep global
+interleaving):
 
 * :func:`classify_accesses` — fully vectorized over the merged global
   stream; used by every benchmark sweep;
@@ -51,11 +52,17 @@ Miss taxonomy (Section 1.1):
   write *to a word this processor uses*;
 * **false sharing** — the line was invalidated by another processor's
   write to a *different* word of the same line.
+
+Each access's outcome is one byte, its :class:`AccessClassification`
+code: a hit, a hit that must acquire ownership (an upgrade), or one of
+the four miss classes, with or without the second-level cache serving
+it.  The classes are mutually exclusive, so the code is both the
+classifier's output and all that ``simulate`` counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -72,36 +79,92 @@ from repro.machine.cache import (
     repeat_rounds,
 )
 
+# The outcome codes (see AccessClassification).
+HIT, UPGRADE = 0, 1
+COLD, REPLACEMENT, TRUE_SHARING, FALSE_SHARING = 2, 4, 6, 8
+L2_SERVED = 1
+OUTCOMES = 10
+REMOTE = OUTCOMES
+"""Added by ``simulate``'s tally to a miss served by memory whose page
+is homed in another cluster, which gives ``2 * OUTCOMES`` bins."""
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class AccessClassification:
-    """Per-access outcome flags (all in stream order).
+    """The outcome code of every access, in stream order, one ``uint8``
+    each; the flags (``hit``, ``cold``, ..., ``l2_hit``) are read from
+    it.
 
-    ``upgrade`` marks write hits that must still acquire exclusive
-    ownership because another processor touched the line since this
-    processor's previous access — the writer-side cost of sharing
-    ping-pong (the reader side shows up as sharing misses).
+    A hit is ``HIT``, or ``UPGRADE`` for a write hit that must still
+    acquire exclusive ownership because another processor touched the
+    line since this processor's previous access — the writer-side cost
+    of sharing ping-pong (the reader side shows up as sharing misses).
+    A miss is ``2 + 2 * class``, the class being cold, replacement, true
+    or false sharing (``COLD``, ``REPLACEMENT``, ``TRUE_SHARING``,
+    ``FALSE_SHARING``), plus ``L2_SERVED`` when the (optional) private
+    second-level cache serves it: ``OUTCOMES`` codes in all.
+    :meth:`pack` builds the codes from flags.
     """
 
-    hit: np.ndarray
-    cold: np.ndarray
-    replacement: np.ndarray
-    true_sharing: np.ndarray
-    false_sharing: np.ndarray
-    upgrade: np.ndarray = None
-    l2_hit: np.ndarray = None
-    """True where a first-level miss is satisfied by the (optional)
-    private second-level cache; always False when no L2 is modelled."""
+    code: np.ndarray
 
-    def __post_init__(self):
-        if self.upgrade is None:
-            self.upgrade = np.zeros(len(self.hit), dtype=bool)
-        if self.l2_hit is None:
-            self.l2_hit = np.zeros(len(self.hit), dtype=bool)
+    @classmethod
+    def pack(cls, write, hit, cold, replacement, true_sharing,
+             false_sharing, upgrade, l2_hit) -> "AccessClassification":
+        """The codes of per-access flags.  Raises ``ValueError`` unless
+        hit, cold, replacement, true and false sharing partition the
+        accesses, every upgrade is a write hit and every L2 hit a
+        miss."""
+        classes = (hit, cold, replacement, true_sharing, false_sharing)
+        if not (np.sum(classes, axis=0) == 1).all():
+            raise ValueError("hit, cold, replacement, true and false "
+                             "sharing must partition the accesses")
+        if (upgrade & ~(write & hit)).any():
+            raise ValueError("an upgrade must be a write hit")
+        if (l2_hit & hit).any():
+            raise ValueError("an L2 hit must be a miss")
+        code = np.where(upgrade, UPGRADE, HIT).astype(np.uint8)
+        for c, flag in zip((COLD, REPLACEMENT, TRUE_SHARING, FALSE_SHARING),
+                           classes[1:]):
+            code[flag] = c
+        code[l2_hit] += L2_SERVED
+        return cls(code)
+
+    def _is(self, c) -> np.ndarray:
+        # A miss class with or without the L2.
+        return (self.code | L2_SERVED) == (c | L2_SERVED)
+
+    @property
+    def hit(self) -> np.ndarray:
+        return self.code <= UPGRADE
 
     @property
     def miss(self) -> np.ndarray:
-        return ~self.hit
+        return self.code > UPGRADE
+
+    @property
+    def cold(self) -> np.ndarray:
+        return self._is(COLD)
+
+    @property
+    def replacement(self) -> np.ndarray:
+        return self._is(REPLACEMENT)
+
+    @property
+    def true_sharing(self) -> np.ndarray:
+        return self._is(TRUE_SHARING)
+
+    @property
+    def false_sharing(self) -> np.ndarray:
+        return self._is(FALSE_SHARING)
+
+    @property
+    def upgrade(self) -> np.ndarray:
+        return self.code == UPGRADE
+
+    @property
+    def l2_hit(self) -> np.ndarray:
+        return self.miss & ((self.code & L2_SERVED) > 0)
 
 
 def classify_accesses(
@@ -114,7 +177,9 @@ def classify_accesses(
     rounds: int = 1,
     history: "CoherenceHistory | None" = None,
 ) -> AccessClassification:
-    """Classify every access of a merged, globally-ordered stream.
+    """Classify every access of a merged, globally-ordered stream: the
+    :class:`AccessClassification` code of each, written where the
+    classes are decided, so no per-class flag array is built.
 
     When ``l2`` is given, a private second-level cache (inclusive,
     updated on every reference) filters first-level misses: an L1 miss
@@ -122,7 +187,7 @@ def classify_accesses(
     processor's write — is an ``l2_hit``.
 
     ``rounds`` > 1 classifies the stream repeated ``rounds`` times
-    back-to-back, so every flag is ``rounds * len(addr)`` long, but only
+    back-to-back, so the code is ``rounds * len(addr)`` long, but only
     the one round given is sorted and scanned.  A later round differs
     from the first only at each processor's first touch of each line in
     the round.  There its previous own touch wraps round to its last
@@ -130,13 +195,13 @@ def classify_accesses(
     same wrap, the access is not cold, and the line (or word) counts as
     written or touched since L when it was so earlier in this round or
     after L in the previous one.  Every later round sees exactly that
-    wrapped history, so rounds 2, 3, ... equal round 1 flag for flag.
+    wrapped history, so rounds 2, 3, ... equal round 1 code for code.
 
     ``history`` makes the accesses given one chunk of a longer stream
     (one round only): they are classified after the history's prefix of
     past events, a first touch is cold only if no earlier chunk touched
     the pair, and the history is updated in place to what this chunk
-    leaves behind.  The flags still cover exactly the accesses given.
+    leaves behind.  The code still covers exactly the accesses given.
     Without it the stream is classified whole, with no history work.
 
     Every word must lie inside one cache line (``cfg.line_bytes`` a
@@ -193,8 +258,6 @@ def classify_accesses(
     del missed, by_miss
     if history is not None:
         first = history.first_touches(line, proc, first)
-    cold = np.zeros(n, dtype=bool)
-    cold[first] = True
 
     # An own access to the line (or to one of its words, since no word
     # straddles two lines) is at or before ``own``, so anything later is
@@ -227,39 +290,34 @@ def classify_accesses(
     del by_line, line_start
 
     words = _WordWrites(addr, write, word_bytes)
-    out = _outcome(tag_hit[:n], line_written, line_touched,
-                   lambda at: words.between(at, own[at], at), cold, write,
-                   None if l2_tag is None else l2_tag[:n])
+    code = _outcome(tag_hit[:n], line_written, line_touched,
+                    lambda at: words.between(at, own[at], at), write,
+                    None if l2_tag is None else l2_tag[:n], cold=first)
     if rounds > 1:
-        wrapped = _outcome(
+        later = code.copy()
+        later[first] = _outcome(
             tag_hit[n:][first], line_written_wrap, line_touched_wrap,
             lambda at: (words.between(first[at], -1, first[at])
                         | words.between(first[at], last[at], n)),
-            np.zeros(len(first), dtype=bool), write[first],
-            None if l2_tag is None else l2_tag[n:][first])
-        flags = {}
-        for f in fields(AccessClassification):
-            once = getattr(out, f.name)
-            later = once.copy()
-            later[first] = getattr(wrapped, f.name)
-            flags[f.name] = repeat_rounds(once, later, rounds)
-        out = AccessClassification(**flags)
+            write[first], None if l2_tag is None else l2_tag[n:][first])
+        code = repeat_rounds(code, later, rounds)
     if keep is not None:
         keep.append(words.last_writes())
         history.keep(proc, addr, write, keep)
-        # The prefix's flags were the earlier chunks' to report.
-        out = AccessClassification(**{f.name: getattr(out, f.name)[m:]
-                                      for f in fields(AccessClassification)})
+        # The prefix's codes were the earlier chunks' to report.
+        code = code[m:]
     if obs.enabled():
+        # Each class with and without the L2.
+        pairs = np.bincount(code, minlength=OUTCOMES).reshape(-1, 2)
+        hits, cold, replacement, true_sharing, false_sharing = (
+            pairs.sum(axis=1).tolist())
         obs.event(
-            "sim.classify", cat="machine", accesses=len(out.hit),
-            hits=int(out.hit.sum()), cold=int(out.cold.sum()),
-            replacement=int(out.replacement.sum()),
-            true_sharing=int(out.true_sharing.sum()),
-            false_sharing=int(out.false_sharing.sum()),
-            upgrade=int(out.upgrade.sum()), l2_hits=int(out.l2_hit.sum()),
+            "sim.classify", cat="machine", accesses=len(code), hits=hits,
+            cold=cold, replacement=replacement, true_sharing=true_sharing,
+            false_sharing=false_sharing, upgrade=int(pairs[0, UPGRADE]),
+            l2_hits=int(pairs[1:, L2_SERVED].sum()),
         )
-    return out
+    return AccessClassification(code)
 
 
 class CoherenceHistory:
@@ -387,43 +445,40 @@ class _WordWrites:
         return keys[last] % max(self.n, 1)
 
 
-def _outcome(tag, line_written, line_touched, word_written, cold, write,
-             l2_tag) -> AccessClassification:
-    """The miss classes from the tag match and the coherence terms.
+def _outcome(tag, line_written, line_touched, word_written, write, l2_tag,
+             cold=None) -> np.ndarray:
+    """The outcome codes from the tag match and the coherence terms.
     ``word_written(at)`` says whether the word of each invalidated
-    access ``at`` was written since the processor's previous touch."""
+    access ``at`` was written since the processor's previous touch;
+    ``cold`` holds the positions of the cold accesses, all tag misses."""
+    # A tag miss is a replacement unless it is cold.
+    code = (~tag).view(np.uint8) * np.uint8(REPLACEMENT)
+    if cold is not None:
+        code[cold] = COLD
     # Invalidated: the line would have survived in the cache (tag match),
     # but another processor wrote it after this processor's last touch.
-    invalidated = tag & line_written
-    hit = tag & ~invalidated
-    miss = ~hit
-    true_sharing = np.zeros(len(tag), dtype=bool)
-    at = np.flatnonzero(invalidated)
-    true_sharing[at] = word_written(at)
-    # Same invalidation predicate at the L2 tag state: a remote write
-    # invalidates both levels.
-    l2_hit = None if l2_tag is None else miss & l2_tag & ~line_written
-    return AccessClassification(
-        hit=hit,
-        cold=cold & miss,
-        replacement=miss & ~cold & ~invalidated,
-        true_sharing=true_sharing,
-        false_sharing=invalidated & ~true_sharing,
-        # Writer-side ownership acquisition: a write hit on a line
-        # someone else has touched since our previous access must
-        # invalidate their copy before proceeding.
-        upgrade=write & hit & line_touched,
-        l2_hit=l2_hit,
-    )
+    at = np.flatnonzero(tag & line_written)
+    code[at] = np.where(word_written(at), TRUE_SHARING, FALSE_SHARING)
+    # Writer-side ownership acquisition: a write hit on a line someone
+    # else has touched since our previous access must invalidate their
+    # copy before proceeding.
+    code += (tag & ~line_written & write & line_touched).view(np.uint8)
+    if l2_tag is not None:
+        # Same invalidation predicate at the L2 tag state: a remote
+        # write invalidates both levels.
+        code += (~tag & l2_tag & ~line_written).view(np.uint8)
+    return code
 
 
 class ExactCoherentSim:
     """Event-at-a-time MSI reference simulator (executable spec).
 
-    Caches are direct-mapped; a write invalidates every other
-    processor's copy of the line.  Sharing misses are split true/false
-    by whether any invalidating write since this processor's last touch
-    hit the word now being accessed.
+    Each (processor, set) of a cache holds the ``assoc`` lines it touched
+    most recently, so a direct-mapped set holds the last one; a write
+    invalidates every other processor's copy of the line, which keeps its
+    place in the set.  Sharing misses are split true/false by whether
+    any invalidating write since this processor's last touch hit the
+    word now being accessed.
 
     ``l2`` optionally models the private second-level cache with the
     same semantics as :func:`classify_accesses`: inclusive, updated on
@@ -443,13 +498,11 @@ class ExactCoherentSim:
     ) -> AccessClassification:
         n = len(addr)
         cfg = self.cfg
-        # cache[p][set] = line currently cached (or None); valid flag.
-        cache: Dict[Tuple[int, int], int] = {}
-        valid: Dict[Tuple[int, int], bool] = {}
+        levels = [_SpecCache(cfg)]
+        if self.l2 is not None:
+            levels.append(_SpecCache(self.l2))
         touched: set = set()  # (proc, line) ever cached
-        # last write position per word / per line by each proc.
         word_writes: Dict[int, list] = {}  # word -> list of (pos, proc)
-        line_writes: Dict[int, list] = {}
         last_touch: Dict[Tuple[int, int], int] = {}
 
         hit = np.zeros(n, dtype=bool)
@@ -460,20 +513,14 @@ class ExactCoherentSim:
         upgrade = np.zeros(n, dtype=bool)
         l2_hit = np.zeros(n, dtype=bool)
         last_touch_any: Dict[int, int] = {}
-        # Second-level tag state, mirroring the L1 structures.
-        l2cache: Dict[Tuple[int, int], int] = {}
-        l2valid: Dict[Tuple[int, int], bool] = {}
 
         for i in range(n):
             p = int(proc[i])
             a = int(addr[i])
             ln = a // cfg.line_bytes
-            st = ln % cfg.nsets
             wd = a // self.word_bytes
-            key = (p, st)
-            cached = cache.get(key)
-            is_valid = valid.get(key, False)
-            if cached == ln and is_valid:
+            present, is_valid = levels[0].lookup(p, ln)
+            if present and is_valid:
                 hit[i] = True
                 if write[i] and last_touch_any.get(ln, -1) > last_touch.get(
                     (p, ln), -1
@@ -482,7 +529,7 @@ class ExactCoherentSim:
             else:
                 if (p, ln) not in touched:
                     cold[i] = True
-                elif cached == ln and not is_valid:
+                elif present:
                     # Present but invalidated: sharing miss.  True iff an
                     # invalidating write since our last touch was to this
                     # word.
@@ -498,39 +545,45 @@ class ExactCoherentSim:
                 else:
                     repl[i] = True
                 if self.l2 is not None:
-                    k2 = (p, ln % self.l2.nsets)
-                    if l2cache.get(k2) == ln and l2valid.get(k2, False):
-                        l2_hit[i] = True
-                cache[key] = ln
-                valid[key] = True
-            if self.l2 is not None:
-                k2 = (p, ln % self.l2.nsets)
-                l2cache[k2] = ln
-                l2valid[k2] = True
+                    l2_hit[i] = all(levels[1].lookup(p, ln))
+            for level in levels:
+                level.touch(p, ln)
             touched.add((p, ln))
             last_touch[(p, ln)] = i
             last_touch_any[ln] = i
             if write[i]:
                 word_writes.setdefault(wd, []).append((i, p))
-                line_writes.setdefault(ln, []).append((i, p))
                 # Invalidate every other processor's copy.
                 for q in range(self.nprocs):
-                    if q == p:
-                        continue
-                    kq = (q, st)
-                    if cache.get(kq) == ln and valid.get(kq, False):
-                        valid[kq] = False
-                    if self.l2 is not None:
-                        kq2 = (q, ln % self.l2.nsets)
-                        if (l2cache.get(kq2) == ln
-                                and l2valid.get(kq2, False)):
-                            l2valid[kq2] = False
-        return AccessClassification(
-            hit=hit,
-            cold=cold,
-            replacement=repl,
-            true_sharing=tshare,
-            false_sharing=fshare,
-            upgrade=upgrade,
-            l2_hit=l2_hit,
+                    if q != p:
+                        for level in levels:
+                            level.valid.discard((q, ln))
+        return AccessClassification.pack(
+            write, hit=hit, cold=cold, replacement=repl, true_sharing=tshare,
+            false_sharing=fshare, upgrade=upgrade, l2_hit=l2_hit,
         )
+
+
+class _SpecCache:
+    """The tag state of one cache level of :class:`ExactCoherentSim`:
+    each (processor, set)'s lines, most recently touched first, and the
+    (processor, line) pairs not invalidated since they were cached."""
+
+    def __init__(self, cfg: CacheConfig):
+        self.cfg = cfg
+        self.ways: Dict[Tuple[int, int], list] = {}
+        self.valid: set = set()
+
+    def lookup(self, p: int, ln: int) -> Tuple[bool, bool]:
+        """Whether the line is in the processor's set, and valid."""
+        present = ln in self.ways.get((p, ln % self.cfg.nsets), ())
+        return present, present and (p, ln) in self.valid
+
+    def touch(self, p: int, ln: int) -> None:
+        ways = self.ways.setdefault((p, ln % self.cfg.nsets), [])
+        if ln in ways:
+            ways.remove(ln)
+        elif len(ways) == self.cfg.assoc:
+            ways.pop()
+        ways.insert(0, ln)
+        self.valid.add((p, ln))

@@ -1,7 +1,7 @@
 """Cycle cost model and synchronization.
 
-Converts classified accesses into per-processor cycle counts using the
-DASH latency ratios, then assembles phase times:
+Converts counts of classified accesses into per-processor cycles using
+the DASH latency ratios, then assembles phase times:
 
 * a doall phase costs the slowest processor's cycles plus its
   synchronization (barrier cost grows with P; decomposition-proven
@@ -21,6 +21,17 @@ from typing import Dict, List
 import numpy as np
 
 from repro import obs
+from repro.machine.coherence import OUTCOMES, REMOTE, AccessClassification
+
+TALLY = AccessClassification(
+    (np.arange(2 * OUTCOMES) % OUTCOMES).astype(np.uint8))
+"""The outcome of each tally bin, the last axis of the counts that
+:func:`per_proc_cycles` prices: bin ``b`` counts accesses of code
+``b % OUTCOMES``; the bins from ``REMOTE`` on count the misses that
+memory in another cluster serves."""
+FROM_MEMORY = TALLY.miss & ~TALLY.l2_hit
+"""The bins of the misses that memory serves, locally or not."""
+REMOTE_BINS = np.arange(2 * OUTCOMES) >= REMOTE
 
 
 @dataclass(frozen=True)
@@ -58,38 +69,26 @@ class PhaseCost:
 
 
 def per_proc_cycles(
-    proc: np.ndarray,
-    hit: np.ndarray,
-    miss_local: np.ndarray,
-    miss_remote: np.ndarray,
-    nprocs: int,
-    params: CostParams,
-    upgrade: np.ndarray = None,
-    l2_hit: np.ndarray = None,
+    counts: np.ndarray, nprocs: int, params: CostParams,
 ) -> np.ndarray:
     """Cycles accumulated by each processor for a slice of accesses.
 
-    ``l2_hit`` accesses are first-level misses served by the private
-    second-level cache; they must be excluded from ``miss_local`` /
-    ``miss_remote`` by the caller.
+    ``counts[p, b]`` is the number of processor p's accesses in
+    :data:`TALLY` bin ``b``.  Each bin has one latency:
+    ``cpu_per_access`` on every access, plus ``l1_hit`` on a hit,
+    ``upgrade`` on a write hit that must acquire ownership (only when
+    ``nprocs`` > 1), and ``l2_hit``, ``local_miss`` or ``remote_miss``
+    on a miss, by where it is served.  With whole-cycle latencies every
+    product and sum is an integer below 2^53, so the result is exact in
+    float64.
     """
-    base = np.bincount(proc, minlength=nprocs).astype(np.float64)
-    hits = np.bincount(proc[hit], minlength=nprocs).astype(np.float64)
-    loc = np.bincount(proc[miss_local], minlength=nprocs).astype(np.float64)
-    rem = np.bincount(proc[miss_remote], minlength=nprocs).astype(np.float64)
-    out = (
-        base * params.cpu_per_access
-        + hits * params.l1_hit
-        + loc * params.local_miss
-        + rem * params.remote_miss
-    )
-    if l2_hit is not None:
-        l2 = np.bincount(proc[l2_hit], minlength=nprocs).astype(np.float64)
-        out += l2 * params.l2_hit
-    if upgrade is not None and nprocs > 1:
-        upg = np.bincount(proc[upgrade], minlength=nprocs).astype(np.float64)
-        out += upg * params.upgrade
-    return out
+    latency = (params.cpu_per_access + params.l1_hit * TALLY.hit
+               + params.l2_hit * TALLY.l2_hit
+               + params.local_miss * (FROM_MEMORY & ~REMOTE_BINS)
+               + params.remote_miss * (FROM_MEMORY & REMOTE_BINS))
+    if nprocs > 1:
+        latency += params.upgrade * TALLY.upgrade
+    return counts @ latency
 
 
 def phase_time(

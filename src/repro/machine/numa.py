@@ -39,16 +39,28 @@ def first_touch_homes(
         e = np.zeros(0, dtype=np.int64)
         return e, e
     page = addr // cfg.page_bytes
-    # A page's first toucher is at the minimum stream position scattered
-    # onto it (one table entry per page id up to the highest).
-    first = np.full(int(page.max()) + 1, len(page), dtype=np.int64)
-    np.minimum.at(first, page, np.arange(len(page)))
+    npages = int(page.max()) + 1
     if homes is None:
-        homes = np.full(len(first), -1, dtype=np.int64)
-    # Page by page: a page an earlier chunk touched keeps its home.
-    carried = homes[:len(first)]
-    new = (carried < 0) & (first < len(page))
-    carried[new] = cfg.cluster_of(proc[first[new]])
+        homes = np.full(npages, -1, dtype=np.int64)
+    # Page by page: a page an earlier chunk touched keeps its home, so
+    # only the accesses to pages with no home yet are scattered.  When
+    # no page has one, the small table says so and the stream is not
+    # gathered.
+    carried = homes[:npages]
+    unhomed = carried < 0
+    if unhomed.any():
+        if unhomed.all():
+            at, touched = np.arange(len(page)), page
+        else:
+            at = np.flatnonzero(unhomed[page])
+            touched = page[at]
+        # A page's first toucher is at the minimum stream position
+        # scattered onto it (one table entry per page id up to the
+        # highest).
+        first = np.full(npages, len(page), dtype=np.int64)
+        np.minimum.at(first, touched, at)
+        new = first < len(page)
+        carried[new] = cfg.cluster_of(proc[first[new]])
     return page, carried.astype(proc.dtype)[page]
 
 

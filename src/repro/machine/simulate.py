@@ -37,11 +37,21 @@ import numpy as np
 from repro import obs
 from repro.codegen.spmd import Scheme, SpmdProgram, generate_spmd
 from repro.machine.coherence import (
+    OUTCOMES,
+    REMOTE,
     AccessClassification,
     CoherenceHistory,
     classify_accesses,
 )
-from repro.machine.cost import CostParams, PhaseCost, per_proc_cycles, phase_time
+from repro.machine.cost import (
+    FROM_MEMORY,
+    REMOTE_BINS,
+    TALLY,
+    CostParams,
+    PhaseCost,
+    per_proc_cycles,
+    phase_time,
+)
 from repro.machine.dash import DashConfig
 from repro.machine.numa import local_miss_mask
 from repro.machine.trace import (
@@ -99,22 +109,36 @@ class SimResult:
         )
 
 
-_BREAKDOWN = ("cold", "replacement", "true_sharing", "false_sharing",
-              "upgrade", "l2_hits", "remote", "local_miss")
+_PROFILE = {
+    "hits": TALLY.hit, "cold": TALLY.cold, "replacement": TALLY.replacement,
+    "true_sharing": TALLY.true_sharing, "false_sharing": TALLY.false_sharing,
+    "upgrade": TALLY.upgrade, "l2_hits": TALLY.l2_hit,
+    "remote": FROM_MEMORY & REMOTE_BINS,
+    "local_miss": FROM_MEMORY & ~REMOTE_BINS,
+}
+"""Which tally bins each profile name counts."""
+_PROFILE_ROWS = np.array(list(_PROFILE.values()), dtype=np.int64)
+_BREAKDOWN = tuple(_PROFILE)[1:]  # every name but the hits
+_HOMELESS = np.flatnonzero(~FROM_MEMORY[:REMOTE])
+"""The outcomes that no memory serves, so where the page is homed does
+not matter."""
 
 
-def _class_masks(cls, miss_local, miss_remote) -> Dict[str, np.ndarray]:
-    return {
-        "hits": cls.hit,
-        "cold": cls.cold,
-        "replacement": cls.replacement,
-        "true_sharing": cls.true_sharing,
-        "false_sharing": cls.false_sharing,
-        "upgrade": cls.upgrade,
-        "l2_hits": cls.l2_hit,
-        "remote": miss_remote,
-        "local_miss": miss_local,
-    }
+def _count(key: np.ndarray, rows: int) -> np.ndarray:
+    """The ``(rows, 2 * OUTCOMES)`` counts of the tally bins keyed
+    ``row * 2 * OUTCOMES + outcome code``, plus ``REMOTE`` wherever the
+    page is homed in another cluster, which only a miss that memory
+    serves keeps."""
+    counts = np.bincount(key, minlength=rows * 2 * OUTCOMES)
+    counts = counts.reshape(rows, 2 * OUTCOMES)
+    counts[:, _HOMELESS] += counts[:, REMOTE + _HOMELESS]
+    counts[:, REMOTE + _HOMELESS] = 0
+    return counts
+
+
+def _profile(counts: np.ndarray) -> Dict[str, int]:
+    """The profile names' counts from a vector of tally bin counts."""
+    return dict(zip(_PROFILE, (_PROFILE_ROWS @ counts).tolist()))
 
 
 def simulate(
@@ -185,7 +209,16 @@ def _next_chunk(blocks, at, target):
 class _Tally:
     """The sums of one simulation over the chunks of its rounds:
     per-phase per-processor cycles, the miss classes (each phase's in
-    the steady round), and the per-array and conflict-set detail."""
+    the steady round), and the per-array and conflict-set detail.
+
+    Every sum is read from counts of tally bins: each access's outcome
+    code, plus ``REMOTE`` where memory in another cluster serves the
+    miss.  One ``np.bincount`` per chunk round counts the bins of every
+    (piece, processor); with ``detail`` one more counts them per array.
+    The keys add ``REMOTE`` wherever the page is homed in another
+    cluster, and :func:`_count` folds the outcomes that no memory serves
+    back, so no pass over the accesses asks which are misses.
+    """
 
     def __init__(self, spmd: SpmdProgram, machine: DashConfig,
                  space: AddressSpace, rounds: int, detail: bool):
@@ -196,47 +229,69 @@ class _Tally:
         self.misses: List[Dict[str, int]] = [{} for _ in range(nphases)]
         self.round_time = [0.0, 0.0]
         self.phase_costs: List[PhaseCost] = []
-        self.breakdown = dict.fromkeys(_BREAKDOWN, 0)
+        self.bins = np.zeros(2 * OUTCOMES, dtype=np.int64)
         self.names = sorted(space.bases, key=lambda nm: space.bases[nm])
         self.starts = np.array([space.bases[nm] for nm in self.names],
                                dtype=np.int64)
-        self.arrays: Dict[str, Dict[str, int]] = {}
+        self.arrays = np.zeros((len(self.names), 2 * OUTCOMES),
+                               dtype=np.int64)
         self.occ = np.zeros(machine.cache.nsets, dtype=np.int64)
 
     def add(self, r0: int, rounds: int, pieces, traces, proc, addr,
-            cls: AccessClassification, local: np.ndarray) -> None:
+            code: np.ndarray, local: np.ndarray) -> None:
         """Add one chunk: its pieces ``(phase, first outer iteration,
         whether the phase ends here)``, their traces, the chunk's
-        accesses and their flags, which cover rounds r0 .. r0 + rounds
-        - 1 of the chunk."""
-        n = len(addr)
-        miss = cls.miss & ~cls.l2_hit  # L2-served misses never reach memory
-        miss_local = (miss.reshape(rounds, n) & local).ravel()
-        every_round = _class_masks(cls, miss_local, miss & ~miss_local)
+        accesses, their outcome codes, which cover rounds r0 .. r0 +
+        rounds - 1 of the chunk, and where their pages are homed in the
+        accessor's cluster."""
+        n, nprocs, nbins = len(addr), self.spmd.nprocs, 2 * OUTCOMES
+        # Each access's first bin, moved on by REMOTE where its page is
+        # homed in another cluster: that of its (piece, processor), and
+        # with ``detail`` that of its array.  Arrays are laid out
+        # contiguously, so the owning array of an address is a binary
+        # search over the sorted bases.
+        elsewhere = (~local).view(np.uint8) * np.uint8(REMOTE)
+        row = np.multiply(proc, nbins, dtype=np.int64)
+        end = 0
+        for j, t in enumerate(traces):
+            if j:
+                row[end:end + t.n_accesses] += j * nprocs * nbins
+            end += t.n_accesses
+        row += elsewhere
+        if self.detail:
+            array_row = np.searchsorted(self.starts, addr, side="right") - 1
+            array_row *= nbins
+            array_row += elsewhere
+        del elsewhere
         for r in range(rounds):
-            masks = {name: m[r * n:(r + 1) * n]
-                     for name, m in every_round.items()}
-            for name in self.breakdown:
-                self.breakdown[name] += int(masks[name].sum())
-            self._phases(r0 + r, pieces, traces, proc, masks)
+            at = code[r * n:(r + 1) * n]
+            # Keyed in place: a fresh stream-length key per round costs
+            # more than taking the code off again.
+            row += at
+            counts = _count(row, len(traces) * nprocs)
+            row -= at
+            counts = counts.reshape(len(traces), nprocs, nbins)
+            self.bins += counts.sum(axis=(0, 1))
+            self._phases(r0 + r, pieces, traces, counts)
             if self.detail:
-                self._detail(addr, masks)
+                array_row += at
+                self.arrays += _count(array_row, len(self.names))
+                array_row -= at
+                # Conflict pressure: which cache sets the replacement
+                # misses land on (a skewed occupancy is the power-of-two
+                # aliasing signature the paper's data transform removes).
+                cache = self.machine.cache
+                rep = AccessClassification(at).replacement
+                rsets = (addr[rep] // cache.line_bytes) % cache.nsets
+                self.occ += np.bincount(rsets, minlength=cache.nsets)
 
-    def _phases(self, r, pieces, traces, proc, masks):
+    def _phases(self, r, pieces, traces, counts):
         params, nprocs = self.machine.cost, self.spmd.nprocs
         steady = r == self.rounds - 1
-        end = 0
-        for (k, first, ends), t in zip(pieces, traces):
-            own = slice(end, end + t.n_accesses)
-            end = own.stop
+        for (k, first, ends), t, piece in zip(pieces, traces, counts):
             with obs.span("sim.phase", cat="machine", nest=t.nest_name,
                           round="steady" if steady else "cold") as psp:
-                cycles = per_proc_cycles(
-                    proc[own], masks["hits"][own], masks["local_miss"][own],
-                    masks["remote"][own], nprocs, params,
-                    upgrade=masks["upgrade"][own],
-                    l2_hit=masks["l2_hits"][own],
-                )
+                cycles = per_proc_cycles(piece, nprocs, params)
                 if first:
                     # Whole-cycle latencies (every CostParams in use)
                     # keep these float sums exact, chunks or not.
@@ -245,8 +300,7 @@ class _Tally:
                 if steady:
                     # Steady-round miss classes become the phase profile.
                     misses = self.misses[k]
-                    for name, m in masks.items():
-                        v = int(m[own].sum())
+                    for name, v in _profile(piece.sum(axis=0)).items():
                         misses[name] = misses.get(name, 0) + v
                         psp.add(name, v)
                     misses["accesses"] = (misses.get("accesses", 0)
@@ -272,28 +326,6 @@ class _Tally:
                     psp.set(time=pc.time, compute=pc.compute_max,
                             sync=pc.sync)
 
-    def _detail(self, addr, masks):
-        # Per-array classes: arrays are laid out contiguously, so the
-        # owning array of an address is a binary search over the sorted
-        # base addresses.
-        aidx = np.searchsorted(self.starts, addr, side="right") - 1
-        for j, nm in enumerate(self.names):
-            am = aidx == j
-            cnt = int(am.sum())
-            if not cnt:
-                continue
-            ab = self.arrays.setdefault(
-                nm, dict.fromkeys([*masks, "accesses"], 0))
-            for name, m in masks.items():
-                ab[name] += int((m & am).sum())
-            ab["accesses"] += cnt
-        # Conflict pressure: which cache sets the replacement misses
-        # land on (a skewed occupancy is the power-of-two aliasing
-        # signature the paper's data transform removes).
-        cache = self.machine.cache
-        rsets = (addr[masks["replacement"]] // cache.line_bytes) % cache.nsets
-        self.occ += np.bincount(rsets, minlength=cache.nsets)
-
     def result(self, n: int, locality: Dict[str, object]) -> SimResult:
         spmd = self.spmd
         steps = max(1, spmd.program.time_steps)
@@ -303,7 +335,8 @@ class _Tally:
         else:
             total = round_time[0] * steps
             round_time[1] = round_time[0]
-        breakdown = self.breakdown
+        profile = _profile(self.bins)
+        breakdown = {name: profile[name] for name in _BREAKDOWN}
         nmiss = breakdown["remote"] + breakdown["local_miss"]
         numa = {
             "local_misses": breakdown["local_miss"],
@@ -313,8 +346,9 @@ class _Tally:
         array_breakdown: Dict[str, Dict[str, int]] = {}
         conflict: Dict[str, object] = {}
         if self.detail:
-            array_breakdown = {nm: self.arrays[nm] for nm in self.names
-                               if nm in self.arrays}
+            array_breakdown = {
+                nm: {**_profile(bins), "accesses": int(bins.sum())}
+                for nm, bins in zip(self.names, self.arrays) if bins.any()}
             occ, nsets = self.occ, len(self.occ)
             # Rank by (-count, set index): plain argsort[::-1] orders
             # equal-count sets by *descending* index, which made stored
@@ -407,7 +441,7 @@ def _simulate_impl(
             proc, addr, write = _concat(traces)
             cls, local = _classify(machine, proc, addr, write, rounds=span,
                                    history=history, homes=homes)
-            tally.add(r, span, ends, traces, proc, addr, cls, local)
+            tally.add(r, span, ends, traces, proc, addr, cls.code, local)
             del traces, proc, addr, write, cls, local
     return tally.result(n, locality_dict)
 
@@ -434,7 +468,7 @@ def _concat(traces) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _classify(machine: DashConfig, proc, addr, write, rounds: int = 1,
               history: Optional[CoherenceHistory] = None,
               homes: Optional[np.ndarray] = None):
-    """Miss classes and the local-miss mask of one chunk."""
+    """The outcome codes and the local-miss mask of one chunk."""
     # The classification sweep is its own wall-time ledger anchor: it
     # dominates simulate() for large streams and must be attributable
     # separately from the per-phase cost loop.

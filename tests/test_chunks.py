@@ -5,7 +5,6 @@ the flags of the round classified whole, access for access, and
 field for field."""
 
 import importlib
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.codegen.spmd import Scheme
 from repro.machine import scaled_dash
 from repro.machine.cache import CacheConfig
 from repro.machine.coherence import (
-    AccessClassification,
     CoherenceHistory,
     ExactCoherentSim,
     classify_accesses,
@@ -26,7 +24,8 @@ from repro.pipeline import CompileSession
 
 sim = importlib.import_module("repro.machine.simulate")
 
-FLAGS = [f.name for f in fields(AccessClassification)]
+FLAGS = ["hit", "cold", "replacement", "true_sharing", "false_sharing",
+         "upgrade", "l2_hit"]
 SCHEMES = (Scheme.BASE, Scheme.COMP_DECOMP, Scheme.COMP_DECOMP_DATA)
 
 # L1 assoc 1, 2 and 4, each with no L2, a direct-mapped and a 2-way L2
@@ -157,6 +156,27 @@ class TestCarriedHomes:
         assert first.tolist() == [True]
         assert later.tolist() == [False, True]
         assert homes.tolist() == [-1, 0, 1, -1]
+
+    def test_later_chunk_homes_fresh_pages(self):
+        # The second chunk touches only pages no earlier chunk touched:
+        # each takes the cluster of its own first toucher there.
+        cfg = NumaConfig(page_bytes=64, cluster_size=2)
+        homes = np.full(8, -1, dtype=np.int64)
+        local_miss_mask(np.array([0, 70]), np.array([0, 3]), cfg, homes)
+        later = local_miss_mask(np.array([200, 130, 200, 140]),
+                                np.array([5, 2, 1, 4]), cfg, homes)
+        assert later.tolist() == [True, True, False, False]
+        assert homes.tolist() == [0, 1, 1, 2, -1, -1, -1, -1]
+
+    def test_every_page_already_homed(self):
+        # No access of the chunk can move a home: the table is left as
+        # it was, and every access reads its carried home.
+        cfg = NumaConfig(page_bytes=64, cluster_size=2)
+        homes = np.array([3, 0, 1, -1], dtype=np.int64)
+        got = local_miss_mask(np.array([0, 64, 130, 10, 70]),
+                              np.array([7, 0, 1, 0, 3]), cfg, homes)
+        assert got.tolist() == [True, True, False, False, False]
+        assert homes.tolist() == [3, 0, 1, -1]
 
     def test_chunks_equal_the_whole_stream(self):
         cfg = NumaConfig(page_bytes=64, cluster_size=2)

@@ -14,6 +14,11 @@ from repro.machine.cache import (
     direct_mapped_hits,
 )
 from repro.machine.coherence import (
+    COLD,
+    HIT,
+    OUTCOMES,
+    REPLACEMENT,
+    UPGRADE,
     AccessClassification,
     ExactCoherentSim,
     classify_accesses,
@@ -187,6 +192,22 @@ class TestEquivalence:
             assert np.array_equal(getattr(fast, f), getattr(exact, f)), f
 
     @given(trace())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_fast_matches_exact_set_associative(self, t):
+        """LRU sets at either level: the spec keeps each (processor,
+        set)'s most recent lines, invalidated ones in place."""
+        nprocs, proc, addr, write = t
+        two_way_l2 = CacheConfig(size_bytes=256, line_bytes=16, assoc=2)
+        for cfg, l2 in ((CacheConfig(128, 16, assoc=2), None),
+                        (CacheConfig(128, 16, assoc=4), two_way_l2),
+                        (tiny_cfg(), two_way_l2)):
+            fast = classify_accesses(proc, addr, write, cfg, word_bytes=8,
+                                     l2=l2)
+            exact = ExactCoherentSim(nprocs, cfg, word_bytes=8, l2=l2).run(
+                proc, addr, write)
+            assert np.array_equal(fast.code, exact.code), (cfg, l2)
+
+    @given(trace())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_l2_hits_are_l1_misses(self, t):
         nprocs, proc, addr, write = t
@@ -195,6 +216,53 @@ class TestEquivalence:
                               l2=CacheConfig(256, 16))
         assert not (c.l2_hit & c.hit).any()
         assert not (c.l2_hit & c.upgrade).any()
+
+
+class TestPack:
+    """The spec's flags reach an ``AccessClassification`` only through
+    ``pack``, which refuses flags that are not one outcome per access."""
+
+    def flags(self):
+        return dict(
+            write=np.array([False, True, False, True]),
+            hit=np.array([True, True, False, False]),
+            cold=np.array([False, False, True, False]),
+            replacement=np.array([False, False, False, True]),
+            true_sharing=np.zeros(4, dtype=bool),
+            false_sharing=np.zeros(4, dtype=bool),
+            upgrade=np.array([False, True, False, False]),
+            l2_hit=np.array([False, False, False, True]),
+        )
+
+    def test_codes(self):
+        c = AccessClassification.pack(**self.flags())
+        assert c.code.dtype == np.uint8
+        assert c.code.tolist() == [HIT, UPGRADE, COLD, REPLACEMENT + 1]
+        for name, flag in self.flags().items():
+            if name != "write":
+                assert np.array_equal(getattr(c, name), flag), name
+        assert c.miss.tolist() == [False, False, True, True]
+
+    def test_every_code_reads_back(self):
+        # Every flag is read from the code alone.
+        c = AccessClassification(np.arange(OUTCOMES, dtype=np.uint8))
+        write = np.ones(OUTCOMES, dtype=bool)
+        again = AccessClassification.pack(
+            write, hit=c.hit, cold=c.cold, replacement=c.replacement,
+            true_sharing=c.true_sharing, false_sharing=c.false_sharing,
+            upgrade=c.upgrade, l2_hit=c.l2_hit)
+        assert again.code.tolist() == list(range(OUTCOMES))
+
+    @pytest.mark.parametrize("change, match", [
+        ({"cold": np.array([True, False, True, False])}, "partition"),
+        ({"replacement": np.zeros(4, dtype=bool)}, "partition"),
+        ({"upgrade": np.array([True, True, False, False])}, "write hit"),
+        ({"upgrade": np.array([False, True, False, True])}, "write hit"),
+        ({"l2_hit": np.array([False, True, False, True])}, "miss"),
+    ])
+    def test_refuses_flags_that_are_not_one_outcome(self, change, match):
+        with pytest.raises(ValueError, match=match):
+            AccessClassification.pack(**{**self.flags(), **change})
 
 
 class TestAssocLru:
@@ -256,8 +324,8 @@ class TestRounds:
     @given(trace())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_matches_fast_path_on_tiled_stream(self, rounds, t):
-        """The set-associative geometries the spec does not model, and a
-        2-way L2, against the one-round fast path on the tiled stream."""
+        """Set-associative geometries, and a 2-way L2, against the
+        one-round fast path on the tiled stream."""
         _, proc, addr, write = t
         two_way_l2 = CacheConfig(size_bytes=256, line_bytes=16, assoc=2)
         for cfg, l2 in ((CacheConfig(128, 16, assoc=2), None),
@@ -384,8 +452,10 @@ class TestRealTraces:
     """The fast classifier against the spec on the merged streams that
     ``simulate`` classifies (both rounds when the program has more than
     one time step), both on the concatenated rounds and derived from one
-    round with ``rounds``.  At n=8 every miss class, upgrades included,
-    occurs."""
+    round with ``rounds``, with a 1-, 2- and 4-way L1, each with and
+    without the L2.  The spec's flags are packed through the checking
+    constructor, so they partition every access.  At n=8 every miss
+    class, upgrades included, occurs."""
 
     @pytest.mark.parametrize("app", sorted(ALL_APPS))
     def test_fast_matches_exact(self, app):
@@ -406,20 +476,20 @@ class TestRealTraces:
                 write = np.concatenate([t.write for t in seq])
                 one_round = [np.concatenate([getattr(t, a) for t in traces])
                              for a in ("proc", "addr", "write")]
-                for l2 in (None, machine.l2):
-                    fast = classify_accesses(
-                        proc, addr, write, machine.cache,
-                        word_bytes=word_bytes, l2=l2)
-                    derived = classify_accesses(
-                        *one_round, machine.cache, word_bytes=word_bytes,
-                        l2=l2, rounds=rounds)
-                    exact = ExactCoherentSim(
-                        nprocs, machine.cache, word_bytes=word_bytes, l2=l2,
-                    ).run(proc, addr, write)
-                    for f in FIELDS + ["l2_hit"]:
-                        assert np.array_equal(
-                            getattr(fast, f), getattr(exact, f)
-                        ), (scheme.value, nprocs, l2, f)
-                        assert np.array_equal(
-                            getattr(derived, f), getattr(exact, f)
-                        ), (scheme.value, nprocs, l2, f, "rounds")
+                for assoc in (1, 2, 4):
+                    l1 = CacheConfig(machine.cache.size_bytes,
+                                     machine.cache.line_bytes, assoc=assoc)
+                    for l2 in (None, machine.l2):
+                        fast = classify_accesses(
+                            proc, addr, write, l1, word_bytes=word_bytes,
+                            l2=l2)
+                        derived = classify_accesses(
+                            *one_round, l1, word_bytes=word_bytes, l2=l2,
+                            rounds=rounds)
+                        exact = ExactCoherentSim(
+                            nprocs, l1, word_bytes=word_bytes, l2=l2,
+                        ).run(proc, addr, write)
+                        where = (scheme.value, nprocs, assoc, l2)
+                        assert np.array_equal(fast.code, exact.code), where
+                        assert np.array_equal(derived.code, exact.code), (
+                            *where, "rounds")

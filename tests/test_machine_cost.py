@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import ALL_APPS, build_app
 from repro.codegen.spmd import Scheme
+from repro.machine.coherence import COLD, HIT, OUTCOMES, REMOTE, UPGRADE
 from repro.machine.cost import CostParams, per_proc_cycles, phase_time
 from repro.machine.dash import DashConfig, dash_machine, scaled_dash
 from repro.machine.numa import NumaConfig, first_touch_homes, local_miss_mask
@@ -101,24 +102,23 @@ class TestCostParams:
     def test_per_proc_cycles(self):
         p = CostParams(cpu_per_access=2.0, l1_hit=1.0, local_miss=30.0,
                        remote_miss=100.0, upgrade=50.0)
-        proc = np.array([0, 0, 1, 1])
-        hit = np.array([True, False, False, True])
-        mloc = np.array([False, True, False, False])
-        mrem = np.array([False, False, True, False])
-        upg = np.array([False, False, False, True])
-        out = per_proc_cycles(proc, hit, mloc, mrem, 2, p, upgrade=upg)
+        counts = np.zeros((2, 2 * OUTCOMES), dtype=np.int64)
+        # Processor 0: a hit and a local cold miss; processor 1: a
+        # remote cold miss and a write hit that upgrades.
+        counts[0, [HIT, COLD]] = 1
+        counts[1, [REMOTE + COLD, UPGRADE]] = 1
+        out = per_proc_cycles(counts, 2, p)
         assert out[0] == 2 * 2 + 1 + 30
         assert out[1] == 2 * 2 + 1 + 100 + 50
 
     def test_upgrades_free_on_uniprocessor(self):
         p = CostParams()
-        proc = np.zeros(2, dtype=int)
-        hit = np.ones(2, dtype=bool)
-        z = np.zeros(2, dtype=bool)
-        upg = np.ones(2, dtype=bool)
-        a = per_proc_cycles(proc, hit, z, z, 1, p, upgrade=upg)
-        b = per_proc_cycles(proc, hit, z, z, 1, p)
-        assert np.allclose(a, b)
+        upgrades = np.zeros((1, 2 * OUTCOMES), dtype=np.int64)
+        upgrades[0, UPGRADE] = 2
+        hits = np.zeros((1, 2 * OUTCOMES), dtype=np.int64)
+        hits[0, HIT] = 2
+        assert np.array_equal(per_proc_cycles(upgrades, 1, p),
+                              per_proc_cycles(hits, 1, p))
 
 
 class TestPhaseTime:

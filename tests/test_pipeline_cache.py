@@ -172,11 +172,8 @@ class TestWarmCompileAll:
 
 
 class TestPerfbenchHooks:
-    def test_layer_tracer_sees_stage_calls(self):
-        """The repo benchmark times the compiler by wrapping
-        ``CompileSession.compile`` and the ``decompose_program`` and
-        ``generate_spmd`` globals of ``repro.pipeline.passes``; a
-        refactor that stops calling through them must fail here."""
+    @staticmethod
+    def tracer():
         import importlib.util
         import time
         from pathlib import Path
@@ -186,7 +183,14 @@ class TestPerfbenchHooks:
                                                       path)
         layers = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(layers)
-        tracer = layers.LayerTracer(time.perf_counter)
+        return layers.LayerTracer(time.perf_counter)
+
+    def test_layer_tracer_sees_stage_calls(self):
+        """The repo benchmark times the compiler by wrapping
+        ``CompileSession.compile`` and the ``decompose_program`` and
+        ``generate_spmd`` globals of ``repro.pipeline.passes``; a
+        refactor that stops calling through them must fail here."""
+        tracer = self.tracer()
         tracer.install()
         try:
             session = CompileSession()
@@ -197,6 +201,39 @@ class TestPerfbenchHooks:
         assert tracer.calls["pipeline.compile"] == 2
         assert tracer.calls["decomp.decompose"] == 1
         assert tracer.calls["codegen.spmd"] == 1
+
+    def test_layer_tracer_sees_simulator_calls(self):
+        """The benchmark times the simulator by wrapping the names
+        ``repro.machine.simulate`` looks up (``program_traces``,
+        ``classify_accesses``, ``local_miss_mask``, ``per_proc_cycles``,
+        ``phase_time``), ``collect_locality`` and the coherence
+        module's ``assoc_lru_hits``, and counts the accesses classified
+        by the length of ``hit``; a refactor that renames or bypasses
+        one must fail here."""
+        from dataclasses import replace
+
+        import repro.machine
+        from repro.machine.cache import CacheConfig
+
+        machine = repro.machine.scaled_dash(4, scale=64)
+        machine = replace(machine, cache=CacheConfig(
+            machine.cache.size_bytes, machine.cache.line_bytes, assoc=2))
+        spmd = CompileSession().compile(simple.build(n=8, time_steps=3),
+                                        Scheme.COMP_DECOMP, 4)
+        tracer = self.tracer()
+        tracer.install()
+        try:
+            # Looked up at the call, as the tracer wraps the module's.
+            res = repro.machine.simulate(spmd, machine, detail=True,
+                                         locality=True)
+        finally:
+            tracer.uninstall()
+        for layer in ("simulate", "trace", "classify", "numa", "cost",
+                      "locality", "assoc_lru"):
+            assert tracer.calls[f"machine.{layer}"] > 0, layer
+        # Two rounds (cold and steady) of every access.
+        assert tracer.counts["machine.classify_accesses"] == (
+            2 * res.n_accesses)
 
 
 class TestBatch:
