@@ -190,25 +190,15 @@ def cmd_run(args) -> int:
     from repro.report import format_speedup_table
 
     session = _apply_session_args(args)
-    prog = _build(args.app, args.n, args.time_steps)
+    # An unknown app or a bad size fails here, in one line.
+    _build(args.app, args.n, args.time_steps)
     schemes = (
         [parse_scheme(args.scheme)]
         if args.scheme != "all"
         else list(SCHEME_NAMES.values())
     )
     procs = args.procs_list
-    if args.jobs > 1:
-        curves = _parallel_speedup_curves(args, schemes, procs)
-    else:
-        from repro.machine import scaled_dash
-        from repro.machine.simulate import speedup_curve
-
-        factory = lambda p: scaled_dash(
-            p, scale=args.scale,
-            word_bytes=min(d.element_size for d in prog.arrays.values()),
-        )
-        curves = speedup_curve(prog, schemes, factory, procs,
-                               session=session)
+    curves = _speedup_curves(args, schemes, procs)
     print(format_speedup_table(
         curves, title=f"{args.app} N={args.n}, scaled DASH /{args.scale}"
     ))
@@ -233,10 +223,11 @@ def _post_run_verify(apps, schemes, procs, verify_n, time_steps,
     return 0 if grid_ok(results) else 1
 
 
-def _parallel_speedup_curves(args, schemes, procs):
-    """The speedup sweep via the batch driver (identical math to the
-    serial path: one decomposition pinned at max(procs), speedups over
-    BASE on one processor)."""
+def _speedup_curves(args, schemes, procs):
+    """The speedup sweep through the grid executor, in-process at
+    ``--jobs 1`` (the same math as
+    :func:`repro.machine.simulate.speedup_curve`: one decomposition
+    pinned at max(procs), speedups over BASE on one processor)."""
     from repro import obs
     from repro.pipeline.grid import GridPoint, run_grid
 
@@ -254,8 +245,8 @@ def _parallel_speedup_curves(args, schemes, procs):
         )
         for scheme, p in coords
     ]
-    # No BASE fallback: a scheme that fails to compile fails the run,
-    # as it does serially, instead of printing BASE under its label.
+    # No BASE fallback: a scheme that fails to compile fails the run
+    # instead of printing BASE under its label.
     results = run_grid(points, jobs=args.jobs, cache=not args.no_cache,
                        degrade=False)
     for r in results:
@@ -465,7 +456,8 @@ def cmd_batch(args) -> int:
                       f"when the previous driver stopped "
                       f"({labels}{more}); they re-execute with a "
                       f"full retry budget")
-        journal = journal_mod.JournalWriter.reopen(jdir, run_id)
+        journal = journal_mod.JournalWriter.reopen(
+            jdir, run_id, heartbeat=args.heartbeat, jobs=args.jobs)
         apps = sorted({p.app for p in points})
         schemes = sorted({parse_scheme(p.scheme) for p in points},
                          key=lambda s: s.value)
@@ -484,18 +476,9 @@ def cmd_batch(args) -> int:
                 "degrade": degrade,
                 "locality": locality,
             }
-            journal = journal_mod.JournalWriter.create(jdir, spec)
+            journal = journal_mod.JournalWriter.create(
+                jdir, spec, heartbeat=args.heartbeat, jobs=args.jobs)
     shutdown = GracefulShutdown(drain_seconds=args.drain)
-
-    # Live monitoring rides on the journal: heartbeats interleave with
-    # the run's own records, so `repro status` and `repro report` work
-    # from the store dir alone.  --heartbeat 0 turns the whole layer off.
-    monitor = None
-    if journal is not None and args.heartbeat > 0:
-        from repro.obs.runstate import RunMonitor
-
-        monitor = RunMonitor(total=len(points), journal=journal,
-                             interval=args.heartbeat, jobs=args.jobs)
 
     saved_faults = os.environ.get(faults.ENV_FLAG)
     if args.inject_faults is not None:
@@ -517,7 +500,6 @@ def cmd_batch(args) -> int:
                 locality=locality,
                 store=store, incremental=incremental,
                 journal=journal, shutdown=shutdown,
-                monitor=monitor,
             )
     finally:
         if args.inject_faults is not None:
@@ -527,9 +509,6 @@ def cmd_batch(args) -> int:
             else:
                 os.environ[faults.ENV_FLAG] = saved_faults
     agg = summarize(results)
-    if monitor is not None:
-        # Final heartbeat (terminal counts) before the end record.
-        monitor.close()
     if journal is not None:
         journal.end(
             "interrupted" if shutdown.triggered else "complete",
@@ -979,7 +958,7 @@ def main(argv=None) -> int:
                    metavar="SECONDS",
                    help="interval between journal heartbeats for "
                         "`repro status` and `repro report` (default "
-                        "2.0; 0 disables monitoring; needs the journal)")
+                        "2.0; 0 writes none; needs the journal)")
     _add_cache_flags(p)
     _add_store_flags(p, expect=True)
 

@@ -33,7 +33,6 @@ from repro.obs.core import (
     enabled,
     event,
     gauge,
-    histogram,
     inc,
     reset,
     span,
@@ -43,7 +42,6 @@ from repro.obs.metrics import (
     NOOP_METRIC,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.export import (
@@ -62,7 +60,6 @@ __all__ = [
     "Counter",
     "Event",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Span",
     "DecisionRecord",
@@ -75,7 +72,6 @@ __all__ = [
     "enabled",
     "event",
     "gauge",
-    "histogram",
     "inc",
     "reset",
     "span",

@@ -7,7 +7,7 @@ telemetry:
   each carrying free-form attributes and attached counters;
 * **events** — instant structured records (``obs.event(...)``),
   parented to whichever span is open when they fire;
-* **metrics** — process-wide counters/gauges/histograms
+* **metrics** — process-wide counters and gauges
   (:mod:`repro.obs.metrics`).
 
 Observability is **off by default**; enable it programmatically with
@@ -224,9 +224,3 @@ def gauge(name: str):
         return NOOP_METRIC
     return _collector.metrics.gauge(name)
 
-
-def histogram(name: str):
-    """A histogram instrument; the shared no-op metric when disabled."""
-    if not _enabled:
-        return NOOP_METRIC
-    return _collector.metrics.histogram(name)

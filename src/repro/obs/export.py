@@ -10,11 +10,6 @@ Three output shapes:
   span counters plus registry counters become counter ("C") tracks;
 * :func:`summary` — a human-readable span tree with durations,
   attached counters, and the metric totals.
-
-The Chrome trace is built in two steps: :func:`collector_state`
-freezes a collector into a plain JSON-safe dict (raw ``perf_counter``
-timestamps preserved) and :func:`lane_trace_events` renders such a
-state as one trace lane.
 """
 
 from __future__ import annotations
@@ -39,11 +34,6 @@ def _jsonable(value: Any) -> Any:
 
 def _us(t: float, t0: float) -> float:
     return (t - t0) * 1e6
-
-
-def _fmt_opt(v: Any) -> str:
-    """Compact rendering of an optional numeric summary field."""
-    return "-" if v is None else f"{v:.3g}"
 
 
 def to_json(collector: Optional[Collector] = None) -> Dict[str, Any]:
@@ -77,134 +67,75 @@ def to_json(collector: Optional[Collector] = None) -> Dict[str, Any]:
     }
 
 
-def collector_state(collector: Optional[Collector] = None) -> Dict[str, Any]:
-    """Freeze one recording into a plain JSON/pickle-safe dict.
-
-    Timestamps stay raw ``time.perf_counter()`` readings (``t0`` is
-    included); :func:`lane_trace_events` does the relative conversion.
-    """
-    c = collector or core.collector()
-    return {
-        "t0": c.t0,
-        "spans": [
-            {
-                "id": s.span_id,
-                "parent": s.parent_id,
-                "name": s.name,
-                "cat": s.cat,
-                "start": s.start,
-                "end": s.end,
-                "attrs": _jsonable(s.attrs),
-                "counters": _jsonable(s.counters),
-            }
-            for s in sorted(c.spans, key=lambda s: s.start)
-        ],
-        "events": [
-            {
-                "name": e.name,
-                "cat": e.cat,
-                "span": e.span_id,
-                "ts": e.ts,
-                "attrs": _jsonable(e.attrs),
-            }
-            for e in c.events
-        ],
-        "metrics": c.metrics.snapshot(),
-    }
-
-
-def lane_trace_events(
-    state: Dict[str, Any],
-    *,
-    pid: int = 0,
-    t0: Optional[float] = None,
-    process_name: Optional[str] = None,
-) -> List[Dict[str, Any]]:
-    """Chrome trace events for one :func:`collector_state`, as one lane.
-
-    ``t0`` is the zero point of the output timeline (defaults to the
-    state's own ``t0``).  Timed events come back sorted by ``ts`` so the
-    lane is monotonic; a metadata row naming the lane is prepended when
-    ``process_name`` is given.
-    """
-    zero = state["t0"] if t0 is None else t0
-
-    def ts(t: float) -> float:
-        return _us(t, zero)
-
-    timed: List[Dict[str, Any]] = []
-    for s in state["spans"]:
-        timed.append({
-            "name": s["name"],
-            "cat": s["cat"],
-            "ph": "X",
-            "pid": pid,
-            "tid": 0,
-            "ts": ts(s["start"]),
-            "dur": _us(s["end"], s["start"]),
-            "args": _jsonable(
-                dict(sorted({**s["attrs"], **s["counters"]}.items()))
-            ),
-        })
-        # Span counters additionally appear as counter tracks so miss
-        # classes etc. render as stacked graphs in the trace viewer.
-        for k, v in s["counters"].items():
-            timed.append({
-                "name": f"{s['name']}.{k}",
-                "cat": s["cat"],
-                "ph": "C",
-                "pid": pid,
-                "tid": 0,
-                "ts": ts(s["end"]),
-                "args": {k: _jsonable(v)},
-            })
-    for e in state["events"]:
-        timed.append({
-            "name": e["name"],
-            "cat": e["cat"],
-            "ph": "i",
-            "s": "t",
-            "pid": pid,
-            "tid": 0,
-            "ts": ts(e["ts"]),
-            "args": _jsonable(e["attrs"]),
-        })
-    end_ts = max(
-        [ts(s["end"]) for s in state["spans"]]
-        + [ts(e["ts"]) for e in state["events"]]
-        + [0.0]
-    )
-    for name, value in sorted(state["metrics"]["counters"].items()):
-        timed.append({
-            "name": name,
-            "ph": "C",
-            "pid": pid,
-            "tid": 0,
-            "ts": end_ts,
-            "args": {name: _jsonable(value)},
-        })
-    # (ts, name) tie-break keeps the export byte-stable when several
-    # events share a timestamp (common for counter flushes at end_ts).
-    timed.sort(key=lambda e: (e["ts"], e["name"]))
-    out: List[Dict[str, Any]] = []
-    if process_name is not None:
-        out.append({"name": "process_name", "ph": "M", "pid": pid,
-                    "tid": 0, "args": {"name": process_name}})
-    out.extend(timed)
-    return out
-
-
 def to_chrome_trace(
     collector: Optional[Collector] = None,
     *,
     pid: int = 0,
     process_name: str = "repro",
 ) -> Dict[str, Any]:
-    """Chrome trace-event rendering of one recording (a single lane)."""
+    """Chrome trace-event rendering of one recording, as one lane.
+
+    A metadata row names the lane; the timed events follow sorted by
+    ``(ts, name)``, so the lane is monotonic and byte-stable when
+    several events share a timestamp (common for counter flushes at
+    the end).
+    """
     c = collector or core.collector()
-    events = lane_trace_events(
-        collector_state(c), pid=pid, t0=c.t0, process_name=process_name
-    )
+
+    def ts(t: float) -> float:
+        return _us(t, c.t0)
+
+    timed: List[Dict[str, Any]] = []
+    for s in sorted(c.spans, key=lambda s: s.start):
+        counters = _jsonable(s.counters)
+        timed.append({
+            "name": s.name,
+            "cat": s.cat,
+            "ph": "X",
+            "pid": pid,
+            "tid": 0,
+            "ts": ts(s.start),
+            "dur": _us(s.end, s.start),
+            "args": dict(sorted({**_jsonable(s.attrs),
+                                 **counters}.items())),
+        })
+        # Span counters additionally appear as counter tracks so miss
+        # classes etc. render as stacked graphs in the trace viewer.
+        for k, v in counters.items():
+            timed.append({
+                "name": f"{s.name}.{k}",
+                "cat": s.cat,
+                "ph": "C",
+                "pid": pid,
+                "tid": 0,
+                "ts": ts(s.end),
+                "args": {k: v},
+            })
+    for e in c.events:
+        timed.append({
+            "name": e.name,
+            "cat": e.cat,
+            "ph": "i",
+            "s": "t",
+            "pid": pid,
+            "tid": 0,
+            "ts": ts(e.ts),
+            "args": _jsonable(e.attrs),
+        })
+    end_ts = max([ts(s.end) for s in c.spans]
+                 + [ts(e.ts) for e in c.events] + [0.0])
+    for name, counter in sorted(c.metrics.counters.items()):
+        timed.append({
+            "name": name,
+            "ph": "C",
+            "pid": pid,
+            "tid": 0,
+            "ts": end_ts,
+            "args": {name: _jsonable(counter.value)},
+        })
+    timed.sort(key=lambda e: (e["ts"], e["name"]))
+    events = [{"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+               "args": {"name": process_name}}, *timed]
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -280,9 +211,8 @@ def summary(collector: Optional[Collector] = None, max_events: int = 20) -> str:
     }
     if store_counters or "store.bytes" in snap["gauges"]:
         # The persistent result store — and its crash-safety companions
-        # (run journal, cross-process locks, fsck) plus the live-run
-        # monitor — get their own section:
-        # hit/miss/invalidation/durability health is the first
+        # (run journal, cross-process locks, fsck) — get their own
+        # section: hit/miss/invalidation/durability health is the first
         # thing an incremental-run investigation reads.
         lines.append("result store:")
         for k, v in store_counters.items():
@@ -298,15 +228,6 @@ def summary(collector: Optional[Collector] = None, max_events: int = 20) -> str:
         lines.append("gauges:")
         for k, v in snap["gauges"].items():
             lines.append(f"  {k:<40s}{v:>12g}")
-    if snap["histograms"]:
-        lines.append("histograms:")
-        for k, h in snap["histograms"].items():
-            lines.append(
-                f"  {k:<40s}n={h['count']} mean={h['mean']:.3g} "
-                f"p50={_fmt_opt(h.get('p50'))} "
-                f"p95={_fmt_opt(h.get('p95'))} "
-                f"min={h['min']} max={h['max']}"
-            )
     if c.events:
         lines.append(f"events ({len(c.events)}):")
         for e in c.events[:max_events]:

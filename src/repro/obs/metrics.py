@@ -1,9 +1,9 @@
-"""Metric instruments: counters, gauges, histograms.
+"""Metric instruments: counters and gauges.
 
 All instruments live in a :class:`MetricsRegistry` owned by the active
 collector (:mod:`repro.obs.core`).  When observability is disabled the
 module-level accessors hand back the *shared* :data:`NOOP_METRIC`
-instead — callers keep a uniform ``.add()/.set()/.observe()`` surface
+instead — callers keep a uniform ``.add()/.set()`` surface
 and pay only an attribute lookup plus a no-op call.
 """
 
@@ -40,78 +40,6 @@ class Gauge:
         return self
 
 
-# Retained-sample cap per histogram.  Exact percentiles up to the cap;
-# past it, samples are decimated deterministically (every other kept,
-# stride doubled), so two identical observation streams always retain
-# identical samples — no randomized reservoir.
-SAMPLE_CAP = 512
-
-
-class Histogram:
-    """Streaming summary (count/sum/min/max/percentiles) of observed
-    values.
-
-    A bounded, deterministically decimated sample list backs the
-    percentile estimates: every observation is retained until
-    :data:`SAMPLE_CAP`, after which every other retained sample is
-    dropped and only every ``stride``-th future observation is kept.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "samples",
-                 "_stride")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.samples = []
-        self._stride = 1
-
-    def observe(self, value: float) -> "Histogram":
-        if self.count % self._stride == 0:
-            self.samples.append(value)
-            if len(self.samples) > SAMPLE_CAP:
-                # Keep observation indices that are multiples of the
-                # doubled stride (positions 0, 2, 4, ... of the list).
-                del self.samples[1::2]
-                self._stride *= 2
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        return self
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolation percentile over the retained samples
-        (``q`` in [0, 1]); 0.0 on an empty histogram.  Exact while the
-        observation count is within :data:`SAMPLE_CAP`."""
-        if not self.samples:
-            return 0.0
-        xs = sorted(self.samples)
-        if len(xs) == 1:
-            return xs[0]
-        pos = q * (len(xs) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(xs) - 1)
-        return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(0.95)
-
-
 class _NoopMetric:
     """Shared do-nothing instrument returned while disabled."""
 
@@ -123,9 +51,6 @@ class _NoopMetric:
     def set(self, value: float) -> "_NoopMetric":
         return self
 
-    def observe(self, value: float) -> "_NoopMetric":
-        return self
-
 
 NOOP_METRIC = _NoopMetric()
 
@@ -133,12 +58,11 @@ NOOP_METRIC = _NoopMetric()
 class MetricsRegistry:
     """Create-on-demand instrument store."""
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "gauges")
 
     def __init__(self):
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -152,27 +76,9 @@ class MetricsRegistry:
             g = self.gauges[name] = Gauge(name)
         return g
 
-    def histogram(self, name: str) -> Histogram:
-        h = self.histograms.get(name)
-        if h is None:
-            h = self.histograms[name] = Histogram(name)
-        return h
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready dump of every instrument."""
         return {
             "counters": {k: c.value for k, c in sorted(self.counters.items())},
             "gauges": {k: g.value for k, g in sorted(self.gauges.items())},
-            "histograms": {
-                k: {
-                    "count": h.count,
-                    "sum": h.total,
-                    "min": h.min if h.count else None,
-                    "max": h.max if h.count else None,
-                    "mean": h.mean,
-                    "p50": h.p50 if h.count else None,
-                    "p95": h.p95 if h.count else None,
-                }
-                for k, h in sorted(self.histograms.items())
-            },
         }

@@ -1,16 +1,11 @@
-"""Live run state: the write-side monitor and the read-side snapshot.
+"""Live run state: the read-side snapshot of a journaled run.
 
-The journal (:mod:`repro.pipeline.journal`) made a run's history
-durable; this module makes it *observable while it runs*.  Two halves,
-deliberately decoupled by the journal file itself so they can live in
-different processes:
-
-* :class:`RunMonitor` rides inside the grid driver.  The executor
-  tells it about dispatches/finishes/waves; a rate-limited
-  :meth:`~RunMonitor.tick` appends ``heartbeat`` records to the
-  journal (pid, wave, progress counters, in-flight indices, rss).
-  Monitoring is best-effort by construction: every emit path swallows
-  and counts its own errors, and heartbeats are never fsync'd.
+The journal (:mod:`repro.pipeline.journal`) is the one record of a
+running grid: the driver's :class:`~repro.pipeline.journal.JournalWriter`
+appends its ``start``/``done``/``wave`` records and rate-limited
+``heartbeat`` liveness records (pid, rss).  This module makes the run
+*observable while it runs*, from the journal file alone, so it can live
+in a different process:
 
 * :func:`load_status` runs in *any other process* (``repro status``,
   once or every second with ``--follow``).  It replays the journal into a :class:`RunStatus`:
@@ -25,9 +20,9 @@ different processes:
                    has not moved for longer than ``stale_after``
       running      anything else — the driver is alive and writing
 
-:func:`build_report` stitches status, the journal timeline and the
-heartbeats' progress curves into the payload ``repro report``
-renders.
+:func:`build_report` stitches status, the journal timeline, the
+progress curves its ``start``/``done`` records imply and the
+heartbeats' rss curve into the payload ``repro report`` renders.
 """
 
 from __future__ import annotations
@@ -35,10 +30,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs import core
 from repro.obs.compare import point_key
 from repro.pipeline.journal import (
     JournalState,
@@ -50,12 +43,10 @@ from repro.pipeline.journal import (
 __all__ = [
     "DEFAULT_STALE_AFTER",
     "EWMA_ALPHA",
-    "RunMonitor",
     "RunStatus",
     "build_report",
     "load_status",
     "pid_alive",
-    "rss_bytes",
 ]
 
 # A driver heartbeats every ~2 s by default; 15 s of silence with no
@@ -64,22 +55,6 @@ DEFAULT_STALE_AFTER = 15.0
 
 # Smoothing for the per-point latency estimate feeding the ETA.
 EWMA_ALPHA = 0.25
-
-
-def rss_bytes() -> Optional[int]:
-    """Resident set size of this process, best effort."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    except Exception:
-        return None
 
 
 def pid_alive(pid: Optional[int]) -> Optional[bool]:
@@ -95,105 +70,6 @@ def pid_alive(pid: Optional[int]) -> Optional[bool]:
         # alive — staleness will catch a wedged writer.
         return True
     return True
-
-
-# ---------------------------------------------------------------------------
-# Write side: rides inside the grid driver.
-# ---------------------------------------------------------------------------
-
-class RunMonitor:
-    """Emits journal heartbeats for a running grid.
-
-    The grid executor calls the ``point_*``/``wave_started`` hooks;
-    emission is rate-limited to ``interval`` seconds on a monotonic
-    clock, so hooks are safe to call as often as the executor likes
-    (including once per 0.2 s wait slice while futures are pending).
-    """
-
-    def __init__(self, total: int,
-                 journal: Optional[Any] = None,
-                 interval: float = 2.0,
-                 jobs: int = 1):
-        self.total = total
-        self.journal = journal
-        self.interval = max(float(interval), 0.05)
-        self.jobs = max(int(jobs), 1)
-        self.wave = 0
-        self.dispatched = 0
-        self.finished = 0
-        self.retried = 0
-        self.degraded = 0
-        self.errors = 0
-        self.store_hits = 0
-        self.ticks = 0
-        self._in_flight: set = set()
-        self._last_tick = 0.0  # monotonic; 0 → first tick fires
-
-    # -- executor hooks ----------------------------------------------------
-
-    def wave_started(self, wave: int, pending: int) -> None:
-        self.wave = wave
-        self.tick(force=True)
-
-    def point_dispatched(self, index: int) -> None:
-        self.dispatched += 1
-        self._in_flight.add(index)
-        self.tick()
-
-    def point_finished(self, index: int, result: Any) -> None:
-        self.finished += 1
-        self._in_flight.discard(index)
-        if getattr(result, "store_hit", False):
-            self.store_hits += 1
-        else:
-            if not getattr(result, "ok", False):
-                self.errors += 1
-            if getattr(result, "degraded", False):
-                self.degraded += 1
-            if getattr(result, "attempts", 1) > 1:
-                self.retried += 1
-        self.tick()
-
-    # -- emission ----------------------------------------------------------
-
-    def progress(self) -> Dict[str, Any]:
-        """The snapshot every heartbeat carries."""
-        return {
-            "pid": os.getpid(),
-            "wave": self.wave,
-            "jobs": self.jobs,
-            "total": self.total,
-            "dispatched": self.dispatched,
-            "finished": self.finished,
-            "retried": self.retried,
-            "degraded": self.degraded,
-            "errors": self.errors,
-            "store_hits": self.store_hits,
-            "in_flight": sorted(self._in_flight),
-            "rss": rss_bytes(),
-        }
-
-    def tick(self, force: bool = False) -> bool:
-        """Emit one heartbeat if ``interval`` has elapsed."""
-        now = time.monotonic()
-        if (not force and self._last_tick
-                and now - self._last_tick < self.interval):
-            return False
-        self._last_tick = now
-        self.ticks += 1
-        snap = self.progress()
-        try:
-            if self.journal is not None:
-                self.journal.heartbeat(**snap)
-        except Exception:
-            core.inc("monitor.errors")
-        core.inc("monitor.ticks")
-        return True
-
-    def close(self) -> None:
-        """Final forced tick so the journal's last heartbeat reflects
-        the terminal counts."""
-        self.tick(force=True)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +231,7 @@ def status_from_state(state: JournalState, *,
 
     finished = len(state.finished)
     hb = state.last_heartbeat or {}
-    jobs = max(int(hb.get("jobs") or 1), 1)
+    jobs = max(state.jobs, 1)
     hb_age = None
     if isinstance(hb.get("t"), (int, float)):
         hb_age = max(round(now - float(hb["t"]), 3), 0.0)
@@ -389,7 +265,7 @@ def status_from_state(state: JournalState, *,
         heartbeat_age=hb_age,
         rss=hb.get("rss"),
         jobs=jobs,
-        wave=int(hb.get("wave") or state.waves),
+        wave=state.wave,
         ewma_latency=round(ewma, 4) if ewma is not None else None,
         eta=eta,
         cache_hit_rate=(round(hit_rate, 4)
@@ -433,29 +309,48 @@ def build_report(store_root: os.PathLike, token: str = "latest", *,
     status = status_from_state(state, stale_after=stale_after)
     records, _, _ = read_records(jpath)
 
-    # Timeline: every timestamped lifecycle record, relative to the
-    # first timestamp seen so the report is origin-independent.
+    # Timeline and curves: every timestamped lifecycle record, relative
+    # to the first timestamp seen so the report is origin-independent.
+    # The progress counts are cumulative over the start/done records;
+    # the rss curve is the heartbeats'.
     stamped = [r for r in records
                if isinstance(r.get("t"), (int, float))
                and r.get("type") in ("wave", "start", "done", "heartbeat")]
     t0 = min((float(r["t"]) for r in stamped), default=0.0)
     timeline: List[Dict[str, Any]] = []
+    curves: Dict[str, List[List[float]]] = {}
+    counts = dict.fromkeys(("finished", "dispatched", "errors",
+                            "store_hits"), 0)
+    done = set()
     for r in stamped:
-        entry: Dict[str, Any] = {"t": round(float(r["t"]) - t0, 3),
-                                 "type": r["type"]}
+        rel = round(float(r["t"]) - t0, 3)
+        entry: Dict[str, Any] = {"t": rel, "type": r["type"]}
         if r["type"] == "wave":
             entry["wave"] = r.get("wave")
             entry["pending"] = r.get("pending")
         elif r["type"] == "start":
             entry["i"] = r.get("i")
             entry["label"] = r.get("label")
+            counts["dispatched"] += 1
         elif r["type"] == "done":
             entry["i"] = r.get("i")
             entry["ok"] = r.get("ok")
+            done.add(r.get("i"))
+            counts["finished"] = len(done)
+            counts["errors"] += not r.get("ok")
+            result = r.get("result")
+            counts["store_hits"] += bool(
+                isinstance(result, dict) and result.get("store_hit"))
         else:  # heartbeat
-            entry["finished"] = r.get("finished")
+            entry["finished"] = len(done)
             entry["rss"] = r.get("rss")
+            if isinstance(r.get("rss"), (int, float)):
+                curves.setdefault("rss_mb", []).append(
+                    [rel, round(float(r["rss"]) / 1e6, 2)])
         timeline.append(entry)
+        if r["type"] in ("start", "done"):
+            for key, value in counts.items():
+                curves.setdefault(key, []).append([rel, float(value)])
 
     # Per-point rows plus degradation / failure / provenance rollups.
     rows: List[Dict[str, Any]] = []
@@ -487,8 +382,6 @@ def build_report(store_root: os.PathLike, token: str = "latest", *,
                 key = f"{rec.get('site', '?')} → {rec.get('chosen', '?')}"
                 decisions[key] = decisions.get(key, 0) + 1
 
-    heartbeats = [r for r in records if r.get("type") == "heartbeat"]
-
     return {
         "schema": 1,
         "run_id": run_id,
@@ -501,31 +394,6 @@ def build_report(store_root: os.PathLike, token: str = "latest", *,
         "failures": failures,
         "decisions": dict(sorted(decisions.items(),
                                  key=lambda kv: (-kv[1], kv[0]))),
-        "series": {
-            "samples": len(heartbeats),
-            "curves": _progress_curves(heartbeats),
-        },
+        "series": {"samples": state.heartbeats, "curves": curves},
     }
 
-
-def _progress_curves(heartbeats: List[Dict[str, Any]]
-                     ) -> Dict[str, List[List[float]]]:
-    """Plottable ``name → [[t, value], ...]`` curves from heartbeats."""
-    curves: Dict[str, List[List[float]]] = {}
-    t0 = None
-    for hb in heartbeats:
-        t = hb.get("t")
-        if not isinstance(t, (int, float)):
-            continue
-        if t0 is None:
-            t0 = float(t)
-        rel = round(float(t) - t0, 3)
-        for key in ("finished", "dispatched", "errors", "store_hits"):
-            v = hb.get(key)
-            if isinstance(v, (int, float)):
-                curves.setdefault(key, []).append([rel, float(v)])
-        rss = hb.get("rss")
-        if isinstance(rss, (int, float)):
-            curves.setdefault("rss_mb", []).append(
-                [rel, round(float(rss) / 1e6, 2)])
-    return curves

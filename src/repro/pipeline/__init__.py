@@ -7,11 +7,13 @@ by program content in an in-memory LRU.  :mod:`repro.compiler` keeps
 the ``compile_program`` / ``compile_all`` / ``restructure_program``
 functions as thin wrappers over the process-wide default session.
 
-:mod:`repro.pipeline.grid` is the shared grid engine — one
-enumeration (:func:`~repro.pipeline.grid.make_grid`) and one hardened
-wave executor fanning ``(app, scheme, nprocs)`` points across a
-process pool with per-point error isolation — consumed by ``repro
-batch``, the benchmark harness, and the verifier.
+:mod:`repro.pipeline.grid` is the grid engine: one enumeration
+(:func:`~repro.pipeline.grid.make_grid`) and mapping from a point to
+its program, machine and store key, which ``repro bench``, ``repro
+perf`` and the verifier use to drive their own loops, and one hardened
+wave executor (:func:`~repro.pipeline.grid.run_grid`) fanning
+``(app, scheme, nprocs)`` points across a process pool with per-point
+error isolation, behind ``repro batch`` and ``repro run``.
 :mod:`repro.pipeline.store`, the one disk layer, persists each point's
 result under a content-addressed key (program x scheme x procs x
 machine x model version) so incremental reruns execute only what
@@ -26,7 +28,6 @@ from repro.pipeline.fingerprint import (
 from repro.pipeline.grid import (
     GridPoint,
     GridResult,
-    execute_grid,
     make_grid,
     point_key,
     point_machine,
@@ -52,7 +53,6 @@ __all__ = [
     "make_key",
     "GridPoint",
     "GridResult",
-    "execute_grid",
     "make_grid",
     "point_key",
     "point_machine",

@@ -1,10 +1,8 @@
-"""The shared grid-execution engine.
+"""The grid engine: one enumeration and one executor.
 
-Every surface that sweeps ``(app, scheme, nprocs)`` coordinates —
-``repro batch``, the benchmark harness (:mod:`repro.obs.bench`) and
-the verifier sweep in the CLI — used to carry its own copy of
-the enumerate/compile/simulate loop.  This module is the single
-implementation they all consume:
+The paper's evaluation is a grid of ``(app, scheme, nprocs)`` points.
+This module maps such a point to what it builds and runs, and executes
+a grid of them:
 
 * :func:`make_grid` enumerates a cartesian grid into
   :class:`GridPoint` coordinates (one ``(app, scheme, nprocs)`` plus
@@ -12,13 +10,13 @@ implementation they all consume:
 * :func:`point_program` / :func:`point_machine` / :func:`point_key`
   are the one true mapping from a coordinate to the program it builds,
   the machine it simulates, and the content-addressed key its result
-  is stored under;
-* :func:`execute_grid` is the hardened wave-based executor (per-point
-  error isolation, timeouts, retries with exponential backoff, broken
-  pool respawn, BASE-scheme degradation);
-* :func:`run_grid` layers the persistent
-  :class:`~repro.pipeline.store.ResultStore` on top: with
-  ``incremental=True`` it serves every point whose
+  is stored under — ``repro bench``, ``repro perf`` and the verifier
+  use these to enumerate their points and run their own loops;
+* :func:`run_grid` is the hardened executor behind ``repro batch`` and
+  ``repro run`` (per-point error isolation, timeouts, retries with
+  exponential backoff, broken pool respawn, BASE-scheme degradation)
+  with the persistent :class:`~repro.pipeline.store.ResultStore` on
+  top: with ``incremental=True`` it serves every point whose
   program x scheme x procs x machine x model-version key is already
   stored, executes only the rest, and writes fresh results back — so a
   rerun after editing one app re-executes exactly that app's points,
@@ -58,15 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults, obs
 from repro.codegen.spmd import parse_scheme, scheme_short_name
@@ -78,7 +68,6 @@ __all__ = [
     "GracefulShutdown",
     "GridPoint",
     "GridResult",
-    "execute_grid",
     "make_grid",
     "point_key",
     "point_machine",
@@ -412,85 +401,37 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pool.shutdown(wait=False)
 
 
-def execute_grid(
-    points: Iterable[GridPoint],
-    jobs: int = 1,
-    cache: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.5,
-    degrade: bool = True,
-    locality: bool = False,
-    on_result: Optional[Callable[[int, GridResult], None]] = None,
-    on_start: Optional[Callable[[int], None]] = None,
-    on_wave: Optional[Callable[[int, int], None]] = None,
-    shutdown: Optional[GracefulShutdown] = None,
-    monitor=None,
-) -> List[GridResult]:
-    """Execute every point; results come back in input order.
+class _NoJournal:
+    """The journal of a run that keeps none: every record is dropped."""
 
-    ``on_result(i, result)`` fires in the *driver* the moment point
-    ``i`` (input order) reaches its terminal result — the hook the
-    incremental layer uses to persist store entries and journal
-    records while the grid is still running, so a crash loses at most
-    the in-flight points.  ``on_start(i)`` fires at dispatch and
-    ``on_wave(wave, pending)`` at the top of each parallel wave.
+    def wave(self, wave: int, pending: int) -> None:
+        pass
 
-    ``shutdown`` makes the executor cooperate with SIGINT/SIGTERM: no
-    new dispatch after the trigger, the in-flight wave drains until
-    the deadline, abandoned points are simply absent from the returned
-    list (and ``on_result`` never fires for them).
+    def point_started(self, index: int, point: GridPoint) -> None:
+        pass
 
-    ``jobs <= 1`` runs serially in-process on one shared session;
-    ``jobs > 1`` fans out over a process pool, each worker keeping its
-    own in-memory artifact cache.  ``cache=False`` disables artifact
-    reuse (every pass runs for every point).
+    def point_done(self, index: int, result: GridResult) -> None:
+        pass
 
-    ``timeout`` bounds each point's wall-clock seconds (parallel mode
-    only; a stalled worker pool is killed and respawned).  ``retries``
-    re-attempts failed points with exponential ``backoff``.
-    ``degrade`` enables the BASE-scheme compile fallback per point.
-
-    ``locality`` attaches the deterministic reuse-distance /
-    set-pressure / heatmap analytics to every point
-    (``GridResult.locality``) at the cost of one extra analytics pass
-    over each point's address stream.
-
-    ``monitor`` (a :class:`repro.obs.runstate.RunMonitor`, duck-typed)
-    is only *pumped* here — its rate-limited ``tick()`` is called
-    between serial points and once per wait slice while parallel
-    futures are pending, so heartbeats keep flowing during a long
-    point.  Progress notifications (dispatch/finish/wave) go through
-    the ``on_*`` hooks, which carry the caller's own point indices.
-    """
-    points = list(points)
-    if jobs <= 1:
-        return _run_serial(points, cache, retries, backoff, degrade,
-                           locality, on_result, on_start, shutdown,
-                           monitor)
-    return _run_parallel(points, jobs, cache, timeout, retries, backoff,
-                         degrade, locality, on_result, on_start, on_wave,
-                         shutdown, monitor)
+    def tick(self) -> None:
+        pass
 
 
-def _run_serial(points, cache, retries, backoff, degrade,
-                locality=False, on_result=None, on_start=None,
-                shutdown=None, monitor=None) -> List[GridResult]:
+def _run_serial(points, indices, journal, finish, shutdown, cache,
+                retries, backoff, degrade, locality) -> None:
+    """Run ``points[i]`` for each grid index in ``indices`` in-process
+    on one shared session, calling ``finish(i, result)`` as each lands."""
     session = _make_session(cache)
-    out: List[GridResult] = []
-    for i, point in enumerate(points):
-        if shutdown is not None and shutdown.triggered:
+    for i in indices:
+        if shutdown.triggered:
             break
-        if monitor is not None:
-            monitor.tick()
-        if on_start is not None:
-            on_start(i)
+        journal.point_started(i, points[i])
         attempt = 1
-        result = run_point(point, session, degrade=degrade,
+        result = run_point(points[i], session, degrade=degrade,
                            locality=locality)
         abandoned = False
         while not result.ok and attempt <= retries:
-            if shutdown is not None and shutdown.triggered:
+            if shutdown.triggered:
                 # Mid-retry shutdown: abandon rather than record a
                 # failure the remaining retries might have fixed —
                 # resume re-executes the point with its full budget.
@@ -499,23 +440,19 @@ def _run_serial(points, cache, retries, backoff, degrade,
             obs.inc("batch.retries")
             time.sleep(_backoff_delay(backoff, attempt + 1))
             attempt += 1
-            result = run_point(point, session, degrade=degrade,
+            result = run_point(points[i], session, degrade=degrade,
                                locality=locality)
         if abandoned:
             break
         result.attempts = attempt
-        out.append(result)
-        if on_result is not None:
-            on_result(i, result)
-    return out
+        finish(i, result)
 
 
-def _run_parallel(points, jobs, cache, timeout, retries, backoff,
-                  degrade, locality=False, on_result=None, on_start=None,
-                  on_wave=None, shutdown=None,
-                  monitor=None) -> List[GridResult]:
-    """Wave-based execution: each wave gets a fresh pool for whatever
-    is still pending.
+def _run_parallel(points, indices, journal, finish, shutdown, jobs,
+                  cache, timeout, retries, backoff, degrade,
+                  locality) -> None:
+    """Wave-based execution over a process pool: each wave gets a fresh
+    pool for whatever is still pending.
 
     The retry budget is attributable: a point is charged only for an
     outcome of its *own* (a result, its own timeout, a distinct
@@ -527,28 +464,20 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
     rate).  A result's ``attempts`` is not the charge but the number
     of waves that dispatched the point, so a requeue still shows.
     """
-    payloads = [(asdict(p), cache, degrade, locality) for p in points]
-    results: List[Optional[GridResult]] = [None] * len(points)
     charged = [0] * len(points)
     dispatched = [0] * len(points)
-    pending: List[int] = list(range(len(points)))
+    pending: List[int] = list(indices)
     wave = 0
 
-    def _finish(i: int, result: GridResult) -> None:
-        results[i] = result
-        if on_result is not None:
-            on_result(i, result)
-
     while pending:
-        if shutdown is not None and shutdown.triggered:
+        if shutdown.triggered:
             # Stop dispatching: whatever is still pending stays unrun
             # (absent from the results) for --resume to pick up.
             break
         wave += 1
         if wave > 1:
             time.sleep(_backoff_delay(backoff, wave))
-        if on_wave is not None:
-            on_wave(wave, len(pending))
+        journal.wave(wave, len(pending))
         for i in pending:
             dispatched[i] += 1
         next_pending: List[int] = []
@@ -558,7 +487,7 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
                 obs.inc("batch.retries")
                 next_pending.append(i)
             else:
-                _finish(i, GridResult(
+                finish(i, GridResult(
                     point=points[i], ok=False, error=error,
                     attempts=dispatched[i],
                 ))
@@ -571,10 +500,9 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
         collateral: List[int] = []
         try:
             for i in pending:
-                if on_start is not None:
-                    on_start(i)
-                futures.append(
-                    (pool.submit(_worker_run, payloads[i]), i))
+                journal.point_started(i, points[i])
+                payload = (asdict(points[i]), cache, degrade, locality)
+                futures.append((pool.submit(_worker_run, payload), i))
         except BrokenProcessPool:
             broken = True
             submitted = {i for _, i in futures}
@@ -590,9 +518,9 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
                     collateral.append(i)
                 continue
             try:
-                result = _await_result(fut, timeout, shutdown, monitor)
+                result = _await_result(fut, timeout, shutdown, journal)
                 result.attempts = dispatched[i]
-                _finish(i, result)
+                finish(i, result)
                 progressed = True
             except _DrainExpired:
                 aborted = True
@@ -635,23 +563,19 @@ def _run_parallel(points, jobs, cache, timeout, retries, backoff,
         if aborted:
             break
         pending = next_pending
-    return [r for r in results if r is not None]
 
 
-def _await_result(fut, timeout, shutdown, monitor=None) -> GridResult:
+def _await_result(fut, timeout, shutdown, journal) -> GridResult:
     """``fut.result`` that honours both the per-point timeout and a
     graceful shutdown's drain deadline (polling in short slices so the
-    signal handler's flag is observed promptly).  A run monitor is
-    pumped once per slice, so heartbeats keep a live-run status honest
-    even while every worker is deep inside one long point."""
-    if shutdown is None and monitor is None:
-        return fut.result(timeout=timeout)
+    signal handler's flag is observed promptly).  The journal is ticked
+    once per slice, so heartbeats keep a live-run status honest even
+    while every worker is deep inside one long point."""
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
-        if shutdown is not None and shutdown.drain_expired():
+        if shutdown.drain_expired():
             raise _DrainExpired()
-        if monitor is not None:
-            monitor.tick()
+        journal.tick()
         slice_s = 0.2
         if deadline is not None:
             remaining = deadline - time.monotonic()
@@ -664,7 +588,7 @@ def _await_result(fut, timeout, shutdown, monitor=None) -> GridResult:
             continue
 
 
-# -- the incremental layer ---------------------------------------------------
+# -- the result store over the executor --------------------------------------
 
 _PAYLOAD_FIELDS = (
     "total_time", "n_accesses", "miss_breakdown", "elapsed",
@@ -710,19 +634,28 @@ def run_grid(
     incremental: bool = False,
     journal=None,
     shutdown: Optional[GracefulShutdown] = None,
-    monitor=None,
 ) -> List[GridResult]:
-    """Run every point, optionally against a persistent result store.
+    """Run every point; results come back in input order.
 
-    Without a ``store``, ``journal``, ``shutdown`` or ``monitor`` this
-    is exactly :func:`execute_grid`.  With a store, every executed
-    ok/non-degraded result is written back under its
-    :func:`point_key`; with ``incremental=True`` the store is
-    consulted first and matching points are *served* instead of
-    executed (``GridResult.store_hit``), so only points whose program,
-    machine, or model version changed do any compile/simulate work.
-    A ``--resume`` is exactly this: the journaled grid re-run with
-    ``incremental=True``, so the points an earlier run stored are
+    ``jobs <= 1`` runs serially in-process on one shared session;
+    ``jobs > 1`` fans out over a process pool, each worker keeping its
+    own in-memory artifact cache.  ``cache=False`` disables artifact
+    reuse (every pass runs for every point).  ``timeout`` bounds each
+    point's wall-clock seconds (parallel mode only; a stalled worker
+    pool is killed and respawned).  ``retries`` re-attempts failed
+    points with exponential ``backoff``.  ``degrade`` enables the
+    BASE-scheme compile fallback per point.  ``locality`` attaches the
+    reuse-distance / set-pressure / heatmap analytics to every point
+    (``GridResult.locality``) at the cost of one extra analytics pass
+    over each point's address stream.
+
+    With a ``store``, every executed ok/non-degraded result is written
+    back under its :func:`point_key`; with ``incremental=True`` the
+    store is consulted first and matching points are *served* instead
+    of executed (``GridResult.store_hit``), so only points whose
+    program, machine, or model version changed do any compile/simulate
+    work.  A ``--resume`` is exactly this: the journaled grid re-run
+    with ``incremental=True``, so the points an earlier run stored are
     served and failed, degraded or unfinished points execute.
 
     The store is touched only on the driver side — before dispatch and
@@ -732,30 +665,22 @@ def run_grid(
     re-executing the point would produce.
 
     ``journal`` is a :class:`repro.pipeline.journal.JournalWriter`
-    (duck-typed to avoid the circular import): each point's terminal
-    result is appended the moment it lands, including store-served
-    points, so ``repro status`` and ``repro report`` can follow the run
-    from the journal alone.
+    (duck-typed to avoid the circular import) and the one record of the
+    running grid: every wave, dispatch and terminal result (including
+    store-served points) is appended in grid-global indices the moment
+    it happens, and the executor ticks it while it waits so its
+    heartbeats keep flowing during a long point.  ``repro status`` and
+    ``repro report`` follow the run from the journal alone.
 
     ``shutdown`` (a :class:`GracefulShutdown`) makes the run stop
-    dispatching on SIGINT/SIGTERM and drain in-flight work; abandoned
-    points are absent from the returned list.
-
-    ``monitor`` (a :class:`repro.obs.runstate.RunMonitor`, duck-typed
-    like the journal) is told about every dispatch, finish (including
-    store-served points) and wave in grid-global indices, and is
-    pumped while the executor waits — driving the heartbeat records
-    ``repro status`` (and ``status --follow``) and ``repro report``
-    read.
+    dispatching on SIGINT/SIGTERM and drain in-flight work until its
+    deadline; abandoned points are absent from the returned list.
     """
     points = list(points)
-    if (store is None and journal is None and shutdown is None
-            and monitor is None):
-        return execute_grid(
-            points, jobs=jobs, cache=cache,
-            timeout=timeout, retries=retries, backoff=backoff,
-            degrade=degrade, locality=locality,
-        )
+    if journal is None:
+        journal = _NoJournal()
+    if shutdown is None:
+        shutdown = GracefulShutdown()  # never triggered
     results: List[Optional[GridResult]] = [None] * len(points)
     # One key per point.  Programs repeat across schemes/procs, so the
     # build is memoized on the coordinate knobs that shape it.  A point
@@ -781,62 +706,33 @@ def run_grid(
                 keys[i] = None
     to_run: List[int] = []
     for i, (p, k) in enumerate(zip(points, keys)):
-        payload = None
-        if incremental and store is not None and k is not None:
-            payload = store.get(k)
+        payload = store.get(k) if incremental and k is not None else None
         if payload is not None:
-            served = _result_from_payload(p, k, payload)
-            results[i] = served
-            if journal is not None:
-                journal.point_done(i, served)
-            if monitor is not None:
-                monitor.point_finished(i, served)
+            results[i] = _result_from_payload(p, k, payload)
+            journal.point_done(i, results[i])
         else:
             to_run.append(i)
-    if to_run:
-        # execute_grid sees a compacted point list; translate its local
-        # indices back to grid-global ones for the store/journal.
-        index = {j: i for j, i in enumerate(to_run)}
 
-        def _record(j: int, r: GridResult) -> None:
-            i = index[j]
-            if keys[i] is not None:
-                r.store_key = keys[i]
-            results[i] = r
+    def finish(i: int, r: GridResult) -> None:
+        results[i] = r
+        if keys[i] is not None:
+            r.store_key = keys[i]
             # Degraded results ran the wrong scheme and failures carry
             # no result — neither is evidence worth persisting, so a
             # resume re-executes them.
-            if (store is not None and keys[i] is not None
-                    and r.ok and not r.degraded):
+            if r.ok and not r.degraded:
                 store.put(keys[i], _result_payload(r),
                           coord=f"sim:{points[i].coord()}"
                                 f"/loc={locality}")
-            if journal is not None:
-                journal.point_done(i, r)
-            if monitor is not None:
-                monitor.point_finished(i, r)
-            faults.maybe_driver_kill()
+        journal.point_done(i, r)
+        faults.maybe_driver_kill()
 
-        def _started(j: int) -> None:
-            i = index[j]
-            if journal is not None:
-                journal.point_started(i, points[i])
-            if monitor is not None:
-                monitor.point_dispatched(i)
-
-        def _wave(wave: int, pending: int) -> None:
-            if journal is not None:
-                journal.wave(wave, pending)
-            if monitor is not None:
-                monitor.wave_started(wave, pending)
-
-        execute_grid(
-            [points[i] for i in to_run], jobs=jobs, cache=cache,
-            timeout=timeout, retries=retries, backoff=backoff,
-            degrade=degrade, locality=locality,
-            on_result=_record, on_start=_started, on_wave=_wave,
-            shutdown=shutdown, monitor=monitor,
-        )
+    if jobs <= 1:
+        _run_serial(points, to_run, journal, finish, shutdown, cache,
+                    retries, backoff, degrade, locality)
+    else:
+        _run_parallel(points, to_run, journal, finish, shutdown, jobs,
+                      cache, timeout, retries, backoff, degrade, locality)
     return [r for r in results if r is not None]
 
 

@@ -10,18 +10,21 @@ whatever survives a crash is a complete prefix of the run's history
 
 Record stream (``type`` field)::
 
-    header     run_id, schema, created, the full grid *spec* (every
-               point coordinate plus the result-shaping knobs) and its
-               SHA-256 fingerprint — the resume contract
-    resume     appended when ``--resume`` reopens the journal
+    header     run_id, schema, created, the driver's pid and ``jobs``,
+               the full grid *spec* (every point coordinate plus the
+               result-shaping knobs) and its SHA-256 fingerprint — the
+               resume contract
+    resume     appended when ``--resume`` reopens the journal (pid and
+               ``jobs`` of the resuming driver)
     wave       the executor started wave N with M points pending
     start      point i was dispatched (carries a wall-clock ``t`` so a
                reader can see how long it has been in flight)
     done       point i reached a terminal state; carries the full
                :class:`~repro.pipeline.grid.GridResult` dict, which
                ``repro status`` and ``repro report`` read
-    heartbeat  periodic liveness: driver pid, current wave, progress
-               counters, the in-flight point indices, rss.  Appended
+    heartbeat  periodic liveness: ``t``, driver pid, rss.  The writer
+               appends one whenever its interval has passed at one of
+               its own appends or at a :meth:`~JournalWriter.tick`;
                flushed-but-not-fsync'd — heartbeats are monitoring
                data, not resume state, so they never pay the fsync
     end        the run finished ("complete") or was interrupted
@@ -146,6 +149,22 @@ def resolve_run_id(jdir: os.PathLike, token: str) -> str:
                        journal_dir=str(jdir))
 
 
+def rss_bytes() -> Optional[int]:
+    """Resident set size of this process, best effort."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    except Exception:
+        return None
+
+
 class JournalWriter:
     """Single-writer append side of one run's journal.
 
@@ -153,23 +172,32 @@ class JournalWriter:
     for speed).  Append failures are counted (``journal.errors``) and
     swallowed: a resume takes only the grid from the journal, and the
     store decides which points it serves.
+
+    ``heartbeat`` is the interval in seconds between liveness records
+    (0, the default, writes none): a heartbeat is appended whenever the
+    interval has passed at a ``wave``/``start``/``done`` append or at a
+    :meth:`tick`, which the grid executor calls while it waits.
     """
 
     def __init__(self, jdir: Path, run_id: str, fh: IO[str],
-                 fsync: bool = True):
+                 fsync: bool = True, heartbeat: float = 0.0):
         self.jdir = jdir
         self.run_id = run_id
         self.fsync = fsync
+        self.heartbeat_s = heartbeat
         self.appends = 0
         self.errors = 0
         self._fh: Optional[IO[str]] = fh
+        self._last_beat: Optional[float] = None  # monotonic
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def create(cls, jdir: os.PathLike, spec: Dict[str, Any],
                fsync: bool = True,
-               run_id: Optional[str] = None) -> "JournalWriter":
+               run_id: Optional[str] = None,
+               heartbeat: float = 0.0,
+               jobs: int = 1) -> "JournalWriter":
         """Start a fresh journal: write the header record and move the
         ``latest`` pointer (under the journal directory's lock)."""
         jdir = Path(jdir).expanduser()
@@ -177,13 +205,14 @@ class JournalWriter:
         if run_id is None:
             run_id = new_run_id(jdir)
         fh = open(jdir / f"{run_id}.jsonl", "a")
-        writer = cls(jdir, run_id, fh, fsync=fsync)
+        writer = cls(jdir, run_id, fh, fsync=fsync, heartbeat=heartbeat)
         writer._append({
             "type": "header",
             "schema": JOURNAL_SCHEMA,
             "run_id": run_id,
             "created": _utcnow(),
             "pid": os.getpid(),
+            "jobs": jobs,
             "total": len(spec.get("points", [])),
             "fingerprint": spec_fingerprint(spec),
             "spec": spec,
@@ -194,7 +223,9 @@ class JournalWriter:
 
     @classmethod
     def reopen(cls, jdir: os.PathLike, run_id: str,
-               fsync: bool = True) -> "JournalWriter":
+               fsync: bool = True,
+               heartbeat: float = 0.0,
+               jobs: int = 1) -> "JournalWriter":
         """Reopen an interrupted run's journal for a resume: appends a
         ``resume`` record and points ``latest`` back at this run."""
         jdir = Path(jdir).expanduser()
@@ -203,11 +234,12 @@ class JournalWriter:
             raise JournalError(f"no journal for run id {run_id!r}",
                                journal_dir=str(jdir))
         fh = open(path, "a")
-        writer = cls(jdir, run_id, fh, fsync=fsync)
+        writer = cls(jdir, run_id, fh, fsync=fsync, heartbeat=heartbeat)
         writer._append({
             "type": "resume",
             "created": _utcnow(),
             "pid": os.getpid(),
+            "jobs": jobs,
         })
         writer._point_latest()
         obs.event("journal.resumed", cat="journal", run_id=run_id)
@@ -257,11 +289,13 @@ class JournalWriter:
     def wave(self, wave: int, pending: int) -> None:
         self._append({"type": "wave", "wave": wave, "pending": pending,
                       "t": round(time.time(), 3)})
+        self.tick()
 
     def point_started(self, index: int, point: GridPoint) -> None:
         self._append({"type": "start", "i": index,
                       "label": point.label(),
                       "t": round(time.time(), 3)})
+        self.tick()
 
     def point_done(self, index: int, result: GridResult) -> None:
         """The record of a point's terminal result (``status`` and
@@ -271,12 +305,23 @@ class JournalWriter:
                       "t": round(time.time(), 3),
                       "result": result.as_dict()})
         obs.inc("journal.points_journaled")
+        self.tick()
+
+    def tick(self) -> None:
+        """Append a heartbeat if ``heartbeat`` seconds have passed since
+        the last one (the first tick lands at once)."""
+        if self.heartbeat_s > 0 and (
+                self._last_beat is None
+                or time.monotonic() - self._last_beat >= self.heartbeat_s):
+            self.heartbeat()
 
     def heartbeat(self, **fields: Any) -> None:
-        """Periodic liveness record.  Flushed but never fsync'd: a lost
-        heartbeat costs a stale status display, not resume state."""
-        self._append({"type": "heartbeat",
-                      "t": round(time.time(), 3), **fields},
+        """Liveness record: ``t``, pid and rss (``fields`` add to or
+        override them).  Flushed but never fsync'd: a lost heartbeat
+        costs a stale status display, not resume state."""
+        self._last_beat = time.monotonic()
+        self._append({"type": "heartbeat", "t": round(time.time(), 3),
+                      "pid": os.getpid(), "rss": rss_bytes(), **fields},
                      durable=False)
         obs.inc("journal.heartbeats")
 
@@ -341,6 +386,8 @@ class JournalState:
     started: int = 0
     started_indices: Set[int] = field(default_factory=set)
     waves: int = 0
+    wave: int = 0                   # number of the last wave record
+    jobs: int = 1                   # the last driver's --jobs
     resumes: int = 0
     ended: Optional[str] = None
     bad_lines: int = 0
@@ -368,16 +415,21 @@ class JournalState:
 
     def _apply(self, record: Dict[str, Any]) -> None:
         rtype = record.get("type")
+        if rtype in ("header", "resume", "heartbeat"):
+            # The driver's pid and --jobs: the header or resume record
+            # carries them (older journals put jobs in heartbeats).
+            if record.get("pid") is not None:
+                self.pid = record["pid"]
+            if isinstance(record.get("jobs"), int):
+                self.jobs = record["jobs"]
         if rtype == "header" and self.header is None:
             self.header = record
-            if record.get("pid") is not None:
-                self.pid = record["pid"]
         elif rtype == "resume":
             self.resumes += 1
-            if record.get("pid") is not None:
-                self.pid = record["pid"]
         elif rtype == "wave":
             self.waves += 1
+            if isinstance(record.get("wave"), int):
+                self.wave = record["wave"]
         elif rtype == "start":
             self.started += 1
             try:
@@ -394,8 +446,6 @@ class JournalState:
         elif rtype == "heartbeat":
             self.heartbeats += 1
             self.last_heartbeat = record
-            if record.get("pid") is not None:
-                self.pid = record["pid"]
         elif rtype == "end":
             self.ended = str(record.get("status"))
 

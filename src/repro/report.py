@@ -254,9 +254,10 @@ def format_status_text(status: Mapping) -> str:
 def run_report_html(payload: Mapping) -> str:
     """Self-contained HTML run report from a
     :func:`repro.obs.runstate.build_report` payload: status summary,
-    progress/rss curves from the heartbeats, per-point table, and the
-    degradation / failure / decision rollups.  Everything inline — the
-    file renders from a CI artifact tab with no other assets."""
+    progress curves from the records and rss from the heartbeats,
+    per-point table, and the degradation / failure / decision rollups.
+    Everything inline — the file renders from a CI artifact tab with no
+    other assets."""
     from repro.obs.html import page, svg_line, table
 
     s = payload.get("status") or {}
@@ -298,7 +299,7 @@ def run_report_html(payload: Mapping) -> str:
                 parts.append(svg_line(pts, label=name, unit=unit))
     else:
         parts.append("<p class='meta'>no time-series samples for this "
-                     "run (driver ran without --heartbeat?)</p>")
+                     "run (no point was dispatched)</p>")
 
     rows = payload.get("points") or []
     if rows:

@@ -53,11 +53,30 @@ class TestCli:
         assert main(args + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    def test_run_matches_speedup_curve(self, capsys):
+        """`run` sweeps through the grid executor; its table is the one
+        the figures' ``speedup_curve`` gives."""
+        from repro.apps import build_app
+        from repro.codegen.spmd import SCHEME_NAMES
+        from repro.machine import scaled_dash
+        from repro.machine.simulate import speedup_curve
+        from repro.report import format_speedup_table
+
+        prog = build_app("simple", n=8)
+        word = min(d.element_size for d in prog.arrays.values())
+        curves = speedup_curve(
+            prog, list(SCHEME_NAMES.values()),
+            lambda p: scaled_dash(p, scale=32, word_bytes=word), [1, 2, 4])
+        assert main(["run", "simple", "--n", "8", "--procs-list", "1,2,4",
+                     "--scale", "32"]) == 0
+        assert capsys.readouterr().out == format_speedup_table(
+            curves, title="simple N=8, scaled DASH /32") + "\n"
+
     def test_run_jobs_failed_scheme_fails_the_run(self, monkeypatch,
                                                   capsys):
-        """A scheme that fails to compile fails a parallel run as it
-        fails a serial one; its row must not show BASE's times."""
-        from repro.errors import CompileError
+        """A scheme that fails to compile fails the run at every
+        --jobs with the same one-line exit; its row must not show
+        BASE's times."""
         from repro.pipeline import passes
 
         def boom(*args, **kwargs):
@@ -67,7 +86,7 @@ class TestCli:
         monkeypatch.setattr(passes, "decompose_program", boom)
         args = ["run", "simple", "--n", "8", "--procs-list", "1,2",
                 "--scheme", "comp", "--scale", "32"]
-        with pytest.raises(CompileError, match="decomposition exploded"):
+        with pytest.raises(SystemExit, match="decomposition exploded"):
             main(args + ["--jobs", "1"])
         with pytest.raises(SystemExit, match="decomposition exploded"):
             main(args + ["--jobs", "2"])

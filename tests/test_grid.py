@@ -187,15 +187,14 @@ class TestRunGridIncremental:
                                             monkeypatch):
         points = self._points()[:2]
         keys = [point_key(p, locality=False) for p in points]
+        fakes = {
+            points[0]: GridResult(point=points[0], ok=True, degraded=True,
+                                  total_time=1.0),
+            points[1]: GridResult(point=points[1], ok=False, error="boom"),
+        }
 
-        def fake_execute(pts, **kwargs):
-            return [
-                GridResult(point=pts[0], ok=True, degraded=True,
-                           total_time=1.0),
-                GridResult(point=pts[1], ok=False, error="boom"),
-            ]
-
-        monkeypatch.setattr(grid_mod, "execute_grid", fake_execute)
+        monkeypatch.setattr(grid_mod, "run_point",
+                            lambda point, session, **kw: fakes[point])
         store = ResultStore(tmp_path)
         run_grid(points, store=store, incremental=True)
         assert store.stats.stores == 0
@@ -304,6 +303,9 @@ class TestJournalledRunGrid:
             def wave(self, wave, pending):
                 pass
 
+            def tick(self):
+                pass
+
             def point_done(self, i, result):
                 seen.append(i)
                 if len(seen) == 1:
@@ -330,6 +332,9 @@ class TestJournalledRunGrid:
                 pass
 
             def wave(self, wave, pending):
+                pass
+
+            def tick(self):
                 pass
 
             def point_done(self, i, result):

@@ -80,76 +80,11 @@ class TestMetrics:
         snap = obs.collector().metrics.snapshot()
         assert snap["counters"] == {"x": 5, "y": 1}
 
-    def test_gauge_and_histogram(self):
+    def test_gauge(self):
         obs.enable()
         obs.gauge("g").set(7.5)
-        h = obs.histogram("h")
-        for v in (1.0, 2.0, 3.0):
-            h.observe(v)
         snap = obs.collector().metrics.snapshot()
         assert snap["gauges"]["g"] == 7.5
-        assert snap["histograms"]["h"]["count"] == 3
-        assert snap["histograms"]["h"]["mean"] == 2.0
-        assert snap["histograms"]["h"]["min"] == 1.0
-        assert snap["histograms"]["h"]["max"] == 3.0
-
-
-class TestHistogramEdges:
-    """Percentile estimation at the awkward ends: empty, single
-    sample, interpolation, and the deterministic reservoir decimation
-    that kicks in past SAMPLE_CAP observations."""
-
-    def test_empty_histogram(self):
-        from repro.obs.metrics import Histogram
-        h = Histogram("h")
-        assert h.percentile(0.0) == 0.0
-        assert h.p50 == 0.0 and h.p95 == 0.0
-        assert h.mean == 0.0
-
-    def test_empty_histogram_snapshot_uses_none_sentinels(self):
-        obs.enable()
-        obs.collector().metrics.histogram("h")  # created, never observed
-        snap = obs.collector().metrics.snapshot()["histograms"]["h"]
-        assert snap["count"] == 0
-        assert snap["min"] is None and snap["max"] is None
-        assert snap["p50"] is None and snap["p95"] is None
-
-    def test_single_sample_is_every_percentile(self):
-        from repro.obs.metrics import Histogram
-        h = Histogram("h").observe(7.25)
-        for q in (0.0, 0.5, 0.95, 1.0):
-            assert h.percentile(q) == 7.25
-        assert h.min == h.max == 7.25
-
-    def test_percentile_interpolates(self):
-        from repro.obs.metrics import Histogram
-        h = Histogram("h")
-        for v in (4.0, 1.0, 3.0, 2.0):  # order must not matter
-            h.observe(v)
-        assert h.percentile(0.5) == pytest.approx(2.5)
-        assert h.percentile(0.0) == 1.0
-        assert h.percentile(1.0) == 4.0
-
-    def test_decimation_boundary_keeps_estimates_and_extremes(self):
-        from repro.obs.metrics import SAMPLE_CAP, Histogram
-        h = Histogram("h")
-        n = SAMPLE_CAP + 1  # first decimation fires exactly here
-        for v in range(n):
-            h.observe(float(v))
-        assert h.count == n
-        assert len(h.samples) <= SAMPLE_CAP
-        assert h.min == 0.0 and h.max == float(n - 1)
-        # Decimated estimates stay close to the true percentiles.
-        assert h.percentile(0.5) == pytest.approx((n - 1) / 2, rel=0.05)
-        assert h.p95 == pytest.approx(0.95 * (n - 1), rel=0.05)
-
-    def test_decimation_is_deterministic(self):
-        from repro.obs.metrics import SAMPLE_CAP, Histogram
-        a, b = Histogram("a"), Histogram("b")
-        for v in range(3 * SAMPLE_CAP):
-            a.observe(float(v))
-            b.observe(float(v))
-        assert a.samples == b.samples  # identical streams → identical retention
 
 
 class TestSummaryDegenerate:
@@ -158,19 +93,6 @@ class TestSummaryDegenerate:
     def test_nothing_recorded(self):
         obs.enable()
         assert obs.summary() == "(no telemetry recorded)"
-
-    def test_unobserved_histogram_renders_dashes(self):
-        obs.enable()
-        obs.collector().metrics.histogram("latency.empty")
-        text = obs.summary()
-        assert "latency.empty" in text
-        assert "p50=- p95=-" in text  # None sentinels, not a crash
-
-    def test_single_sample_histogram_renders(self):
-        obs.enable()
-        obs.histogram("one").observe(2.5)
-        text = obs.summary()
-        assert "n=1" in text and "p50=2.5" in text
 
     def test_monitor_counters_join_store_section(self):
         obs.enable()
@@ -193,7 +115,6 @@ class TestDisabledFastPath:
         assert obs.counter("a") is obs.counter("b")
         assert obs.counter("a") is obs.NOOP_METRIC
         assert obs.gauge("g") is obs.NOOP_METRIC
-        assert obs.histogram("h") is obs.NOOP_METRIC
 
     def test_nothing_recorded_while_disabled(self):
         with obs.span("s", cat="test") as sp:

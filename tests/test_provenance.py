@@ -248,23 +248,21 @@ class TestTraceDeterminism:
     def test_tied_timestamps_sort_by_name(self):
         """Events sharing a timestamp appear name-sorted, so the trace
         is byte-stable regardless of dict insertion order."""
-        from repro.obs.export import lane_trace_events
+        from repro.obs.core import Collector
+        from repro.obs.export import to_chrome_trace
 
-        def state(counter_order):
-            return {
-                "t0": 0.0,
-                "spans": [{
-                    "name": "pass.layout", "cat": "pipeline",
-                    "start": 0.0, "end": 1.0, "attrs": {},
-                    "counters": {k: 1 for k in counter_order},
-                }],
-                "events": [],
-                "metrics": {"counters": {}, "gauges": {},
-                            "histograms": {}},
-            }
+        def trace(counter_order):
+            c = Collector()
+            c.t0 = 0.0
+            sp = c.span("pass.layout", cat="pipeline")
+            sp.start, sp.end = 0.0, 1.0
+            for k in counter_order:
+                sp.add(k)
+            c.spans.append(sp)
+            return to_chrome_trace(c)
 
-        a = lane_trace_events(state(["b", "a", "c"]), pid=0, t0=0.0)
-        b = lane_trace_events(state(["c", "b", "a"]), pid=0, t0=0.0)
+        a = trace(["b", "a", "c"])
+        b = trace(["c", "b", "a"])
         assert json.dumps(a) == json.dumps(b)
-        names = [e["name"] for e in a if e["ph"] == "C"]
+        names = [e["name"] for e in a["traceEvents"] if e["ph"] == "C"]
         assert names == sorted(names)

@@ -1,27 +1,32 @@
-"""Live run state: the driver-side RunMonitor (hook accounting, rate
+"""Live run state: the journal writer's heartbeat tick (rate
 limiting, best-effort emission) and the reader-side status snapshot
 (run-state classification, EWMA latency → ETA, per-scheme matrix,
 cache-hit rate) derived from the journal alone, plus the report
 payload that stitches the journal's records and heartbeats together."""
 
+import os
 import subprocess
 import time
 from dataclasses import asdict
 
 import pytest
 
-from repro import obs
+from repro import faults, obs
 from repro.errors import JournalError
 from repro.obs.runstate import (
-    RunMonitor,
     build_report,
     load_status,
     pid_alive,
-    rss_bytes,
     status_from_state,
 )
 from repro.pipeline.grid import GridPoint, GridResult
-from repro.pipeline.journal import JournalState, JournalWriter, journal_dir
+from repro.pipeline.journal import (
+    JournalState,
+    JournalWriter,
+    journal_dir,
+    read_records,
+    rss_bytes,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -63,77 +68,95 @@ class TestHelpers:
         assert rss is None or rss > 1_000_000  # >1 MB for a python proc
 
     def test_pid_alive(self):
-        import os
         assert pid_alive(None) is None
         assert pid_alive(0) is None
         assert pid_alive(os.getpid()) is True
         assert pid_alive(_dead_pid()) is False
 
 
-class TestRunMonitor:
-    def test_hook_accounting(self):
-        m = RunMonitor(total=4, interval=1000)
-        m.wave_started(1, pending=4)
-        for i in range(3):
-            m.point_dispatched(i)
-        assert sorted(m._in_flight) == [0, 1, 2]
-        m.point_finished(0, _result(_points()[0]))
-        m.point_finished(1, _result(_points()[1], ok=False, attempts=3))
-        m.point_finished(2, _result(_points()[2], degraded=True,
-                                    attempts=2))
-        served = _result(_points()[3], ok=False, store_hit=True)
-        m.point_dispatched(3)
-        m.point_finished(3, served)
-        snap = m.progress()
-        assert snap["dispatched"] == 4 and snap["finished"] == 4
-        assert snap["errors"] == 1          # store hits never count
-        assert snap["degraded"] == 1
-        assert snap["retried"] == 2
-        assert snap["store_hits"] == 1
-        assert snap["in_flight"] == []
-        assert snap["wave"] == 1 and snap["total"] == 4
+class TestJournalTick:
+    """The journal writer's own heartbeats: rate-limited, liveness
+    only, best effort."""
 
-    def test_tick_is_rate_limited(self):
-        m = RunMonitor(total=1, interval=1000)
-        assert m.tick() is True        # first tick always lands
-        assert m.tick() is False       # inside the interval
-        assert m.tick(force=True) is True
-        assert m.ticks == 2
+    def _load(self, tmp_path, writer):
+        return JournalState.load(tmp_path / f"{writer.run_id}.jsonl")
+
+    def test_first_tick_lands_at_once(self, tmp_path):
+        writer = JournalWriter.create(tmp_path, _spec(_points()),
+                                      heartbeat=1000)
+        writer.tick()
+        writer.close()
+        state = self._load(tmp_path, writer)
+        assert state.heartbeats == 1
+        hb = state.last_heartbeat
+        assert set(hb) == {"type", "t", "pid", "rss"}
+        assert hb["pid"] == os.getpid()
+
+    def test_tick_is_rate_limited(self, tmp_path):
+        points = _points()
+        writer = JournalWriter.create(tmp_path, _spec(points),
+                                      heartbeat=1000)
+        writer.tick()                        # lands
+        writer.tick()                        # inside the interval
+        writer.point_started(0, points[0])   # not due at an append either
+        writer.close()
+        assert self._load(tmp_path, writer).heartbeats == 1
+
+        off = JournalWriter.create(tmp_path, _spec(points))  # none
+        off.tick()
+        off.point_started(0, points[0])
+        off.close()
+        assert self._load(tmp_path, off).heartbeats == 0
+
+    def test_due_heartbeat_lands_at_an_append(self, tmp_path):
+        points = _points()
+        writer = JournalWriter.create(tmp_path, _spec(points),
+                                      heartbeat=0.05)
+        writer.tick()
+        time.sleep(0.06)
+        writer.point_started(0, points[0])
+        writer.close()
+        path = tmp_path / f"{writer.run_id}.jsonl"
+        kinds = [r["type"] for r in read_records(path)[0]]
+        assert kinds == ["header", "heartbeat", "start", "heartbeat"]
+
+    def test_failed_tick_is_counted(self, tmp_path):
+        obs.enable()
+        writer = JournalWriter.create(tmp_path, _spec(_points()),
+                                      heartbeat=1000)
+        faults.configure("seed=1,disk.enospc=1.0")
+        try:
+            writer.tick()  # the failure must not propagate
+        finally:
+            faults.configure(None)
+        writer.close()
+        assert writer.errors == 1
+        c = obs.collector().metrics.counters
+        assert c["journal.errors"].value == 1
+        assert c["journal.heartbeats"].value == 1
+        assert self._load(tmp_path, writer).heartbeats == 0
 
     def test_heartbeats_land_in_journal_and_series(self, tmp_path):
         points = _points()
         jdir = journal_dir(tmp_path)
-        writer = JournalWriter.create(jdir, _spec(points))
-        m = RunMonitor(total=len(points), journal=writer,
-                       interval=1000, jobs=2)
-        m.wave_started(1, pending=4)
-        m.point_dispatched(0)
-        m.point_finished(0, _result(points[0]))
-        m.close()  # forced final tick
+        writer = JournalWriter.create(jdir, _spec(points),
+                                      heartbeat=1000, jobs=2)
+        writer.wave(1, pending=4)  # the first tick lands here
+        writer.point_started(0, points[0])
+        writer.point_done(0, _result(points[0]))
         writer.close()
 
         state = JournalState.load(jdir / f"{writer.run_id}.jsonl")
-        assert state.heartbeats == 2  # wave tick + close tick
-        hb = state.last_heartbeat
-        assert hb["finished"] == 1 and hb["total"] == 4
-        assert hb["jobs"] == 2 and hb["in_flight"] == []
-        # The report's series is read back from those heartbeats.
+        assert state.heartbeats == 1
+        st = status_from_state(state)
+        assert st.jobs == 2 and st.wave == 1  # header and wave record
+        # The report's series: progress from the records, rss from
+        # the heartbeats.
         series = build_report(tmp_path, writer.run_id)["series"]
-        assert series["samples"] == 2
+        assert series["samples"] == 1
         assert series["curves"]["finished"][-1][1] == 1.0
-
-    def test_emission_failure_is_swallowed_and_counted(self):
-        obs.enable()
-
-        class Boom:
-            def heartbeat(self, **kw):
-                raise OSError("disk gone")
-
-        m = RunMonitor(total=1, journal=Boom(), interval=1000)
-        assert m.tick() is True  # the failure must not propagate
-        c = obs.collector().metrics.counters
-        assert c["monitor.errors"].value == 1
-        assert c["monitor.ticks"].value == 1
+        if state.last_heartbeat["rss"] is not None:
+            assert len(series["curves"]["rss_mb"]) == 1
 
 
 class TestStatusFromState:
@@ -228,6 +251,27 @@ class TestStatusFromState:
                                now=time.time() + 60, stale_after=15.0)
         assert st.state == "stale"
 
+    def test_counter_heartbeats_of_older_journals(self, tmp_path):
+        """Older drivers wrote jobs, wave and progress counters into
+        every heartbeat; such a journal reads the same status."""
+        points, writer = self._journal(tmp_path)
+        writer.wave(1, len(points))
+        for i in (0, 1, 2):
+            writer.point_started(i, points[i])
+        writer.point_done(0, _result(points[0], elapsed=1.0))
+        writer.point_done(1, _result(points[1], elapsed=1.0))
+        writer.heartbeat(wave=1, jobs=2, total=4, dispatched=3,
+                         finished=2, retried=0, degraded=0, errors=0,
+                         store_hits=0, in_flight=[2], rss=50_000_000)
+        writer.close()
+        st = status_from_state(self._load(tmp_path, writer))
+        assert st.state == "running"
+        assert (st.jobs, st.wave, st.waves) == (2, 1, 1)
+        assert st.finished == 2 and st.executed == 2
+        assert st.in_flight == [{"i": 2, "label": points[2].label()}]
+        assert st.eta == pytest.approx(2 * 1.0 / 2)
+        assert st.heartbeats == 1 and st.rss == 50_000_000
+
     def test_torn_tail_and_damage_surfaced(self, tmp_path):
         points, writer = self._journal(tmp_path)
         writer.point_done(0, _result(points[0]))
@@ -245,20 +289,13 @@ class TestLoadStatusAndReport:
         store = tmp_path / "store"
         jdir = journal_dir(store)
         points = _points()
-        writer = JournalWriter.create(jdir, _spec(points))
-        m = RunMonitor(total=len(points),
-                       journal=writer if heartbeats else None,
-                       interval=0.05)
+        writer = JournalWriter.create(jdir, _spec(points),
+                                      heartbeat=0.05 if heartbeats else 0)
         writer.wave(1, len(points))
-        m.wave_started(1, len(points))
         for i, p in enumerate(points):
             writer.point_started(i, p)
-            m.point_dispatched(i)
-            r = _result(p, elapsed=0.01 * (i + 1))
-            writer.point_done(i, r)
-            m.point_finished(i, r)
-            time.sleep(0.06)  # past the monitor interval → extra ticks
-        m.close()
+            writer.point_done(i, _result(p, elapsed=0.01 * (i + 1)))
+            time.sleep(0.06)  # past the heartbeat interval → extra beats
         writer.end("complete", executed=len(points))
         writer.close()
         return store, writer.run_id
@@ -296,8 +333,37 @@ class TestLoadStatusAndReport:
         json.dumps(payload)  # --json and --html render the same artifact
 
     def test_report_without_series_file(self, tmp_path):
-        # A run that never heartbeated (--heartbeat 0) has no curves.
+        # A run that never heartbeated (--heartbeat 0) still has the
+        # progress curves its records imply, but no rss curve.
         store, run_id = self._store_with_run(tmp_path, heartbeats=False)
         payload = build_report(store, "latest")
         assert payload["series"]["samples"] == 0
-        assert payload["series"]["curves"] == {}
+        curves = payload["series"]["curves"]
+        assert "rss_mb" not in curves
+        assert curves["finished"][-1][1] == 4.0
+        assert curves["dispatched"][-1][1] == 4.0
+
+    def test_progress_curves_count_records(self, tmp_path):
+        """Curves count the start/done records from the timeline's
+        origin: errors and store hits apart, and a point journaled
+        twice (served again by a resume) finishes once."""
+        store = tmp_path / "store"
+        points = _points()
+        writer = JournalWriter.create(journal_dir(store), _spec(points))
+        for i in range(3):
+            writer.point_started(i, points[i])
+        writer.point_done(0, _result(points[0]))
+        writer.point_done(1, _result(points[1], ok=False, attempts=3))
+        writer.point_done(2, _result(points[2], degraded=True,
+                                     attempts=2))
+        writer.point_done(3, _result(points[3], store_hit=True))
+        writer.point_done(0, _result(points[0], store_hit=True))
+        writer.close()
+        payload = build_report(store, "latest")
+        curves = payload["series"]["curves"]
+        assert {k: v[-1][1] for k, v in curves.items()} == {
+            "dispatched": 3.0, "finished": 4.0, "errors": 1.0,
+            "store_hits": 2.0}
+        assert [t for t, _ in curves["finished"]] == \
+            [e["t"] for e in payload["timeline"]]
+        assert payload["timeline"][0]["t"] == 0.0
