@@ -600,21 +600,15 @@ def cmd_batch(args) -> int:
 
 def cmd_fsck(args) -> int:
     """``python -m repro fsck``: audit (and repair) the result store."""
-    from repro.errors import IntegrityError
     from repro.pipeline.integrity import fsck_store
     from repro.pipeline.store import ResultStore, resolve_store_dir
 
     root = resolve_store_dir(args.store_dir)
-    store = ResultStore(root)
-    try:
-        report = fsck_store(store, repair=not args.no_repair)
-    except IntegrityError as exc:
-        raise SystemExit(f"fsck: {exc}")
+    report = fsck_store(ResultStore(root), repair=not args.no_repair)
 
     print(f"fsck {root}")
     print(f"  entries scanned:    {report.scanned}")
     print(f"  ok:                 {report.ok}")
-    print(f"  repaired:           {report.repaired}")
     print(f"  quarantined:        {report.quarantined}")
     if report.unparseable:
         print(f"    unparseable:      {report.unparseable}")
@@ -624,12 +618,6 @@ def cmd_fsck(args) -> int:
         print(f"    bad checksum:     {report.checksum_mismatch}")
     if report.missing_payload:
         print(f"    missing payload:  {report.missing_payload}")
-    if report.missing_checksum:
-        print(f"  legacy (no sha256): {report.missing_checksum}")
-    print(f"  index fixes:        "
-          f"{report.index_dropped} dropped, "
-          f"{report.index_added} added, "
-          f"{report.index_duplicates} duplicates")
     for problem in report.problems[:20]:
         print(f"  - {problem}")
     if len(report.problems) > 20:
@@ -965,8 +953,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "fsck",
         help="audit the persistent result store: verify every entry's "
-             "checksum and key, reconcile the coordinate index, "
-             "quarantine or repair damage",
+             "checksum and coordinate, quarantine damage",
     )
     p.add_argument("--store-dir", default=None, metavar="DIR",
                    help="result-store directory (default: "
@@ -975,8 +962,7 @@ def main(argv=None) -> int:
                    help="exit nonzero when any damage was found "
                         "(CI guard)")
     p.add_argument("--no-repair", action="store_true",
-                   help="report only; quarantine nothing, rewrite "
-                        "nothing, leave the index as-is")
+                   help="report only; quarantine nothing")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the fsck report as JSON; '-' for stdout")
 

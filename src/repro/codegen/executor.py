@@ -31,9 +31,12 @@ def default_init(prog: Program, seed: int = 12345) -> Dict[str, np.ndarray]:
     return out
 
 
-def _run_nest(
+def run_nest(
     nest: LoopNest, storage: Mapping[str, np.ndarray], params: Mapping[str, int]
 ) -> None:
+    """Run one nest once, in sequential program order, updating
+    ``storage`` in place: at each level the statements of that depth in
+    body order, then the next loop."""
     depth = nest.depth
     stmts_by_level: Dict[int, list] = {}
     for st in nest.body:
@@ -86,5 +89,5 @@ def execute_program(
     for _ in range(max(1, steps)):
         for nest in prog.nests:
             for _ in range(max(1, nest.frequency)):
-                _run_nest(nest, storage, prog.params)
+                run_nest(nest, storage, prog.params)
     return storage

@@ -20,11 +20,10 @@ from typing import List, Optional
 
 from repro.datatrans.layout import Layout
 from repro.decomp.model import DataDecomp
+from repro.errors import LegalityError
 from repro.ir.program import Program
 
-
-class LegalityError(Exception):
-    """A data transformation cannot be applied soundly."""
+__all__ = ["LegalityError", "assert_bijective", "check_transformable"]
 
 
 def check_transformable(

@@ -14,12 +14,8 @@ class                     raised by
 :class:`SimulationError`  the machine model failing on a compiled plan
 :class:`VerifyError`      the semantic oracle finding a divergence
 :class:`FaultInjected`    :mod:`repro.faults` firing at an injection site
-:class:`LockError`        cross-process file locking (acquisition
-                          timeout, unusable lock file)
 :class:`JournalError`     the durable run journal (unreadable journal,
                           spec-fingerprint mismatch on ``--resume``)
-:class:`IntegrityError`   ``repro fsck`` finding store damage under
-                          ``--strict``
 ========================  =================================================
 
 This module must stay import-light (no repro imports) — it sits below
@@ -37,9 +33,7 @@ __all__ = [
     "SimulationError",
     "VerifyError",
     "FaultInjected",
-    "LockError",
     "JournalError",
-    "IntegrityError",
 ]
 
 
@@ -103,15 +97,6 @@ class FaultInjected(ReproError):
     """An injected fault (see :mod:`repro.faults`) fired at this site."""
 
 
-class LockError(ReproError):
-    """A cross-process file lock could not be acquired or used."""
-
-
 class JournalError(ReproError):
     """The durable run journal is unreadable, incomplete in a way that
     prevents resuming, or records a different grid than requested."""
-
-
-class IntegrityError(ReproError):
-    """A store integrity check (``repro fsck``) found damage and was
-    asked to treat it as fatal (``--strict``)."""

@@ -206,12 +206,11 @@ def summary(collector: Optional[Collector] = None, max_events: int = 20) -> str:
     snap = c.metrics.snapshot()
     store_counters = {
         k: v for k, v in snap["counters"].items()
-        if k.startswith(("store.", "journal.", "lock.", "fsck.",
-                         "monitor."))
+        if k.startswith(("store.", "journal.", "fsck."))
     }
     if store_counters or "store.bytes" in snap["gauges"]:
         # The persistent result store — and its crash-safety companions
-        # (run journal, cross-process locks, fsck) — get their own
+        # (run journal, fsck) — get their own
         # section: hit/miss/invalidation/durability health is the first
         # thing an incremental-run investigation reads.
         lines.append("result store:")

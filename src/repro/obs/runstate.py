@@ -17,7 +17,9 @@ in a different process:
       interrupted  ``end: interrupted``, or no ``end`` and the driver
                    pid is dead (SIGKILL leaves exactly this shape)
       stale        no ``end``, pid unknown or alive, but the journal
-                   has not moved for longer than ``stale_after``
+                   has not moved for longer than ``stale_after`` (a
+                   ``--jobs 1`` driver whose pid is alive and whose
+                   point is in flight reads ``running`` instead)
       running      anything else — the driver is alive and writing
 
 :func:`build_report` stitches status, the journal timeline, the
@@ -168,6 +170,11 @@ def _classify(state: JournalState, now: float,
         except OSError:
             pass
     if freshness is not None and now - freshness > stale_after:
+        # A serial driver writes nothing while its one point runs, so a
+        # long point is not silence.  A parallel driver heartbeats while
+        # it waits: when its heartbeats stop, it is wedged.
+        if state.jobs <= 1 and alive and state.in_flight:
+            return "running"
         return "stale"
     return "running"
 

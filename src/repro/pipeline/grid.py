@@ -115,7 +115,7 @@ class GridPoint:
 
     def coord(self) -> str:
         """The full coordinate string (every knob that shapes the
-        result), used by the result store's invalidation index."""
+        result); the result store names each entry file by it."""
         return (
             f"{self.app}/{self.scheme}/P{self.nprocs}"
             f"/n={self.n}/t={self.time_steps}/s={self.scale}"
@@ -659,10 +659,10 @@ def run_grid(
     served and failed, degraded or unfinished points execute.
 
     The store is touched only on the driver side — before dispatch and
-    per completed point — so workers stay store-free; cross-process
-    safety comes from the store's own advisory file lock.  Simulation
-    is deterministic: a served result is bit-identical to what
-    re-executing the point would produce.
+    per completed point — so workers stay store-free; drivers sharing
+    one store need no lock, since each write replaces one whole entry
+    file atomically.  Simulation is deterministic: a served result is
+    bit-identical to what re-executing the point would produce.
 
     ``journal`` is a :class:`repro.pipeline.journal.JournalWriter`
     (duck-typed to avoid the circular import) and the one record of the
@@ -704,9 +704,11 @@ def run_grid(
             except Exception:
                 progs[pk] = None
                 keys[i] = None
+    coords = [f"sim:{p.coord()}/loc={locality}" for p in points]
     to_run: List[int] = []
     for i, (p, k) in enumerate(zip(points, keys)):
-        payload = store.get(k) if incremental and k is not None else None
+        payload = (store.get(coords[i], k)
+                   if incremental and k is not None else None)
         if payload is not None:
             results[i] = _result_from_payload(p, k, payload)
             journal.point_done(i, results[i])
@@ -721,9 +723,7 @@ def run_grid(
             # no result — neither is evidence worth persisting, so a
             # resume re-executes them.
             if r.ok and not r.degraded:
-                store.put(keys[i], _result_payload(r),
-                          coord=f"sim:{points[i].coord()}"
-                                f"/loc={locality}")
+                store.put(coords[i], keys[i], _result_payload(r))
         journal.point_done(i, r)
         faults.maybe_driver_kill()
 

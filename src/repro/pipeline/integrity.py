@@ -2,45 +2,34 @@
 
 The store's read path already defends itself (checksums, quarantine on
 corruption), but only for entries it happens to read.  ``fsck`` walks
-*every* entry and the coordinate index and classifies each into:
+*every* entry through the same reader
+(:meth:`~repro.pipeline.store.ResultStore.read_entry`) and classifies
+each as:
 
-* **ok** — parses, key matches its filename and shard, checksum
-  verifies;
-* **repairable** — a legacy entry with no recorded checksum: rewritten
-  in place with one (``repaired``);
-* **corrupt** — unparseable JSON, a key that disagrees with the
-  filename/shard, a missing payload, or a checksum mismatch: moved to
-  ``quarantine/`` via the store's normal quarantine path
-  (``quarantined``), never silently deleted;
-* **index damage** — a coordinate pointing at a key with no entry file
-  (dropped), an entry whose coordinate is missing from the index
-  (added), or two entries claiming one coordinate (newest wins).
+* **ok** — parses, its recorded coordinate is the one its file is
+  named by, checksum verifies;
+* **corrupt** — unparseable JSON, a recorded coordinate that disagrees
+  with the file name (``key_mismatch``), a missing payload, or a
+  checksum mismatch: moved to ``quarantine/`` via the store's normal
+  quarantine path (``quarantined``), never silently deleted.
 
-The whole audit runs under the store's cross-process file lock — it
-mutates entries and the index, so a concurrently running driver must
-not interleave.  A lock timeout raises
-:class:`repro.errors.IntegrityError` rather than auditing a moving
-target.
+The audit takes no lock, so a driver writing into the same store keeps
+running.  An entry evicted during the scan is skipped, and one
+replaced during it is read whole, old or new (every write is an atomic
+rename), so neither is reported as damage.
 
 ``repro fsck --strict`` exits nonzero when the report is not
-:attr:`~FsckReport.clean` — any quarantine, repair, or index fix is
-damage worth failing CI over.
+:attr:`~FsckReport.clean` — any quarantine is damage worth failing CI
+over.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List
 
 from repro import obs
-from repro.errors import IntegrityError, LockError
-from repro.pipeline.store import (
-    ResultStore,
-    SCHEMA_VERSION,
-    payload_checksum,
-)
+from repro.pipeline.store import CorruptEntry, ResultStore
 
 __all__ = ["FsckReport", "fsck_store"]
 
@@ -51,24 +40,18 @@ class FsckReport:
 
     scanned: int = 0
     ok: int = 0
-    repaired: int = 0
     quarantined: int = 0
     unparseable: int = 0
     key_mismatch: int = 0
     checksum_mismatch: int = 0
     missing_payload: int = 0
-    missing_checksum: int = 0
-    index_dropped: int = 0
-    index_added: int = 0
-    index_duplicates: int = 0
     problems: List[str] = field(default_factory=list)
 
     @property
     def damage(self) -> int:
         """Count of findings that mean the store was not clean."""
-        return (self.quarantined + self.repaired + self.missing_checksum
-                + self.index_dropped + self.index_added
-                + self.index_duplicates)
+        return (self.unparseable + self.key_mismatch
+                + self.checksum_mismatch + self.missing_payload)
 
     @property
     def clean(self) -> bool:
@@ -78,145 +61,42 @@ class FsckReport:
         return {
             "scanned": self.scanned,
             "ok": self.ok,
-            "repaired": self.repaired,
             "quarantined": self.quarantined,
             "unparseable": self.unparseable,
             "key_mismatch": self.key_mismatch,
             "checksum_mismatch": self.checksum_mismatch,
             "missing_payload": self.missing_payload,
-            "missing_checksum": self.missing_checksum,
-            "index_dropped": self.index_dropped,
-            "index_added": self.index_added,
-            "index_duplicates": self.index_duplicates,
             "clean": self.clean,
             "problems": list(self.problems),
         }
 
 
 def fsck_store(store: ResultStore, repair: bool = True) -> FsckReport:
-    """Audit every entry and the coordinate index of ``store``.
+    """Audit every entry of ``store``.
 
-    With ``repair=True`` (the default) damage is fixed as it is found:
-    corrupt entries are quarantined, checksum-less legacy entries are
-    rewritten with one, and the index is reconciled with the entries
-    actually on disk.  With ``repair=False`` the pass only reports.
-
-    Runs under the store's cross-process lock; raises
-    :class:`IntegrityError` if the lock cannot be acquired.
+    With ``repair=True`` (the default) each corrupt entry is
+    quarantined as it is found; with ``repair=False`` the pass only
+    reports.
     """
     report = FsckReport()
-    try:
-        lock = store._lock().acquire()
-    except LockError as exc:
-        raise IntegrityError(
-            "store is locked by another process; fsck refuses to audit "
-            "a moving target", root=str(store.root)) from exc
-    try:
-        coords = _scan_entries(store, report, repair)
-        _audit_index(store, coords, report, repair)
-    finally:
-        lock.release()
+    for path in sorted(store._entries()):
+        try:
+            store.read_entry(path)
+        except OSError:
+            continue  # evicted or quarantined since the listing
+        except CorruptEntry as exc:
+            setattr(report, exc.kind, getattr(report, exc.kind) + 1)
+            report.problems.append(f"{path.name}: {exc}")
+            if repair:
+                store.quarantine(path)
+                report.quarantined += 1
+        else:
+            report.ok += 1
+        report.scanned += 1
     obs.inc("fsck.runs")
     obs.inc("fsck.scanned", report.scanned)
-    obs.inc("fsck.repaired", report.repaired)
     obs.inc("fsck.quarantined", report.quarantined)
-    obs.inc("fsck.index_fixed",
-            report.index_dropped + report.index_added
-            + report.index_duplicates)
     obs.event("fsck.done", cat="store", root=str(store.root),
               **{k: v for k, v in report.as_dict().items()
                  if k != "problems"})
     return report
-
-
-def _scan_entries(store: ResultStore, report: FsckReport,
-                  repair: bool) -> Dict[str, List[Path]]:
-    """Walk ``v<schema>/??/*.json``; returns coord -> entry paths that
-    survived (for the index audit)."""
-    coords: Dict[str, List[Path]] = {}
-    for path in sorted(store._entries()):
-        report.scanned += 1
-
-        def _bad(counter: str, reason: str) -> None:
-            setattr(report, counter, getattr(report, counter) + 1)
-            report.problems.append(f"{path.name}: {reason}")
-            if repair:
-                store.quarantine(path)
-                report.quarantined += 1
-
-        try:
-            with open(path) as fh:
-                entry = json.load(fh)
-            if not isinstance(entry, dict):
-                raise ValueError("not an object")
-        except (OSError, ValueError):
-            _bad("unparseable", "unparseable entry")
-            continue
-        key = entry.get("key")
-        if key != path.stem or path.parent.name != path.stem[:2]:
-            _bad("key_mismatch",
-                 f"recorded key {str(key)[:12]}… does not match "
-                 "filename/shard")
-            continue
-        payload = entry.get("payload")
-        if not isinstance(payload, dict):
-            _bad("missing_payload", "entry has no payload object")
-            continue
-        recorded = entry.get("sha256")
-        actual = payload_checksum(payload)
-        if recorded is None:
-            report.missing_checksum += 1
-            report.problems.append(
-                f"{path.name}: legacy entry without checksum")
-            if repair:
-                entry["sha256"] = actual
-                entry.setdefault("schema", SCHEMA_VERSION)
-                from repro.util.atomicio import write_atomic
-                write_atomic(
-                    path,
-                    json.dumps(entry, sort_keys=True, default=str),
-                    fsync=store.fsync,
-                )
-                report.repaired += 1
-        elif recorded != actual:
-            _bad("checksum_mismatch", "payload checksum mismatch")
-            continue
-        report.ok += 1
-        coord = entry.get("coord")
-        if isinstance(coord, str):
-            coords.setdefault(coord, []).append(path)
-    return coords
-
-
-def _audit_index(store: ResultStore, coords: Dict[str, List[Path]],
-                 report: FsckReport, repair: bool) -> None:
-    """Reconcile ``coords.json`` with the entries actually on disk."""
-    index = store._load_index(refresh=True)
-    fixed = dict(index)
-    # Dangling: coordinate points at a key with no (surviving) entry.
-    alive = {p.stem for paths in coords.values() for p in paths}
-    for coord, key in index.items():
-        if key not in alive:
-            report.index_dropped += 1
-            report.problems.append(
-                f"index: {coord} -> {key[:12]}… has no entry")
-            fixed.pop(coord, None)
-    # Duplicates: several entries claim one coordinate — newest wins
-    # (matching put()'s invalidation policy); missing: an entry's
-    # coordinate the index never learned.
-    for coord, paths in coords.items():
-        if len(paths) > 1:
-            report.index_duplicates += 1
-            report.problems.append(
-                f"index: {len(paths)} entries claim {coord}")
-            paths = sorted(paths, key=lambda p: p.stat().st_mtime)
-        winner = paths[-1].stem
-        if fixed.get(coord) != winner:
-            if coord not in index:
-                report.index_added += 1
-                report.problems.append(
-                    f"index: {coord} missing (-> {winner[:12]}…)")
-            fixed[coord] = winner
-    if repair and fixed != index:
-        store._index = fixed
-        store._save_index()

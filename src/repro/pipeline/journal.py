@@ -49,9 +49,8 @@ dropped and counted — a lost record is missing from ``status`` and
 exercising the reader's torn-tail skip).
 
 Concurrency: a journal file has exactly one writer (the run id embeds
-the pid and a serial), so appends need no lock; only the shared
-``latest`` pointer update takes the journal directory's file lock.
-Lock order: store lock before journal lock, never both ways.
+the pid and a serial), so appends need no lock, and the shared
+``latest`` pointer is replaced whole by one atomic write.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from repro.errors import JournalError
 from repro.pipeline.fingerprint import make_key
 from repro.pipeline.grid import GridPoint, GridResult
 from repro.util.atomicio import write_atomic
-from repro.util.locking import FileLock
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -84,7 +82,6 @@ __all__ = [
 
 JOURNAL_SCHEMA = 1
 _LATEST = "latest"
-_LOCK_NAME = ".lock"
 
 
 def journal_dir(store_root: os.PathLike) -> Path:
@@ -199,7 +196,7 @@ class JournalWriter:
                heartbeat: float = 0.0,
                jobs: int = 1) -> "JournalWriter":
         """Start a fresh journal: write the header record and move the
-        ``latest`` pointer (under the journal directory's lock)."""
+        ``latest`` pointer."""
         jdir = Path(jdir).expanduser()
         jdir.mkdir(parents=True, exist_ok=True)
         if run_id is None:
@@ -246,12 +243,11 @@ class JournalWriter:
         return writer
 
     def _point_latest(self) -> None:
-        """Move the ``latest`` pointer to this run (journal-dir lock)."""
+        """Move the ``latest`` pointer to this run."""
         try:
-            with FileLock(self.jdir / _LOCK_NAME, timeout=10.0):
-                write_atomic(self.jdir / _LATEST, self.run_id + "\n",
-                             fsync=self.fsync)
-        except Exception:
+            write_atomic(self.jdir / _LATEST, self.run_id + "\n",
+                         fsync=self.fsync)
+        except OSError:
             self.errors += 1
             obs.inc("journal.errors")
 

@@ -23,35 +23,35 @@ stored result instead of re-executing the point, which is what makes
 ``repro batch --incremental`` re-run only the rows of a grid whose
 program, machine, or model actually changed.
 
-Invalidation is tracked per *coordinate*: every entry records the
-human-readable grid coordinate it answers (``app/scheme/P4/n=16``…),
-and a small ``coords.json`` index maps each coordinate to its current
-key.  Storing a new key for a known coordinate deletes the stale entry
-and counts an **invalidation** — the observable difference between "new
-point" and "this app changed".
+Each grid *coordinate* (``sim:app/scheme/P4/n=16/...``) has at most one
+entry, by construction: the entry's file is named by a digest of the
+coordinate (``v2/<d[:2]>/<d>.json``) and holds ``coord``, ``key``,
+``sha256`` and ``payload``.  A lookup is a hit only when that file
+holds the requested key; a file with another key is a plain miss.
+Storing a new key for a coordinate replaces the file and counts an
+**invalidation** — the observable difference between "new point" and
+"this app changed".
 
-Durability:
+Durability and concurrency:
 
-* every write goes through :func:`repro.util.atomicio.write_atomic`
-  (temp file + fsync + rename + directory fsync), so a reader only
-  ever sees a complete entry or none;
-* every entry carries a SHA-256 **payload checksum**; reads verify it,
-  and a corrupt entry (torn write, bit rot, key mismatch) is moved to
-  the store's ``quarantine/`` directory — capped at the newest
+* every write is one :func:`repro.util.atomicio.write_atomic` (temp
+  file + fsync + rename + directory fsync), so a reader only ever sees
+  a complete entry or none, and two drivers sharing one
+  ``--store-dir`` need no lock: each ``put`` replaces one whole file,
+  and no shared state is read, modified and written back;
+* every entry carries a SHA-256 **payload checksum**; one entry reader
+  (:meth:`ResultStore.read_entry`, shared with ``repro fsck``) checks
+  it and that the recorded coordinate is the one the file is named
+  by.  A corrupt entry (torn write, bit rot, misnamed) is moved to the
+  store's ``quarantine/`` directory — capped at the newest
   :data:`QUARANTINE_KEEP` — counted (``store.quarantined``) and
   reported as a miss, never raised;
-* mutations (``put``, eviction) run under an advisory cross-process
-  :class:`~repro.util.locking.FileLock` on ``<root>/.lock`` and reload
-  the coordinate index from disk inside the critical section, so two
-  drivers sharing one ``--store-dir`` cannot lose index updates or
-  race the eviction scan.  Reads stay lock-free (atomic writes plus
-  checksums make them safe).  A lock-acquisition timeout degrades the
-  write (counted ``store.lock_timeouts``) instead of failing the run.
+* eviction takes no lock either: two drivers evicting at once can at
+  worst both drop an old entry, which costs one later miss.
 
-``repro fsck`` (:mod:`repro.pipeline.integrity`) audits all of the
-above offline and repairs/quarantines what it finds.  Counters flow
-both into :class:`StoreStats` (always on) and ``repro.obs``
-(``store.*``).
+``repro fsck`` (:mod:`repro.pipeline.integrity`) audits every entry,
+even while drivers write, and quarantines what it finds.  Counters flow both into
+:class:`StoreStats` (always on) and ``repro.obs`` (``store.*``).
 """
 
 from __future__ import annotations
@@ -61,18 +61,17 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs
-from repro.errors import LockError
 from repro.pipeline.fingerprint import make_key
 from repro.util.atomicio import write_atomic
-from repro.util.locking import FileLock
 
 __all__ = [
     "MODEL_VERSION",
     "QUARANTINE_KEEP",
     "SCHEMA_VERSION",
+    "CorruptEntry",
     "ResultStore",
     "StoreStats",
     "canonical_payload",
@@ -81,7 +80,10 @@ __all__ = [
     "result_key",
 ]
 
-SCHEMA_VERSION = 1
+# The on-disk layout (``v<N>/`` under the root).  A tree of another
+# version is neither read nor migrated: the store is a cache, so the
+# first run after a bump executes everything again.
+SCHEMA_VERSION = 2
 
 # Version of the simulated-machine model the stored results were
 # produced by.  Bump on any semantic change to the simulator (miss
@@ -98,9 +100,6 @@ DEFAULT_KEEP = 4096
 QUARANTINE_KEEP = 32
 
 ENV_DIR = "REPRO_STORE_DIR"
-_INDEX_NAME = "coords.json"
-_LOCK_NAME = ".lock"
-DEFAULT_LOCK_TIMEOUT = 30.0
 
 
 def canonical_payload(payload: Any) -> str:
@@ -149,6 +148,17 @@ def result_key(
     return make_key(parts)
 
 
+class CorruptEntry(ValueError):
+    """An entry file that cannot be trusted.  ``kind`` names the
+    damage: ``unparseable``, ``key_mismatch`` (the recorded coordinate
+    is not the one the file is named by), ``missing_payload`` or
+    ``checksum_mismatch``."""
+
+    def __init__(self, kind: str, reason: str):
+        super().__init__(reason)
+        self.kind = kind
+
+
 @dataclass
 class StoreStats:
     """Counters for one store instance (always on, unlike obs)."""
@@ -161,7 +171,6 @@ class StoreStats:
     corrupt: int = 0
     quarantined: int = 0
     quarantine_evicted: int = 0
-    lock_timeouts: int = 0
     errors: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -174,31 +183,27 @@ class StoreStats:
             "corrupt": self.corrupt,
             "quarantined": self.quarantined,
             "quarantine_evicted": self.quarantine_evicted,
-            "lock_timeouts": self.lock_timeouts,
             "errors": self.errors,
         }
 
 
 class ResultStore:
-    """Atomic on-disk JSON store of grid-point results.
+    """Atomic on-disk JSON store of grid-point results, one file per
+    grid coordinate.
 
     The store is driver-side only (workers never touch it), but two
-    *drivers* may share one directory: mutations take the store's
-    cross-process file lock and re-read the coordinate index inside
-    the critical section, so concurrent drivers interleave safely.
+    *drivers* may share one directory: every mutation replaces one
+    whole file atomically, so they interleave safely without a lock.
     """
 
     def __init__(self, root: os.PathLike, keep: int = DEFAULT_KEEP,
-                 lock_timeout: float = DEFAULT_LOCK_TIMEOUT,
                  fsync: bool = True):
         if keep <= 0:
             raise ValueError("store keep cap must be positive")
         self.root = Path(root).expanduser()
         self.keep = keep
-        self.lock_timeout = lock_timeout
         self.fsync = fsync
         self.stats = StoreStats()
-        self._index: Optional[Dict[str, str]] = None
 
     # -- paths -------------------------------------------------------------
 
@@ -206,84 +211,77 @@ class ResultStore:
     def _dir(self) -> Path:
         return self.root / f"v{SCHEMA_VERSION}"
 
-    def _path(self, key: str) -> Path:
-        return self._dir / key[:2] / f"{key}.json"
-
-    def _index_path(self) -> Path:
-        return self._dir / _INDEX_NAME
+    def _path(self, coord: str) -> Path:
+        """The one file that may hold ``coord``'s entry."""
+        digest = make_key(["coord", coord])
+        return self._dir / digest[:2] / f"{digest}.json"
 
     def _quarantine_dir(self) -> Path:
         return self._dir / "quarantine"
 
-    def _lock(self) -> FileLock:
-        return FileLock(self.root / _LOCK_NAME, timeout=self.lock_timeout)
+    # -- the one entry reader ----------------------------------------------
 
-    # -- coordinate index --------------------------------------------------
+    def read_entry(self, path: Path) -> Dict[str, Any]:
+        """The entry stored at ``path``, verified.
 
-    def _load_index(self, refresh: bool = False) -> Dict[str, str]:
-        """The coordinate index.  ``refresh`` re-reads it from disk —
-        mandatory inside locked sections, where another process may
-        have written a newer version since we last looked."""
-        if self._index is not None and not refresh:
-            return self._index
-        try:
-            with open(self._index_path()) as fh:
-                data = json.load(fh)
-            self._index = {str(k): str(v) for k, v in data.items()}
-        except (OSError, ValueError):
-            self._index = {}
-        return self._index
-
-    def _save_index(self) -> None:
-        if self._index is None:
-            return
-        try:
-            write_atomic(
-                self._index_path(),
-                json.dumps(self._index, indent=0, sort_keys=True),
-                fsync=self.fsync,
-            )
-        except OSError:
-            self.stats.errors += 1
-            obs.inc("store.errors")
+        Raises ``OSError`` when there is no such file, and
+        :class:`CorruptEntry` when the file does not parse, records a
+        coordinate other than the one it is named by, has no payload
+        object, or fails its payload checksum.
+        """
+        with open(path) as fh:
+            try:
+                entry = json.load(fh)
+            except ValueError:
+                entry = None
+        if not isinstance(entry, dict):
+            raise CorruptEntry("unparseable", "unparseable entry")
+        coord = entry.get("coord")
+        if (not isinstance(coord, str)
+                or self._path(coord).parts[-2:] != path.parts[-2:]):
+            raise CorruptEntry(
+                "key_mismatch",
+                f"recorded coord {str(coord)[:40]!r} does not match "
+                "its file name")
+        payload = entry.get("payload")
+        if not isinstance(payload, dict):
+            raise CorruptEntry("missing_payload",
+                               "entry has no payload object")
+        if entry.get("sha256") != payload_checksum(payload):
+            raise CorruptEntry("checksum_mismatch",
+                               "payload checksum mismatch")
+        return entry
 
     # -- lookup ------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload for ``key``, or ``None`` on a miss.
+    def get(self, coord: str, key: str) -> Optional[Dict[str, Any]]:
+        """The payload stored for ``coord`` under ``key``, or ``None``.
 
-        A corrupt entry (truncated, garbage, checksum or key mismatch)
-        is *quarantined* — moved into the store's ``quarantine/``
-        directory for post-mortem, never silently deleted — counted,
-        and reported as a miss.  A read never raises.
+        A coordinate whose entry holds another key is a plain miss.  A
+        corrupt entry is *quarantined* — moved into the store's
+        ``quarantine/`` directory for post-mortem, never silently
+        deleted — counted, and reported as a miss.  A read never
+        raises.
         """
-        path = self._path(key)
+        path = self._path(coord)
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
-            if entry.get("key") != key:
-                raise ValueError("key mismatch")
-            payload = entry["payload"]
-            recorded = entry.get("sha256")
-            if recorded is not None \
-                    and recorded != payload_checksum(payload):
-                raise ValueError("payload checksum mismatch")
+            entry = self.read_entry(path)
         except OSError:
-            self.stats.misses += 1
-            obs.inc("store.misses")
-            return None
-        except Exception as exc:
+            entry = None
+        except CorruptEntry as exc:
             self.stats.corrupt += 1
-            self.stats.misses += 1
             obs.inc("store.corrupt")
-            obs.inc("store.misses")
-            obs.event("store.corrupt", cat="store", key=key,
+            obs.event("store.corrupt", cat="store", coord=coord,
                       error=str(exc))
             self.quarantine(path)
+            entry = None
+        if entry is None or entry["key"] != key:
+            self.stats.misses += 1
+            obs.inc("store.misses")
             return None
         self.stats.hits += 1
         obs.inc("store.hits")
-        return payload
+        return entry["payload"]
 
     def quarantine(self, path: Path) -> None:
         """Move a corrupt entry into ``quarantine/`` (best effort — on
@@ -320,39 +318,19 @@ class ResultStore:
             self.stats.quarantine_evicted += 1
             obs.inc("store.quarantine.evicted")
 
-    def put(self, key: str, payload: Dict[str, Any],
-            coord: Optional[str] = None) -> None:
-        """Store ``payload`` under ``key`` (atomic, fsync'd, checksummed;
-        failures counted, never raised).
-
-        ``coord`` is the grid coordinate this entry answers; when the
-        coordinate previously mapped to a *different* key, the stale
-        entry is deleted and counted as an invalidation.  The whole
-        mutation runs under the store's cross-process lock, with the
-        index re-read inside the critical section, so concurrent
-        drivers cannot lose each other's updates.
-        """
+    def put(self, coord: str, key: str, payload: Dict[str, Any]) -> None:
+        """Store ``payload`` as ``coord``'s entry under ``key`` (one
+        atomic, fsync'd, checksummed write; failures counted, never
+        raised).  Replacing an entry that holds another key counts an
+        invalidation."""
+        path = self._path(coord)
         try:
-            lock = self._lock().acquire()
-        except LockError:
-            self.stats.lock_timeouts += 1
-            self.stats.errors += 1
-            obs.inc("store.lock_timeouts")
-            obs.event("store.error", cat="store", op="put", key=key,
-                      error="LockError")
-            return
-        try:
-            self._put_locked(key, payload, coord)
-        finally:
-            lock.release()
-
-    def _put_locked(self, key: str, payload: Dict[str, Any],
-                    coord: Optional[str]) -> None:
-        path = self._path(key)
+            old_key = self.read_entry(path)["key"]
+        except (OSError, CorruptEntry):
+            old_key = None
         entry = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
             "coord": coord,
+            "key": key,
             "sha256": payload_checksum(payload),
             "payload": payload,
         }
@@ -364,54 +342,44 @@ class ResultStore:
         except Exception as exc:
             self.stats.errors += 1
             obs.inc("store.errors")
-            obs.event("store.error", cat="store", op="put", key=key,
+            obs.event("store.error", cat="store", op="put", coord=coord,
                       error=type(exc).__name__)
             return
         self.stats.stores += 1
         obs.inc("store.stores")
-        if coord is not None:
-            index = self._load_index(refresh=True)
-            stale = index.get(coord)
-            if stale is not None and stale != key:
-                self.stats.invalidations += 1
-                obs.inc("store.invalidations")
-                obs.event("store.invalidated", cat="store", coord=coord,
-                          old=stale, new=key)
-                try:
-                    os.unlink(self._path(stale))
-                except OSError:
-                    pass
-            if stale != key:
-                index[coord] = key
-                self._save_index()
+        if old_key is not None and old_key != key:
+            self.stats.invalidations += 1
+            obs.inc("store.invalidations")
+            obs.event("store.invalidated", cat="store", coord=coord,
+                      old=old_key, new=key)
         self._evict()
-        obs.gauge("store.bytes").set(self.bytes())
+        if obs.enabled():
+            obs.gauge("store.bytes").set(self.bytes())
 
     # -- maintenance -------------------------------------------------------
 
-    def _entries(self) -> Iterable[Path]:
+    def _entries(self) -> List[Path]:
+        """Every entry file (listed, not stat'ed)."""
         try:
-            return [p for p in self._dir.glob("??/*.json") if p.is_file()]
+            return list(self._dir.glob("??/*.json"))
         except OSError:
             return []
 
     def _evict(self) -> None:
-        """Drop oldest entries (by mtime) beyond the ``keep`` cap.
-        Caller holds the store lock (this mutates the index).  An entry
-        that vanishes between listing and stat — another driver's
-        lock-free ``get`` quarantining it — is skipped, not raised."""
+        """Drop oldest entries (by mtime) beyond the ``keep`` cap; below
+        the cap nothing is stat'ed.  An entry that vanishes between
+        listing and stat — another driver quarantining or evicting it —
+        is skipped, not raised."""
+        entries = self._entries()
+        if len(entries) <= self.keep:
+            return
         stamped = []
-        for p in self._entries():
+        for p in entries:
             try:
                 stamped.append((p.stat().st_mtime, p))
             except OSError:
                 continue
-        if len(stamped) <= self.keep:
-            return
         stamped.sort(key=lambda e: e[0], reverse=True)
-        index = self._load_index()
-        by_key = {v: k for k, v in index.items()}
-        changed = False
         for _, stale in stamped[self.keep:]:
             try:
                 os.unlink(stale)
@@ -419,18 +387,12 @@ class ResultStore:
                 continue
             self.stats.evictions += 1
             obs.inc("store.evictions")
-            coord = by_key.get(stale.stem)
-            if coord is not None:
-                index.pop(coord, None)
-                changed = True
-        if changed:
-            self._save_index()
 
     def __len__(self) -> int:
-        return len(list(self._entries()))
+        return len(self._entries())
 
     def bytes(self) -> int:
-        """Total on-disk size of stored entries (excluding the index)."""
+        """Total on-disk size of stored entries."""
         total = 0
         for p in self._entries():
             try:

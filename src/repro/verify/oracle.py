@@ -36,10 +36,9 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.codegen.executor import default_init
+from repro.codegen.executor import default_init, run_nest
 from repro.codegen.spmd import SpmdProgram
 from repro.errors import VerifyError
-from repro.ir.loops import LoopNest
 from repro.ir.program import Program
 
 __all__ = ["Divergence", "VerifyResult", "verify_spmd"]
@@ -183,40 +182,6 @@ def _data_owner_map(ta, grid) -> Optional[np.ndarray]:
 
 
 # -- interpreters ------------------------------------------------------------
-
-def _run_reference_nest(
-    nest: LoopNest, storage: Dict[str, np.ndarray], params: Mapping[str, int]
-) -> None:
-    """Sequential interpretation of one *original* nest (the twin of
-    :func:`repro.codegen.executor._run_nest`, kept local so the oracle
-    controls phase boundaries)."""
-    depth = nest.depth
-    stmts_by_level: Dict[int, list] = {}
-    for st in nest.body:
-        d = st.depth if st.depth is not None else depth
-        stmts_by_level.setdefault(d, []).append(st)
-    env = dict(params)
-
-    def exec_level(level: int) -> None:
-        for st in stmts_by_level.get(level, ()):
-            vals = [storage[r.array.name][r.index_at(env)] for r in st.reads]
-            result = (
-                st.compute(*vals) if st.compute is not None
-                else float(sum(vals))
-            )
-            storage[st.write.array.name][st.write.index_at(env)] = result
-        if level == depth:
-            return
-        loop = nest.loops[level]
-        lo = loop.lower.eval(env)
-        hi = loop.upper.eval(env)
-        for v in range(lo, hi + 1):
-            env[loop.var] = v
-            exec_level(level + 1)
-        env.pop(loop.var, None)
-
-    exec_level(0)
-
 
 def _run_spmd_phase(spmd: SpmdProgram, phase_idx: int,
                     store: _SpmdStore) -> None:
@@ -375,7 +340,7 @@ def _verify_impl(spmd, reference, init, seed, result: VerifyResult) -> None:
         for k, nest in enumerate(reference.nests):
             reps = max(1, nest.frequency)
             for _ in range(reps):
-                _run_reference_nest(nest, ref, reference.params)
+                run_nest(nest, ref, reference.params)
                 _run_spmd_phase(spmd, k, store)
             div, checked = _first_divergence(
                 ref, store, nest.name, k, step

@@ -98,6 +98,7 @@ def verify_grid(
     results: List[VerifyResult] = []
     for point in grid:
         scheme_name = parse_scheme(point.scheme).value
+        coord = f"verify:{point.coord()}"
         key = None
         if store is not None:
             try:
@@ -107,7 +108,7 @@ def verify_grid(
                 # below reports the compile failure as a failed result.
                 key = None
         if key is not None:
-            payload = store.get(key)
+            payload = store.get(coord, key)
             if payload is not None:
                 results.append(VerifyResult(
                     program=point.app,
@@ -123,10 +124,10 @@ def verify_grid(
                               n=point.n, time_steps=point.time_steps,
                               session=session)
         if key is not None and result.ok:
-            store.put(key, {
+            store.put(coord, key, {
                 "phases_checked": result.phases_checked,
                 "elements_checked": result.elements_checked,
-            }, coord=f"verify:{point.coord()}")
+            })
         results.append(result)
     return results
 

@@ -4,8 +4,8 @@ concurrent drivers sharing one store, graceful SIGTERM drain, and
 full-disk / torn-write chaos sweeps.
 
 These drive the real CLI in real subprocesses — the journal's fsync
-guarantees and the store's cross-process lock only mean anything
-across actual process boundaries.
+guarantees and drivers sharing one store without a lock only mean
+anything across actual process boundaries.
 """
 
 import json
@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.pipeline.integrity import fsck_store
 from repro.pipeline.journal import JournalState, journal_dir, resolve_run_id
+from repro.pipeline.store import DEFAULT_KEEP, ResultStore
 from tests.conftest import pass_invocations
 
 REPO = Path(__file__).resolve().parent.parent
@@ -131,9 +133,8 @@ class TestKillResume:
 
 class TestConcurrentDrivers:
     def test_two_drivers_share_one_store(self, tmp_path):
-        """Two drivers race the same --store-dir; the store's lock must
-        keep every entry and the index consistent (no lost updates, no
-        corrupt entries)."""
+        """Two drivers race the same --store-dir; every entry must stay
+        consistent (no lost updates, no corrupt entries)."""
         store = tmp_path / "store"
         procs = []
         for _ in range(2):
@@ -151,6 +152,43 @@ class TestConcurrentDrivers:
         warm = _batch([*GRID, "--store-dir", str(store),
                        "--incremental", "--expect-incremental", "0"])
         assert warm.returncode == 0, warm.stdout + warm.stderr
+
+
+class TestFsckDuringBatch:
+    def test_fsck_while_drivers_write_finds_no_damage(self, tmp_path):
+        """fsck takes no lock, so it can scan while drivers write.  The
+        store starts at its entry cap, so two drivers on one grid both
+        evict old entries and replace each other's while fsck scans:
+        neither is damage."""
+        store_dir = tmp_path / "store"
+        filler = ResultStore(store_dir, fsync=False)
+        filler._evict = lambda: None
+        for i in range(DEFAULT_KEEP):
+            filler.put(f"filler{i}", "k", {"v": i})
+        for path in filler._entries():
+            os.utime(path, (1, 1))  # older than anything a driver writes
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "repro", "batch", *GRID,
+             "--store-dir", str(store_dir)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=_env(), cwd=str(REPO)) for _ in range(2)]
+        reports = []
+        try:
+            while any(p.poll() is None for p in procs):
+                reports.append(fsck_store(ResultStore(store_dir)))
+        finally:
+            for p in procs:
+                p.wait(timeout=180)
+        assert [p.returncode for p in procs] == [0, 0]
+        assert reports and all(r.clean for r in reports), \
+            [r.problems for r in reports if not r.clean]
+        # Every grid point is stored; racing evictions may at worst
+        # both drop an old entry.
+        store = ResultStore(store_dir)
+        coords = [store.read_entry(p)["coord"] for p in store._entries()]
+        assert len(coords) <= DEFAULT_KEEP
+        assert sum(not c.startswith("filler") for c in coords) == 6
+        assert _fsck(store_dir, "--strict").returncode == 0
 
 
 class TestGracefulShutdown:
@@ -187,8 +225,8 @@ class TestDiskChaos:
         # Store/journal writes fail and are counted, points still
         # complete: durability degrades, correctness does not.
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        # A failed index write can leave entries the index never
-        # learned; one repair pass reconciles, then strict is clean.
+        # A failed write leaves no entry behind; one repair pass, then
+        # strict is clean.
         _fsck(store)
         assert _fsck(store, "--strict").returncode == 0
 
@@ -197,7 +235,7 @@ class TestDiskChaos:
         proc = _batch([*GRID, "--store-dir", str(store),
                        "--inject-faults", "seed=5,disk.torn_write=0.5"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        # First fsck may find (and quarantine/repair) torn entries;
+        # First fsck may find (and quarantine) torn entries;
         # a second strict pass must come back clean.
         _fsck(store)
         assert _fsck(store, "--strict").returncode == 0

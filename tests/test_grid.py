@@ -198,8 +198,9 @@ class TestRunGridIncremental:
         store = ResultStore(tmp_path)
         run_grid(points, store=store, incremental=True)
         assert store.stats.stores == 0
-        assert store.get(keys[0]) is None
-        assert store.get(keys[1]) is None
+        for p, k in zip(points, keys):
+            assert store.get(f"sim:{p.coord()}/loc=False", k) is None
+        assert len(store) == 0
 
     def test_summarize_backward_fields(self):
         results = run_grid(self._points()[:1])

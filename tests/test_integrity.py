@@ -1,5 +1,5 @@
 """``repro fsck`` (``repro.pipeline.integrity``): entry verification,
-repair, quarantine, and index reconciliation."""
+quarantine, and a scan that races a writer."""
 
 import json
 import os
@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro import obs
-from repro.errors import IntegrityError
 from repro.pipeline.integrity import fsck_store
 from repro.pipeline.store import ResultStore, result_key
 
@@ -22,12 +21,11 @@ def _clean_obs():
 
 
 def _seed(store, n=3):
-    keys = []
+    coords = []
     for i in range(n):
-        k = result_key("p", "comp", i + 1, "m")
-        store.put(k, {"v": i}, coord=f"c{i}")
-        keys.append(k)
-    return keys
+        store.put(f"c{i}", result_key("p", "comp", i + 1, "m"), {"v": i})
+        coords.append(f"c{i}")
+    return coords
 
 
 class TestCleanStore:
@@ -48,9 +46,8 @@ class TestCleanStore:
     def test_report_dict_shape(self, tmp_path):
         report = fsck_store(ResultStore(tmp_path))
         d = report.as_dict()
-        for field in ("scanned", "ok", "repaired", "quarantined",
-                      "checksum_mismatch", "key_mismatch",
-                      "index_dropped", "index_added", "clean",
+        for field in ("scanned", "ok", "quarantined",
+                      "checksum_mismatch", "key_mismatch", "clean",
                       "problems"):
             assert field in d
 
@@ -58,8 +55,8 @@ class TestCleanStore:
 class TestEntryDamage:
     def test_unparseable_entry_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
-        keys = _seed(store)
-        path = store._path(keys[0])
+        coords = _seed(store)
+        path = store._path(coords[0])
         path.write_text("{garbage")
         report = fsck_store(store)
         assert report.unparseable == 1
@@ -67,13 +64,11 @@ class TestEntryDamage:
         assert not report.clean
         assert not path.exists()
         assert (store._quarantine_dir() / path.name).exists()
-        # The dangling index coordinate is dropped alongside.
-        assert report.index_dropped == 1
 
     def test_checksum_mismatch_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
-        keys = _seed(store)
-        path = store._path(keys[0])
+        coords = _seed(store)
+        path = store._path(coords[0])
         entry = json.loads(path.read_text())
         entry["payload"] = {"v": 999}
         path.write_text(json.dumps(entry))
@@ -83,20 +78,24 @@ class TestEntryDamage:
         assert not path.exists()
 
     def test_key_mismatch_quarantined(self, tmp_path):
+        # The file is named by its coordinate's digest; a recorded
+        # coordinate that hashes elsewhere makes it misnamed.
         store = ResultStore(tmp_path)
-        keys = _seed(store)
-        path = store._path(keys[0])
+        coords = _seed(store)
+        path = store._path(coords[0])
         entry = json.loads(path.read_text())
-        entry["key"] = "f" * 64
+        entry["coord"] = "elsewhere"
         path.write_text(json.dumps(entry))
         report = fsck_store(store)
         assert report.key_mismatch == 1
         assert report.quarantined == 1
+        assert not path.exists()
+        assert (store._quarantine_dir() / path.name).exists()
 
     def test_missing_payload_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
-        keys = _seed(store)
-        path = store._path(keys[0])
+        coords = _seed(store)
+        path = store._path(coords[0])
         entry = json.loads(path.read_text())
         del entry["payload"]
         path.write_text(json.dumps(entry))
@@ -104,29 +103,10 @@ class TestEntryDamage:
         assert report.missing_payload == 1
         assert report.quarantined == 1
 
-    def test_legacy_entry_without_checksum_is_repaired(self, tmp_path):
-        store = ResultStore(tmp_path)
-        keys = _seed(store)
-        path = store._path(keys[0])
-        entry = json.loads(path.read_text())
-        del entry["sha256"]
-        path.write_text(json.dumps(entry))
-        report = fsck_store(store)
-        assert report.missing_checksum == 1
-        assert report.repaired == 1
-        assert report.quarantined == 0
-        # The repaired entry now verifies — and still serves.
-        assert store.get(keys[0]) == {"v": 0}
-        assert fsck_store(store).clean
-
     def test_repair_converges(self, tmp_path):
         store = ResultStore(tmp_path)
-        keys = _seed(store)
-        store._path(keys[0]).write_text("{garbage")
-        entry_path = store._path(keys[1])
-        entry = json.loads(entry_path.read_text())
-        del entry["sha256"]
-        entry_path.write_text(json.dumps(entry))
+        coords = _seed(store)
+        store._path(coords[0]).write_text("{garbage")
         first = fsck_store(store)
         assert not first.clean
         second = fsck_store(store)
@@ -137,8 +117,8 @@ class TestEntryDamage:
 class TestNoRepair:
     def test_report_only_leaves_damage_in_place(self, tmp_path):
         store = ResultStore(tmp_path)
-        keys = _seed(store)
-        path = store._path(keys[0])
+        coords = _seed(store)
+        path = store._path(coords[0])
         path.write_text("{garbage")
         report = fsck_store(store, repair=False)
         assert report.unparseable == 1
@@ -149,56 +129,23 @@ class TestNoRepair:
         assert not fsck_store(store, repair=False).clean
 
 
-class TestIndexReconciliation:
-    def test_dangling_coord_dropped(self, tmp_path):
+class TestScanRacesAWriter:
+    def test_entries_evicted_or_replaced_mid_scan_are_no_damage(
+            self, tmp_path, monkeypatch):
+        """fsck takes no lock: a driver that evicts one entry and
+        replaces another after fsck listed them costs no finding."""
         store = ResultStore(tmp_path)
-        _seed(store)
-        index = json.loads(store._index_path().read_text())
-        index["phantom"] = "ab" * 32
-        store._index_path().write_text(json.dumps(index))
+        coords = _seed(store, n=4)
+        listed = store._entries()
+        driver = ResultStore(tmp_path)
+
+        def listing_then_writer():
+            os.unlink(driver._path(coords[0]))  # evicted
+            driver.put(coords[1], result_key("p2", "comp", 2, "m"),
+                       {"v": 9})  # replaced
+            return listed
+
+        monkeypatch.setattr(store, "_entries", listing_then_writer)
         report = fsck_store(store)
-        assert report.index_dropped == 1
-        fixed = json.loads(store._index_path().read_text())
-        assert "phantom" not in fixed
-
-    def test_missing_coord_added(self, tmp_path):
-        store = ResultStore(tmp_path)
-        keys = _seed(store)
-        index = json.loads(store._index_path().read_text())
-        del index["c0"]
-        store._index_path().write_text(json.dumps(index))
-        report = fsck_store(store)
-        assert report.index_added == 1
-        fixed = json.loads(store._index_path().read_text())
-        assert fixed["c0"] == keys[0]
-
-    def test_duplicate_coord_newest_wins(self, tmp_path):
-        store = ResultStore(tmp_path)
-        k1 = result_key("p1", "comp", 4, "m")
-        k2 = result_key("p2", "comp", 4, "m")
-        store.put(k1, {"v": 1}, coord="shared")
-        # Forge a second entry claiming the same coordinate (put()
-        # would have invalidated; simulate a crash that left both).
-        store.put(k2, {"v": 2}, coord="other")
-        path2 = store._path(k2)
-        entry = json.loads(path2.read_text())
-        entry["coord"] = "shared"
-        from repro.pipeline.store import payload_checksum
-        entry["sha256"] = payload_checksum(entry["payload"])
-        path2.write_text(json.dumps(entry))
-        os.utime(store._path(k1), (100, 100))
-        os.utime(path2, (200, 200))
-        report = fsck_store(store)
-        assert report.index_duplicates == 1
-        fixed = json.loads(store._index_path().read_text())
-        assert fixed["shared"] == k2  # newest
-
-
-class TestLocking:
-    def test_refuses_locked_store(self, tmp_path):
-        store = ResultStore(tmp_path, lock_timeout=0.15)
-        _seed(store)
-        with store._lock():
-            with pytest.raises(IntegrityError, match="locked"):
-                fsck_store(store)
-        assert fsck_store(store).clean  # free again
+        assert report.clean
+        assert (report.scanned, report.ok) == (3, 3)

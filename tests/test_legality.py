@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import errors
 from repro.datatrans.layout import DimAtom, Layout
 from repro.datatrans.legality import (
     LegalityError,
@@ -57,3 +58,15 @@ class TestBijectivity:
         )
         with pytest.raises(LegalityError):
             assert_bijective(lay, "A")
+
+    def test_raises_the_package_legality_error(self):
+        # One class: what assert_bijective raises is repro's typed
+        # CompileError for "a non-bijective data layout".
+        lay = Layout(
+            orig_dims=(8,),
+            atoms=(DimAtom(src=0, extent=4, div=1, mod=4),),
+        )
+        with pytest.raises(errors.LegalityError) as info:
+            assert_bijective(lay, "A")
+        assert isinstance(info.value, errors.ReproError)
+        assert LegalityError is errors.LegalityError

@@ -94,16 +94,6 @@ class TestSummaryDegenerate:
         obs.enable()
         assert obs.summary() == "(no telemetry recorded)"
 
-    def test_monitor_counters_join_store_section(self):
-        obs.enable()
-        obs.inc("monitor.ticks", 3)
-        obs.inc("monitor.errors", 4)
-        text = obs.summary()
-        store_section = text.split("result store:", 1)[1]
-        store_section = store_section.split("counters:", 1)[0]
-        assert "monitor.ticks" in store_section
-        assert "monitor.errors" in store_section
-
 
 class TestDisabledFastPath:
     def test_span_returns_shared_noop(self):

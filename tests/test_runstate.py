@@ -251,6 +251,22 @@ class TestStatusFromState:
                                now=time.time() + 60, stale_after=15.0)
         assert st.state == "stale"
 
+    @pytest.mark.parametrize("jobs, state", [(1, "running"),
+                                             (2, "stale")])
+    def test_long_point_in_flight(self, tmp_path, jobs, state):
+        """A serial driver writes nothing while its point runs, so an
+        old heartbeat with a point in flight and a live pid is still a
+        running run; a parallel driver heartbeats while it waits, so
+        the same silence from it reads stale."""
+        points = _points()
+        writer = JournalWriter.create(tmp_path, _spec(points), jobs=jobs)
+        writer.point_started(0, points[0])
+        writer.heartbeat()  # pid is us: alive
+        writer.close()
+        st = status_from_state(self._load(tmp_path, writer),
+                               now=time.time() + 60, stale_after=15.0)
+        assert st.state == state
+
     def test_counter_heartbeats_of_older_journals(self, tmp_path):
         """Older drivers wrote jobs, wave and progress counters into
         every heartbeat; such a journal reads the same status."""

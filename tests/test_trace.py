@@ -95,7 +95,7 @@ def key_sorted_trace(spmd, phase, space):
 
 def run_nest_order_trace(spmd, phase, space):
     """Reference trace of one phase by an access-at-a-time walk in the
-    sequential executor's order (``codegen.executor._run_nest``): at each
+    sequential executor's order (``codegen.executor.run_nest``): at each
     level the statements of that depth in body order, reads before the
     write, then the next loop."""
     params = spmd.program.params
