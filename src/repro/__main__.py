@@ -6,13 +6,14 @@ Usage examples::
     python -m repro decompose lu --n 32 --procs 8
     python -m repro run stencil5 --n 64 --procs 16 --scale 32
     python -m repro emit simple --scheme data --n 16 --procs 4
-    python -m repro profile simple --scheme comp_decomp_data -o trace.json
+    python -m repro perf simple --scheme opt --trace trace.json
     python -m repro batch --apps simple,lu --schemes base,comp,data \\
         --procs-list 1,4 --jobs 4 --store-dir /tmp/repro-store
 
 Caching: each command's compile session memoizes compiler artifacts
-in memory; every command accepts ``--no-cache`` (run every compiler
-stage, reuse nothing).  Finished grid points persist across runs in
+in memory; ``decompose``, ``emit``, ``run``, ``verify``, ``batch`` and
+``explain`` accept ``--no-cache`` (run every compiler stage, reuse
+nothing).  Finished grid points persist across runs in
 the result store (``--store-dir``/``--incremental``).
 """
 
@@ -24,11 +25,7 @@ import os
 import sys
 
 from repro.apps import ALL_APPS, build_app
-from repro.codegen.spmd import (
-    SCHEME_ALIASES,
-    SCHEME_NAMES,
-    parse_scheme,
-)
+from repro.codegen.spmd import SCHEME_NAMES, parse_scheme
 from repro.compiler import (
     Scheme,
     compile_program,
@@ -94,6 +91,22 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _scheme(text: str) -> Scheme:
+    """A ``--scheme`` value: any :func:`parse_scheme` alias, in any
+    case."""
+    try:
+        return parse_scheme(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _schemes_or_all(text: str):
+    """``run --scheme``: one scheme (:func:`_scheme`), or ``all``."""
+    if text.strip().lower() == "all":
+        return list(SCHEME_NAMES.values())
+    return [_scheme(text)]
+
+
 def _procs_csv(text: str):
     """A non-empty comma-separated list of processor counts (each >= 1).
     Used as an argparse ``type`` so string defaults are parsed too."""
@@ -107,8 +120,7 @@ def _procs_csv(text: str):
 
 def _apply_session_args(args):
     """Install a fresh default session configured per ``--no-cache``;
-    returns it.  (Each CLI command starts cold — in particular
-    ``profile`` traces real stage runs.)"""
+    returns it.  (Each CLI command starts cold.)"""
     from repro import pipeline
 
     session = pipeline.CompileSession(
@@ -181,7 +193,7 @@ def cmd_decompose(args) -> int:
 def cmd_emit(args) -> int:
     _apply_session_args(args)
     prog = _build(args.app, args.n, args.time_steps)
-    spmd = compile_program(prog, parse_scheme(args.scheme), args.procs)
+    spmd = compile_program(prog, args.scheme, args.procs)
     print(emit_c_program(spmd))
     return 0
 
@@ -192,11 +204,7 @@ def cmd_run(args) -> int:
     session = _apply_session_args(args)
     # An unknown app or a bad size fails here, in one line.
     _build(args.app, args.n, args.time_steps)
-    schemes = (
-        [parse_scheme(args.scheme)]
-        if args.scheme != "all"
-        else list(SCHEME_NAMES.values())
-    )
+    schemes = args.scheme
     procs = args.procs_list
     curves = _speedup_curves(args, schemes, procs)
     print(format_speedup_table(
@@ -271,50 +279,6 @@ def _speedup_curves(args, schemes, procs):
             series.append((p, s))
         curves[scheme.value] = series
     return curves
-
-
-def cmd_profile(args) -> int:
-    from repro import obs
-    from repro.machine import scaled_dash
-    from repro.machine.simulate import simulate
-    from repro.obs.export import summary, write_chrome_trace, write_json
-    from repro.report import format_profile_table
-
-    _apply_session_args(args)
-    obs.enable(reset=True)
-    prog = _build(args.app, args.n, args.time_steps)
-    scheme = parse_scheme(args.scheme)
-    machine = scaled_dash(
-        args.procs, scale=args.scale,
-        word_bytes=min(d.element_size for d in prog.arrays.values()),
-    )
-    with obs.span("profile", cat="cli", app=args.app,
-                  scheme=scheme.value, nprocs=args.procs):
-        spmd = compile_program(prog, scheme, args.procs)
-        res = simulate(spmd, machine, detail=True, locality=True)
-
-    print(summary())
-    print()
-    print(format_profile_table(res))
-    if args.json:
-        from repro.report import profile_as_dict
-
-        _emit_json(args.json, profile_as_dict(res), "profile JSON")
-    if args.output:
-        if args.format == "chrome":
-            try:
-                write_chrome_trace(args.output)
-            except OSError as exc:
-                raise SystemExit(f"cannot write {args.output}: {exc}")
-            print(f"\nwrote Chrome trace to {args.output} "
-                  "(load in chrome://tracing or https://ui.perfetto.dev)")
-        else:
-            try:
-                write_json(args.output)
-            except OSError as exc:
-                raise SystemExit(f"cannot write {args.output}: {exc}")
-            print(f"\nwrote JSON telemetry dump to {args.output}")
-    return 0
 
 
 def _write_text(path: str, text: str, what: str) -> None:
@@ -744,10 +708,7 @@ def cmd_explain(args) -> int:
     from repro.report import format_explain_tree
 
     session = _apply_session_args(args)
-    try:
-        scheme = parse_scheme(args.scheme)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    scheme = args.scheme
     prog = _build(args.app, args.n, args.time_steps)
     label = f"{args.app}/{scheme.value}/P{args.procs}"
     try:
@@ -784,11 +745,14 @@ def cmd_diff(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    """``python -m repro perf``: the wall-time ledger of one point,
-    with optional flamegraph, collapsed stacks and JSON payload."""
+    """``python -m repro perf``: observe one point in one measurement
+    window — its wall-time ledger and its profile table (miss classes
+    per phase and array, NUMA, conflict sets, locality) — with
+    optional JSON payload, Chrome trace, flamegraph and stacks."""
+    from repro.obs.export import to_chrome_trace
     from repro.obs.flame import flamegraph_svg
     from repro.obs.perf import record_point
-    from repro.report import format_ledger_table
+    from repro.report import format_ledger_table, format_profile_table
 
     if args.app not in ALL_APPS:
         raise SystemExit(
@@ -796,9 +760,8 @@ def cmd_perf(args) -> int:
             f"{', '.join(sorted(ALL_APPS))}"
         )
     try:
-        scheme = parse_scheme(args.scheme)
-        payload = record_point(
-            args.app, scheme, args.procs, n=args.n,
+        payload, window = record_point(
+            args.app, args.scheme, args.procs, n=args.n,
             time_steps=args.time_steps, scale=args.scale,
         )
     except ValueError as exc:
@@ -807,24 +770,23 @@ def cmd_perf(args) -> int:
     label = f"{point['app']}/{point['scheme']}/P{point['nprocs']}"
     print(format_ledger_table(point["perf"]["ledger"],
                               title=f"wall-time ledger: {label}"))
+    print()
+    print(format_profile_table(window["res"]))
     if args.json:
         _emit_json(args.json, payload, "perf JSON")
+    if args.trace:
+        _write_text(args.trace,
+                    json.dumps(to_chrome_trace(window["collector"]),
+                               indent=1),
+                    "Chrome trace")
+    stacks = point["perf"]["stacks"]
     if args.stacks:
-        from repro.obs.export import write_collapsed
-
-        try:
-            write_collapsed(args.stacks, point["perf"]["stacks"])
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot write collapsed stacks to {args.stacks}: {exc}")
-        print(f"\nwrote collapsed stacks to {args.stacks}")
+        _write_text(args.stacks, "".join(f"{line}\n" for line in stacks),
+                    "collapsed stacks")
     if args.flame:
-        _write_text(
-            args.flame,
-            flamegraph_svg(point["perf"]["stacks"],
-                           title=f"repro perf: {label}"),
-            "flamegraph SVG",
-        )
+        _write_text(args.flame,
+                    flamegraph_svg(stacks, title=f"repro perf: {label}"),
+                    "flamegraph SVG")
     return 0
 
 
@@ -850,7 +812,8 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=_positive_int, default=16)
     p.add_argument("--procs", type=_positive_int, default=4)
     p.add_argument("--time-steps", type=_positive_int, default=None)
-    p.add_argument("--scheme", choices=sorted(SCHEME_NAMES), default="data")
+    p.add_argument("--scheme", type=_scheme, default="data",
+                   help="scheme name or alias, case-insensitive")
     _add_cache_flags(p)
 
     p = sub.add_parser("run", help="simulate and print speedups")
@@ -859,8 +822,9 @@ def main(argv=None) -> int:
     p.add_argument("--procs-list", type=_procs_csv, default="1,2,4,8,16,32")
     p.add_argument("--scale", type=_positive_int, default=16)
     p.add_argument("--time-steps", type=_positive_int, default=None)
-    p.add_argument("--scheme", choices=sorted(SCHEME_NAMES) + ["all"],
-                   default="all")
+    p.add_argument("--scheme", type=_schemes_or_all, default="all",
+                   help="scheme name or alias, case-insensitive, or "
+                        "'all' (default)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="run the sweep's points across N processes")
     p.add_argument("--verify", action="store_true",
@@ -868,27 +832,6 @@ def main(argv=None) -> int:
                         "its (scheme, nprocs) grid at a small size")
     p.add_argument("--verify-n", type=_positive_int, default=8,
                    help="problem size for --verify (default 8)")
-    _add_cache_flags(p)
-
-    p = sub.add_parser(
-        "profile",
-        help="compile + simulate with observability on; dump the trace",
-    )
-    p.add_argument("app")
-    p.add_argument("--n", type=_positive_int, default=32)
-    p.add_argument("--procs", type=_positive_int, default=8)
-    p.add_argument("--scale", type=_positive_int, default=16)
-    p.add_argument("--time-steps", type=_positive_int, default=None)
-    p.add_argument("--scheme", choices=sorted(SCHEME_ALIASES),
-                   default="comp_decomp_data")
-    p.add_argument("-o", "--output", default=None,
-                   help="trace output path (Chrome trace-event JSON)")
-    p.add_argument("--format", choices=["chrome", "json"], default="chrome",
-                   help="output format: Chrome trace events or full dump")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the profile result (phases, arrays, "
-                        "NUMA, conflicts, locality) as JSON; '-' for "
-                        "stdout")
     _add_cache_flags(p)
 
     p = sub.add_parser(
@@ -1025,7 +968,7 @@ def main(argv=None) -> int:
              "reasons) behind one compiled point",
     )
     p.add_argument("app")
-    p.add_argument("--scheme", default="opt",
+    p.add_argument("--scheme", type=_scheme, default="opt",
                    help="scheme name or alias, case-insensitive "
                         "(e.g. OPT, base, comp, data)")
     p.add_argument("--procs", type=_positive_int, default=8)
@@ -1049,19 +992,25 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "perf",
-        help="measure one (app, scheme, procs) point: wall-time ledger "
-             "table, optional flamegraph/collapsed stacks/JSON payload",
+        help="observe one (app, scheme, procs) point: wall-time ledger "
+             "and profile table (miss classes, NUMA, conflict sets, "
+             "locality); optional JSON payload, Chrome trace, "
+             "flamegraph and stacks",
     )
     p.add_argument("app")
-    p.add_argument("--scheme", choices=sorted(SCHEME_ALIASES),
-                   default="data")
+    p.add_argument("--scheme", type=_scheme, default="data",
+                   help="scheme name or alias, case-insensitive")
     p.add_argument("--procs", type=_positive_int, default=4)
     p.add_argument("--n", type=_positive_int, default=16)
     p.add_argument("--time-steps", type=_positive_int, default=None)
     p.add_argument("--scale", type=_positive_int, default=16)
     p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the run (ledger + stacks) as JSON — "
-                        "'repro diff' reads it; '-' for stdout")
+                   help="write the one-point bench snapshot (plus "
+                        "perf.stacks) as JSON — 'repro diff' reads it; "
+                        "'-' for stdout")
+    p.add_argument("--trace", default=None, metavar="PATH",
+                   help="write the measurement window as Chrome "
+                        "trace-event JSON (chrome://tracing, Perfetto)")
     p.add_argument("--flame", default=None, metavar="PATH",
                    help="write a self-contained flamegraph SVG")
     p.add_argument("--stacks", default=None, metavar="PATH",
@@ -1075,7 +1024,6 @@ def main(argv=None) -> int:
             "decompose": cmd_decompose,
             "emit": cmd_emit,
             "run": cmd_run,
-            "profile": cmd_profile,
             "verify": cmd_verify,
             "batch": cmd_batch,
             "fsck": cmd_fsck,

@@ -9,7 +9,7 @@ starting point of the decomposition analysis.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.dependence import Dependence, analyze_nest
 from repro.ir.loops import LoopNest
@@ -36,30 +36,3 @@ def outermost_parallel_level(
     dependence."""
     levels = parallel_levels(nest, deps, params)
     return levels[0] if levels else None
-
-
-def carried_distance_vectors(
-    deps: Sequence[Dependence],
-) -> List[Tuple[int, ...]]:
-    """Constant distance vectors of all carried dependences (those with a
-    fully-known distance)."""
-    out = []
-    for d in deps:
-        if d.level >= 0 and d.is_constant():
-            vec = tuple(int(v) for v in d.distance)
-            if any(vec):
-                out.append(vec)
-    return out
-
-
-def variable_components(deps: Sequence[Dependence], depth: int) -> Tuple[int, ...]:
-    """Levels at which some carried dependence has a non-constant
-    distance component (used to build conservative obstruction sets)."""
-    var_levels = set()
-    for d in deps:
-        if d.level < 0:
-            continue
-        for j, comp in enumerate(d.distance):
-            if comp is None:
-                var_levels.add(j)
-    return tuple(sorted(v for v in var_levels if v < depth))

@@ -481,21 +481,6 @@ def _classify(machine: DashConfig, proc, addr, write, rounds: int = 1,
     return cls, local
 
 
-def simulate_scheme(
-    prog,
-    scheme: Scheme,
-    machine: DashConfig,
-    decomp=None,
-    session=None,
-) -> SimResult:
-    """Compile (SPMD-plan) and simulate a program under one scheme."""
-    from repro.pipeline.session import get_session
-
-    session = session or get_session()
-    spmd = session.compile(prog, scheme, machine.nprocs, decomp=decomp)
-    return simulate(spmd, machine)
-
-
 def speedup_curve(
     prog,
     schemes: Sequence[Scheme],

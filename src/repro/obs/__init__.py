@@ -10,17 +10,15 @@ Usage at an instrumentation site::
     obs.event("decomp.ladder", cat="decomp", nest="n0", rung="strict")
     obs.inc("addropt.invariant")
 
-Recording is off by default (set ``REPRO_OBS=1`` or call
-:func:`enable`); when off, every hook is a strict no-op — ``span()``
-and ``counter()`` return shared singleton no-op objects and nothing is
-allocated or stored.  Export collected data with
-:func:`repro.obs.export.to_chrome_trace` (``chrome://tracing`` /
-Perfetto), :func:`repro.obs.export.to_json`, or
-:func:`repro.obs.export.summary`.
+Recording is off by default (call :func:`enable`); when off, every
+hook is a strict no-op — ``span()`` and ``counter()`` return shared
+singleton no-op objects and nothing is allocated or stored.
+``repro perf`` records one point's window and reads it back as the
+wall-time ledger (:mod:`repro.obs.perf`) and, with ``--trace``, as a
+Chrome trace (:func:`repro.obs.export.to_chrome_trace`).
 """
 
 from repro.obs.core import (
-    ENV_FLAG,
     NOOP_SPAN,
     Collector,
     Event,
@@ -44,16 +42,9 @@ from repro.obs.metrics import (
     Gauge,
     MetricsRegistry,
 )
-from repro.obs.export import (
-    summary,
-    to_chrome_trace,
-    to_json,
-    write_chrome_trace,
-    write_json,
-)
+from repro.obs.export import to_chrome_trace
 
 __all__ = [
-    "ENV_FLAG",
     "NOOP_SPAN",
     "NOOP_METRIC",
     "Collector",
@@ -75,9 +66,5 @@ __all__ = [
     "inc",
     "reset",
     "span",
-    "summary",
     "to_chrome_trace",
-    "to_json",
-    "write_chrome_trace",
-    "write_json",
 ]

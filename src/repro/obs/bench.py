@@ -6,6 +6,9 @@ classes, NUMA local/remote, conflict sets, locality digests and the
 Section-4.3 addressing-overhead counts — with its wall-time ledger and
 decision provenance, into a schema-versioned snapshot, and
 :func:`save_snapshot` writes it (``repro bench --json PATH``).
+:func:`bench_point` measures one coordinate; ``repro perf``'s payload
+is the one-point snapshot of its coordinate, with the sampled stacks
+added.
 
 Nothing here judges a snapshot: ``repro diff``
 (:func:`repro.obs.compare.diff_runs`) gates two of them — simulated
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs import core as _obs_core
@@ -29,8 +32,10 @@ from repro.util.atomicio import write_atomic
 
 __all__ = [
     "SCHEMA_VERSION",
+    "bench_point",
     "run_bench",
     "save_snapshot",
+    "snapshot",
 ]
 
 # Schema history:
@@ -43,6 +48,8 @@ __all__ = [
 #       baselines are incomparable; regenerate.
 # Points no longer carry the timed "wall" block; nothing compared it
 # exactly, so schema 3 snapshots that still have it compare unchanged.
+# A `repro perf` payload is a schema-3 snapshot too (its point adds
+# "perf.stacks"); the old schema-1 perf payloads read incomparable.
 SCHEMA_VERSION = 3
 
 DEFAULT_APPS = ("simple", "stencil5")
@@ -52,10 +59,16 @@ DEFAULT_N = 16
 DEFAULT_SCALE = 16
 
 
-def _bench_point(session, point, prog) -> Dict[str, Any]:
+def bench_point(session, point, prog, *,
+                collect_stacks: bool = False
+                ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Measure one grid coordinate (a
     :class:`~repro.pipeline.grid.GridPoint`) on the shared engine's
-    program/machine mapping."""
+    program/machine mapping; returns its snapshot point and the
+    :func:`~repro.obs.perf.measure_point` window.  ``repro bench``
+    and ``repro perf`` build their points here, so ``repro diff``
+    gates a perf payload exactly as it gates a bench snapshot;
+    ``collect_stacks`` adds ``perf.stacks``."""
     from repro.codegen.spmd import parse_scheme
     from repro.obs.perf import measure_point
     from repro.pipeline.grid import point_machine
@@ -68,7 +81,7 @@ def _bench_point(session, point, prog) -> Dict[str, Any]:
     # the optimized emitter emits, runs the detail simulation for the
     # deterministic machine metrics, and yields the wall-time ledger.
     m = measure_point(session, prog, scheme, nprocs, machine,
-                      locality=True)
+                      collect_stacks=collect_stacks)
     res = m["res"]
     compile_s = m["compile_s"]
     addressing = m["addressing"]
@@ -97,8 +110,11 @@ def _bench_point(session, point, prog) -> Dict[str, Any]:
         # exact-match gate covers it — a simulator rewrite that changes
         # any reuse/pressure histogram fails the bench comparison.
         sim["locality"] = res.locality
+    perf: Dict[str, Any] = {"ledger": m["ledger"]}
+    if collect_stacks:
+        perf["stacks"] = m["stacks"]
 
-    return {
+    entry = {
         "app": point.app,
         "scheme": point.scheme,
         "nprocs": nprocs,
@@ -111,11 +127,34 @@ def _bench_point(session, point, prog) -> Dict[str, Any]:
         "sim": sim,
         # Schema 3: the wall-time ledger (row set + counts exact-match
         # gated; `repro diff` ranks self-time moves on one host).
-        "perf": {"ledger": m["ledger"]},
+        "perf": perf,
         # Decision provenance rides along for `repro diff` root-cause
         # attribution; the judge never compares it, so this key never
         # makes two runs differ.
         "provenance": [r.as_dict() for r in prov],
+    }
+    return entry, m
+
+
+def snapshot(points: List[Dict[str, Any]], *, apps: Sequence[str],
+             schemes: Sequence[str], procs: Sequence[int], n: int,
+             time_steps: Optional[int], scale: int) -> Dict[str, Any]:
+    """The schema-versioned snapshot of measured ``points``; ``schemes``
+    are short names."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "created": datetime.now(timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%SZ"),
+        "host": host_fingerprint(),
+        "config": {
+            "apps": list(apps),
+            "schemes": list(schemes),
+            "procs": list(procs),
+            "n": n,
+            "time_steps": time_steps,
+            "scale": scale,
+        },
+        "points": points,
     }
 
 
@@ -137,40 +176,28 @@ def run_bench(
     from repro.pipeline.grid import make_grid, point_program
     from repro.pipeline.session import CompileSession
 
-    parsed = [parse_scheme(s) for s in schemes]
+    short = [scheme_short_name(parse_scheme(s)) for s in schemes]
     session = CompileSession()
     saved_enabled = _obs_core._enabled
     saved_collector = _obs_core._collector
     points: List[Dict[str, Any]] = []
     # The shared engine enumerates the grid; programs are built once
     # per app (they repeat across schemes/procs).
-    grid = make_grid(apps, [scheme_short_name(s) for s in parsed], procs,
-                     n=n, time_steps=time_steps, scale=scale)
+    grid = make_grid(apps, short, procs, n=n, time_steps=time_steps,
+                     scale=scale)
     progs: Dict[str, Any] = {}
     try:
         obs.disable()
         for point in grid:
             if point.app not in progs:
                 progs[point.app] = point_program(point)
-            points.append(_bench_point(session, point, progs[point.app]))
+            points.append(bench_point(session, point,
+                                      progs[point.app])[0])
     finally:
         _obs_core._collector = saved_collector
         _obs_core._enabled = saved_enabled
-    return {
-        "schema": SCHEMA_VERSION,
-        "created": datetime.now(timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"),
-        "host": host_fingerprint(),
-        "config": {
-            "apps": list(apps),
-            "schemes": [scheme_short_name(s) for s in parsed],
-            "procs": list(procs),
-            "n": n,
-            "time_steps": time_steps,
-            "scale": scale,
-        },
-        "points": points,
-    }
+    return snapshot(points, apps=apps, schemes=short, procs=procs, n=n,
+                    time_steps=time_steps, scale=scale)
 
 
 # -- persistence -------------------------------------------------------------

@@ -10,25 +10,21 @@ telemetry:
 * **metrics** — process-wide counters and gauges
   (:mod:`repro.obs.metrics`).
 
-Observability is **off by default**; enable it programmatically with
-:func:`enable` or by exporting ``REPRO_OBS=1``.  The disabled fast path
-is strict: :func:`span` returns the one shared :data:`NOOP_SPAN`,
-:func:`counter` returns the shared no-op metric, and :func:`event` /
-:func:`inc` return immediately after a single flag test — no objects
-are allocated and nothing is recorded.
+Observability is **off by default**; :func:`enable` turns it on
+(``repro perf`` and ``repro bench`` do, for their measurement window).
+The disabled fast path is strict: :func:`span` returns the one shared
+:data:`NOOP_SPAN`, :func:`counter` returns the shared no-op metric, and
+:func:`event` / :func:`inc` return immediately after a single flag
+test — no objects are allocated and nothing is recorded.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import NOOP_METRIC, MetricsRegistry
-
-ENV_FLAG = "REPRO_OBS"
-
 
 class _NoopSpan:
     """Shared do-nothing span; also its own context manager."""
@@ -144,7 +140,7 @@ class Collector:
         return ev
 
 
-_enabled = os.environ.get(ENV_FLAG, "0").lower() not in ("", "0", "false", "no")
+_enabled = False
 _collector = Collector()
 
 

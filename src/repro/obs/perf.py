@@ -16,11 +16,14 @@ simulator phases, and functions responsible.  Two pieces:
   the rows **must** sum back to the measured total: the accounting is
   falsifiable, and :func:`ledger_reconciles` is the check tests run on
   every point.
-* :func:`measure_point` / :func:`record_point` — one observed
-  compile + simulate window producing the ledger and the deterministic
-  machine metrics, plus — for ``repro perf`` — a collapsed-stack
-  sample (:mod:`repro.obs.flame` renders it); ``repro bench`` stores
-  the ledger per grid point since snapshot schema 3.
+* :func:`measure_point` — one observed compile + detail-and-locality
+  simulate window producing the ledger, the deterministic machine
+  metrics and the window's span recording; every ``repro bench``
+  point is one such window.
+* :func:`record_point` — ``repro perf``: the one-point bench snapshot
+  of a coordinate (:func:`repro.obs.bench.bench_point` builds its
+  point), with a collapsed-stack sample (:mod:`repro.obs.flame`
+  renders it) as ``perf.stacks``.
 
 Two runs' ledgers are compared by ``repro diff``
 (:func:`repro.obs.compare.ledger_moves`): row *sets* and *counts* are
@@ -49,10 +52,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs import core as _obs_core
-from repro.obs.compare import host_fingerprint
 
 __all__ = [
-    "PERF_SCHEMA",
     "UNATTRIBUTED",
     "build_ledger",
     "ledger_reconciles",
@@ -60,7 +61,6 @@ __all__ = [
     "record_point",
 ]
 
-PERF_SCHEMA = 1
 UNATTRIBUTED = "<unattributed>"
 
 # Reconciliation slack: the decomposition is exact, so only float
@@ -159,19 +159,20 @@ def ledger_reconciles(ledger: Mapping[str, Any],
 # -- measurement -------------------------------------------------------------
 
 def measure_point(session, prog, scheme, nprocs: int, machine, *,
-                  locality: bool = True,
                   collect_stacks: bool = False) -> Dict[str, Any]:
-    """One observed compile + detail-simulate window for one point.
+    """One observed compile + simulate window for one point.
 
     Opens a private collector, records the whole window under a
     ``perf.point`` root span, and returns the ledger, the simulation
-    result (deterministic machine metrics), the addressing counters
-    and the captured decision provenance.  With ``collect_stacks`` it
-    also returns collapsed ``stacks`` from a *separate* sampled
-    simulation, kept outside the ledger window since the profiling
-    hook would inflate it.  The global obs state is saved and
-    restored.  As in :mod:`timeit`, the window runs after a full
-    collection with the collector off, so no pause lands in a row.
+    result (with the detail fields and the locality report), the
+    addressing counters, the captured decision provenance and the
+    window's ``collector`` (its spans are what ``repro perf --trace``
+    exports).  With ``collect_stacks`` it also returns collapsed
+    ``stacks`` from a *separate* sampled simulation, kept outside the
+    ledger window since the profiling hook would inflate it.  The
+    global obs state is saved and restored.  As in :mod:`timeit`, the
+    window runs after a full collection with the collector off, so no
+    pause lands in a row.
     """
     from repro.codegen.emit_optimized import emit_optimized_program
     from repro.machine.simulate import simulate
@@ -183,7 +184,7 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
     gc.collect()
     gc.disable()
     try:
-        obs.enable(reset=True)
+        recording = obs.enable(reset=True)
         t_start = time.perf_counter()
         with obs.span("perf.point", cat="perf", program=prog.name,
                       scheme=scheme.value, nprocs=nprocs):
@@ -194,15 +195,15 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
             with provenance.capture() as addr_records:
                 emit_optimized_program(spmd)
             prov.extend(addr_records)
-            res = simulate(spmd, machine, detail=True, locality=locality)
+            res = simulate(spmd, machine, detail=True, locality=True)
         total_s = time.perf_counter() - t_start
-        counters = obs.collector().metrics.snapshot()["counters"]
+        counters = recording.metrics.snapshot()["counters"]
         addressing = {
             name.split(".", 1)[1]: value
             for name, value in counters.items()
             if name.startswith("addropt.")
         }
-        ledger = build_ledger(obs.collector(), total_s)
+        ledger = build_ledger(recording, total_s)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -215,6 +216,7 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         "addressing": addressing,
         "ledger": ledger,
         "provenance": prov,
+        "collector": recording,
     }
     if collect_stacks:
         from repro.obs.hotspot import DEFAULT_INTERVAL, HotspotProfiler
@@ -226,40 +228,28 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
 
 
 def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
-                 time_steps: Optional[int] = None,
-                 scale: int = 16) -> Dict[str, Any]:
-    """``repro perf``: measure one (app, scheme, procs) point on the
-    shared grid engine's program/machine mapping and return a
-    bench-snapshot-shaped payload (``repro diff`` reads it)."""
-    from datetime import datetime, timezone
+                 time_steps: Optional[int] = None, scale: int = 16
+                 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """``repro perf``: measure one (app, scheme, procs) point.
 
+    Returns ``(payload, window)``: the payload is the
+    :func:`~repro.obs.bench.run_bench` snapshot of that one coordinate
+    with the sampled stacks added as ``perf.stacks`` (``repro diff``
+    gates it as it gates any bench snapshot), and ``window`` is the
+    :func:`measure_point` output (``res`` for the profile table,
+    ``collector`` for the Chrome trace).
+    """
     from repro.codegen.spmd import scheme_short_name
-    from repro.pipeline.grid import make_grid, point_machine, point_program
+    from repro.obs.bench import bench_point, snapshot
+    from repro.pipeline.grid import make_grid, point_program
     from repro.pipeline.session import CompileSession
 
-    point, = make_grid([app], [scheme_short_name(scheme)], [int(nprocs)],
-                       n=n, time_steps=time_steps, scale=scale)
-    prog = point_program(point)
-    machine = point_machine(point, prog)
-    m = measure_point(CompileSession(), prog, scheme, nprocs,
-                      machine, locality=False, collect_stacks=True)
-    res = m["res"]
-    return {
-        "schema": PERF_SCHEMA,
-        "kind": "perf",
-        "created": datetime.now(timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"),
-        "host": host_fingerprint(),
-        "config": {"app": app, "scheme": point.scheme, "nprocs": nprocs,
-                   "n": n, "time_steps": time_steps, "scale": scale},
-        "points": [{
-            "app": point.app,
-            "scheme": point.scheme,
-            "nprocs": nprocs,
-            "machine_fp": machine.fingerprint(),
-            "compile_s": m["compile_s"],
-            "sim": {"total_time": res.total_time,
-                    "n_accesses": res.n_accesses},
-            "perf": {"ledger": m["ledger"], "stacks": m["stacks"]},
-        }],
-    }
+    short = scheme_short_name(scheme)
+    point, = make_grid([app], [short], [nprocs], n=n,
+                       time_steps=time_steps, scale=scale)
+    entry, window = bench_point(CompileSession(), point,
+                                point_program(point), collect_stacks=True)
+    payload = snapshot([entry], apps=[app], schemes=[short],
+                       procs=[nprocs], n=n, time_steps=time_steps,
+                       scale=scale)
+    return payload, window

@@ -358,25 +358,42 @@ class ResultStore:
 
     # -- maintenance -------------------------------------------------------
 
-    def _entries(self) -> List[Path]:
-        """Every entry file (listed, not stat'ed)."""
+    def _listing(self) -> List[str]:
+        """Every entry file's path — the files ``??/*.json`` matches,
+        so no ``.tmp`` file of an unfinished write — listed with one
+        :func:`os.scandir` per shard; nothing is stat'ed."""
         try:
-            return list(self._dir.glob("??/*.json"))
+            with os.scandir(self._dir) as it:
+                shards = [e.path for e in it
+                          if len(e.name) == 2 and e.is_dir()]
         except OSError:
             return []
+        listed: List[str] = []
+        for shard in shards:
+            try:
+                with os.scandir(shard) as it:
+                    listed.extend(e.path for e in it
+                                  if e.name.endswith(".json"))
+            except OSError:
+                continue
+        return listed
+
+    def _entries(self) -> List[Path]:
+        """Every entry file (listed, not stat'ed)."""
+        return [Path(p) for p in self._listing()]
 
     def _evict(self) -> None:
         """Drop oldest entries (by mtime) beyond the ``keep`` cap; below
         the cap nothing is stat'ed.  An entry that vanishes between
         listing and stat — another driver quarantining or evicting it —
         is skipped, not raised."""
-        entries = self._entries()
-        if len(entries) <= self.keep:
+        listed = self._listing()
+        if len(listed) <= self.keep:
             return
         stamped = []
-        for p in entries:
+        for p in listed:
             try:
-                stamped.append((p.stat().st_mtime, p))
+                stamped.append((os.stat(p).st_mtime, p))
             except OSError:
                 continue
         stamped.sort(key=lambda e: e[0], reverse=True)
@@ -389,14 +406,14 @@ class ResultStore:
             obs.inc("store.evictions")
 
     def __len__(self) -> int:
-        return len(self._entries())
+        return len(self._listing())
 
     def bytes(self) -> int:
         """Total on-disk size of stored entries."""
         total = 0
-        for p in self._entries():
+        for p in self._listing():
             try:
-                total += p.stat().st_size
+                total += os.stat(p).st_size
             except OSError:
                 continue
         return total

@@ -9,7 +9,7 @@ and generate the EXPERIMENTS.md records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 Series = Sequence[Tuple[int, float]]
 
@@ -366,39 +366,6 @@ def run_report_html(payload: Mapping) -> str:
     return page(f"repro run report — {payload.get('run_id', '?')}", parts)
 
 
-def profile_as_dict(result) -> Dict:
-    """Machine-readable counterpart of :func:`format_profile_table`
-    (the ``profile --json`` payload)."""
-    phases = []
-    for pc in result.phase_costs:
-        m = pc.misses or {}
-        phases.append({
-            "nest": pc.nest_name,
-            "time": pc.time,
-            "sync": pc.sync,
-            "accesses": m.get("accesses", 0),
-            "misses": {key: m.get(key, 0) for key, _ in _PROFILE_CLASSES},
-        })
-    return {
-        "scheme": result.scheme,
-        "nprocs": result.nprocs,
-        "total_time": result.total_time,
-        "phases": phases,
-        "arrays": {
-            name: dict(ab)
-            for name, ab in sorted((result.array_breakdown or {}).items())
-        },
-        "numa": dict(result.numa) if result.numa else None,
-        "conflict_sets": (
-            dict(result.conflict_sets) if result.conflict_sets else None
-        ),
-        "locality": (
-            dict(result.locality)
-            if getattr(result, "locality", None) else None
-        ),
-    }
-
-
 # Pipeline order used to group decision records in the explain tree.
 _EXPLAIN_STAGES = ("unimodular", "decomposition", "folding", "layout",
                    "addropt")
@@ -599,28 +566,6 @@ def format_ledger_table(ledger: Mapping,
         f"(rows sum {row_sum * 1e3:.3f} ms vs total {total * 1e3:.3f} ms)"
     )
     return "\n".join(lines)
-
-
-def markdown_speedup_table(curves: Mapping[str, Series]) -> str:
-    """The same data as a Markdown table (for EXPERIMENTS.md)."""
-    procs = [p for p, _ in next(iter(curves.values()))]
-    out = ["| scheme | " + " | ".join(f"P={p}" for p in procs) + " |"]
-    out.append("|" + "---|" * (len(procs) + 1))
-    for scheme, series in curves.items():
-        out.append(
-            f"| {scheme} | "
-            + " | ".join(f"{s:.2f}" for _, s in series)
-            + " |"
-        )
-    return "\n".join(out)
-
-
-def at_procs(series: Series, p: int) -> Optional[float]:
-    """The speedup at processor count ``p`` (None if absent)."""
-    for q, s in series:
-        if q == p:
-            return s
-    return None
 
 
 @dataclass

@@ -19,7 +19,6 @@ over asymptotic cleverness.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -471,27 +470,3 @@ def rowspace_basis(a: Sequence[Sequence[int]]) -> Matrix:
         return []
     h, _, pivots = hermite_normal_form(a)
     return [h[i] for i in range(len(pivots))]
-
-
-def rowspaces_equal(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
-) -> bool:
-    """True iff two row collections span the same rational subspace."""
-    ra = integer_rank(a) if a else 0
-    rb = integer_rank(b) if b else 0
-    if ra != rb:
-        return False
-    if ra == 0:
-        return True
-    stacked = vstack(a, b)
-    return integer_rank(stacked) == ra
-
-
-def primitive_vector(v: Sequence[int]) -> Vector:
-    """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return list(v)
-    return [x // g for x in v]

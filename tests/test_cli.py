@@ -97,35 +97,72 @@ class TestCli:
             main(["decompose", "nosuchapp"])
 
 
-class TestProfileErrors:
+class TestPerfErrors:
     def test_bad_app(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "nosuchapp", "--n", "8"])
+        with pytest.raises(SystemExit, match="unknown app"):
+            main(["perf", "nosuchapp", "--n", "8"])
 
-    def test_bad_scheme_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "simple", "--scheme", "bogus"])
+    def test_bad_scheme_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "simple", "--scheme", "bogus"])
+        assert exc.value.code == 2
+        assert "unknown scheme 'bogus'" in capsys.readouterr().err
 
     def test_json_to_nonexistent_dir(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.json"
-        with pytest.raises(SystemExit, match="cannot write"):
-            main(["profile", "simple", "--n", "8", "--procs", "2",
+        with pytest.raises(SystemExit, match="cannot write") as exc:
+            main(["perf", "simple", "--n", "8", "--procs", "2",
                   "--json", str(missing)])
+        assert len(str(exc.value).splitlines()) == 1
 
     def test_trace_output_to_nonexistent_dir(self, tmp_path):
         missing = tmp_path / "absent" / "trace.json"
-        with pytest.raises(SystemExit, match="cannot write"):
-            main(["profile", "simple", "--n", "8", "--procs", "2",
-                  "-o", str(missing)])
+        with pytest.raises(SystemExit, match="cannot write") as exc:
+            main(["perf", "simple", "--n", "8", "--procs", "2",
+                  "--trace", str(missing)])
+        assert len(str(exc.value).splitlines()) == 1
 
     def test_json_dash_to_stdout(self, capsys):
-        assert main(["profile", "simple", "--n", "8", "--procs", "2",
+        assert main(["perf", "simple", "--n", "8", "--procs", "2",
                      "--json", "-"]) == 0
         out = capsys.readouterr().out
-        start = out.index('{\n  "arrays"')
-        payload = json.loads(out[start:out.rindex("}") + 1])
-        assert payload["scheme"]
-        assert payload["locality"]["reuse"]
+        payload = json.loads(out[out.index('{\n  "config"'):])
+        (point,) = payload["points"]
+        assert point["sim"]["locality"]["reuse"]
+        assert point["perf"]["stacks"]
+
+
+class TestSchemeFlag:
+    """emit, run, perf and explain read --scheme through one argparse
+    type over ``parse_scheme``: any alias, in any case."""
+
+    def test_perf_accepts_upper_case_alias(self, capsys):
+        assert main(["perf", "simple", "--n", "8", "--procs", "2",
+                     "--scheme", "OPT"]) == 0
+        assert "wall-time ledger: simple/data/P2" in capsys.readouterr().out
+
+    def test_emit_accepts_long_name(self, capsys):
+        assert main(["emit", "simple", "--n", "8", "--procs", "2",
+                     "--scheme", "comp_decomp_data"]) == 0
+        assert "spmd_main" in capsys.readouterr().out
+
+    def test_run_accepts_upper_case(self, capsys):
+        assert main(["run", "simple", "--n", "8", "--procs-list", "1,2",
+                     "--scale", "32", "--scheme", "COMP"]) == 0
+        out = capsys.readouterr().out
+        assert "comp decomp" in out and "data transform" not in out
+
+    def test_bogus_scheme_is_one_line_error(self, capsys):
+        for cmd in (["perf", "simple"], ["emit", "simple"],
+                    ["run", "simple"], ["explain", "simple"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*cmd, "--scheme", "bogus"])
+            assert exc.value.code == 2
+            errors = [line for line in
+                      capsys.readouterr().err.splitlines()
+                      if "error:" in line]
+            assert len(errors) == 1
+            assert "unknown scheme 'bogus'" in errors[0]
 
 
 class TestGridArgsErrors:
@@ -320,7 +357,7 @@ class TestBrokenPipe:
         from repro.codegen.spmd import parse_scheme
         from repro.obs.perf import record_point
 
-        run = record_point("simple", parse_scheme("base"), 1, n=8)
+        run, _ = record_point("simple", parse_scheme("base"), 1, n=8)
         path = tmp_path / "run.json"
         path.write_text(json.dumps(run))
         with self._broken_stdout():

@@ -25,7 +25,7 @@ BASELINE = (Path(__file__).resolve().parent.parent
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    for var in ("REPRO_STORE_DIR", "REPRO_OBS", "REPRO_FAULTS"):
+    for var in ("REPRO_STORE_DIR", "REPRO_FAULTS"):
         monkeypatch.delenv(var, raising=False)
     obs.disable()
     obs.reset()

@@ -31,7 +31,7 @@ GRID = ["--apps", "simple", "--schemes", "base,comp,data",
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    for var in ("REPRO_FAULTS", "REPRO_STORE_DIR", "REPRO_OBS"):
+    for var in ("REPRO_FAULTS", "REPRO_STORE_DIR"):
         env.pop(var, None)
     return env
 

@@ -13,7 +13,6 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from repro import obs
-from repro.obs.export import write_collapsed
 from repro.obs.flame import flamegraph_svg, parse_collapsed
 from repro.obs.hotspot import EXTERNAL, HotspotProfiler
 
@@ -115,22 +114,6 @@ class TestFlamegraphSVG:
     def test_total_in_header(self):
         svg = flamegraph_svg(STACKS, title="hdr")
         assert f"{sum(STACKS.values()):.4g}s" in svg
-
-
-class TestWriteCollapsed:
-    def test_dict_written_sorted_and_parseable(self, tmp_path):
-        path = tmp_path / "s.collapsed"
-        write_collapsed(str(path), STACKS)
-        text = path.read_text()
-        assert text.endswith("\n")
-        lines = text.splitlines()
-        assert lines == sorted(lines)
-        assert parse_collapsed(lines) == pytest.approx(STACKS)
-
-    def test_empty_dict_writes_empty_file(self, tmp_path):
-        path = tmp_path / "s.collapsed"
-        write_collapsed(str(path), {})
-        assert path.read_text() == ""
 
 
 class TestProfilerStacks:

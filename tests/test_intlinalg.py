@@ -21,9 +21,7 @@ from repro.util.intlinalg import (
     mat_mul,
     mat_sub,
     mat_vec,
-    primitive_vector,
     rowspace_basis,
-    rowspaces_equal,
     smith_normal_form,
     solve_diophantine,
     transpose,
@@ -107,11 +105,6 @@ class TestBasics:
         assert is_unimodular([[1, 5], [0, 1]])
         assert not is_unimodular([[2, 0], [0, 1]])
         assert not is_unimodular([[1, 2, 3]])
-
-    def test_primitive_vector(self):
-        assert primitive_vector([2, 4, 6]) == [1, 2, 3]
-        assert primitive_vector([0, 0]) == [0, 0]
-        assert primitive_vector([-3, 6]) == [-1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +311,3 @@ class TestRowspace:
     def test_basis_canonical(self):
         b1 = rowspace_basis([[1, 1], [2, 2]])
         assert len(b1) == 1
-
-    def test_equality(self):
-        assert rowspaces_equal([[1, 0], [0, 1]], [[1, 1], [1, -1]])
-        assert not rowspaces_equal([[1, 0]], [[0, 1]])
-        assert rowspaces_equal([], [])
-        assert not rowspaces_equal([[1, 0]], [])

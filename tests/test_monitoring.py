@@ -37,8 +37,7 @@ STALLED = ["--inject-faults",
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    for var in ("REPRO_FAULTS", "REPRO_STORE_DIR", "REPRO_OBS",
-                "REPRO_RESULTS_DIR"):
+    for var in ("REPRO_FAULTS", "REPRO_STORE_DIR", "REPRO_RESULTS_DIR"):
         env.pop(var, None)
     return env
 

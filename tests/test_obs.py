@@ -2,8 +2,8 @@
 
 Covers span nesting/timing, counter aggregation, the disabled-mode
 shared no-op objects (identity checks), the Chrome trace-event export
-round-trip, the CLI ``profile`` command, and the overhead guard: the
-disabled instrumentation path must add < 5% to a small
+round-trip, ``repro perf``'s trace and profile table, and the overhead
+guard: the disabled instrumentation path must add < 5% to a small
 ``compile_all`` + ``simulate`` run.
 """
 
@@ -87,14 +87,6 @@ class TestMetrics:
         assert snap["gauges"]["g"] == 7.5
 
 
-class TestSummaryDegenerate:
-    """The text exporter on empty / awkward recordings."""
-
-    def test_nothing_recorded(self):
-        obs.enable()
-        assert obs.summary() == "(no telemetry recorded)"
-
-
 class TestDisabledFastPath:
     def test_span_returns_shared_noop(self):
         assert not obs.enabled()
@@ -176,30 +168,6 @@ class TestExport:
                    for e in cs)
         assert any(e["ph"] == "i" and e["name"] == "ev" for e in evs)
 
-    def test_json_dump_structure(self):
-        self._record_something()
-        data = json.loads(json.dumps(obs.to_json()))
-        assert [s["name"] for s in data["spans"]] == ["outer", "inner"]
-        assert data["spans"][1]["parent"] == data["spans"][0]["id"]
-        assert data["metrics"]["counters"]["total"] == 9
-        assert data["events"][0]["name"] == "ev"
-
-    def test_summary_renders_tree(self):
-        self._record_something()
-        text = obs.summary()
-        assert "outer" in text and "inner" in text
-        assert "total" in text
-        assert "ms" in text
-
-    def test_write_chrome_trace(self, tmp_path):
-        self._record_something()
-        path = str(tmp_path / "trace.json")
-        obs.write_chrome_trace(path)
-        with open(path) as fh:
-            data = json.load(fh)
-        assert "traceEvents" in data
-
-
 class TestPipelineTelemetry:
     """The instrumented compiler + simulator emit the expected shape."""
 
@@ -244,14 +212,14 @@ class TestPipelineTelemetry:
         assert lean.total_time == rich.total_time
 
 
-class TestProfileCli:
-    def test_profile_command_writes_valid_chrome_trace(self, tmp_path, capsys):
+class TestPerfCli:
+    def test_perf_trace_and_profile_table(self, tmp_path, capsys):
         from repro.__main__ import main
 
         out = str(tmp_path / "trace.json")
         rc = main([
-            "profile", "simple", "--n", "16", "--procs", "4",
-            "--scheme", "comp_decomp_data", "-o", out,
+            "perf", "simple", "--n", "16", "--procs", "4",
+            "--scheme", "comp_decomp_data", "--trace", out,
         ])
         assert rc == 0
         with open(out) as fh:
@@ -259,9 +227,10 @@ class TestProfileCli:
         _check_chrome_schema(data)
         evs = data["traceEvents"]
         xs = [e for e in evs if e.get("ph") == "X"]
-        # Nested compiler-phase spans ...
-        assert any(e["name"] == "compiler.compile" for e in xs)
-        assert any(e["name"] == "decomp.greedy" for e in xs)
+        # The measurement window's root, its stages and the simulator ...
+        names = {e["name"] for e in xs}
+        assert {"perf.point", "pass.layout", "compiler.compile",
+                "decomp.greedy", "sim.simulate"} <= names
         # ... and per-phase simulator miss-class counters.
         sim_phases = [
             e for e in xs
@@ -273,8 +242,10 @@ class TestProfileCli:
             for e in sim_phases
         )
         assert any(e.get("ph") == "C" for e in evs)
-        text = capsys.readouterr().out
-        assert "profile:" in text and "numa:" in text
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("reconciliation: OK") for line in lines)
+        for head in ("profile:", "numa:", "locality:"):
+            assert any(line.startswith(head) for line in lines), head
 
 
 def _workload():

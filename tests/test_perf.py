@@ -55,7 +55,7 @@ def _clean_state():
 def recorded():
     """One ``repro perf`` payload, shared read-only (deep-copy before
     mutating)."""
-    return record_point("simple", parse_scheme("data"), 2, n=8)
+    return record_point("simple", parse_scheme("data"), 2, n=8)[0]
 
 
 class TestBuildLedger:
@@ -124,16 +124,39 @@ class TestBuildLedger:
 
 class TestRecordPoint:
     def test_payload_shape(self, recorded):
-        assert recorded["kind"] == "perf"
+        # A one-point bench snapshot whose point adds perf.stacks.
+        assert recorded["schema"] == bench.SCHEMA_VERSION
+        assert "kind" not in recorded
         assert set(recorded["host"]) == {"platform", "machine", "python",
                                          "node", "cpu", "cores"}
+        assert recorded["config"] == {
+            "apps": ["simple"], "schemes": ["data"], "procs": [2],
+            "n": 8, "time_steps": None, "scale": 16}
         (point,) = recorded["points"]
         assert point["app"] == "simple" and point["nprocs"] == 2
         assert point["sim"]["n_accesses"] > 0
+        assert point["sim"]["locality"]["reuse"]
+        assert set(point["perf"]) == {"ledger", "stacks"}
         ok, _ = ledger_reconciles(point["perf"]["ledger"])
         assert ok
-        kinds = {r["kind"] for r in point["perf"]["ledger"]["rows"]}
-        assert {"pass", "sim", "residual"} <= kinds
+        rows = {(r["kind"], r["name"])
+                for r in point["perf"]["ledger"]["rows"]}
+        assert {"pass", "sim", "residual"} <= {kind for kind, _ in rows}
+        assert ("sim", "locality") in rows
+
+    def test_point_equals_bench_point(self, recorded):
+        # One function builds both points: the same coordinate's
+        # simulated counters and decisions are the bench point's, and
+        # `repro diff` gates the two runs as two bench snapshots.
+        snap = bench.run_bench(apps=["simple"], schemes=["data"],
+                               procs=[2], n=8)
+        (point,) = recorded["points"]
+        (bench_pt,) = snap["points"]
+        assert point["sim"] == bench_pt["sim"]
+        assert point["provenance"] == bench_pt["provenance"]
+        assert point["machine_fp"] == bench_pt["machine_fp"]
+        diff = diff_runs(snap, recorded)
+        assert not diff.diverged and diff.n_compared == 1
 
     def test_stacks_are_folded_lines(self, recorded):
         from repro.obs.flame import parse_collapsed
@@ -170,8 +193,7 @@ class TestMeasureWindow:
         monkeypatch.setattr(sim_module, "simulate", spy)
         assert gc.isenabled()
         measure_point(CompileSession(), build_app("simple", n=8),
-                      parse_scheme("data"), 2, scaled_dash(2, scale=16),
-                      locality=False)
+                      parse_scheme("data"), 2, scaled_dash(2, scale=16))
         assert seen == [False]
         assert gc.isenabled()
 
@@ -303,11 +325,12 @@ class TestPassStallFault:
     def test_stall_books_against_pass_ledger_row(self):
         # End to end: the injected stall must land in that pass's
         # ledger row — the attribution the perf CI job asserts.
-        base = record_point("simple", parse_scheme("data"), 2, n=8)
+        base, _ = record_point("simple", parse_scheme("data"), 2, n=8)
         faults.configure("seed=1,pass.stall=1.0,stall_s=0.05,"
                          "stall_pass=layout")
         try:
-            stalled = record_point("simple", parse_scheme("data"), 2, n=8)
+            stalled, _ = record_point("simple", parse_scheme("data"), 2,
+                                      n=8)
         finally:
             faults.configure(None)
         diff = diff_runs(base, stalled)
@@ -325,7 +348,8 @@ class TestPerfCLI:
         out = capsys.readouterr().out
         assert "wall-time ledger: simple/data/P2" in out
         payload = json.loads(out[out.index('{\n  "config"'):])
-        assert payload["kind"] == "perf"
+        assert payload["schema"] == bench.SCHEMA_VERSION
+        assert payload["config"]["schemes"] == ["data"]
         ok, _ = ledger_reconciles(payload["points"][0]["perf"]["ledger"])
         assert ok
 
@@ -351,7 +375,7 @@ class TestPerfCLI:
         # The exit code reads deterministic data only: a self-time move
         # is listed but exits 0; a count drift exits 1; a file that is
         # not a run exits 2.
-        base = record_point("simple", parse_scheme("base"), 1, n=8)
+        base, _ = record_point("simple", parse_scheme("base"), 1, n=8)
         paths = {}
         for name, field, delta in (("a", "self_s", 0.0),
                                    ("slow", "self_s", 5.0),
@@ -374,7 +398,7 @@ class TestPerfCLI:
         assert "not a bench snapshot" in capsys.readouterr().err
 
     def test_diff_json_output(self, tmp_path, capsys):
-        base = record_point("simple", parse_scheme("base"), 1, n=8)
+        base, _ = record_point("simple", parse_scheme("base"), 1, n=8)
         a = tmp_path / "a.json"
         a.write_text(json.dumps(base))
         rc = main(["diff", str(a), str(a), "--json"])

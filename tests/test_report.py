@@ -4,12 +4,10 @@ import json
 
 from repro.report import (
     Table1Row,
-    at_procs,
     classify_critical,
     format_profile_table,
     format_speedup_table,
     format_table1,
-    markdown_speedup_table,
     save_experiment,
 )
 
@@ -25,16 +23,6 @@ class TestFormatting:
         assert "demo" in text
         assert "base" in text
         assert "25.00" in text
-
-    def test_markdown(self):
-        md = markdown_speedup_table(CURVES)
-        assert md.startswith("| scheme |")
-        assert "P=32" in md
-        assert "| base |" in md
-
-    def test_at_procs(self):
-        assert at_procs(CURVES["base"], 4) == 3.5
-        assert at_procs(CURVES["base"], 7) is None
 
 
 class TestSaveExperiment:

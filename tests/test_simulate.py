@@ -7,7 +7,7 @@ from repro.apps import simple
 from repro.codegen.spmd import Scheme
 from repro.compiler import compile_program
 from repro.machine import scaled_dash
-from repro.machine.simulate import simulate, simulate_scheme, speedup_curve
+from repro.machine.simulate import simulate, speedup_curve
 from repro.machine.trace import program_traces
 
 
@@ -74,10 +74,6 @@ class TestSimulate:
         res = simulate(compile_program(prog, Scheme.BASE, 4), machine(4))
         assert "base" in res.summary()
         assert "P=4" in res.summary()
-
-    def test_simulate_scheme_shortcut(self, prog):
-        res = simulate_scheme(prog, Scheme.COMP_DECOMP, machine(4))
-        assert res.scheme == Scheme.COMP_DECOMP.value
 
 
 class TestSpeedupCurve:

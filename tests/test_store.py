@@ -189,9 +189,9 @@ class TestResultStore:
         for i in range(2):
             store.put(f"c{i}", key, {"v": i})
             os.utime(store._path(f"c{i}"), (i + 1, i + 1))
-        listed = store._entries
-        vanished = store._path("gone")
-        monkeypatch.setattr(store, "_entries",
+        listed = store._listing
+        vanished = str(store._path("gone"))
+        monkeypatch.setattr(store, "_listing",
                             lambda: [*listed(), vanished])
         store.put("c2", key, {"v": 2})
         assert store.stats.evictions == 1
@@ -212,10 +212,18 @@ class TestResultStore:
                 stated.append(path)
             return real_stat(path, *args, **kwargs)
 
+        globbed = []
+        real_glob = Path.glob
+
+        def counting_glob(self, pattern):
+            globbed.append(pattern)
+            return real_glob(self, pattern)
+
         monkeypatch.setattr(os, "stat", counting_stat)
+        monkeypatch.setattr(Path, "glob", counting_glob)
         store.put("c4", key, {"v": 4})
         store.put("c0", result_key("p2", "comp", 4, "m"), {"v": 0})
-        assert stated == []
+        assert stated == [] and globbed == []
         assert store.stats.stores == 6 and store.stats.invalidations == 1
 
     def test_corrupt_entry_is_miss_and_quarantined(self, tmp_path):

@@ -1,11 +1,8 @@
 """Tests for unimodular restructuring and parallel-level detection."""
 
-from repro.analysis.dependence import analyze_nest
 from repro.analysis.parallelism import (
-    carried_distance_vectors,
     outermost_parallel_level,
     parallel_levels,
-    variable_components,
 )
 from repro.analysis.unimodular import expose_outer_parallelism
 from repro.ir.builder import ProgramBuilder
@@ -30,18 +27,6 @@ class TestParallelLevels:
                        [pb.assign(a(i, j), [a(i - 1, j), a(i, j - 1)], None)])
         assert parallel_levels(nest, params={}) == ()
         assert outermost_parallel_level(nest, params={}) is None
-
-    def test_carried_distance_vectors(self, figure1_program):
-        relax = figure1_program.nest("relax")
-        deps = analyze_nest(relax, figure1_program.params)
-        vecs = carried_distance_vectors(deps)
-        assert (1, 0) in vecs
-
-    def test_variable_components(self, lu_program):
-        nest = lu_program.nests[0]
-        deps = analyze_nest(nest, lu_program.params)
-        comps = variable_components(deps, nest.depth)
-        assert 0 in comps  # the I1 distance varies
 
 
 class TestExpose:
