@@ -770,6 +770,8 @@ def cmd_perf(args) -> int:
     label = f"{point['app']}/{point['scheme']}/P{point['nprocs']}"
     print(format_ledger_table(point["perf"]["ledger"],
                               title=f"wall-time ledger: {label}"))
+    print(f"page faults: {window['minor_faults']} minor, "
+          f"{window['system_s']:.3f} s system CPU (inside the rows)")
     print()
     print(format_profile_table(window["res"]))
     if args.json:

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.codegen.spmd import Scheme, SpmdProgram, generate_spmd
+from repro.codegen.spmd import Scheme, SpmdProgram
 from repro.machine.coherence import (
     OUTCOMES,
     REMOTE,

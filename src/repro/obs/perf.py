@@ -47,6 +47,7 @@ Ledger reconciliation rules (the falsifiability contract):
 from __future__ import annotations
 
 import gc
+import resource
 import time
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -165,14 +166,16 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
     Opens a private collector, records the whole window under a
     ``perf.point`` root span, and returns the ledger, the simulation
     result (with the detail fields and the locality report), the
-    addressing counters, the captured decision provenance and the
+    addressing counters, the captured decision provenance, the
     window's ``collector`` (its spans are what ``repro perf --trace``
-    exports).  With ``collect_stacks`` it also returns collapsed
-    ``stacks`` from a *separate* sampled simulation, kept outside the
-    ledger window since the profiling hook would inflate it.  The
-    global obs state is saved and restored.  As in :mod:`timeit`, the
-    window runs after a full collection with the collector off, so no
-    pause lands in a row.
+    exports) and the process's ``minor_faults`` and ``system_s`` (CPU
+    seconds in the kernel) over the window, time that lands inside
+    whichever rows touched the pages.  With ``collect_stacks`` it also
+    returns collapsed ``stacks`` from a *separate* sampled simulation,
+    kept outside the ledger window since the profiling hook would
+    inflate it.  The global obs state is saved and restored.  As in
+    :mod:`timeit`, the window runs after a full collection with the
+    collector off, so no pause lands in a row.
     """
     from repro.codegen.emit_optimized import emit_optimized_program
     from repro.machine.simulate import simulate
@@ -185,6 +188,7 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
     gc.disable()
     try:
         recording = obs.enable(reset=True)
+        usage_start = resource.getrusage(resource.RUSAGE_SELF)
         t_start = time.perf_counter()
         with obs.span("perf.point", cat="perf", program=prog.name,
                       scheme=scheme.value, nprocs=nprocs):
@@ -197,6 +201,7 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
             prov.extend(addr_records)
             res = simulate(spmd, machine, detail=True, locality=True)
         total_s = time.perf_counter() - t_start
+        usage_end = resource.getrusage(resource.RUSAGE_SELF)
         counters = recording.metrics.snapshot()["counters"]
         addressing = {
             name.split(".", 1)[1]: value
@@ -217,6 +222,8 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         "ledger": ledger,
         "provenance": prov,
         "collector": recording,
+        "minor_faults": usage_end.ru_minflt - usage_start.ru_minflt,
+        "system_s": usage_end.ru_stime - usage_start.ru_stime,
     }
     if collect_stacks:
         from repro.obs.hotspot import DEFAULT_INTERVAL, HotspotProfiler

@@ -203,7 +203,13 @@ class TestGracefulShutdown:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=_env(), cwd=str(REPO),
         )
-        time.sleep(1.5)
+        # Signal once the first point is stored: the driver is past its
+        # setup and most of the grid is still to run, however fast the
+        # simulator is (a fixed sleep let the whole grid finish first).
+        deadline = time.monotonic() + 60
+        while (not any(store.glob("v2/*/*.json")) and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
         proc.send_signal(signal.SIGTERM)
         out, err = proc.communicate(timeout=120)
         if proc.returncode == 0:

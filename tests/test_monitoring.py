@@ -26,8 +26,6 @@ from tests.conftest import median_paired_overhead
 REPO = Path(__file__).resolve().parent.parent
 GRID = ["--apps", "simple", "--schemes", "base,comp,data",
         "--procs-list", "1,4", "--n", "10"]
-SLOW_GRID = ["--apps", "simple,stencil5,lu", "--schemes", "base,comp,data",
-             "--procs-list", "1,2,4", "--n", "48"]
 # Every point's spmd pass sleeps 0.5 s, so GRID runs for ~3 s: long
 # enough for several one-second `status --follow` refreshes.
 STALLED = ["--inject-faults",
@@ -127,10 +125,11 @@ class TestStatusCLI:
 
     def test_status_of_live_driver_in_another_process(self, tmp_path):
         """The acceptance path: a separate process polls a running
-        grid's journal and sees sane progress until it finishes."""
+        grid's journal and sees sane progress until it finishes.  The
+        grid is stalled so that it outlasts a `status` call (~0.6 s)."""
         store = tmp_path / "store"
         driver = subprocess.Popen(
-            [sys.executable, "-m", "repro", "batch", *SLOW_GRID,
+            [sys.executable, "-m", "repro", "batch", *GRID, *STALLED,
              "--heartbeat", "0.1",
              "--store-dir", str(store)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -17,6 +17,7 @@ import copy
 import gc
 import importlib
 import json
+import re
 import time
 
 import pytest
@@ -352,6 +353,24 @@ class TestPerfCLI:
         assert payload["config"]["schemes"] == ["data"]
         ok, _ = ledger_reconciles(payload["points"][0]["perf"]["ledger"])
         assert ok
+
+    def test_page_fault_line_under_ledger(self, capsys):
+        """The window's minor faults and system CPU print under the
+        ledger as text; the JSON payload (a gated bench snapshot) does
+        not carry them."""
+        rc = main(["perf", "simple", "--scheme", "data",
+                   "--procs", "2", "--n", "8", "--json", "-"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        i = next(k for k, line in enumerate(lines)
+                 if line.startswith("reconciliation: OK"))
+        m = re.fullmatch(r"page faults: (\d+) minor, (\d+\.\d{3}) s "
+                         r"system CPU \(inside the rows\)", lines[i + 1])
+        assert m, lines[i + 1]
+        assert int(m.group(1)) >= 0
+        payload = out[out.index('{\n  "config"'):]
+        assert "faults" not in payload and "system_s" not in payload
 
     def test_record_artifacts(self, tmp_path, capsys):
         import xml.etree.ElementTree as ET

@@ -1,13 +1,17 @@
 """Tests for the whole-program simulation driver."""
 
+import ctypes
+import os
+import resource
+
 import numpy as np
 import pytest
 
-from repro.apps import simple
+from repro.apps import build_app, simple
 from repro.codegen.spmd import Scheme
 from repro.compiler import compile_program
 from repro.machine import scaled_dash
-from repro.machine.simulate import simulate, speedup_curve
+from repro.machine.simulate import CHUNK_FLOOR, simulate, speedup_curve
 from repro.machine.trace import program_traces
 
 
@@ -125,3 +129,60 @@ class TestSpeedupCurve:
         cd = curves[Scheme.COMP_DECOMP.value][0][1]
         cdd = curves[Scheme.COMP_DECOMP_DATA.value][0][1]
         assert cdd >= cd * 0.95
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the C library is not glibc")
+class TestScratchStaysMapped:
+    """Importing ``repro.machine`` pins glibc's mmap and trim
+    thresholds, so the scratch memory one ``simulate`` call frees stays
+    in the heap and an identical second call faults in no fresh pages.
+    Left to glibc's dynamic thresholds, each call grows the heap into
+    fresh pages and trims it on return (over 10,000 minor faults per
+    call at these sizes)."""
+
+    @pytest.mark.parametrize("n, nprocs, kwargs, chunked", [
+        (48, 16, {"detail": True, "locality": True}, False),
+        (96, 32, {}, True),
+    ], ids=["lu48-detail-locality", "lu96-chunked"])
+    def test_second_call_faults_no_scratch(self, n, nprocs, kwargs,
+                                           chunked):
+        spmd = compile_program(build_app("lu", n=n), Scheme.COMP_DECOMP,
+                               nprocs)
+        m = scaled_dash(nprocs, scale=16, word_bytes=8)
+        first = simulate(spmd, m, **kwargs)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        second = simulate(spmd, m, **kwargs)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert (first.n_accesses > CHUNK_FLOOR) == chunked
+        assert second.total_time == first.total_time
+        assert faults < 1000, f"{faults} minor page faults"
+
+
+class TestMallocThresholds:
+    @pytest.mark.skipif(not _glibc(), reason="the C library is not glibc")
+    def test_glibc_takes_both(self):
+        from repro.machine import pin_malloc_thresholds
+
+        assert pin_malloc_thresholds() is True
+
+    def test_other_c_library_does_nothing(self, monkeypatch):
+        """Where ``CS_GNU_LIBC_VERSION`` is unknown (musl, macOS) the
+        call returns before it loads any C symbol."""
+        from repro.machine import pin_malloc_thresholds
+
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        def no_dlopen(*args, **kwargs):
+            raise AssertionError("loaded the C library")
+
+        monkeypatch.setattr(os, "confstr", unknown)
+        monkeypatch.setattr(ctypes, "CDLL", no_dlopen)
+        assert pin_malloc_thresholds() is False
