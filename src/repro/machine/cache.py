@@ -22,15 +22,20 @@ accesses or more), and :func:`last_in_group` gives each group's last
 (flagged) position, where a repeated stream wraps round to.
 :func:`direct_mapped_order` returns the (set, processor) order the tag
 match was read along, in which a hit's previous entry is the
-processor's previous touch of the line.  :func:`stack_distances` adds
-one merge count over a group order, the LRU stack distance that both
-the set-associative hits and :mod:`repro.machine.locality`'s reuse
-distances read.
+processor's previous touch of the line.  :func:`stack_distances` gives
+the LRU stack distance over a group order, which both the
+set-associative hits and :mod:`repro.machine.locality`'s reuse
+distances read.  It counts cold accesses and immediate repeats with a
+prefix sum and merges only the rest, whose counts nothing cheaper
+gives; as no reuse window leaves its group, it merges one slice of
+whole groups at a time (:data:`SLICE`), with keys relative to the
+slice.
 
 The stream may come in narrow integer dtypes (the trace stores int32
 addresses and int8 processor ids).  Addresses are only divided and
 reduced modulo here, which stays in range; a value that is multiplied
-is widened to int64 first.
+is widened to int64 first, unless the product is known to fit int32
+(the merge keys of :func:`stack_distances`).
 """
 
 from __future__ import annotations
@@ -100,6 +105,12 @@ def group_index(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         ks = k[order]
         start[1:] |= ks[1:] != ks[:-1]
     return order, start
+
+
+SLICE = 2**14
+"""Merged accesses per slice of :func:`stack_distances`: whole groups
+are packed into slices of at most this many, and a group with more is
+merged whole, as a slice of its own."""
 
 
 def _positions(n: int) -> type:
@@ -202,6 +213,43 @@ def direct_mapped_hits(
     return direct_mapped_order(proc, cfg.line_of(addr), cfg, rounds)[0]
 
 
+def _earlier_larger(v: np.ndarray) -> np.ndarray:
+    """For each element of ``v``, whose values are distinct, how many
+    elements before it are larger.
+
+    A bottom-up merge sort counts them: when two sorted blocks merge, an
+    element of the right block moves back past the left-block elements
+    larger than it.  Each sort key is the block start times the span of
+    ``v`` plus the value less ``v``'s minimum: int32 where that stays
+    below 2^31, int64 otherwise.  The counts come back in the key dtype.
+    """
+    m = len(v)
+    lo = int(v.min())
+    span = int(v.max()) - lo + 1
+    keys = np.int32 if m * span < 2**31 else np.int64
+    v0 = v = (v - lo).astype(keys, copy=False)
+    larger = np.zeros(m, dtype=keys)
+    k = np.arange(m, dtype=keys)
+    for level in range(max(m - 1, 0).bit_length()):
+        # Sorted blocks of b merge into blocks of 2b (sorting by block
+        # start k & -2b, then v; the keys are distinct, so any sort
+        # orders them alike, and the stable one merges the presorted
+        # runs).  perm[k] is where the element now at k was.  A
+        # left-block element only moves forward, and a right-block one
+        # moves back past the perm[k] - k left-block elements larger
+        # than it.
+        b = 1 << level
+        perm = np.argsort((k & -2 * b) * span + v, kind="stable")
+        v = v[perm]
+        larger = larger[perm]
+        perm -= k
+        np.maximum(perm, 0, out=perm)
+        larger += perm
+    by_value = np.empty(span, dtype=keys)
+    by_value[v] = larger
+    return by_value[v0]
+
+
 def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
     """LRU stack distance of every access (in stream order) within its
     ``group``: how many distinct other lines the group touched since its
@@ -209,47 +257,56 @@ def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
 
     In group order (the stream sorted by ``group``, positions ascending),
     let p_s be the index of access s's previous same-line access, or -1.
-    Each line touched between p_s and s is counted once, at its first
-    access t after p_s, which is the one with p_t < p_s; every t <= p_s
-    also has p_t < p_s, so the distance is #{t < s : p_t < p_s} - p_s - 1.
-    A bottom-up merge sort of p counts that exactly, because non-cold p
-    values are distinct: when two sorted blocks merge, an element of the
-    right block moves past the left-block elements smaller than it.
+    Each line touched in the window (p_s, s) is counted once, at its
+    first access t in it, which is the one with p_t < p_s.  Two kinds
+    of access need no merge to tell: a cold access (p_t = -1) is counted
+    in every window it lies in, and an immediate repeat (p_t = t - 1) in
+    none, with distance 0 itself.  The rest, the merged accesses, have
+    distinct p_t; one in the window is not counted exactly when
+    p_t > p_s, and every merged t < s with p_t > p_s lies in the window
+    (p_s < p_t < t).  So the distance is the count of the window's
+    accesses that are not immediate repeats, a prefix sum, less that of
+    the merged accesses before s with a larger p
+    (:func:`_earlier_larger`).  A window never leaves its group, so
+    whole groups are packed into slices of at most :data:`SLICE` merged
+    accesses and each slice is merged on its own, with keys relative to
+    it: int32 unless the slice's count times its span of p reaches 2^31.
+    A group with more merged accesses is a slice of its own.
     """
     n = len(line)
-    by_group = group_index(*group)[0] if group else np.arange(n)
-    prev = prev_in_group(*group_index(*group, line))
-    # Positions and counts stay below n: narrow them to halve the
-    # memory traffic of the merge levels.
-    pos = np.int32 if n < 2**31 else np.int64
-    rank = np.empty(n, dtype=pos)
-    rank[by_group] = np.arange(n, dtype=pos)
-    p = np.where(prev >= 0, rank[prev], -1)[by_group]
-    del prev, rank
-    v = p + 1  # 0 on cold accesses, whose own counts are never read
-    less = np.zeros(n, dtype=pos)  # #{t < s : p_t < p_s}, moved with v
-    k = np.arange(n)
-    for level in range(max(n - 1, 0).bit_length()):
-        # Sorted blocks of b merge into blocks of 2b (sorting by block
-        # start k & -2b, then v).  perm[k] is where the element now at k
-        # was: in the right block when bit `level` of perm[k] is set, and
-        # then it passed k - perm[k] + b elements of the left block.
-        b = 1 << level
-        perm = np.argsort((k & -2 * b) * n + v, kind="stable")
-        v = v[perm]
-        less = less[perm]
-        moved = k - perm + b
-        perm >>= level
-        perm &= 1
-        moved *= perm
-        del perm
-        less += moved
-        del moved
-    by_value = np.empty(n + 1, dtype=pos)
-    by_value[v] = less
-    del v, less
+    order, start = (group_index(*group) if group
+                    else (np.arange(n), np.arange(n) == 0))
+    pos = _positions(n)
+    # p[s]: the group-order index of s's previous access to its line, or
+    # -1 (the group order sorted again by group number, then line).
+    p = prev_in_group(*group_index(np.cumsum(start, dtype=pos), line[order]))
+    repeat = np.zeros(n, dtype=bool)
+    repeat[1:] = p[1:] == np.arange(n - 1, dtype=pos)
+    counted = np.zeros(n + 1, dtype=pos)  # non-repeats before each index
+    np.cumsum(~repeat, dtype=pos, out=counted[1:])
+    merged = p >= 0
+    merged &= ~repeat
+    del repeat
+    q = p[merged]
+    dist = counted[:-1][merged]
+    dist -= counted[1:][q]
+    del counted
+    # Merged accesses before each group, and in all.
+    ends = np.append(0, np.cumsum(np.add.reduceat(
+        merged, np.flatnonzero(start), dtype=np.int64)))
+    lo = 0
+    while lo < len(q):
+        # The most whole groups that SLICE holds, or one larger group.
+        hi = ends[np.searchsorted(ends, lo + SLICE, side="right") - 1]
+        if hi == lo:
+            hi = ends[np.searchsorted(ends, lo, side="right")]
+        dist[lo:hi] -= _earlier_larger(q[lo:hi])
+        lo = hi
+    np.minimum(p, 0, out=p)  # -1 on cold accesses, 0 on the rest
+    p[merged] = dist
+    del q, dist, merged
     out = np.empty(n, dtype=np.int64)
-    out[by_group] = np.where(p >= 0, by_value[p + 1] - p - 1, -1)
+    out[order] = p
     return out
 
 

@@ -16,7 +16,8 @@ those signals directly from the vectorized address traces
 * :func:`set_pressure` — per ``(processor, cache set)`` count of
   *distinct* lines mapping to that set (the power-of-two aliasing
   signature the paper's data transforms remove shows up as a few sets
-  with huge pressure);
+  with huge pressure): each processor's first touch of each line, which
+  the reuse distances mark cold, binned by set;
 * :func:`phase_array_heatmap` — access counts per (phase, array), the
   coarse map of which loop nest touches which data;
 * :func:`collect_locality` — all of the above folded into one
@@ -51,6 +52,7 @@ __all__ = [
     "collect_locality",
     "log2_bin_histogram",
     "phase_array_heatmap",
+    "pressure_summary",
     "reuse_distances",
     "reuse_distances_oracle",
     "set_pressure",
@@ -104,21 +106,24 @@ def set_pressure(
     empty stream).  Cell ``[p, s]`` is how many distinct lines
     processor ``p`` touched that map to set ``s`` — the conflict
     pressure the direct-mapped geometry exposes."""
+    cold = reuse_distances(proc, addr, cfg.line_bytes) == COLD
+    return _first_touches_by_set(proc, addr, cold, cfg)
+
+
+def _first_touches_by_set(
+    proc: np.ndarray, addr: np.ndarray, cold: np.ndarray, cfg: CacheConfig
+) -> np.ndarray:
+    """:func:`set_pressure` from the cold flags of the reuse distances:
+    a processor's distinct lines are its first touches, so binning
+    those by (processor, set) counts them."""
     nsets = cfg.nsets
     if len(addr) == 0:
         return np.zeros((0, nsets), dtype=np.int64)
-    line = addr // cfg.line_bytes
     nprocs = int(proc.max()) + 1
-    span = int(line.max()) + 1
-    # A sort and a neighbour mask: np.unique may take a slower hash
-    # path on integer keys.
-    uniq = np.sort(proc.astype(np.int64) * span + line)
-    uniq = uniq[np.append(True, uniq[1:] != uniq[:-1])]
-    up = uniq // span
-    uline = uniq % span
-    uset = uline % nsets
-    counts = np.bincount(up * nsets + uset, minlength=nprocs * nsets)
-    return counts.reshape(nprocs, nsets).astype(np.int64)
+    sets = cfg.set_of(cfg.line_of(addr[cold]))
+    counts = np.bincount(proc[cold].astype(np.int64) * nsets + sets,
+                         minlength=nprocs * nsets)
+    return counts.reshape(nprocs, nsets)
 
 
 def set_pressure_oracle(
@@ -177,19 +182,13 @@ def log2_bin_histogram(values: np.ndarray) -> Dict[str, int]:
     v = values[values >= 0]
     if len(v) == 0:
         return {}
-    idx = np.zeros(len(v), dtype=np.int64)
-    nz = v > 0
-    idx[nz] = np.floor(np.log2(v[nz])).astype(np.int64) + 1
-    counts = np.bincount(idx)
+    # frexp's exponent is 0 for 0 and the bit length of v otherwise.
+    counts = np.bincount(np.frexp(v)[1])
     out: Dict[str, int] = {}
     for k, c in enumerate(counts):
         if c:
             out[str(0 if k == 0 else 2 ** (k - 1))] = int(c)
     return out
-
-
-def _pct(values: np.ndarray, q: float) -> float:
-    return float(np.percentile(values, q))
 
 
 @dataclass
@@ -238,22 +237,36 @@ class LocalityReport:
         }
 
 
+def pressure_summary(pressure: np.ndarray, nsets: int) -> Dict[str, Any]:
+    """The report's ``set_pressure`` block of a (processor x set)
+    distinct-line count matrix: its used cells' count, max, mean, p95
+    and log2 histogram."""
+    used = pressure[pressure > 0]
+    return {
+        "nsets": int(nsets),
+        "used": int(len(used)),
+        "max": int(used.max()) if len(used) else 0,
+        "mean": float(used.mean()) if len(used) else 0.0,
+        "p95": float(np.percentile(used, 95)) if len(used) else 0.0,
+        "hist": log2_bin_histogram(used),
+    }
+
+
 def collect_locality(space, traces, cfg: CacheConfig) -> LocalityReport:
     """Fold one round of phase traces into a :class:`LocalityReport`.
 
     The reuse/pressure analytics run over the concatenated program-order
     stream of all phases (one time step) — the same stream the cache
-    model replays — split per array for the reuse histograms.
+    model replays — split per array for the reuse histograms.  The set
+    pressure is read off the cold accesses of the reuse distances.
     """
     with obs.span("sim.locality", cat="machine") as sp:
         live = [t for t in traces if t.n_accesses]
         report = LocalityReport(line_bytes=cfg.line_bytes, nsets=cfg.nsets)
         report.heatmap = phase_array_heatmap(space, traces)
         if not live:
-            report.set_pressure = {
-                "nsets": int(cfg.nsets), "used": 0, "max": 0,
-                "mean": 0.0, "p95": 0.0, "hist": {},
-            }
+            report.set_pressure = pressure_summary(
+                np.zeros((0, cfg.nsets), dtype=np.int64), cfg.nsets)
             return report
         addr = np.concatenate([t.addr for t in live])
         proc = np.concatenate([t.proc for t in live])
@@ -266,26 +279,20 @@ def collect_locality(space, traces, cfg: CacheConfig) -> LocalityReport:
             cnt = int(sel.sum())
             if not cnt:
                 continue
-            d = dist[sel]
-            warm = d[d >= 0]
+            warm = dist[sel]
+            warm = warm[warm >= 0]
+            p50, p95 = (np.percentile(warm, [50, 95]).tolist() if len(warm)
+                        else (0.0, 0.0))
             report.arrays[nm] = ArrayLocality(
                 name=nm,
                 accesses=cnt,
-                cold=int((d == COLD).sum()),
-                p50=_pct(warm, 50) if len(warm) else 0.0,
-                p95=_pct(warm, 95) if len(warm) else 0.0,
+                cold=cnt - len(warm),
+                p50=p50,
+                p95=p95,
                 max=int(warm.max()) if len(warm) else 0,
-                hist=log2_bin_histogram(d),
+                hist=log2_bin_histogram(warm),
             )
 
-        pressure = set_pressure(proc, addr, cfg)
-        used = pressure[pressure > 0]
-        report.set_pressure = {
-            "nsets": int(cfg.nsets),
-            "used": int(len(used)),
-            "max": int(used.max()) if len(used) else 0,
-            "mean": float(used.mean()) if len(used) else 0.0,
-            "p95": _pct(used, 95) if len(used) else 0.0,
-            "hist": log2_bin_histogram(used),
-        }
+        report.set_pressure = pressure_summary(
+            _first_touches_by_set(proc, addr, dist == COLD, cfg), cfg.nsets)
         return report

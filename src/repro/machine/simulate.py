@@ -154,9 +154,12 @@ def simulate(
     / heatmap analytics (:mod:`repro.machine.locality`) over one round
     of the address stream and stores them in ``SimResult.locality``;
     they are opt-in only — never implied by observability — because no
-    simulated time depends on them and their reuse-distance merge count
-    (one sort pass per doubling of the stream) costs about as much again
-    as the simulation.  They read the whole round at once, even where
+    simulated time depends on them and they cost about as much again as
+    the simulation (1.2x ``simulate(detail=True)`` at n = 48-64 on the
+    scale=16 machine, 1.4x at LU 128 P32), most of it the reuse-distance
+    merge count: one sort pass per doubling of a slice of whole
+    processor streams, or of one processor's stream where that is
+    longer than a slice.  They read the whole round at once, even where
     the simulation walks it in chunks (see the module docstring).
 
     A round of more than :data:`CHUNK_FLOOR` accesses is simulated in

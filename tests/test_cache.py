@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.machine import cache
 from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
@@ -180,6 +181,54 @@ class TestStackDistances:
         line, group = t
         assert (stack_distances(line, *group).tolist()
                 == naive_stack_distances(line, group))
+
+    @given(line_stream())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recency_walk_in_slices_of_8(self, t):
+        """Slices of 8 merged accesses cut between many groups, and a
+        group with more than 8 is merged whole."""
+        line, group = t
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cache, "SLICE", 8)
+            assert (stack_distances(line, *group).tolist()
+                    == naive_stack_distances(line, group))
+
+    def test_group_beyond_int32_keys(self, monkeypatch):
+        """One group of 50,000 accesses cycling over 64 lines: merged
+        whole, its sort keys reach 49,936^2 > 2^31 and take int64."""
+        seen = []
+
+        def spy(v):
+            larger = earlier_larger(v)
+            seen.append(larger.dtype)
+            return larger
+
+        earlier_larger = cache._earlier_larger
+        monkeypatch.setattr(cache, "_earlier_larger", spy)
+        line = np.arange(50_000) % 64
+        proc = np.zeros(len(line), dtype=np.int8)
+        assert (stack_distances(line, proc).tolist()
+                == naive_stack_distances(line, [proc]))
+        assert seen == [np.int64]
+
+    @pytest.mark.parametrize("ngroup", [0, 1, 2])
+    def test_only_cold_accesses(self, ngroup):
+        """Every access a first touch: nothing to merge, all -1."""
+        i = np.arange(300)
+        group = [i % 3, i % 2][:ngroup]
+        assert stack_distances(i * 7, *group).tolist() == [-1] * 300
+
+    @pytest.mark.parametrize("ngroup", [0, 1, 2])
+    def test_only_immediate_repeats(self, ngroup):
+        """Each group touches one line: after its first touch, every
+        access repeats the one before it in the group, so there is
+        nothing to merge and every distance is 0."""
+        i = np.arange(300)
+        group = [i % 3, i % 2][:ngroup]
+        line = np.full(300, 5) + sum(g * 10**k for k, g in enumerate(group))
+        ngroups = [1, 3, 6][ngroup]
+        assert (stack_distances(line, *group).tolist()
+                == [-1] * ngroups + [0] * (300 - ngroups))
 
     @pytest.mark.parametrize("ngroup", [0, 1, 2])
     def test_empty_stream(self, ngroup):

@@ -16,13 +16,14 @@ import pytest
 from repro import obs
 from repro.apps import ALL_APPS, build_app
 from repro.codegen.spmd import Scheme
-from repro.machine import scaled_dash
+from repro.machine import cache, scaled_dash
 from repro.machine.cache import CacheConfig, assoc_lru_hits
 from repro.machine.locality import (
     COLD,
     collect_locality,
     log2_bin_histogram,
     phase_array_heatmap,
+    pressure_summary,
     reuse_distances,
     reuse_distances_oracle,
     set_pressure,
@@ -45,6 +46,24 @@ def _clean_state():
     obs.disable()
     obs.reset()
     pipeline.reset_session()
+
+
+def _real_streams(app):
+    """``((scheme, P), proc, addr, cache)`` for one round of ``app``'s
+    stream at n = 8, as collect_locality sees it, for every scheme and
+    P in {2, 4, 8}."""
+    prog = build_app(app, n=8)
+    word_bytes = min(d.element_size for d in prog.arrays.values())
+    session = CompileSession()
+    for scheme in (Scheme.BASE, Scheme.COMP_DECOMP, Scheme.COMP_DECOMP_DATA):
+        for nprocs in (2, 4, 8):
+            machine = scaled_dash(nprocs, scale=64, word_bytes=word_bytes)
+            spmd = session.compile(prog, scheme, nprocs)
+            _, traces = program_traces(spmd, machine.numa.page_bytes)
+            live = [t for t in traces if t.n_accesses]
+            addr = np.concatenate([t.addr for t in live])
+            proc = np.concatenate([t.proc for t in live])
+            yield (scheme.value, nprocs), proc, addr, machine.cache
 
 
 def _compiled(app="stencil5", scheme=Scheme.COMP_DECOMP_DATA, nprocs=4,
@@ -93,35 +112,40 @@ class TestReuseDistance:
         """Reuse distance, set pressure and the 2- and 4-way LRU hits
         against their definitions on one round of the stream, as
         collect_locality sees it, for every scheme and P in {2, 4, 8}."""
-        prog = build_app(app, n=8)
-        word_bytes = min(d.element_size for d in prog.arrays.values())
-        session = CompileSession()
-        for scheme in (Scheme.BASE, Scheme.COMP_DECOMP,
-                       Scheme.COMP_DECOMP_DATA):
-            for nprocs in (2, 4, 8):
-                machine = scaled_dash(nprocs, scale=64,
-                                      word_bytes=word_bytes)
-                cfg = machine.cache
-                spmd = session.compile(prog, scheme, nprocs)
-                _, traces = program_traces(spmd, machine.numa.page_bytes)
-                live = [t for t in traces if t.n_accesses]
-                addr = np.concatenate([t.addr for t in live])
-                proc = np.concatenate([t.proc for t in live])
-                point = (scheme.value, nprocs)
+        for point, proc, addr, cfg in _real_streams(app):
+            assert np.array_equal(
+                reuse_distances(proc, addr, cfg.line_bytes),
+                reuse_distances_oracle(proc, addr, cfg.line_bytes),
+            ), point
+            assert np.array_equal(
+                set_pressure(proc, addr, cfg),
+                set_pressure_oracle(proc, addr, cfg),
+            ), point
+            for assoc in (2, 4):
+                ways = replace(cfg, assoc=assoc)
                 assert np.array_equal(
-                    reuse_distances(proc, addr, cfg.line_bytes),
-                    reuse_distances_oracle(proc, addr, cfg.line_bytes),
-                ), point
+                    assoc_lru_hits(proc, addr, ways),
+                    naive_lru(proc, addr, ways),
+                ), point + (assoc,)
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_matches_oracle_real_trace_in_slices_of_64(self, app,
+                                                       monkeypatch):
+        """The same streams merged in slices of 64: these cut between
+        the (set, processor) groups and leave most processors' streams
+        larger than a slice, merged whole."""
+        monkeypatch.setattr(cache, "SLICE", 64)
+        for point, proc, addr, cfg in _real_streams(app):
+            assert np.array_equal(
+                reuse_distances(proc, addr, cfg.line_bytes),
+                reuse_distances_oracle(proc, addr, cfg.line_bytes),
+            ), point
+            for assoc in (2, 4):
+                ways = replace(cfg, assoc=assoc)
                 assert np.array_equal(
-                    set_pressure(proc, addr, cfg),
-                    set_pressure_oracle(proc, addr, cfg),
-                ), point
-                for assoc in (2, 4):
-                    ways = replace(cfg, assoc=assoc)
-                    assert np.array_equal(
-                        assoc_lru_hits(proc, addr, ways),
-                        naive_lru(proc, addr, ways),
-                    ), point + (assoc,)
+                    assoc_lru_hits(proc, addr, ways),
+                    naive_lru(proc, addr, ways),
+                ), point + (assoc,)
 
     def test_empty_stream(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -188,6 +212,20 @@ class TestCollectLocality:
         for name, r in a["reuse"].items():
             assert r["accesses"] == r["cold"] + sum(
                 v for v in r["hist"].values())
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_report_pressure_matches_oracle(self, app):
+        """The report's set_pressure block, read off the cold accesses,
+        is the oracle's distinct-line count summarized."""
+        spmd, machine = _compiled(app, n=8)
+        space, traces = program_traces(spmd, machine.numa.page_bytes)
+        live = [t for t in traces if t.n_accesses]
+        addr = np.concatenate([t.addr for t in live])
+        proc = np.concatenate([t.proc for t in live])
+        report = collect_locality(space, traces, machine.cache)
+        assert report.set_pressure == pressure_summary(
+            set_pressure_oracle(proc, addr, machine.cache),
+            machine.cache.nsets)
 
     def test_simulate_opt_in(self):
         spmd, machine = _compiled(n=8)
