@@ -235,8 +235,9 @@ def _speedup_curves(args, schemes, procs):
     """The speedup sweep through the grid executor, in-process at
     ``--jobs 1`` (the same math as
     :func:`repro.machine.simulate.speedup_curve`: one decomposition
-    pinned at max(procs), speedups over BASE on one processor)."""
-    from repro import obs
+    pinned at max(procs), :func:`~repro.machine.simulate.speedup` over
+    BASE on one processor)."""
+    from repro.machine.simulate import speedup
     from repro.pipeline.grid import GridPoint, run_grid
 
     maxp = max(procs)
@@ -264,21 +265,12 @@ def _speedup_curves(args, schemes, procs):
             )
     by_coord = {c: r for c, r in zip(coords, results)}
     seq_time = by_coord[(Scheme.BASE, 1)].total_time
-    curves = {}
-    for scheme in schemes:
-        series = []
-        for p in procs:
-            t = by_coord[(scheme, p)].total_time
-            if t > 0.0:
-                s = seq_time / t
-            else:
-                s = 1.0
-                obs.event("sim.zero_time", cat="machine",
-                          scheme=scheme.value, nprocs=p,
-                          seq_time=seq_time)
-            series.append((p, s))
-        curves[scheme.value] = series
-    return curves
+    return {
+        scheme.value: [
+            (p, speedup(seq_time, by_coord[(scheme, p)].total_time))
+            for p in procs]
+        for scheme in schemes
+    }
 
 
 def _write_text(path: str, text: str, what: str) -> None:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.obs import provenance
 from repro.analysis.dependence import Dependence, analyze_nest
 from repro.analysis.parallelism import parallel_levels
@@ -275,8 +274,6 @@ def _expose_impl(
     ident = identity(depth)
 
     def fallback(reason: str) -> UnimodularResult:
-        obs.event("unimodular.keep", cat="compiler", nest=nest.name,
-                  reason=reason)
         return UnimodularResult(
             nest=nest,
             transform=ident,
@@ -323,9 +320,6 @@ def _expose_impl(
     if new_nest is None:
         return fallback("permutation breaks triangular bounds")
     new_deps = analyze_nest(new_nest, params)
-    obs.event("unimodular.permute", cat="compiler", nest=nest.name,
-              perm=list(perm), parallel_band=len(head))
-    obs.inc("unimodular.permuted")
     return UnimodularResult(
         nest=new_nest,
         transform=transform,

@@ -186,11 +186,4 @@ def optimize_ref_address(
         for p in report.plans:
             obs.inc(f"addropt.{p.strategy}")
         obs.inc("addropt.divmod_nodes", len(report.plans))
-        obs.event(
-            "addropt.plan", cat="codegen", var=var,
-            naive_per_iter=report.naive_per_iter,
-            optimized_per_iter=report.optimized_per_iter,
-            per_entry=report.per_entry,
-            strategies=[p.strategy for p in report.plans],
-        )
     return report

@@ -343,8 +343,6 @@ def _generate_impl(
                 # levels before the first parallel one stay sequential
             if level is None:
                 owners = [OwnerPlan(kind="serial") for _ in n.body]
-                obs.event("codegen.phase", cat="codegen", nest=n.name,
-                          sync=SyncKind.BARRIER.value, serial=True)
                 phases.append(
                     SpmdPhase(
                         nest=n,
@@ -362,9 +360,6 @@ def _generate_impl(
                 else:
                     owners.append(OwnerPlan(kind="serial"))
             barriers = _barriers_per_execution(n, level, params)
-            obs.event("codegen.phase", cat="codegen", nest=n.name,
-                      sync=SyncKind.BARRIER.value, level=level,
-                      barriers=barriers)
             phases.append(
                 SpmdPhase(
                     nest=n,
@@ -446,10 +441,6 @@ def _generate_impl(
             for k, (lo, hi) in enumerate(bounds):
                 if k not in mapped_levels:
                     seq_steps *= max(1, hi - lo + 1)
-        obs.event("codegen.phase", cat="codegen", nest=nest.name,
-                  sync=sync.value, pipelined=pipelined,
-                  all_reads_local=local, seq_steps=seq_steps,
-                  serial=serial)
         phases.append(
             SpmdPhase(
                 nest=nest,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.obs import provenance
 from repro.datatrans.layout import DimAtom, Layout
 from repro.decomp.model import DataDecomp, Folding, FoldKind
@@ -147,19 +146,6 @@ def derive_layout(
                 for s in out.owner_specs
             ],
             line_pad_elements=line_pad_elements,
-        )
-    if obs.enabled():
-        obs.event(
-            "datatrans.layout", cat="datatrans", array=decl.name,
-            restructured=out.restructured, replicated=out.replicated,
-            atoms=len(out.layout.atoms), rank=decl.rank,
-            size=out.layout.size,
-            strip_mined=len(out.layout.atoms) > decl.rank,
-            permuted=out.restructured,
-        )
-        obs.inc(
-            "datatrans.restructured" if out.restructured
-            else "datatrans.identity"
         )
     return out
 

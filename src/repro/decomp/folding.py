@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.obs import provenance
 from repro.decomp.model import Decomposition, Folding, FoldKind
 from repro.ir.loops import LoopNest
@@ -79,8 +78,6 @@ def choose_folding(
             reason=reason, nprocs=nprocs,
             triggers=sorted(set(triggers)),
         )
-        obs.event("decomp.folding", cat="decomp", dim=p, kind=kind.value)
-        obs.inc(f"folding.{kind.value}")
     return foldings
 
 

@@ -217,13 +217,6 @@ def _decompose_impl(
                     pipelined.append(info.nest.name)
                 if label != "strict":
                     notes.append(f"{info.nest.name}: accepted at rung '{label}'")
-                obs.event(
-                    "decomp.ladder", cat="decomp", nest=info.nest.name,
-                    rung=label, weight=info.weight,
-                    replicated=sorted(trial_repl),
-                    pipelined=info.nest.name in pipelined,
-                )
-                obs.inc(f"decomp.rung.{label}")
                 provenance.record(
                     "decomp.ladder", stage="decomposition",
                     subject=info.nest.name, chosen=label,
@@ -242,9 +235,6 @@ def _decompose_impl(
                 f"{info.nest.name}: no joint decomposition with parallelism; "
                 "separate region (communication at boundary)"
             )
-            obs.event("decomp.excluded", cat="decomp", nest=info.nest.name,
-                      weight=info.weight)
-            obs.inc("decomp.rung.excluded")
             provenance.record(
                 "decomp.ladder", stage="decomposition",
                 subject=info.nest.name, chosen="excluded",

@@ -178,13 +178,7 @@ def should_fire(site: str) -> bool:
     _counts[site] = n = _counts.get(site, 0) + 1
     digest = hashlib.sha256(f"{plan.seed}:{site}:{n}".encode()).digest()
     draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    if draw >= rate:
-        return False
-    from repro import obs
-
-    obs.inc(f"faults.{site}")
-    obs.event("faults.injected", cat="faults", site=site, draw_no=n)
-    return True
+    return draw < rate
 
 
 def check(site: str, **context) -> None:

@@ -67,7 +67,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
@@ -306,17 +305,6 @@ def classify_accesses(
         history.keep(proc, addr, write, keep)
         # The prefix's codes were the earlier chunks' to report.
         code = code[m:]
-    if obs.enabled():
-        # Each class with and without the L2.
-        pairs = np.bincount(code, minlength=OUTCOMES).reshape(-1, 2)
-        hits, cold, replacement, true_sharing, false_sharing = (
-            pairs.sum(axis=1).tolist())
-        obs.event(
-            "sim.classify", cat="machine", accesses=len(code), hits=hits,
-            cold=cold, replacement=replacement, true_sharing=true_sharing,
-            false_sharing=false_sharing, upgrade=int(pairs[0, UPGRADE]),
-            l2_hits=int(pairs[1:, L2_SERVED].sum()),
-        )
     return AccessClassification(code)
 
 

@@ -20,7 +20,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro import obs
 from repro.machine.coherence import OUTCOMES, REMOTE, AccessClassification
 
 TALLY = AccessClassification(
@@ -119,9 +118,6 @@ def phase_time(
             tiles = int(max(1, min(seq_steps, k_opt)))
             fill = (nprocs - 1) * compute / max(1, tiles)
             sync = fill + tiles * params.lock_cost
-            obs.event("sim.pipeline_tile", cat="machine",
-                      nest=nest_name, tiles=tiles, fill=fill,
-                      lock_overhead=tiles * params.lock_cost)
         elif sync_kind == "barrier":
             sync = barriers * params.barrier_cost(nprocs)
         elif sync_kind == "neighbor":

@@ -75,10 +75,10 @@ class SimResult:
     """Outcome of simulating one (program, scheme, machine) triple.
 
     ``phase_costs[k].misses`` carries the steady-round miss-class
-    breakdown of phase ``k``.  The optional *detail* fields (filled when
-    observability is enabled or ``simulate(..., detail=True)``) add a
-    per-array miss-class breakdown over the whole simulated stream, a
-    NUMA local/remote summary, and the cache-set occupancy of
+    breakdown of phase ``k``, and ``numa`` the local/remote split of
+    its misses.  The optional *detail* fields (filled only on
+    ``simulate(..., detail=True)``) add a per-array miss-class breakdown
+    over the whole simulated stream and the cache-set occupancy of
     replacement (conflict) misses — the raw material of the "why is
     this slow" profile (:func:`repro.report.format_profile_table`).
     """
@@ -147,16 +147,16 @@ def simulate(
 ) -> SimResult:
     """Simulate one compiled program on one machine.
 
-    ``detail=True`` forces the per-array / NUMA / conflict-set profile
-    fields of :class:`SimResult` to be computed even when observability
-    is disabled (they are always computed when it is enabled).
-    ``locality=True`` additionally runs the reuse-distance / set-pressure
-    / heatmap analytics (:mod:`repro.machine.locality`) over one round
-    of the address stream and stores them in ``SimResult.locality``;
-    they are opt-in only — never implied by observability — because no
-    simulated time depends on them and they cost about as much again as
-    the simulation (1.2x ``simulate(detail=True)`` at n = 48-64 on the
-    scale=16 machine, 1.4x at LU 128 P32), most of it the reuse-distance
+    ``detail=True`` computes the per-array and conflict-set profile
+    fields of :class:`SimResult`; tracing never changes what is
+    computed, only ``detail`` does.  ``locality=True`` additionally
+    runs the reuse-distance / set-pressure / heatmap analytics
+    (:mod:`repro.machine.locality`) over one round of the address
+    stream and stores them in ``SimResult.locality``; they are opt-in
+    only — never implied by observability — because no simulated time
+    depends on them and they cost about as much again as the simulation
+    (1.2x ``simulate(detail=True)`` at n = 48-64 on the scale=16
+    machine, 1.4x at LU 128 P32), most of it the reuse-distance
     merge count: one sort pass per doubling of a slice of whole
     processor streams, or of one processor's stream where that is
     longer than a slice.  They read the whole round at once, even where
@@ -169,8 +169,7 @@ def simulate(
     """
     with obs.span("sim.simulate", cat="machine", scheme=spmd.scheme.value,
                   nprocs=spmd.nprocs) as sp:
-        res = _simulate_impl(spmd, machine, detail or obs.enabled(),
-                             locality)
+        res = _simulate_impl(spmd, machine, detail, locality)
         sp.set(total_time=res.total_time, accesses=res.n_accesses)
         for k, v in res.miss_breakdown.items():
             sp.add(k, v)
@@ -233,9 +232,8 @@ class _Tally:
         self.round_time = [0.0, 0.0]
         self.phase_costs: List[PhaseCost] = []
         self.bins = np.zeros(2 * OUTCOMES, dtype=np.int64)
-        self.names = sorted(space.bases, key=lambda nm: space.bases[nm])
-        self.starts = np.array([space.bases[nm] for nm in self.names],
-                               dtype=np.int64)
+        self.space = space
+        self.names = space.array_names
         self.arrays = np.zeros((len(self.names), 2 * OUTCOMES),
                                dtype=np.int64)
         self.occ = np.zeros(machine.cache.nsets, dtype=np.int64)
@@ -250,9 +248,7 @@ class _Tally:
         n, nprocs, nbins = len(addr), self.spmd.nprocs, 2 * OUTCOMES
         # Each access's first bin, moved on by REMOTE where its page is
         # homed in another cluster: that of its (piece, processor), and
-        # with ``detail`` that of its array.  Arrays are laid out
-        # contiguously, so the owning array of an address is a binary
-        # search over the sorted bases.
+        # with ``detail`` that of its array.
         elsewhere = (~local).view(np.uint8) * np.uint8(REMOTE)
         row = np.multiply(proc, nbins, dtype=np.int64)
         end = 0
@@ -262,7 +258,7 @@ class _Tally:
             end += t.n_accesses
         row += elsewhere
         if self.detail:
-            array_row = np.searchsorted(self.starts, addr, side="right") - 1
+            array_row = self.space.array_index(addr)
             array_row *= nbins
             array_row += elsewhere
         del elsewhere
@@ -365,7 +361,6 @@ class _Tally:
                 "top_sets": [[int(s), int(occ[s])] for s in top
                              if occ[s] > 0],
             }
-            obs.event("sim.numa", cat="machine", **numa)
         return SimResult(
             scheme=spmd.scheme.value,
             nprocs=spmd.nprocs,
@@ -484,6 +479,14 @@ def _classify(machine: DashConfig, proc, addr, write, rounds: int = 1,
     return cls, local
 
 
+def speedup(seq_time: float, time: float) -> float:
+    """The speedup of a point that takes ``time`` over the sequential
+    baseline's ``seq_time`` (BASE on one processor).  A zero simulated
+    time (e.g. an empty trace) reads as the neutral 1.0, not as 0.0 or
+    a division by zero."""
+    return seq_time / time if time > 0.0 else 1.0
+
+
 def speedup_curve(
     prog,
     schemes: Sequence[Scheme],
@@ -520,16 +523,6 @@ def speedup_curve(
                 decomp_nprocs=maxp if scheme is not Scheme.BASE else None,
             )
             res = simulate(spmd, machine)
-            if res.total_time > 0.0:
-                s = seq.total_time / res.total_time
-            else:
-                # A zero simulated time (e.g. an empty trace) must not
-                # read as "speedup 0.0" — or worse, divide to inf.
-                # Report the neutral 1.0 and log the anomaly.
-                s = 1.0
-                obs.event("sim.zero_time", cat="machine",
-                          scheme=scheme.value, nprocs=p,
-                          seq_time=seq.total_time)
-            series.append((p, s))
+            series.append((p, speedup(seq.total_time, res.total_time)))
         out[scheme.value] = series
     return out

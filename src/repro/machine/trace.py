@@ -202,6 +202,19 @@ class AddressSpace:
         return AddressSpace(bases=bases, replicated_stride=repl,
                             total_bytes=pos)
 
+    @property
+    def array_names(self) -> List[str]:
+        """The array names in base-address order."""
+        return sorted(self.bases, key=self.bases.__getitem__)
+
+    def array_index(self, addr: np.ndarray) -> np.ndarray:
+        """Each address's owning array, as an index into
+        :attr:`array_names`: arrays are laid out contiguously from their
+        bases, so one binary search over the sorted bases answers it."""
+        starts = np.array([self.bases[nm] for nm in self.array_names],
+                          dtype=np.int64)
+        return np.searchsorted(starts, addr, side="right") - 1
+
 
 def _smallest_int(largest: int) -> type:
     """The narrowest signed integer type that holds 0..``largest``."""

@@ -1,30 +1,30 @@
-"""Span tracer, structured event log, and the global enable switch.
+"""Span tracer, flat counters, and the global enable switch.
 
-One process-global :class:`Collector` accumulates three kinds of
-telemetry:
+One process-global :class:`Collector` records activity only:
 
 * **spans** — nested context-manager timings (``with obs.span(...)``),
   each carrying free-form attributes and attached counters;
-* **events** — instant structured records (``obs.event(...)``),
-  parented to whichever span is open when they fire;
-* **metrics** — process-wide counters and gauges
-  (:mod:`repro.obs.metrics`).
+* **counters** — one flat ``name -> value`` dict (:func:`inc`),
+  which the address optimizer fills with its Section 4.3 ``addropt.*``
+  counts.
+
+Decisions are not recorded here: provenance
+(:mod:`repro.obs.provenance`) keeps them, and the modules that do the
+work keep their own counts (``StoreStats``, ``JournalWriter``,
+``CompileSession.stats()``, ``SimResult``).
 
 Observability is **off by default**; :func:`enable` turns it on
 (``repro perf`` and ``repro bench`` do, for their measurement window).
 The disabled fast path is strict: :func:`span` returns the one shared
-:data:`NOOP_SPAN`, :func:`counter` returns the shared no-op metric, and
-:func:`event` / :func:`inc` return immediately after a single flag
-test — no objects are allocated and nothing is recorded.
+:data:`NOOP_SPAN` and :func:`inc` returns immediately after a single
+flag test — no objects are allocated and nothing is recorded.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.metrics import NOOP_METRIC, MetricsRegistry
 
 class _NoopSpan:
     """Shared do-nothing span; also its own context manager."""
@@ -49,17 +49,6 @@ class _NoopSpan:
 
 
 NOOP_SPAN = _NoopSpan()
-
-
-@dataclass
-class Event:
-    """One instant structured record."""
-
-    name: str
-    ts: float
-    cat: str = "event"
-    span_id: Optional[int] = None
-    attrs: Dict[str, Any] = field(default_factory=dict)
 
 
 class Span:
@@ -118,13 +107,12 @@ class Span:
 
 
 class Collector:
-    """Accumulates spans, events and metrics for one recording."""
+    """Accumulates spans and counters for one recording."""
 
     def __init__(self):
         self.t0 = time.perf_counter()
         self.spans: List[Span] = []
-        self.events: List[Event] = []
-        self.metrics = MetricsRegistry()
+        self.counters: Dict[str, float] = {}
         self._stack: List[Span] = []
         self._next_id = 1
 
@@ -132,12 +120,6 @@ class Collector:
         sid = self._next_id
         self._next_id += 1
         return Span(self, name, cat, sid, attrs)
-
-    def event(self, name: str, cat: str = "event", **attrs) -> Event:
-        parent = self._stack[-1].span_id if self._stack else None
-        ev = Event(name, time.perf_counter(), cat, parent, attrs)
-        self.events.append(ev)
-        return ev
 
 
 _enabled = False
@@ -193,30 +175,9 @@ def current_span_id():
     return stack[-1].span_id if stack else None
 
 
-def event(name: str, cat: str = "event", **attrs) -> None:
-    """Record an instant structured event (dropped when disabled)."""
-    if not _enabled:
-        return
-    _collector.event(name, cat, **attrs)
-
-
 def inc(name: str, value: float = 1) -> None:
-    """Bump a process-wide counter (dropped when disabled)."""
+    """Bump a flat counter (dropped when disabled)."""
     if not _enabled:
         return
-    _collector.metrics.counter(name).add(value)
-
-
-def counter(name: str):
-    """A counter instrument; the shared no-op metric when disabled."""
-    if not _enabled:
-        return NOOP_METRIC
-    return _collector.metrics.counter(name)
-
-
-def gauge(name: str):
-    """A gauge instrument; the shared no-op metric when disabled."""
-    if not _enabled:
-        return NOOP_METRIC
-    return _collector.metrics.gauge(name)
-
+    counters = _collector.counters
+    counters[name] = counters.get(name, 0) + value

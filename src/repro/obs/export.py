@@ -2,10 +2,9 @@
 
 :func:`to_chrome_trace` renders one recording as a Chrome trace-event
 object (``{"traceEvents": [...]}``), loadable in ``chrome://tracing``
-or https://ui.perfetto.dev: spans become complete ("X") events,
-structured events become instants ("i"), and span counters plus
-registry counters become counter ("C") tracks.  ``repro perf --trace``
-writes it for its measurement window.
+or https://ui.perfetto.dev: spans become complete ("X") events, and
+span counters plus the collector's flat counters become counter ("C")
+tracks.  ``repro perf --trace`` writes it for its measurement window.
 """
 
 from __future__ import annotations
@@ -72,27 +71,15 @@ def to_chrome_trace(collector: Optional[Collector] = None
                 "ts": ts(s.end),
                 "args": {k: v},
             })
-    for e in c.events:
-        timed.append({
-            "name": e.name,
-            "cat": e.cat,
-            "ph": "i",
-            "s": "t",
-            "pid": 0,
-            "tid": 0,
-            "ts": ts(e.ts),
-            "args": _jsonable(e.attrs),
-        })
-    end_ts = max([ts(s.end) for s in c.spans]
-                 + [ts(e.ts) for e in c.events] + [0.0])
-    for name, counter in sorted(c.metrics.counters.items()):
+    end_ts = max([ts(s.end) for s in c.spans] + [0.0])
+    for name, value in sorted(c.counters.items()):
         timed.append({
             "name": name,
             "ph": "C",
             "pid": 0,
             "tid": 0,
             "ts": end_ts,
-            "args": {name: _jsonable(counter.value)},
+            "args": {name: _jsonable(value)},
         })
     timed.sort(key=lambda e: (e["ts"], e["name"]))
     events = [{"name": "process_name", "ph": "M", "pid": 0, "tid": 0,

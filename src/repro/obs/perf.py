@@ -202,10 +202,9 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
             res = simulate(spmd, machine, detail=True, locality=True)
         total_s = time.perf_counter() - t_start
         usage_end = resource.getrusage(resource.RUSAGE_SELF)
-        counters = recording.metrics.snapshot()["counters"]
         addressing = {
             name.split(".", 1)[1]: value
-            for name, value in counters.items()
+            for name, value in sorted(recording.counters.items())
             if name.startswith("addropt.")
         }
         ledger = build_ledger(recording, total_s)

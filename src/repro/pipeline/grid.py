@@ -23,18 +23,18 @@ a grid of them:
   and ``repro batch --resume`` re-runs a journaled grid the same way.
 
 Execution hardening (the driver survives hostile conditions without
-losing grid points):
+losing grid points); each point's :class:`GridResult` records what it
+went through, and :func:`summarize` counts it over the grid:
 
 * **timeouts** — ``timeout`` bounds each point's wall time; a stalled
   worker is detected, its pool is torn down, and the point is retried
-  or failed (``batch.timeouts``);
+  or failed with the timeout as its ``error``;
 * **retries** — any failed point is re-attempted up to ``retries``
-  times with exponential backoff (``batch.retries``), and every
-  result records how many ``attempts`` it took;
+  times with exponential backoff, and every result records how many
+  ``attempts`` it took (``retried`` in the summary);
 * **respawn** — a crashed worker breaks its whole
   ``ProcessPoolExecutor``; the driver kills the broken pool, spawns a
-  fresh one, and resubmits everything still pending
-  (``batch.respawns`` / ``batch.worker_lost``);
+  fresh one, and resubmits everything still pending;
 * **degradation** — with ``degrade=True`` a point whose
   decomposition-scheme compile fails falls back to the sequential
   ``BASE`` layout (see ``CompileSession.compile_degradable``) and is
@@ -190,9 +190,6 @@ class GracefulShutdown:
         self.triggered = True
         self.signum = signum
         self._deadline = time.monotonic() + self.drain_seconds
-        obs.inc("batch.shutdowns")
-        obs.event("batch.shutdown", cat="batch", signum=signum,
-                  drain_seconds=self.drain_seconds)
 
     def drain_expired(self) -> bool:
         return (self.triggered and self._deadline is not None
@@ -437,7 +434,6 @@ def _run_serial(points, indices, journal, finish, shutdown, cache,
                 # resume re-executes the point with its full budget.
                 abandoned = True
                 break
-            obs.inc("batch.retries")
             time.sleep(_backoff_delay(backoff, attempt + 1))
             attempt += 1
             result = run_point(points[i], session, degrade=degrade,
@@ -484,7 +480,6 @@ def _run_parallel(points, indices, journal, finish, shutdown, jobs,
 
         def _retry_or_fail(i: int, error: str) -> None:
             if charged[i] <= retries:
-                obs.inc("batch.retries")
                 next_pending.append(i)
             else:
                 finish(i, GridResult(
@@ -528,17 +523,10 @@ def _run_parallel(points, indices, journal, finish, shutdown, jobs,
             except FuturesTimeoutError:
                 broken = True
                 charged[i] += 1
-                obs.inc("batch.timeouts")
-                obs.event("batch.timeout", cat="batch",
-                          point=points[i].label(), timeout=timeout)
                 _retry_or_fail(
                     i, f"point exceeded timeout of {timeout}s")
             except BrokenProcessPool:
-                if not broken:
-                    broken = True
-                    obs.inc("batch.worker_lost")
-                    obs.event("batch.worker_lost", cat="batch",
-                              point=points[i].label())
+                broken = True
                 collateral.append(i)
             except (KeyboardInterrupt, SystemExit):
                 _kill_pool(pool)
@@ -556,7 +544,6 @@ def _run_parallel(points, indices, journal, finish, shutdown, jobs,
                     i, "worker process died (pool broken) before this "
                        "point completed")
         if broken or aborted:
-            obs.inc("batch.respawns")
             _kill_pool(pool)
         else:
             pool.shutdown(wait=True)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro import obs
 from repro.pipeline.store import CorruptEntry, ResultStore
 
 __all__ = ["FsckReport", "fsck_store"]
@@ -93,10 +92,4 @@ def fsck_store(store: ResultStore, repair: bool = True) -> FsckReport:
         else:
             report.ok += 1
         report.scanned += 1
-    obs.inc("fsck.runs")
-    obs.inc("fsck.scanned", report.scanned)
-    obs.inc("fsck.quarantined", report.quarantined)
-    obs.event("fsck.done", cat="store", root=str(store.root),
-              **{k: v for k, v in report.as_dict().items()
-                 if k != "problems"})
     return report

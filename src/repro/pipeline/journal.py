@@ -63,7 +63,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional, Set, Tuple
 
-from repro import faults, obs
+from repro import faults
 from repro.errors import JournalError
 from repro.pipeline.fingerprint import make_key
 from repro.pipeline.grid import GridPoint, GridResult
@@ -166,7 +166,8 @@ class JournalWriter:
     """Single-writer append side of one run's journal.
 
     Appends are fsync'd by default (``fsync=False`` trades durability
-    for speed).  Append failures are counted (``journal.errors``) and
+    for speed).  ``appends`` counts the records written and ``errors``
+    the appends (and ``latest`` pointer moves) that failed, which are
     swallowed: a resume takes only the grid from the journal, and the
     store decides which points it serves.
 
@@ -215,7 +216,6 @@ class JournalWriter:
             "spec": spec,
         })
         writer._point_latest()
-        obs.event("journal.created", cat="journal", run_id=run_id)
         return writer
 
     @classmethod
@@ -239,7 +239,6 @@ class JournalWriter:
             "jobs": jobs,
         })
         writer._point_latest()
-        obs.event("journal.resumed", cat="journal", run_id=run_id)
         return writer
 
     def _point_latest(self) -> None:
@@ -249,7 +248,6 @@ class JournalWriter:
                          fsync=self.fsync)
         except OSError:
             self.errors += 1
-            obs.inc("journal.errors")
 
     # -- the append path ---------------------------------------------------
 
@@ -266,19 +264,15 @@ class JournalWriter:
                 self._fh.write(line[: max(len(line) // 2, 1)])
                 self._fh.flush()
                 self.appends += 1
-                obs.inc("journal.appends")
                 return
             self._fh.write(line)
             self._fh.flush()
             if self.fsync and durable:
                 os.fsync(self._fh.fileno())
-                obs.inc("journal.fsyncs")
         except (OSError, ValueError, TypeError):
             self.errors += 1
-            obs.inc("journal.errors")
             return
         self.appends += 1
-        obs.inc("journal.appends")
 
     # -- state transitions -------------------------------------------------
 
@@ -300,7 +294,6 @@ class JournalWriter:
                       "ok": result.ok,
                       "t": round(time.time(), 3),
                       "result": result.as_dict()})
-        obs.inc("journal.points_journaled")
         self.tick()
 
     def tick(self) -> None:
@@ -319,7 +312,6 @@ class JournalWriter:
         self._append({"type": "heartbeat", "t": round(time.time(), 3),
                       "pid": os.getpid(), "rss": rss_bytes(), **fields},
                      durable=False)
-        obs.inc("journal.heartbeats")
 
     def end(self, status: str, executed: int) -> None:
         self._append({"type": "end", "status": status,
@@ -365,10 +357,8 @@ def read_records(path: os.PathLike) -> Tuple[List[Dict[str, Any]], int, bool]:
         except ValueError:
             if lineno == len(lines) - 1:
                 torn_tail = True
-                obs.inc("journal.torn_tail")
             else:
                 bad_lines += 1
-                obs.inc("journal.bad_lines")
     return records, bad_lines, torn_tail
 
 
@@ -432,13 +422,11 @@ class JournalState:
                 self.started_indices.add(int(record["i"]))
             except (KeyError, TypeError, ValueError):
                 self.bad_lines += 1
-                obs.inc("journal.bad_lines")
         elif rtype == "done":
             try:
                 self.finished[int(record["i"])] = record["result"]
             except (KeyError, TypeError, ValueError):
                 self.bad_lines += 1
-                obs.inc("journal.bad_lines")
         elif rtype == "heartbeat":
             self.heartbeats += 1
             self.last_heartbeat = record

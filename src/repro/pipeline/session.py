@@ -10,11 +10,9 @@ caller object is ever mutated.  The memo lives and dies with the
 session; finished point results persist across processes in the result
 store (:mod:`repro.pipeline.store`).
 
-Every real stage run is a ``pass.<name>`` span and bumps
-``pipeline.pass.<name>.runs``; a memo hit bumps
-``pipeline.pass.<name>.cache_hits`` and replays the original run's
-decision records.  ``pipeline.cache.hits``, ``.misses`` and
-``.evictions`` count the LRU itself.
+Every real stage run is a ``pass.<name>`` span; a memo hit replays
+the original run's decision records.  :meth:`CompileSession.stats`
+counts both, by stage name.
 
 A process-wide default session backs the wrappers in
 :mod:`repro.compiler`; callers that want isolation (a cold profile, a
@@ -82,13 +80,10 @@ class CompileSession:
             hit = memo.get(key)
             if hit is not None:
                 memo.move_to_end(key)
-                obs.inc("pipeline.cache.hits")
                 self._hits[name] += 1
-                obs.inc(f"pipeline.pass.{name}.cache_hits")
                 value, records = hit
                 log.extend(records)
                 return value
-            obs.inc("pipeline.cache.misses")
         context = dict(app=prog.name,
                        scheme=scheme.value if scheme else None,
                        nprocs=nprocs)
@@ -111,7 +106,6 @@ class CompileSession:
                 ) from exc
         log.extend(records)
         self._runs[name] += 1
-        obs.inc(f"pipeline.pass.{name}.runs")
         if memo is not None:
             self._store(key, value, records)
         return value
@@ -122,7 +116,6 @@ class CompileSession:
         memo.move_to_end(key)
         while len(memo) > CACHE_CAPACITY:
             memo.popitem(last=False)
-            obs.inc("pipeline.cache.evictions")
 
     # -- pipeline operations -----------------------------------------------
 
@@ -223,10 +216,6 @@ class CompileSession:
             if scheme is Scheme.BASE:
                 raise
             reason = f"{type(exc).__name__}: {exc}"
-            obs.inc("pipeline.degraded")
-            obs.event("pipeline.degraded", cat="pipeline",
-                      program=prog.name, scheme=scheme.value,
-                      nprocs=nprocs, error=reason)
             kw.pop("decomp", None)
             spmd = self.compile(prog, Scheme.BASE, nprocs, **kw)
             return spmd, reason

@@ -44,14 +44,14 @@ Durability and concurrency:
   it and that the recorded coordinate is the one the file is named
   by.  A corrupt entry (torn write, bit rot, misnamed) is moved to the
   store's ``quarantine/`` directory — capped at the newest
-  :data:`QUARANTINE_KEEP` — counted (``store.quarantined``) and
+  :data:`QUARANTINE_KEEP` — counted (``StoreStats.quarantined``) and
   reported as a miss, never raised;
 * eviction takes no lock either: two drivers evicting at once can at
   worst both drop an old entry, which costs one later miss.
 
 ``repro fsck`` (:mod:`repro.pipeline.integrity`) audits every entry,
-even while drivers write, and quarantines what it finds.  Counters flow both into
-:class:`StoreStats` (always on) and ``repro.obs`` (``store.*``).
+even while drivers write, and quarantines what it finds.  One
+:class:`StoreStats` per store instance keeps its counts.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro import obs
 from repro.pipeline.fingerprint import make_key
 from repro.util.atomicio import write_atomic
 
@@ -161,7 +160,7 @@ class CorruptEntry(ValueError):
 
 @dataclass
 class StoreStats:
-    """Counters for one store instance (always on, unlike obs)."""
+    """Counters for one store instance (always on)."""
 
     hits: int = 0
     misses: int = 0
@@ -268,19 +267,14 @@ class ResultStore:
             entry = self.read_entry(path)
         except OSError:
             entry = None
-        except CorruptEntry as exc:
+        except CorruptEntry:
             self.stats.corrupt += 1
-            obs.inc("store.corrupt")
-            obs.event("store.corrupt", cat="store", coord=coord,
-                      error=str(exc))
             self.quarantine(path)
             entry = None
         if entry is None or entry["key"] != key:
             self.stats.misses += 1
-            obs.inc("store.misses")
             return None
         self.stats.hits += 1
-        obs.inc("store.hits")
         return entry["payload"]
 
     def quarantine(self, path: Path) -> None:
@@ -297,7 +291,6 @@ class ResultStore:
             except OSError:
                 return
         self.stats.quarantined += 1
-        obs.inc("store.quarantined")
         self._prune_quarantine()
 
     def _prune_quarantine(self) -> None:
@@ -316,7 +309,6 @@ class ResultStore:
             except OSError:
                 continue
             self.stats.quarantine_evicted += 1
-            obs.inc("store.quarantine.evicted")
 
     def put(self, coord: str, key: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` as ``coord``'s entry under ``key`` (one
@@ -339,22 +331,13 @@ class ResultStore:
                 path, json.dumps(entry, sort_keys=True, default=str),
                 fsync=self.fsync,
             )
-        except Exception as exc:
+        except Exception:
             self.stats.errors += 1
-            obs.inc("store.errors")
-            obs.event("store.error", cat="store", op="put", coord=coord,
-                      error=type(exc).__name__)
             return
         self.stats.stores += 1
-        obs.inc("store.stores")
         if old_key is not None and old_key != key:
             self.stats.invalidations += 1
-            obs.inc("store.invalidations")
-            obs.event("store.invalidated", cat="store", coord=coord,
-                      old=old_key, new=key)
         self._evict()
-        if obs.enabled():
-            obs.gauge("store.bytes").set(self.bytes())
 
     # -- maintenance -------------------------------------------------------
 
@@ -403,7 +386,6 @@ class ResultStore:
             except OSError:
                 continue
             self.stats.evictions += 1
-            obs.inc("store.evictions")
 
     def __len__(self) -> int:
         return len(self._listing())

@@ -291,14 +291,6 @@ def verify_spmd(
         result.elapsed = time.perf_counter() - t0
         sp.set(ok=result.ok, phases=result.phases_checked,
                elements=result.elements_checked)
-        obs.inc("verify.ok" if result.ok else "verify.divergence")
-        if not result.ok:
-            obs.event("verify.divergence", cat="verify",
-                      program=reference.name, scheme=spmd.scheme.value,
-                      nprocs=spmd.nprocs,
-                      detail=result.reason or
-                      (result.divergence.describe()
-                       if result.divergence else "?"))
     return result
 
 

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro import faults, obs
+from repro import faults
 from repro.errors import JournalError
 from repro.pipeline.grid import GridPoint, GridResult
 from repro.pipeline.journal import (
@@ -25,12 +25,8 @@ from repro.pipeline.journal import (
 @pytest.fixture(autouse=True)
 def _clean_state():
     faults.configure(None)
-    obs.disable()
-    obs.reset()
     yield
     faults.configure(None)
-    obs.disable()
-    obs.reset()
 
 
 def _points(n=3):
@@ -44,6 +40,19 @@ def _points(n=3):
 def _spec(points):
     return {"points": [asdict(p) for p in points],
             "degrade": True, "locality": False}
+
+
+def _synced_inodes(monkeypatch):
+    """The inode of every file ``os.fsync`` syncs from now on."""
+    synced = []
+    real = os.fsync
+
+    def fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return synced
 
 
 def _result(point, t=123.0):
@@ -76,13 +85,14 @@ class TestWriterReader:
             assert state.finished[i] == _result(p, t=100.0 + i).as_dict()
             assert not state.finished[i]["store_hit"]
 
-    def test_appends_are_fsynced_by_default(self, tmp_path):
-        obs.enable(reset=True)
+    def test_appends_are_fsynced_by_default(self, tmp_path, monkeypatch):
+        synced = _synced_inodes(monkeypatch)
         writer = JournalWriter.create(tmp_path, _spec(_points()))
         writer.wave(1, 3)
         writer.close()
-        c = obs.collector().metrics.counters
-        assert c["journal.fsyncs"].value == c["journal.appends"].value
+        journal = tmp_path / f"{writer.run_id}.jsonl"
+        assert writer.appends == 2
+        assert synced.count(journal.stat().st_ino) == writer.appends
 
     def test_torn_tail_is_skipped(self, tmp_path):
         points = _points()
@@ -241,17 +251,18 @@ class TestHeartbeats:
         assert state.in_flight == [1]  # started, never journaled done
         assert state.started == 2
 
-    def test_heartbeats_are_never_fsynced(self, tmp_path):
-        obs.enable(reset=True)
+    def test_heartbeats_are_never_fsynced(self, tmp_path, monkeypatch):
+        synced = _synced_inodes(monkeypatch)
         writer = JournalWriter.create(tmp_path, _spec(_points()))
         writer.heartbeat(finished=0)
         writer.heartbeat(finished=0)
         writer.close()
-        c = obs.collector().metrics.counters
-        # Durable records still fsync one-for-one; the two heartbeats
-        # are flushed only.
-        assert c["journal.appends"].value == c["journal.fsyncs"].value + 2
-        assert c["journal.heartbeats"].value == 2
+        journal = tmp_path / f"{writer.run_id}.jsonl"
+        # The durable header is synced; the two heartbeats are appended
+        # and flushed only.
+        assert writer.appends == 3
+        assert synced.count(journal.stat().st_ino) == 1
+        assert JournalState.load(journal).heartbeats == 2
 
     def test_start_records_carry_timestamps(self, tmp_path):
         points = _points()

@@ -1,7 +1,7 @@
-"""The observability layer: spans, metrics, exporters, no-op fast path.
+"""The observability layer: spans, counters, exporters, no-op fast path.
 
 Covers span nesting/timing, counter aggregation, the disabled-mode
-shared no-op objects (identity checks), the Chrome trace-event export
+shared no-op span (identity checks), the Chrome trace-event export
 round-trip, ``repro perf``'s trace and profile table, and the overhead
 guard: the disabled instrumentation path must add < 5% to a small
 ``compile_all`` + ``simulate`` run.
@@ -55,14 +55,6 @@ class TestSpans:
         assert inner.counters == {"work": 7}
         assert outer.attrs == {"k": 1}
 
-    def test_events_parented_to_open_span(self):
-        obs.enable()
-        with obs.span("phase", cat="test") as sp:
-            obs.event("thing", cat="test", value=42)
-        ev = obs.collector().events[0]
-        assert ev.span_id == sp.span_id
-        assert ev.attrs == {"value": 42}
-
     def test_span_records_exception_type(self):
         obs.enable()
         with pytest.raises(ValueError):
@@ -77,14 +69,8 @@ class TestMetrics:
         obs.inc("x", 2)
         obs.inc("x", 3)
         obs.inc("y")
-        snap = obs.collector().metrics.snapshot()
-        assert snap["counters"] == {"x": 5, "y": 1}
-
-    def test_gauge(self):
-        obs.enable()
-        obs.gauge("g").set(7.5)
-        snap = obs.collector().metrics.snapshot()
-        assert snap["gauges"]["g"] == 7.5
+        obs.inc("z", 0)  # a zero count is still a key
+        assert obs.collector().counters == {"x": 5, "y": 1, "z": 0}
 
 
 class TestDisabledFastPath:
@@ -93,19 +79,12 @@ class TestDisabledFastPath:
         assert obs.span("a") is obs.span("b", cat="x", attr=1)
         assert obs.span("a") is obs.NOOP_SPAN
 
-    def test_metrics_return_shared_noop(self):
-        assert obs.counter("a") is obs.counter("b")
-        assert obs.counter("a") is obs.NOOP_METRIC
-        assert obs.gauge("g") is obs.NOOP_METRIC
-
     def test_nothing_recorded_while_disabled(self):
         with obs.span("s", cat="test") as sp:
             sp.add("c", 1).set(x=2)
-        obs.event("e", cat="test")
         obs.inc("c", 5)
         c = obs.collector()
-        assert c.spans == [] and c.events == []
-        assert c.metrics.snapshot()["counters"] == {}
+        assert c.spans == [] and c.counters == {}
 
     def test_noop_span_surface(self):
         sp = obs.span("x")
@@ -115,7 +94,7 @@ class TestDisabledFastPath:
 
 
 REQUIRED_KEYS = {"name", "ph", "pid", "tid"}
-PHASES = {"M", "X", "i", "C"}
+PHASES = {"M", "X", "C"}
 
 
 def _check_chrome_schema(trace):
@@ -135,8 +114,6 @@ def _check_chrome_schema(trace):
         assert isinstance(ev["ts"], (int, float))
         if ev["ph"] == "X":
             assert isinstance(ev["dur"], (int, float))
-        if ev["ph"] == "i":
-            assert ev["s"] == "t"
         # Timed events must be monotonic within their lane.
         assert ev["ts"] >= last_ts.get(ev["pid"], float("-inf"))
         last_ts[ev["pid"]] = ev["ts"]
@@ -148,7 +125,7 @@ class TestExport:
         with obs.span("outer", cat="test", scheme="base") as sp:
             sp.add("cold", 4)
             with obs.span("inner", cat="test"):
-                obs.event("ev", cat="test", nest="n0")
+                pass
         obs.inc("total", 9)
 
     def test_chrome_trace_round_trip(self):
@@ -161,21 +138,23 @@ class TestExport:
         assert xs["outer"]["args"]["scheme"] == "base"
         assert xs["outer"]["args"]["cold"] == 4
         assert xs["outer"]["dur"] >= xs["inner"]["dur"] >= 0
-        # Span counters and registry counters appear as counter tracks.
+        # Span counters and the flat counters appear as counter tracks.
         cs = [e for e in evs if e["ph"] == "C"]
         assert any(e["name"] == "outer.cold" for e in cs)
         assert any(e["name"] == "total" and e["args"]["total"] == 9
                    for e in cs)
-        assert any(e["ph"] == "i" and e["name"] == "ev" for e in evs)
 
 class TestPipelineTelemetry:
     """The instrumented compiler + simulator emit the expected shape."""
 
     def test_compile_simulate_trace_contents(self):
+        from repro.pipeline import get_session
+
         obs.enable()
         prog = simple.build(n=16)
         spmd = compile_program(prog, Scheme.COMP_DECOMP_DATA, 4)
-        res = simulate(spmd, scaled_dash(4, scale=32, word_bytes=8))
+        res = simulate(spmd, scaled_dash(4, scale=32, word_bytes=8),
+                       detail=True)
         names = {s.name for s in obs.collector().spans}
         assert {"compiler.compile", "compiler.restructure",
                 "unimodular.nest", "decomp.greedy", "decomp.solve_group",
@@ -190,11 +169,13 @@ class TestPipelineTelemetry:
         for s in phase_spans:
             assert {"cold", "replacement", "true_sharing",
                     "false_sharing"} <= set(s.counters)
-        # Ladder decisions and layout derivations were logged.
-        ev_names = {e.name for e in obs.collector().events}
+        # Ladder decisions and layout derivations were logged, in the
+        # compile's provenance; each nest's sync plan is its SpmdPhase.
+        sites = {r.site for r in get_session().last_provenance}
         assert {"decomp.ladder", "decomp.folding",
-                "datatrans.layout", "codegen.phase"} <= ev_names
-        # Detail fields flow into SimResult when obs is enabled.
+                "datatrans.layout"} <= sites
+        assert len(spmd.phases) == len(prog.nests)
+        # Detail fields flow into SimResult on detail=True.
         assert res.array_breakdown
         assert "local_ratio" in res.numa
         assert res.conflict_sets["nsets"] > 0
@@ -272,7 +253,6 @@ class TestOverhead:
         def _stubbed():
             with monkeypatch.context() as m:
                 m.setattr(obs, "span", lambda *a, **k: noop_cm)
-                m.setattr(obs, "event", lambda *a, **k: None)
                 m.setattr(obs, "inc", lambda *a, **k: None)
                 m.setattr(obs, "enabled", lambda: False)
                 _workload()
