@@ -26,10 +26,9 @@ processor's previous touch of the line.  :func:`stack_distances` gives
 the LRU stack distance over a group order, which both the
 set-associative hits and :mod:`repro.machine.locality`'s reuse
 distances read.  It counts cold accesses and immediate repeats with a
-prefix sum and merges only the rest, whose counts nothing cheaper
-gives; as no reuse window leaves its group, it merges one slice of
-whole groups at a time (:data:`SLICE`), with keys relative to the
-slice.
+prefix sum, peels the rest's increasing layers with a running max and
+a binary search, and merges only what :data:`LAYERS` layers leave,
+which on the applications' streams is little or nothing.
 
 The stream may come in narrow integer dtypes (the trace stores int32
 addresses and int8 processor ids).  Addresses are only divided and
@@ -105,12 +104,6 @@ def group_index(*keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         ks = k[order]
         start[1:] |= ks[1:] != ks[:-1]
     return order, start
-
-
-SLICE = 2**14
-"""Merged accesses per slice of :func:`stack_distances`: whole groups
-are packed into slices of at most this many, and a group with more is
-merged whole, as a slice of its own."""
 
 
 def _positions(n: int) -> type:
@@ -250,6 +243,11 @@ def _earlier_larger(v: np.ndarray) -> np.ndarray:
     return by_value[v0]
 
 
+LAYERS = 8
+"""Increasing layers that :func:`stack_distances` peels off its merged
+accesses before it merges the rest (:func:`_earlier_larger`)."""
+
+
 def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
     """LRU stack distance of every access (in stream order) within its
     ``group``: how many distinct other lines the group touched since its
@@ -266,12 +264,18 @@ def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
     p_t > p_s, and every merged t < s with p_t > p_s lies in the window
     (p_s < p_t < t).  So the distance is the count of the window's
     accesses that are not immediate repeats, a prefix sum, less that of
-    the merged accesses before s with a larger p
-    (:func:`_earlier_larger`).  A window never leaves its group, so
-    whole groups are packed into slices of at most :data:`SLICE` merged
-    accesses and each slice is merged on its own, with keys relative to
-    it: int32 unless the slice's count times its span of p reaches 2^31.
-    A group with more merged accesses is a slice of its own.
+    the merged accesses before s with a larger p.  A window never leaves
+    its group, and p rises from one group to the next, so that count
+    can be taken over all the merged accesses at once.
+
+    Most of it needs no merge.  The merged accesses whose p is a running
+    max have no earlier larger p; they form an increasing layer, and a
+    later access's count over the layer is the layer's accesses before
+    it less those with a smaller p, found by a binary search.  Peeling
+    layer after layer leaves only the accesses in long runs of falling
+    p.  After :data:`LAYERS` layers :func:`_earlier_larger` merges what
+    is left, with int32 keys unless its count times its span of p
+    reaches 2^31.
     """
     n = len(line)
     order, start = (group_index(*group) if group
@@ -291,20 +295,30 @@ def stack_distances(line: np.ndarray, *group: np.ndarray) -> np.ndarray:
     dist = counted[:-1][merged]
     dist -= counted[1:][q]
     del counted
-    # Merged accesses before each group, and in all.
-    ends = np.append(0, np.cumsum(np.add.reduceat(
-        merged, np.flatnonzero(start), dtype=np.int64)))
-    lo = 0
-    while lo < len(q):
-        # The most whole groups that SLICE holds, or one larger group.
-        hi = ends[np.searchsorted(ends, lo + SLICE, side="right") - 1]
-        if hi == lo:
-            hi = ends[np.searchsorted(ends, lo, side="right")]
-        dist[lo:hi] -= _earlier_larger(q[lo:hi])
-        lo = hi
+    # Peel increasing layers: q rises from group to group, so one running
+    # max over every group marks the accesses with no earlier larger q.
+    at = np.arange(len(q), dtype=pos)  # where the accesses left are in dist
+    for _ in range(LAYERS):
+        if not len(q):
+            break
+        rest = q != np.maximum.accumulate(q)
+        top = q[~rest]
+        rest = np.flatnonzero(rest).astype(pos)
+        q = q[rest]
+        # The layer's accesses before each one left, less those with a
+        # smaller q: a prefix of the layer.
+        before = rest - np.arange(len(rest), dtype=pos)
+        before -= np.searchsorted(top, q)
+        del top
+        at = at[rest]
+        del rest
+        dist[at] -= before
+        del before
+    if len(q):
+        dist[at] -= _earlier_larger(q)
     np.minimum(p, 0, out=p)  # -1 on cold accesses, 0 on the rest
     p[merged] = dist
-    del q, dist, merged
+    del q, at, dist, merged
     out = np.empty(n, dtype=np.int64)
     out[order] = p
     return out

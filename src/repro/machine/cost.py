@@ -16,7 +16,7 @@ the DASH latency ratios, then assembles phase times:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

@@ -10,9 +10,9 @@ those signals directly from the vectorized address traces
 (:mod:`repro.machine.trace`), independent of the cache model:
 
 * :func:`reuse_distances` — per-processor LRU stack distance over
-  cache lines (``-1`` marks a cold first touch): the vectorized merge
-  count :func:`repro.machine.cache.stack_distances`, which also decides
-  the set-associative cache's LRU hits;
+  cache lines (``-1`` marks a cold first touch): the vectorized
+  peel-and-merge count :func:`repro.machine.cache.stack_distances`,
+  which also decides the set-associative cache's LRU hits;
 * :func:`set_pressure` — per ``(processor, cache set)`` count of
   *distinct* lines mapping to that set (the power-of-two aliasing
   signature the paper's data transforms remove shows up as a few sets
@@ -38,7 +38,7 @@ simulator rewrite (ROADMAP item 4) must preserve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -270,15 +270,26 @@ def collect_locality(space, traces, cfg: CacheConfig) -> LocalityReport:
         sp.add("accesses", len(addr))
 
         dist = reuse_distances(proc, addr, cfg.line_bytes)
-        # One owning-array search serves the heatmap and the reuse split.
+        report.set_pressure = pressure_summary(
+            _first_touches_by_set(proc, addr, dist == COLD, cfg), cfg.nsets)
+        # One owning-array search serves the heatmap and the reuse split:
+        # a stable radix sort of the narrowed index lays each array's
+        # distances out in one run.  The index goes before the gather, or
+        # it would set the report's peak memory.
         names, aidx = space.array_names, space.array_index(addr)
         report.heatmap = _heatmap(names, traces, aidx)
-        for j, nm in enumerate(names):
-            sel = aidx == j
-            cnt = int(sel.sum())
+        counts = np.bincount(aidx, minlength=len(names)).tolist()
+        order = np.argsort(aidx.astype(np.min_scalar_type(len(names))),
+                           kind="stable")
+        del aidx
+        dist = dist[order]
+        del order
+        end = 0
+        for nm, cnt in zip(names, counts):
             if not cnt:
                 continue
-            warm = dist[sel]
+            warm = dist[end:end + cnt]
+            end += cnt
             warm = warm[warm >= 0]
             p50, p95 = (np.percentile(warm, [50, 95]).tolist() if len(warm)
                         else (0.0, 0.0))
@@ -291,7 +302,4 @@ def collect_locality(space, traces, cfg: CacheConfig) -> LocalityReport:
                 max=int(warm.max()) if len(warm) else 0,
                 hist=log2_bin_histogram(warm),
             )
-
-        report.set_pressure = pressure_summary(
-            _first_touches_by_set(proc, addr, dist == COLD, cfg), cfg.nsets)
         return report

@@ -47,7 +47,6 @@ from repro.machine.cost import (
     FROM_MEMORY,
     REMOTE_BINS,
     TALLY,
-    CostParams,
     PhaseCost,
     per_proc_cycles,
     phase_time,
@@ -155,12 +154,12 @@ def simulate(
     stream and stores them in ``SimResult.locality``; they are opt-in
     only — never implied by observability — because no simulated time
     depends on them and they cost about as much again as the simulation
-    (1.2x ``simulate(detail=True)`` at n = 48-64 on the scale=16
-    machine, 1.4x at LU 128 P32), most of it the reuse-distance
-    merge count: one sort pass per doubling of a slice of whole
-    processor streams, or of one processor's stream where that is
-    longer than a slice.  They read the whole round at once, even where
-    the simulation walks it in chunks (see the module docstring).
+    (0.8-1.1x ``simulate(detail=True)`` at n = 48-64 on the scale=16
+    machine, 1.6x at LU 128 P32), most of it the reuse distances: two
+    sorts of the stream into its groups and the peel of increasing
+    layers, which leaves the merge count little or nothing on these
+    streams.  They read the whole round at once, even where the
+    simulation walks it in chunks (see the module docstring).
 
     A round of more than :data:`CHUNK_FLOOR` accesses is simulated in
     chunks, with the same result as in one: each chunk is one

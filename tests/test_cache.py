@@ -174,28 +174,68 @@ class TestGroupIndex:
             last_flagged.get(g, -1) for g in groups]
 
 
+def layer_bounds():
+    """Set :data:`cache.LAYERS`, the peel's layer bound, to its own
+    value, then to 0 (the merge alone), 1 and 2, yielding each."""
+    for bound in (cache.LAYERS, 0, 1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cache, "LAYERS", bound)
+            yield bound
+
+
+def up_and_down(k, n):
+    """``n`` accesses sweeping lines 0..k-1 up and down.  After the
+    first sweep, each one opens with an immediate repeat, and its other
+    k - 1 accesses are a run of falling previous-access indices."""
+    return np.resize(np.r_[np.arange(k), np.arange(k)[::-1]], n)
+
+
 class TestStackDistances:
     @given(line_stream())
     @settings(max_examples=300, deadline=None)
     def test_matches_recency_walk(self, t):
+        """At every layer bound: at 0 the merge counts every merged
+        access, at 1 and 2 it counts what the peel leaves of streams
+        whose falling runs are up to 7 long."""
         line, group = t
-        assert (stack_distances(line, *group).tolist()
-                == naive_stack_distances(line, group))
+        want = naive_stack_distances(line, group)
+        for bound in layer_bounds():
+            assert stack_distances(line, *group).tolist() == want, bound
 
-    @given(line_stream())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_recency_walk_in_slices_of_8(self, t):
-        """Slices of 8 merged accesses cut between many groups, and a
-        group with more than 8 is merged whole."""
-        line, group = t
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cache, "SLICE", 8)
-            assert (stack_distances(line, *group).tolist()
-                    == naive_stack_distances(line, group))
+    def test_peel_leaves_long_falling_runs_to_merge(self, monkeypatch):
+        """Six groups sweeping 3 to 20 lines up and down: the layers
+        peel the short falling runs and leave the long ones, so the peel
+        and the merge both run at every bound but 0, where the merge
+        alone counts every merged access."""
+        merged = []
+
+        def spy(v):
+            merged.append(len(v))
+            return earlier_larger(v)
+
+        earlier_larger = cache._earlier_larger
+        monkeypatch.setattr(cache, "_earlier_larger", spy)
+        line = np.concatenate([up_and_down(k, 200)
+                               for k in (3, 5, 9, 12, 17, 20)])
+        proc = np.repeat(np.arange(6), 200)
+        want = naive_stack_distances(line, [proc])
+        # Neither cold (-1) nor an immediate repeat (0): merged.
+        everything = sum(d > 0 for d in want)
+        for bound in layer_bounds():
+            merged.clear()
+            assert stack_distances(line, proc).tolist() == want, bound
+            assert len(merged) == 1, bound
+            if bound:
+                assert 0 < merged[0] < everything, bound
+            else:
+                assert merged[0] == everything
 
     def test_group_beyond_int32_keys(self, monkeypatch):
-        """One group of 50,000 accesses cycling over 64 lines: merged
-        whole, its sort keys reach 49,936^2 > 2^31 and take int64."""
+        """One group of 60,000 accesses sweeping 64 lines up and down:
+        8 layers peel 8 of each sweep's run of 63 falling previous-access
+        indices, and the merge of what is left needs sort keys (count
+        times span) from 2^31 on, int64."""
+        monkeypatch.setattr(cache, "LAYERS", 8)
         seen = []
 
         def spy(v):
@@ -205,7 +245,7 @@ class TestStackDistances:
 
         earlier_larger = cache._earlier_larger
         monkeypatch.setattr(cache, "_earlier_larger", spy)
-        line = np.arange(50_000) % 64
+        line = up_and_down(64, 60_000)
         proc = np.zeros(len(line), dtype=np.int8)
         assert (stack_distances(line, proc).tolist()
                 == naive_stack_distances(line, [proc]))

@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.apps import ALL_APPS, build_app
 from repro.codegen.spmd import Scheme
-from repro.machine import cache, scaled_dash
+from repro.machine import scaled_dash
 from repro.machine.cache import CacheConfig, assoc_lru_hits
 from repro.machine.locality import (
     COLD,
@@ -32,7 +32,7 @@ from repro.machine.locality import (
 from repro.machine.simulate import simulate
 from repro.machine.trace import program_traces
 from repro.pipeline.session import CompileSession
-from tests.test_cache import naive_lru
+from tests.test_cache import layer_bounds, naive_lru
 
 
 @pytest.fixture(autouse=True)
@@ -111,41 +111,26 @@ class TestReuseDistance:
     def test_matches_oracle_real_trace(self, app):
         """Reuse distance, set pressure and the 2- and 4-way LRU hits
         against their definitions on one round of the stream, as
-        collect_locality sees it, for every scheme and P in {2, 4, 8}."""
+        collect_locality sees it, for every scheme and P in {2, 4, 8}.
+        The distances and hits are checked at every layer bound of the
+        peel: 0 merges every merged access, and 1 and 2 leave the merge
+        what they do not peel."""
         for point, proc, addr, cfg in _real_streams(app):
-            assert np.array_equal(
-                reuse_distances(proc, addr, cfg.line_bytes),
-                reuse_distances_oracle(proc, addr, cfg.line_bytes),
-            ), point
             assert np.array_equal(
                 set_pressure(proc, addr, cfg),
                 set_pressure_oracle(proc, addr, cfg),
             ), point
-            for assoc in (2, 4):
-                ways = replace(cfg, assoc=assoc)
+            want = reuse_distances_oracle(proc, addr, cfg.line_bytes)
+            ways = [replace(cfg, assoc=assoc) for assoc in (2, 4)]
+            hits = [naive_lru(proc, addr, w) for w in ways]
+            for bound in layer_bounds():
                 assert np.array_equal(
-                    assoc_lru_hits(proc, addr, ways),
-                    naive_lru(proc, addr, ways),
-                ), point + (assoc,)
-
-    @pytest.mark.parametrize("app", sorted(ALL_APPS))
-    def test_matches_oracle_real_trace_in_slices_of_64(self, app,
-                                                       monkeypatch):
-        """The same streams merged in slices of 64: these cut between
-        the (set, processor) groups and leave most processors' streams
-        larger than a slice, merged whole."""
-        monkeypatch.setattr(cache, "SLICE", 64)
-        for point, proc, addr, cfg in _real_streams(app):
-            assert np.array_equal(
-                reuse_distances(proc, addr, cfg.line_bytes),
-                reuse_distances_oracle(proc, addr, cfg.line_bytes),
-            ), point
-            for assoc in (2, 4):
-                ways = replace(cfg, assoc=assoc)
-                assert np.array_equal(
-                    assoc_lru_hits(proc, addr, ways),
-                    naive_lru(proc, addr, ways),
-                ), point + (assoc,)
+                    reuse_distances(proc, addr, cfg.line_bytes), want,
+                ), point + (bound,)
+                for w, want_hits in zip(ways, hits):
+                    assert np.array_equal(
+                        assoc_lru_hits(proc, addr, w), want_hits,
+                    ), point + (bound, w.assoc)
 
     def test_empty_stream(self):
         empty = np.zeros(0, dtype=np.int64)
