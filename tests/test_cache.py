@@ -174,10 +174,11 @@ class TestGroupIndex:
             last_flagged.get(g, -1) for g in groups]
 
 
-def layer_bounds():
-    """Set :data:`cache.LAYERS`, the peel's layer bound, to its own
-    value, then to 0 (the merge alone), 1 and 2, yielding each."""
-    for bound in (cache.LAYERS, 0, 1, 2):
+def layer_bounds(*bounds):
+    """Set :data:`cache.LAYERS`, the peel's layer bound, to each of
+    ``bounds`` in turn, by default its own value, then 0 (the merge
+    alone), 1 and 2, yielding each."""
+    for bound in bounds or (cache.LAYERS, 0, 1, 2):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cache, "LAYERS", bound)
             yield bound
@@ -194,12 +195,21 @@ class TestStackDistances:
     @given(line_stream())
     @settings(max_examples=300, deadline=None)
     def test_matches_recency_walk(self, t):
-        """At every layer bound: at 0 the merge counts every merged
-        access, at 1 and 2 it counts what the peel leaves of streams
-        whose falling runs are up to 7 long."""
+        line, group = t
+        assert (stack_distances(line, *group).tolist()
+                == naive_stack_distances(line, group))
+
+    @given(line_stream())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recency_walk_in_slices_of_8(self, t):
+        """At layer bounds 0, 1 and 2: at 0 the merge counts every
+        merged access, at 1 and 2 it counts what the peel leaves of
+        streams whose falling runs are up to 7 long, each merged whole.
+        (The name is kept from the slices of 8 merged accesses that the
+        merge took before the peel.)"""
         line, group = t
         want = naive_stack_distances(line, group)
-        for bound in layer_bounds():
+        for bound in layer_bounds(0, 1, 2):
             assert stack_distances(line, *group).tolist() == want, bound
 
     def test_peel_leaves_long_falling_runs_to_merge(self, monkeypatch):

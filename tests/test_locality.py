@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.apps import ALL_APPS, build_app
 from repro.codegen.spmd import Scheme
-from repro.machine import scaled_dash
+from repro.machine import cache, scaled_dash
 from repro.machine.cache import CacheConfig, assoc_lru_hits
 from repro.machine.locality import (
     COLD,
@@ -74,6 +74,23 @@ def _compiled(app="stencil5", scheme=Scheme.COMP_DECOMP_DATA, nprocs=4,
     return spmd, machine
 
 
+def _check_distances_and_hits(point, proc, addr, cfg, *bounds):
+    """Reuse distances against :func:`reuse_distances_oracle` and the 2-
+    and 4-way LRU hits against ``naive_lru``, at each of the peel's
+    layer ``bounds``; each oracle runs once."""
+    want = reuse_distances_oracle(proc, addr, cfg.line_bytes)
+    ways = [replace(cfg, assoc=assoc) for assoc in (2, 4)]
+    hits = [naive_lru(proc, addr, w) for w in ways]
+    for bound in layer_bounds(*bounds):
+        assert np.array_equal(
+            reuse_distances(proc, addr, cfg.line_bytes), want,
+        ), point + (bound,)
+        for w, want_hits in zip(ways, hits):
+            assert np.array_equal(
+                assoc_lru_hits(proc, addr, w), want_hits,
+            ), point + (bound, w.assoc)
+
+
 class TestReuseDistance:
     def test_hand_trace(self):
         # One proc, line size 1: stream a b c a b b -> distances
@@ -111,26 +128,23 @@ class TestReuseDistance:
     def test_matches_oracle_real_trace(self, app):
         """Reuse distance, set pressure and the 2- and 4-way LRU hits
         against their definitions on one round of the stream, as
-        collect_locality sees it, for every scheme and P in {2, 4, 8}.
-        The distances and hits are checked at every layer bound of the
-        peel: 0 merges every merged access, and 1 and 2 leave the merge
-        what they do not peel."""
+        collect_locality sees it, for every scheme and P in {2, 4, 8}."""
         for point, proc, addr, cfg in _real_streams(app):
             assert np.array_equal(
                 set_pressure(proc, addr, cfg),
                 set_pressure_oracle(proc, addr, cfg),
             ), point
-            want = reuse_distances_oracle(proc, addr, cfg.line_bytes)
-            ways = [replace(cfg, assoc=assoc) for assoc in (2, 4)]
-            hits = [naive_lru(proc, addr, w) for w in ways]
-            for bound in layer_bounds():
-                assert np.array_equal(
-                    reuse_distances(proc, addr, cfg.line_bytes), want,
-                ), point + (bound,)
-                for w, want_hits in zip(ways, hits):
-                    assert np.array_equal(
-                        assoc_lru_hits(proc, addr, w), want_hits,
-                    ), point + (bound, w.assoc)
+            _check_distances_and_hits(point, proc, addr, cfg, cache.LAYERS)
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPS))
+    def test_matches_oracle_real_trace_in_slices_of_64(self, app):
+        """The same streams' reuse distances and LRU hits at layer
+        bounds 0, 1 and 2 of the peel: 0 merges every merged access,
+        and 1 and 2 leave the merge what they do not peel.  (The name
+        is kept from the slices of 64 merged accesses that the merge
+        took before the peel.)"""
+        for point, proc, addr, cfg in _real_streams(app):
+            _check_distances_and_hits(point, proc, addr, cfg, 0, 1, 2)
 
     def test_empty_stream(self):
         empty = np.zeros(0, dtype=np.int64)
