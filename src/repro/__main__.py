@@ -740,9 +740,8 @@ def cmd_perf(args) -> int:
     """``python -m repro perf``: observe one point in one measurement
     window — its wall-time ledger and its profile table (miss classes
     per phase and array, NUMA, conflict sets, locality) — with
-    optional JSON payload, Chrome trace, flamegraph and stacks."""
+    optional JSON payload and Chrome trace."""
     from repro.obs.export import to_chrome_trace
-    from repro.obs.flame import flamegraph_svg
     from repro.obs.perf import record_point
     from repro.report import format_ledger_table, format_profile_table
 
@@ -773,14 +772,6 @@ def cmd_perf(args) -> int:
                     json.dumps(to_chrome_trace(window["collector"]),
                                indent=1),
                     "Chrome trace")
-    stacks = point["perf"]["stacks"]
-    if args.stacks:
-        _write_text(args.stacks, "".join(f"{line}\n" for line in stacks),
-                    "collapsed stacks")
-    if args.flame:
-        _write_text(args.flame,
-                    flamegraph_svg(stacks, title=f"repro perf: {label}"),
-                    "flamegraph SVG")
     return 0
 
 
@@ -988,8 +979,7 @@ def main(argv=None) -> int:
         "perf",
         help="observe one (app, scheme, procs) point: wall-time ledger "
              "and profile table (miss classes, NUMA, conflict sets, "
-             "locality); optional JSON payload, Chrome trace, "
-             "flamegraph and stacks",
+             "locality); optional JSON payload and Chrome trace",
     )
     p.add_argument("app")
     p.add_argument("--scheme", type=_scheme, default="data",
@@ -999,17 +989,11 @@ def main(argv=None) -> int:
     p.add_argument("--time-steps", type=_positive_int, default=None)
     p.add_argument("--scale", type=_positive_int, default=16)
     p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the one-point bench snapshot (plus "
-                        "perf.stacks) as JSON — 'repro diff' reads it; "
-                        "'-' for stdout")
+                   help="write the one-point bench snapshot as JSON "
+                        "— 'repro diff' reads it; '-' for stdout")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write the measurement window as Chrome "
                         "trace-event JSON (chrome://tracing, Perfetto)")
-    p.add_argument("--flame", default=None, metavar="PATH",
-                   help="write a self-contained flamegraph SVG")
-    p.add_argument("--stacks", default=None, metavar="PATH",
-                   help="write the raw collapsed-stack lines "
-                        "(flamegraph.pl input)")
 
     args = parser.parse_args(argv)
     try:

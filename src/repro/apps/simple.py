@@ -10,7 +10,7 @@ contiguous (Figure 1(c)).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 import numpy as np
 

@@ -11,7 +11,7 @@ to (almost) zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.datatrans.layout import Layout
 from repro.ir.expr import AffineExpr

@@ -11,11 +11,10 @@ machine model replays the equivalent address streams instead).
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import List
 
 from repro.codegen.addrexpr import build_address_expr
-from repro.codegen.spmd import OwnerPlan, Scheme, SpmdProgram, SyncKind
-from repro.datatrans.transform import TransformedArray
+from repro.codegen.spmd import OwnerPlan, SpmdProgram, SyncKind
 from repro.ir.loops import LoopNest
 
 

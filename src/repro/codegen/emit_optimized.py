@@ -25,7 +25,7 @@ to the naive linearized subscripts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.addrexpr import (
     AAffine,
@@ -35,8 +35,8 @@ from repro.codegen.addrexpr import (
     build_address_expr,
     divmod_nodes,
 )
-from repro.codegen.optimize import AddressCostReport, optimize_ref_address
-from repro.codegen.spmd import OwnerPlan, SpmdPhase, SpmdProgram
+from repro.codegen.optimize import optimize_ref_address
+from repro.codegen.spmd import SpmdPhase, SpmdProgram
 from repro.decomp.model import FoldKind
 from repro.ir.expr import AffineExpr
 from repro.ir.loops import LoopNest

@@ -13,7 +13,7 @@ larger validation runs, per the NumPy optimization guidance.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 

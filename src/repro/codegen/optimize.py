@@ -25,7 +25,7 @@ counts before and after optimization; the ablation benchmark
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs import provenance
@@ -33,7 +33,6 @@ from repro.codegen.addrexpr import (
     AAffine,
     ADiv,
     AExpr,
-    AMod,
     count_divmod,
     divmod_nodes,
 )

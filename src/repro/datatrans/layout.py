@@ -21,7 +21,7 @@ The linearized address of the Figure 2/3 tables falls straight out of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -11,7 +11,7 @@ paper's suite never needs it, but :func:`choose_folding` accepts a
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.obs import provenance
 from repro.decomp.model import Decomposition, Folding, FoldKind

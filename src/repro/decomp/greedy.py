@@ -26,7 +26,7 @@ different parts of the program".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set
 
 from repro import obs
 from repro.obs import provenance

@@ -11,7 +11,7 @@ statements (offsets ignored, per Section 4.2).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.decomp.model import DataDecomp, Folding, FoldKind
 from repro.util.intlinalg import mat_mul

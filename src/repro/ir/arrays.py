@@ -13,7 +13,7 @@ and offset vector used throughout the decomposition framework
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.ir.expr import AffineExpr

@@ -9,8 +9,8 @@ the benchmarks are expressed as sequences of perfect nests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.ir.arrays import ArrayDecl, ArrayRef
 from repro.ir.expr import AffineExpr

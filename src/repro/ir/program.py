@@ -11,7 +11,7 @@ many times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List
 
 from repro.ir.arrays import ArrayDecl
 from repro.ir.loops import LoopNest

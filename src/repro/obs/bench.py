@@ -7,8 +7,7 @@ Section-4.3 addressing-overhead counts — with its wall-time ledger and
 decision provenance, into a schema-versioned snapshot, and
 :func:`save_snapshot` writes it (``repro bench --json PATH``).
 :func:`bench_point` measures one coordinate; ``repro perf``'s payload
-is the one-point snapshot of its coordinate, with the sampled stacks
-added.
+is the one-point snapshot of its coordinate.
 
 Nothing here judges a snapshot: ``repro diff``
 (:func:`repro.obs.compare.diff_runs`) gates two of them — simulated
@@ -48,8 +47,8 @@ __all__ = [
 #       baselines are incomparable; regenerate.
 # Points no longer carry the timed "wall" block; nothing compared it
 # exactly, so schema 3 snapshots that still have it compare unchanged.
-# A `repro perf` payload is a schema-3 snapshot too (its point adds
-# "perf.stacks"); the old schema-1 perf payloads read incomparable.
+# A `repro perf` payload is a one-point schema-3 snapshot; the old
+# schema-1 perf payloads read incomparable.
 SCHEMA_VERSION = 3
 
 DEFAULT_APPS = ("simple", "stencil5")
@@ -59,16 +58,14 @@ DEFAULT_N = 16
 DEFAULT_SCALE = 16
 
 
-def bench_point(session, point, prog, *,
-                collect_stacks: bool = False
+def bench_point(session, point, prog
                 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Measure one grid coordinate (a
     :class:`~repro.pipeline.grid.GridPoint`) on the shared engine's
     program/machine mapping; returns its snapshot point and the
     :func:`~repro.obs.perf.measure_point` window.  ``repro bench``
     and ``repro perf`` build their points here, so ``repro diff``
-    gates a perf payload exactly as it gates a bench snapshot;
-    ``collect_stacks`` adds ``perf.stacks``."""
+    gates a perf payload exactly as it gates a bench snapshot."""
     from repro.codegen.spmd import parse_scheme
     from repro.obs.perf import measure_point
     from repro.pipeline.grid import point_machine
@@ -80,8 +77,7 @@ def bench_point(session, point, prog, *,
     # measures the compile, captures the addressing-overhead counters
     # the optimized emitter emits, runs the detail simulation for the
     # deterministic machine metrics, and yields the wall-time ledger.
-    m = measure_point(session, prog, scheme, nprocs, machine,
-                      collect_stacks=collect_stacks)
+    m = measure_point(session, prog, scheme, nprocs, machine)
     res = m["res"]
     compile_s = m["compile_s"]
     addressing = m["addressing"]
@@ -110,9 +106,6 @@ def bench_point(session, point, prog, *,
         # exact-match gate covers it — a simulator rewrite that changes
         # any reuse/pressure histogram fails the bench comparison.
         sim["locality"] = res.locality
-    perf: Dict[str, Any] = {"ledger": m["ledger"]}
-    if collect_stacks:
-        perf["stacks"] = m["stacks"]
 
     entry = {
         "app": point.app,
@@ -127,7 +120,7 @@ def bench_point(session, point, prog, *,
         "sim": sim,
         # Schema 3: the wall-time ledger (row set + counts exact-match
         # gated; `repro diff` ranks self-time moves on one host).
-        "perf": perf,
+        "perf": {"ledger": m["ledger"]},
         # Decision provenance rides along for `repro diff` root-cause
         # attribution; the judge never compares it, so this key never
         # makes two runs differ.

@@ -1,10 +1,9 @@
 """Shared building blocks for self-contained HTML reports.
 
 The HTML run report (``repro report --html``) is built from these
-parts, and :mod:`repro.obs.flame` shares the escaping: one escaping
-path, one stylesheet, no external assets — a report file must render
-from a CI artifact tab or an ``file://`` open with nothing else on
-disk.  Deterministic: output is a pure function of the input values
+parts: one escaping path, one stylesheet, no external assets — a
+report file must render from a CI artifact tab or an ``file://`` open
+with nothing else on disk.  Deterministic: output is a pure function of the input values
 and all iteration orders are the caller's.
 
 Cells passed to :func:`table` are escaped here (callers hand over raw

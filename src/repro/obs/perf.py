@@ -1,8 +1,8 @@
 """The wall-time ledger and ``repro perf``.
 
 ``repro diff`` root-causes *semantic* divergence over decision
-provenance; this module attributes *wall time* to the passes,
-simulator phases, and functions responsible.  Two pieces:
+provenance; this module attributes *wall time* to the passes and
+simulator phases responsible.  Three pieces:
 
 * :func:`build_ledger` — an **exhaustive, reconciled** accounting of
   one recording.  Every span's *self* time (duration minus its direct
@@ -22,8 +22,8 @@ simulator phases, and functions responsible.  Two pieces:
   point is one such window.
 * :func:`record_point` — ``repro perf``: the one-point bench snapshot
   of a coordinate (:func:`repro.obs.bench.bench_point` builds its
-  point), with a collapsed-stack sample (:mod:`repro.obs.flame`
-  renders it) as ``perf.stacks``.
+  point), with nothing added.  For a question below a ledger row, run
+  the same command under ``python -m cProfile``.
 
 Two runs' ledgers are compared by ``repro diff``
 (:func:`repro.obs.compare.ledger_moves`): row *sets* and *counts* are
@@ -159,8 +159,8 @@ def ledger_reconciles(ledger: Mapping[str, Any],
 
 # -- measurement -------------------------------------------------------------
 
-def measure_point(session, prog, scheme, nprocs: int, machine, *,
-                  collect_stacks: bool = False) -> Dict[str, Any]:
+def measure_point(session, prog, scheme, nprocs: int, machine
+                  ) -> Dict[str, Any]:
     """One observed compile + simulate window for one point.
 
     Opens a private collector, records the whole window under a
@@ -170,12 +170,9 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
     window's ``collector`` (its spans are what ``repro perf --trace``
     exports) and the process's ``minor_faults`` and ``system_s`` (CPU
     seconds in the kernel) over the window, time that lands inside
-    whichever rows touched the pages.  With ``collect_stacks`` it also
-    returns collapsed ``stacks`` from a *separate* sampled simulation,
-    kept outside the ledger window since the profiling hook would
-    inflate it.  The global obs state is saved and restored.  As in
-    :mod:`timeit`, the window runs after a full collection with the
-    collector off, so no pause lands in a row.
+    whichever rows touched the pages.  The global obs state is saved
+    and restored.  As in :mod:`timeit`, the window runs after a full
+    collection with the collector off, so no pause lands in a row.
     """
     from repro.codegen.emit_optimized import emit_optimized_program
     from repro.machine.simulate import simulate
@@ -214,7 +211,7 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         _obs_core._collector = saved_collector
         _obs_core._enabled = saved_enabled
 
-    out = {
+    return {
         "res": res,
         "compile_s": compile_s,
         "addressing": addressing,
@@ -224,13 +221,6 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         "minor_faults": usage_end.ru_minflt - usage_start.ru_minflt,
         "system_s": usage_end.ru_stime - usage_start.ru_stime,
     }
-    if collect_stacks:
-        from repro.obs.hotspot import DEFAULT_INTERVAL, HotspotProfiler
-
-        with HotspotProfiler(DEFAULT_INTERVAL) as sampler:
-            simulate(spmd, machine)
-        out["stacks"] = sampler.report().collapsed()
-    return out
 
 
 def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
@@ -240,10 +230,9 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
 
     Returns ``(payload, window)``: the payload is the
     :func:`~repro.obs.bench.run_bench` snapshot of that one coordinate
-    with the sampled stacks added as ``perf.stacks`` (``repro diff``
-    gates it as it gates any bench snapshot), and ``window`` is the
-    :func:`measure_point` output (``res`` for the profile table,
-    ``collector`` for the Chrome trace).
+    (``repro diff`` gates it as it gates any bench snapshot), and
+    ``window`` is the :func:`measure_point` output (``res`` for the
+    profile table, ``collector`` for the Chrome trace).
     """
     from repro.codegen.spmd import scheme_short_name
     from repro.obs.bench import bench_point, snapshot
@@ -254,7 +243,7 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
     point, = make_grid([app], [short], [nprocs], n=n,
                        time_steps=time_steps, scale=scale)
     entry, window = bench_point(CompileSession(), point,
-                                point_program(point), collect_stacks=True)
+                                point_program(point))
     payload = snapshot([entry], apps=[app], schemes=[short],
                        procs=[nprocs], n=n, time_steps=time_steps,
                        scale=scale)

@@ -60,14 +60,13 @@ class TestRunBench:
             assert "numa" in p["sim"] and "conflict" in p["sim"]
 
     def test_points_carry_perf_ledger_and_stacks(self, snap):
-        # Schema 3: every point stores the wall-time ledger.  No
-        # comparison reads sampled stacks or a sampled profile, so a
-        # snapshot carries neither.
+        # Schema 3: every point stores the wall-time ledger, and
+        # nothing else under "perf".
         for p in snap["points"]:
             ledger = p["perf"]["ledger"]
             kinds = {r["kind"] for r in ledger["rows"]}
             assert "pass" in kinds and "residual" in kinds
-            assert "stacks" not in p["perf"]
+            assert set(p["perf"]) == {"ledger"}
             assert "profile" not in p
 
     def test_addressing_counters_recorded(self, snap):

@@ -129,7 +129,7 @@ class TestPerfErrors:
         payload = json.loads(out[out.index('{\n  "config"'):])
         (point,) = payload["points"]
         assert point["sim"]["locality"]["reuse"]
-        assert point["perf"]["stacks"]
+        assert set(point["perf"]) == {"ledger"}
 
 
 class TestSchemeFlag:

@@ -141,8 +141,9 @@ class TestOneEqualityRule:
 
 class TestCommittedBaseline:
     def test_baseline_stores_only_compared_keys(self):
-        # Neither sampled stacks nor timed repeats are read by any
-        # comparison, and both change on every regeneration.
+        # The baseline stores no key that no comparison reads (timed
+        # repeats, a profile, a wall block, anything under "perf" but
+        # the ledger): such keys change on every regeneration.
         baseline = read_run(BASELINE)
         assert baseline["points"]
         assert "repeats" not in baseline["config"]

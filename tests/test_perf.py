@@ -125,7 +125,7 @@ class TestBuildLedger:
 
 class TestRecordPoint:
     def test_payload_shape(self, recorded):
-        # A one-point bench snapshot whose point adds perf.stacks.
+        # A one-point bench snapshot, with nothing added.
         assert recorded["schema"] == bench.SCHEMA_VERSION
         assert "kind" not in recorded
         assert set(recorded["host"]) == {"platform", "machine", "python",
@@ -137,7 +137,7 @@ class TestRecordPoint:
         assert point["app"] == "simple" and point["nprocs"] == 2
         assert point["sim"]["n_accesses"] > 0
         assert point["sim"]["locality"]["reuse"]
-        assert set(point["perf"]) == {"ledger", "stacks"}
+        assert set(point["perf"]) == {"ledger"}
         ok, _ = ledger_reconciles(point["perf"]["ledger"])
         assert ok
         rows = {(r["kind"], r["name"])
@@ -159,13 +159,20 @@ class TestRecordPoint:
         diff = diff_runs(snap, recorded)
         assert not diff.diverged and diff.n_compared == 1
 
-    def test_stacks_are_folded_lines(self, recorded):
-        from repro.obs.flame import parse_collapsed
+    def test_simulates_once(self, monkeypatch):
+        # The measured window is the only simulation a `repro perf`
+        # process runs.
+        sim_module = importlib.import_module("repro.machine.simulate")
+        real = sim_module.simulate
+        calls = []
 
-        stacks = recorded["points"][0]["perf"]["stacks"]
-        assert stacks
-        parsed = parse_collapsed(stacks)
-        assert all(v > 0 for v in parsed.values())
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim_module, "simulate", spy)
+        record_point("simple", parse_scheme("data"), 2, n=8)
+        assert calls == [{"detail": True, "locality": True}]
 
     def test_payload_json_safe(self, recorded):
         assert json.loads(json.dumps(recorded)) == recorded
@@ -371,20 +378,6 @@ class TestPerfCLI:
         assert int(m.group(1)) >= 0
         payload = out[out.index('{\n  "config"'):]
         assert "faults" not in payload and "system_s" not in payload
-
-    def test_record_artifacts(self, tmp_path, capsys):
-        import xml.etree.ElementTree as ET
-
-        flame = tmp_path / "flame.svg"
-        stacks = tmp_path / "stacks.collapsed"
-        rc = main(["perf", "simple", "--scheme", "base",
-                   "--procs", "1", "--n", "8",
-                   "--flame", str(flame), "--stacks", str(stacks)])
-        assert rc == 0
-        ET.parse(flame)  # well-formed XML
-        from repro.obs.flame import parse_collapsed
-
-        assert parse_collapsed(stacks.read_text().splitlines())
 
     def test_record_unknown_app_rejected(self):
         with pytest.raises(SystemExit, match="unknown app"):
